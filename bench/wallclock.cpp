@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "cmcp.h"
+#include "common/parse_number.h"
 #include "core/multi_tenant.h"
 #include "metrics/experiment.h"
 #include "metrics/result_writer.h"
@@ -281,21 +282,18 @@ int main(int argc, char** argv) {
   std::string json_path;
   unsigned repeat = 2;
   std::string filter;
-  unsigned threads = 1;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else if (std::strcmp(argv[i], "--repeat") == 0 && i + 1 < argc) {
-      repeat = static_cast<unsigned>(std::atoi(argv[++i]));
+      repeat = common::parse_flag<unsigned>(argv[i], argv[i + 1]);
+      ++i;
       if (repeat == 0) repeat = 1;
     } else if (std::strcmp(argv[i], "--filter") == 0 && i + 1 < argc) {
       filter = argv[++i];
-    } else if (std::strcmp(argv[i], "--threads") == 0 && i + 1 < argc) {
-      threads = static_cast<unsigned>(std::atoi(argv[++i]));
     } else {
       std::fprintf(stderr,
-                   "usage: %s [--json FILE] [--repeat N] [--filter SUBSTR] "
-                   "[--threads N]\n",
+                   "usage: %s [--json FILE] [--repeat N] [--filter SUBSTR]\n",
                    argv[0]);
       return 2;
     }
@@ -365,7 +363,6 @@ int main(int argc, char** argv) {
     spec.policy.cmcp.p = wl::paper_best_p(c.workload);
     spec.memory_fraction = c.memory_fraction;
     spec.scale = c.scale;
-    spec.threads = threads;
     phases.push_back(
         best_of(c.name, "sim", repeat, [&] { return run_sim_phase(spec); }));
     std::printf("%-22s %10.1f ms  %8.1f ns/ref\n", phases.back().name.c_str(),
@@ -435,7 +432,6 @@ int main(int argc, char** argv) {
   writer.meta("simcheck", CMCP_SIMCHECK_ENABLED ? "on" : "off");
   writer.meta("fast_mode", fast ? "true" : "false");
   writer.meta("repeat", std::to_string(repeat));
-  writer.meta("threads", std::to_string(threads));
   writer.meta("peak_rss_kb", std::to_string(peak_rss_kb()));
   for (const PhaseResult& p : phases) {
     auto& row = writer.add_row();

@@ -392,8 +392,7 @@ class Linter {
   /// Per-(asid, core) monotonicity over the kinds stamped with the emitting
   /// core's own clock at emission time: faults, barrier waits and scanner
   /// passes. A reordered stream here would mean the engine (or a batching
-  /// exporter) merged events out of virtual-time order — the bug class the
-  /// parallel engine's coordinator-only emission rule exists to prevent.
+  /// exporter) merged events out of virtual-time order.
   /// Evictions/picks/shootdowns are stamped mid-access and legitimately
   /// interleave out of timestamp order with the enclosing fault event, so
   /// they are excluded.

@@ -3,8 +3,9 @@
 //
 // Raw `std::mutex` / `std::lock_guard` are banned outside this header
 // (cmcp_lint rule `raw-mutex`): an unannotated mutex protects nothing at
-// compile time, and the deterministic parallel engine on the roadmap must
-// compile against `-Wthread-safety -Werror` from day one.
+// compile time, and the code that does run on several host threads (the
+// parallel experiment runner, the trace sink, the PCIe link's counters)
+// compiles against `-Wthread-safety -Werror`.
 //
 // Lock hierarchy (acquire strictly downward; documented, not yet
 // machine-checked):
@@ -14,11 +15,9 @@
 //       -> sim::trace::EventSink::mu_    (event buffer)
 //   sim::PcieLink::mu_                   (leaf; never held across calls out)
 //   metrics::ResultWriter::mu_           (leaf)
-//   common::WorkerPool::mu_              (leaf; task queue only)
 //   parallel-runner job state            (leaf)
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #include "common/thread_annotations.h"
@@ -51,25 +50,6 @@ class CMCP_SCOPED_CAPABILITY LockGuard {
 
  private:
   Mutex& mu_;
-};
-
-/// Condition variable paired with the annotated Mutex. `wait` must be called
-/// with `mu` held (enforced by the analysis); the predicate loop is the
-/// caller's job, as with std::condition_variable.
-class CondVar {
- public:
-  CondVar() = default;
-  CondVar(const CondVar&) = delete;
-  CondVar& operator=(const CondVar&) = delete;
-
-  void wait(Mutex& mu) CMCP_REQUIRES(mu) { cv_.wait(mu); }
-  void notify_one() { cv_.notify_one(); }
-  void notify_all() { cv_.notify_all(); }
-
- private:
-  // condition_variable_any takes any BasicLockable, so it waits on the
-  // annotated Mutex directly — no escape hatch back to std::mutex needed.
-  std::condition_variable_any cv_;
 };
 
 }  // namespace cmcp::common

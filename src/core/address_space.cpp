@@ -94,11 +94,6 @@ void AddressSpace::preload_all() {
 }
 
 Cycles AddressSpace::access(CoreId core, Vpn vpn, bool write, Cycles now) {
-  // TLB hit / PTE refill: one shared implementation with the parallel
-  // engine's local spans (header). Touches nothing when it declines.
-  const Cycles fast = try_local_access(core, vpn, write);
-  if (fast != kNotLocal) return fast;
-
   const sim::CostModel& cost = machine_.cost();
   metrics::CoreCounters& ctr = machine_.counters(core);
   ++ctr.accesses;
@@ -106,8 +101,28 @@ Cycles AddressSpace::access(CoreId core, Vpn vpn, bool write, Cycles now) {
   const UnitIdx unit = area_.unit_of(vpn);
   sim::Tlb& tlb = machine_.tlb(core);
 
-  // dTLB miss, walk found no valid PTE: page fault.
+  // Fast path: translation cached.
+  if (tlb.lookup(unit)) {
+    const Cycles c = cost.tlb_hit + cost.memory_access;
+    if (write) page_table_->mark_dirty(core, unit);
+    ctr.cycles_mem += c;
+    return c;
+  }
+
+  // dTLB miss: hardware page walk.
   ++ctr.dtlb_misses;
+
+  if (page_table_->has_mapping(core, unit)) {
+    // Walk hit a valid PTE: refill the TLB, set attribute bits.
+    page_table_->mark_accessed(core, unit);
+    if (write) page_table_->mark_dirty(core, unit);
+    tlb.insert(unit);
+    const Cycles c = cost.walk_cost(area_.page_size()) + cost.memory_access;
+    ctr.cycles_mem += c;
+    return c;
+  }
+
+  // Walk found no valid PTE: page fault.
   const Cycles mem_cycles = cost.walk_cost(area_.page_size());
   ctr.cycles_mem += mem_cycles;
   Cycles fault_cycles = cost.fault_entry;

@@ -43,46 +43,6 @@ class AddressSpace final : public policy::PolicyHost {
   /// Returns the cycles the reference consumed on `core`.
   Cycles access(CoreId core, Vpn vpn, bool write, Cycles now);
 
-  /// Sentinel: the reference is not servable by the core-local fast path.
-  static constexpr Cycles kNotLocal = ~Cycles{0};
-
-  /// The TLB-hit / PTE-refill fast path of access(), factored out so the
-  /// parallel engine's local spans and the serial fault path share one
-  /// implementation. Returns the cycles consumed, or kNotLocal when the
-  /// reference needs the shared fault path (the state is then untouched).
-  ///
-  /// Touches ONLY core-own state — core's TLB, core's counters, and (PSPT)
-  /// core's private PTE row — which is the parallel engine's local-phase
-  /// contract (docs/architecture.md). With a regular page table the PTE is
-  /// shared, so this path is engine-thread-only there.
-  Cycles try_local_access(CoreId core, Vpn vpn, bool write) {
-    const sim::CostModel& cost = machine_.cost();
-    metrics::CoreCounters& ctr = machine_.counters(core);
-    const UnitIdx unit = area_.unit_of(vpn);
-    sim::Tlb& tlb = machine_.tlb(core);
-
-    if (tlb.lookup(unit)) {
-      const Cycles c = cost.tlb_hit + cost.memory_access;
-      if (write) page_table_->mark_dirty(core, unit);
-      ++ctr.accesses;
-      ctr.cycles_mem += c;
-      return c;
-    }
-
-    if (page_table_->has_mapping(core, unit)) {
-      // Walk hit a valid PTE: refill the TLB, set attribute bits.
-      page_table_->mark_accessed(core, unit);
-      if (write) page_table_->mark_dirty(core, unit);
-      tlb.insert(unit);
-      const Cycles c = cost.walk_cost(area_.page_size()) + cost.memory_access;
-      ++ctr.accesses;
-      ++ctr.dtlb_misses;
-      ctr.cycles_mem += c;
-      return c;
-    }
-    return kNotLocal;
-  }
-
   /// Run this space's scanner / policy ticks due at or before `watermark`.
   void run_periodic(Cycles watermark);
 

@@ -4,7 +4,6 @@
 #include <array>
 
 #include "common/assert.h"
-#include "common/worker_pool.h"
 #include "sim/trace.h"
 
 namespace cmcp::core {
@@ -89,14 +88,6 @@ class EventHeap {
 
 enum class CoreState : std::uint8_t { kRunning, kAtBarrier, kDone };
 
-class Engine;
-
-/// Context handed to a worker running one core's local span.
-struct SpanCtx {
-  Engine* engine = nullptr;
-  CoreId core = 0;
-};
-
 struct PerCore {
   wl::AccessStream* stream = nullptr;
   Asid tenant = 0;
@@ -106,15 +97,6 @@ struct PerCore {
   wl::Op pending;              ///< in-progress access op
   std::uint32_t progress = 0;  ///< pages of `pending` already processed
   bool has_pending = false;
-  /// A local span fetches ops it cannot execute (syscall/barrier/end); the
-  /// coordinator consumes this instead of pulling the stream again.
-  wl::Op fetched;
-  bool has_fetched = false;
-  /// Parallel mode: a span task for this core is queued or running; the
-  /// coordinator must complete it before reading the core's state.
-  bool span_inflight = false;
-  common::Task task;
-  SpanCtx span_ctx;
 };
 
 struct GroupState {
@@ -127,14 +109,11 @@ struct GroupState {
 class Engine {
  public:
   Engine(sim::Machine& machine, MemoryManager& mm,
-         std::span<EngineCoreInit> inits, std::span<const EngineGroup> groups,
-         unsigned threads)
-      : machine_(machine), mm_(mm) {
+         std::span<EngineCoreInit> inits, std::span<const EngineGroup> groups)
+      : machine_(machine), mm_(mm), cores_(machine.num_cores()) {
     const CoreId n = machine_.num_cores();
     CMCP_CHECK(inits.size() == n);
     CMCP_CHECK(n < (CoreId{1} << kCoreBits));
-    // PerCore holds a Task (atomic state), so the array is built in place.
-    cores_ = std::make_unique<PerCore[]>(n);
     groups_.reserve(groups.size());
     for (std::size_t g = 0; g < groups.size(); ++g) {
       const EngineGroup& eg = groups[g];
@@ -147,119 +126,12 @@ class Engine {
       pc.stream = inits[c].stream.get();
       pc.tenant = inits[c].tenant;
       pc.area_base = inits[c].area_base;
-      pc.span_ctx = {this, c};
     }
-    threads_ = common::resolve_thread_count(threads);
-    par_ = parallel_eligible();
-    if (par_) pool_ = std::make_unique<common::WorkerPool>(threads_ - 1);
   }
 
   void run();
 
-  /// Worker body: execute `core`'s stream on real state as long as every
-  /// event is core-local (TLB hit / PTE refill / compute); stop before the
-  /// first event needing shared state and leave the cursor for the
-  /// coordinator. Touches only core-own state — see engine.h.
-  void run_local_span(CoreId core) {
-    PerCore& pc = cores_[core];
-    AddressSpace& space = mm_.space(0);  // parallel gate: single space
-    metrics::CoreCounters& ctr = machine_.counters(core);
-    for (;;) {
-      if (pc.has_pending) {
-        const wl::Op& op = pc.pending;
-        while (pc.progress < op.count) {
-          const Vpn vpn = pc.area_base + op.vpn +
-                          static_cast<Vpn>(pc.progress) * op.stride;
-          std::uint16_t r = 0;
-          for (; r < op.repeat; ++r) {
-            const Cycles c = space.try_local_access(core, vpn, op.write);
-            if (c == AddressSpace::kNotLocal) break;
-            machine_.advance(core, c);
-          }
-          if (r < op.repeat) {
-            // Only the page's FIRST reference can miss: the repeats that
-            // follow hit the entry it just installed (no shootdowns exist
-            // in an eligible run). The coordinator replays the whole page
-            // through the fault path, so stopping mid-page would
-            // double-charge the executed repeats.
-            CMCP_CHECK(r == 0);
-            return;
-          }
-          if (op.cycles > 0) {
-            ctr.cycles_compute += op.cycles;
-            machine_.advance(core, op.cycles);
-          }
-          ++pc.progress;
-        }
-        pc.has_pending = false;
-      }
-      const wl::Op op = pc.stream->next();
-      switch (op.kind) {
-        case wl::OpKind::kAccess:
-          CMCP_CHECK(op.count > 0);
-          pc.pending = op;
-          pc.progress = 0;
-          pc.has_pending = true;
-          break;
-        case wl::OpKind::kCompute:
-          ctr.cycles_compute += op.cycles;
-          machine_.advance(core, op.cycles);
-          break;
-        default:
-          pc.fetched = op;
-          pc.has_fetched = true;
-          return;
-      }
-    }
-  }
-
  private:
-  /// Parallel local spans are sound only when every TLB-hit/refill truly
-  /// touches core-own state and no shared interaction can observe it
-  /// mid-flight: one address space, per-core PSPT rows, no scanner, no
-  /// possible eviction (capacity covers the footprint), no fault plan
-  /// (stragglers retime every access), no SimCheck sweeps (they read other
-  /// cores' state), and a policy whose non-eviction hooks never read
-  /// per-core machine state. Everything else runs the serial path, which
-  /// is byte-identical anyway.
-  bool parallel_eligible() const {
-    if (threads_ <= 1) return false;
-    if (machine_.fault_plan() != nullptr) return false;
-    if (mm_.check_registry() != nullptr) return false;
-    if (mm_.num_spaces() != 1) return false;
-    const AddressSpace& space = mm_.space(0);
-    if (space.page_table().kind() != PageTableKind::kPspt) return false;
-    if (space.scanner_enabled()) return false;
-    if (!space.policy().parallel_local_safe()) return false;
-    if (!space.pinned() && mm_.capacity_units() < space.area().num_units())
-      return false;
-    return true;
-  }
-
-  static void span_entry(void* ctx) {
-    SpanCtx* sc = static_cast<SpanCtx*>(ctx);
-    sc->engine->run_local_span(sc->core);
-  }
-
-  void dispatch_span(CoreId core) {
-    PerCore& pc = cores_[core];
-    pc.task.arm(&Engine::span_entry, &pc.span_ctx);
-    pool_->submit(&pc.task);
-    pc.span_inflight = true;
-  }
-
-  /// Rendezvous with `core`'s span before touching its state: steal the
-  /// task if no worker picked it up yet (runs it inline — on a saturated
-  /// host the engine degrades to serial instead of blocking), else wait.
-  void complete_span(CoreId core) {
-    PerCore& pc = cores_[core];
-    if (pc.task.try_claim())
-      pc.task.run_claimed();
-    else
-      pc.task.wait();
-    pc.span_inflight = false;
-  }
-
   void release_barrier_if_complete(CoreId group) {
     GroupState& g = groups_[group];
     if (g.active == 0 || g.at_barrier != g.active) return;
@@ -306,13 +178,7 @@ class Engine {
       return true;
     }
 
-    wl::Op op;
-    if (pc.has_fetched) {
-      op = pc.fetched;
-      pc.has_fetched = false;
-    } else {
-      op = pc.stream->next();
-    }
+    const wl::Op op = pc.stream->next();
     switch (op.kind) {
       case wl::OpKind::kAccess: {
         CMCP_CHECK(op.count > 0);
@@ -370,13 +236,10 @@ class Engine {
 
   sim::Machine& machine_;
   MemoryManager& mm_;
-  std::unique_ptr<PerCore[]> cores_;
+  std::vector<PerCore> cores_;
   std::vector<GroupState> groups_;
   EventHeap heap_;
   Cycles next_due_ = 0;
-  unsigned threads_ = 1;
-  bool par_ = false;
-  std::unique_ptr<common::WorkerPool> pool_;
 };
 
 void Engine::run() {
@@ -389,13 +252,10 @@ void Engine::run() {
   while (!heap_.empty()) {
     const std::uint64_t rootkey = heap_.root();
     const CoreId core = static_cast<CoreId>(rootkey & kCoreIdMask);
-    PerCore& pc = cores_[core];
-    if (pc.span_inflight) complete_span(core);
     const Cycles time = rootkey >> kCoreBits;
     const Cycles actual = machine_.clock(core);
     if (actual != time) {
-      // Clock advanced (shootdown interrupts, or a completed local span)
-      // since this key was set.
+      // Clock advanced (shootdown interrupts) since this key was set.
       heap_.replace_root(pack(actual, core));
       continue;
     }
@@ -425,12 +285,7 @@ void Engine::run() {
       }
     } while (pack(machine_.clock(core), core) < limit);
 
-    if (requeue) {
-      heap_.replace_root(pack(machine_.clock(core), core));
-      // The core now waits for its next turn; in parallel mode a worker
-      // uses that wait to run its core-local events ahead of time.
-      if (par_) dispatch_span(core);
-    }
+    if (requeue) heap_.replace_root(pack(machine_.clock(core), core));
   }
 
   machine_.set_engine_running(false);
@@ -443,8 +298,8 @@ void Engine::run() {
 
 void run_engine(sim::Machine& machine, MemoryManager& mm,
                 std::span<EngineCoreInit> cores,
-                std::span<const EngineGroup> groups, unsigned threads) {
-  Engine engine(machine, mm, cores, groups, threads);
+                std::span<const EngineGroup> groups) {
+  Engine engine(machine, mm, cores, groups);
   engine.run();
 }
 

@@ -118,7 +118,7 @@ MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
       init.area_base = p.area_base_vpn;
     }
   }
-  run_engine(machine, mm, cores, groups, config.threads);
+  run_engine(machine, mm, cores, groups);
   if (checks != nullptr) checks->run_now(sim::CheckPoint::kEndOfRun);
 
   // --- collect -------------------------------------------------------------

@@ -52,11 +52,6 @@ struct MultiTenantConfig {
   double memory_fraction = 1.0;
   std::uint64_t capacity_units_override = 0;
 
-  /// Host worker threads for the engine (core/engine.h); same semantics as
-  /// core::SimulationConfig::threads. Multi-tenant runs always take the
-  /// serial engine path today, so this only standardizes the plumbing.
-  unsigned threads = 1;
-
   /// Structured event tracing (non-owning; null = disabled). Events carry
   /// each tenant's asid and the exporters serialize it (spaces > 1).
   sim::trace::EventSink* trace = nullptr;

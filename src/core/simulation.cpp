@@ -116,8 +116,7 @@ SimulationResult Simulation::run() {
   // One barrier group spanning the whole machine: wl::OpKind::kBarrier
   // synchronizes every core.
   const EngineGroup group{0, n};
-  run_engine(machine_, mm_, cores, std::span<const EngineGroup>(&group, 1),
-             config_.threads);
+  run_engine(machine_, mm_, cores, std::span<const EngineGroup>(&group, 1));
   if (checks_ != nullptr) checks_->run_now(sim::CheckPoint::kEndOfRun);
 
   SimulationResult result;

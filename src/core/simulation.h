@@ -51,10 +51,8 @@ struct SimulationConfig {
   /// Base of the computation area (2 MB aligned so all unit sizes fit).
   Vpn area_base_vpn = 0;
 
-  /// Host worker threads for the engine (core/engine.h). 1 (default) is the
-  /// exact serial engine — and defers to the CMCP_SIM_THREADS environment
-  /// variable, the TSan CI hook; 0 means one thread per host CPU. Results
-  /// and traces are byte-identical at any value.
+  /// Ignored by the library; remains only so bench/suite compiles, and goes
+  /// away when a benchmark change retires bt56_cmcp_local_t4.
   unsigned threads = 1;
 
   /// Structured event tracing: when non-null, every fault, victim pick,

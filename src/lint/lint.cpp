@@ -384,18 +384,15 @@ void rule_raw_mutex(const Ctx& c) {
   }
 }
 
-/// stray-thread: threading primitives outside the two sanctioned
-/// parallelism entry points — metrics/parallel_runner (independent runs in
-/// parallel) and common/worker_pool (the engine's local-span pool,
-/// core/engine.h). Everything else in the simulation core is
-/// single-threaded by contract; keeping thread creation in audited files
-/// is what makes that contract checkable.
+/// stray-thread: threading primitives outside the one sanctioned
+/// parallelism entry point, metrics/parallel_runner (independent runs in
+/// parallel). Everything else in the simulation core is single-threaded by
+/// contract; keeping thread creation in one audited file is what makes that
+/// contract checkable.
 void rule_stray_thread(const Ctx& c) {
   if (!in_src(c.path)) return;
   if (c.path == "src/metrics/parallel_runner.cpp" ||
-      c.path == "src/metrics/parallel_runner.h" ||
-      c.path == "src/common/worker_pool.cpp" ||
-      c.path == "src/common/worker_pool.h")
+      c.path == "src/metrics/parallel_runner.h")
     return;
   constexpr std::array<std::string_view, 16> kThreading = {
       "thread",       "jthread",       "async",
@@ -409,7 +406,7 @@ void rule_stray_thread(const Ctx& c) {
         is_ident(c.ts, i - 2, "std")) {
       c.report(c.ts[i].line, "stray-thread",
                "std::" + c.ts[i].text +
-                   " outside metrics/parallel_runner and common/worker_pool: "
+                   " outside metrics/parallel_runner: "
                    "the simulation core is single-threaded by contract");
     }
   }
@@ -532,9 +529,7 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"float-virtual-time", "floating-point values holding virtual time"},
       {"check-side-effect", "mutation inside CMCP_CHECK/SIMCHECK arguments"},
       {"raw-mutex", "std synchronization primitive outside common/mutex.h"},
-      {"stray-thread",
-       "threading primitive outside metrics/parallel_runner / "
-       "common/worker_pool"},
+      {"stray-thread", "threading primitive outside metrics/parallel_runner"},
       {"volatile-qualifier", "volatile used as a synchronization tool"},
       {"unordered-iteration", "iteration over an unordered container"},
   };

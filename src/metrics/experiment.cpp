@@ -25,7 +25,6 @@ core::SimulationConfig RunSpec::to_config() const {
                                ? memory_fraction
                                : wl::paper_memory_fraction(workload);
   config.faults = faults;
-  config.threads = threads;
   config.simcheck = simcheck;
   return config;
 }

@@ -39,14 +39,9 @@ struct RunSpec {
   /// so legacy trace headers stay unchanged.
   sim::FaultPlanConfig faults;
 
-  /// Host worker threads for the engine (core/engine.h). Execution knob,
-  /// not experiment identity: results and traces are thread-count
-  /// invariant, so describe() deliberately omits it — headers must stay
-  /// byte-identical across --threads values.
-  unsigned threads = 1;
   /// Registers the SimCheck invariant checkpoints (no-op in CMCP_SIMCHECK=
-  /// OFF builds). Also an execution knob: checkpoints are pure observers,
-  /// so describe() omits it too.
+  /// OFF builds). An execution knob, not experiment identity: checkpoints
+  /// are pure observers, so describe() omits it.
   bool simcheck = true;
 
   /// Human-oriented one-line summary (lossy; legends, progress lines).

@@ -31,8 +31,6 @@ class ArcPolicy final : public ReplacementPolicy {
   mm::ResidentPage* pick_victim(CoreId faulting_core, Cycles& extra_cycles) override;
   void on_evict(mm::ResidentPage& page) override;
 
-  bool parallel_local_safe() const override { return true; }
-
   std::int64_t tracked_pages() const override {
     return static_cast<std::int64_t>(t1_.size() + t2_.size());
   }

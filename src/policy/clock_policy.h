@@ -21,8 +21,6 @@ class ClockPolicy : public ReplacementPolicy {
 
   void on_evict(mm::ResidentPage& page) override { ring_.erase(page); }
 
-  bool parallel_local_safe() const override { return true; }
-
   std::int64_t tracked_pages() const override {
     return static_cast<std::int64_t>(ring_.size());
   }

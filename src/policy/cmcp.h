@@ -52,8 +52,6 @@ class CmcpPolicy final : public ReplacementPolicy {
   void set_p(double p);
   double p() const { return config_.p; }
 
-  bool parallel_local_safe() const override { return true; }
-
   std::int64_t tracked_pages() const override {
     return static_cast<std::int64_t>(fifo_.size() + priority_size_);
   }

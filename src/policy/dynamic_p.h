@@ -38,9 +38,6 @@ class DynamicPCmcpPolicy final : public ReplacementPolicy {
 
   void on_evict(mm::ResidentPage& page) override { inner_.on_evict(page); }
 
-  bool parallel_local_safe() const override {
-    return inner_.parallel_local_safe();
-  }
   std::int64_t tracked_pages() const override { return inner_.tracked_pages(); }
 
   void on_tick(Cycles now) override;

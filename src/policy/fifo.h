@@ -22,8 +22,6 @@ class FifoPolicy : public ReplacementPolicy {
 
   void on_evict(mm::ResidentPage& page) override { queue_.erase(page); }
 
-  bool parallel_local_safe() const override { return true; }
-
   std::int64_t tracked_pages() const override {
     return static_cast<std::int64_t>(queue_.size());
   }

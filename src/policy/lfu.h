@@ -44,8 +44,6 @@ class LfuPolicy final : public ReplacementPolicy {
     --size_;
   }
 
-  bool parallel_local_safe() const override { return true; }
-
   std::int64_t tracked_pages() const override {
     return static_cast<std::int64_t>(size_);
   }

@@ -26,8 +26,6 @@ class LruApproxPolicy final : public ReplacementPolicy {
 
   void on_evict(mm::ResidentPage& page) override;
 
-  bool parallel_local_safe() const override { return true; }
-
   std::int64_t tracked_pages() const override {
     return static_cast<std::int64_t>(active_.size() + inactive_.size());
   }

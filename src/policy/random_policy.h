@@ -35,8 +35,6 @@ class RandomPolicy final : public ReplacementPolicy {
     pages_.pop_back();
   }
 
-  bool parallel_local_safe() const override { return true; }
-
   std::int64_t tracked_pages() const override {
     return static_cast<std::int64_t>(pages_.size());
   }

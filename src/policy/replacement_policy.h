@@ -91,12 +91,8 @@ class ReplacementPolicy {
   /// feedback). Runs even when wants_scanner() is false.
   virtual void on_tick(Cycles now) { (void)now; }
 
-  /// True when the non-eviction hooks (on_insert, on_core_map_grow,
-  /// on_tick) never read per-core machine state through the host (accessed
-  /// bits via unit_accessed, clocks via core_clock). The parallel engine
-  /// runs core-local accesses concurrently with those hooks only for such
-  /// policies; pick_victim is unconstrained — eligible runs never evict.
-  /// Every built-in policy qualifies; custom policies must opt in.
+  /// Ignored by the library; remains only so bench/suite compiles, and goes
+  /// away when a benchmark change retires bt56_cmcp_local_t4.
   virtual bool parallel_local_safe() const { return false; }
 
   /// Enumerate every policy-specific statistic as (name, value) pairs.

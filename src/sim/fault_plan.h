@@ -121,8 +121,7 @@ struct FaultStats {
 };
 
 /// Live injection state for one simulation. Internally synchronized like
-/// PcieLink: the engine is single-threaded today, but the accounting must
-/// stay safe under the planned parallel engine.
+/// PcieLink, although the engine is single-threaded.
 class FaultPlan {
  public:
   explicit FaultPlan(const FaultPlanConfig& config);

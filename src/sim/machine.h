@@ -179,12 +179,11 @@ class Machine {
       CMCP_REQUIRES(shootdown_mu_);
 
   MachineConfig config_;
-  // Per-core state (clocks, TLBs, counters) is sharded by core id: the
-  // current engine runs one thread, and the parallel engine will keep each
-  // core's shard on its owning host thread. Shootdowns are the one path that
-  // mutates *other* cores' shards — which is why the whole shootdown
-  // protocol serializes on `shootdown_mu_` below, the lock modelling the
-  // kernel's invalidation-request slot (paper section 5.5).
+  // Per-core state (clocks, TLBs, counters) is sharded by core id.
+  // Shootdowns are the one path that mutates *other* cores' shards — which
+  // is why the whole shootdown protocol serializes on `shootdown_mu_` below,
+  // the lock modelling the kernel's invalidation-request slot (paper
+  // section 5.5).
   std::vector<Cycles> clocks_;
   /// ceil(total_cores()/64): live word count for CoreMask scans on the
   /// shootdown path — target masks can never have bits past the machine's

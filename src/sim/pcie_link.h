@@ -9,7 +9,7 @@
 // The link is one of the two genuinely shared hardware resources in the
 // machine (the other is the invalidation slot), so it is internally
 // synchronized: its busy-until timelines and byte counters sit behind an
-// annotated mutex, ready for the parallel engine's concurrent faults.
+// annotated mutex.
 #pragma once
 
 #include <cstdint>

@@ -83,13 +83,11 @@ struct Event {
 /// ("null sink") state: emit points guard on the pointer and cost one
 /// predictable branch.
 ///
-/// Emission is internally synchronized: emitters (today one engine thread;
-/// under the planned parallel engine, one per host thread) may call emit()
-/// concurrently without corrupting the buffer. Read-side accessors are
-/// quiescent-phase only — export after the run, when no emitter is live.
-/// Concurrent emission is memory-safe but its interleaving is not
-/// deterministic; the parallel engine must shard sinks per core and merge
-/// by timestamp to keep the byte-identical-trace guarantee.
+/// Emission is internally synchronized: emitters may call emit()
+/// concurrently without corrupting the buffer, though the engine emits
+/// from one thread. Read-side accessors are quiescent-phase only — export
+/// after the run, when no emitter is live. Concurrent emission is
+/// memory-safe but its interleaving is not deterministic.
 class EventSink {
  public:
   EventSink() { events_.reserve(kInitialCapacity); }

@@ -151,17 +151,17 @@ TEST(CmcpLint, SanctionedOwnersAreExempt) {
       lint_source("src/common/other.h", "std::mutex mu_;").empty());
 }
 
-TEST(CmcpLint, StrayThreadSanctionsExactlyTheTwoPools) {
-  // The engine's worker pool and the experiment runner are the only files
-  // allowed to create threads; the same tokens anywhere else — including a
-  // sibling in src/common — still fire.
+TEST(CmcpLint, StrayThreadSanctionsOnlyTheParallelRunner) {
+  // The experiment runner is the only file allowed to create threads; the
+  // same tokens anywhere else — including a host thread pool for the engine
+  // in src/common, which the simulator no longer has — still fire.
   const std::string src = "std::thread t_; std::atomic<int> n_;";
-  EXPECT_TRUE(lint_source("src/common/worker_pool.h", src).empty());
-  EXPECT_TRUE(lint_source("src/common/worker_pool.cpp", src).empty());
   EXPECT_TRUE(lint_source("src/metrics/parallel_runner.cpp", src).empty());
-  EXPECT_EQ(lint_source("src/common/other_pool.cpp", src).size(), 2u);
+  EXPECT_TRUE(lint_source("src/metrics/parallel_runner.h", src).empty());
+  EXPECT_EQ(lint_source("src/common/thread_pool.h", src).size(), 2u);
+  EXPECT_EQ(lint_source("src/common/thread_pool.cpp", src).size(), 2u);
   EXPECT_EQ(lint_source("src/sim/machine.cpp", src).size(), 2u);
-  EXPECT_EQ(count_by_rule(lint_source("src/common/other_pool.cpp",
+  EXPECT_EQ(count_by_rule(lint_source("src/common/thread_pool.cpp",
                                       src))["stray-thread"],
             2);
 }

@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <sstream>
+#include <string>
+#include <vector>
+
 namespace cmcp::metrics {
 namespace {
 
@@ -61,6 +67,64 @@ TEST(ParallelRunner, JobsVariantPreservesOrder) {
   ASSERT_EQ(results.size(), 6u);
   for (int i = 0; i < 6; ++i)
     EXPECT_EQ(results[i].makespan, static_cast<Cycles>((i + 1) * 100));
+}
+
+std::string serialize_summary(const core::SimulationResult& result) {
+  std::ostringstream os;
+  os << "makespan=" << result.makespan << '\n';
+  for (const auto& [name, value] : result_summary(result))
+    os << name << '=' << value << '\n';
+  for (const auto& c : result.per_core)
+    os << c.accesses << ',' << c.dtlb_misses << ',' << c.major_faults << ','
+       << c.minor_faults << ',' << c.evictions << ','
+       << c.remote_invalidations_received << ',' << c.cycles_compute << ','
+       << c.cycles_fault << ',' << c.cycles_barrier << ','
+       << c.cycles_pcie_wait << '\n';
+  return os.str();
+}
+
+std::string slurp(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  EXPECT_TRUE(in) << "missing trace file " << path;
+  std::stringstream buf;
+  buf << in.rdbuf();
+  return buf.str();
+}
+
+TEST(ParallelRunner, RunSpecsParallelMatchesSerialExecution) {
+  // Two specs executed (a) one by one via run_spec and (b) concurrently via
+  // run_specs_parallel: the trace files each run writes and the per-core
+  // counters must be byte-identical — concurrent runs share no state.
+  const std::string dir = ::testing::TempDir();
+  std::vector<RunSpec> specs(2);
+  for (int i = 0; i < 2; ++i) {
+    specs[i].workload = wl::PaperWorkload::kBt;
+    specs[i].cores = 8;
+    specs[i].scale = 0.15;
+    specs[i].seed = 42 + static_cast<std::uint64_t>(i);
+    specs[i].policy.kind = i == 0 ? PolicyKind::kCmcp : PolicyKind::kFifo;
+    specs[i].memory_fraction = 1.5;
+    specs[i].simcheck = false;
+    specs[i].trace_format = sim::trace::Format::kJsonl;
+  }
+
+  std::vector<std::string> serial_traces, serial_summaries;
+  for (int i = 0; i < 2; ++i) {
+    specs[i].trace_path = dir + "/tm_serial_" + std::to_string(i) + ".jsonl";
+    serial_summaries.push_back(serialize_summary(run_spec(specs[i])));
+    serial_traces.push_back(slurp(specs[i].trace_path));
+  }
+
+  for (int i = 0; i < 2; ++i)
+    specs[i].trace_path = dir + "/tm_par_" + std::to_string(i) + ".jsonl";
+  const auto results = run_specs_parallel(specs, 2);
+  ASSERT_EQ(results.size(), 2u);
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(serialize_summary(results[i]), serial_summaries[i]) << i;
+    EXPECT_EQ(slurp(specs[i].trace_path), serial_traces[i]) << i;
+    std::remove(specs[i].trace_path.c_str());
+    std::remove((dir + "/tm_serial_" + std::to_string(i) + ".jsonl").c_str());
+  }
 }
 
 }  // namespace

@@ -6,11 +6,11 @@
 //                 [--metric refs_per_sec|ns_per_ref] [--require-speedup 1.5]
 //                 [--rows SUBSTR]
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <string>
 
+#include "common/parse_number.h"
 #include "metrics/bench_compare.h"
 
 namespace {
@@ -32,13 +32,16 @@ int main(int argc, char** argv) {
   cmcp::metrics::CompareOptions options;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--tolerance") == 0 && i + 1 < argc) {
-      options.tolerance = std::atof(argv[++i]);
+      options.tolerance = cmcp::common::parse_flag<double>(argv[i], argv[i + 1]);
+      ++i;
     } else if (std::strcmp(argv[i], "--metric") == 0 && i + 1 < argc) {
       options.metric = argv[++i];
       if (options.metric != "refs_per_sec" && options.metric != "ns_per_ref")
         return usage(argv[0]);
     } else if (std::strcmp(argv[i], "--require-speedup") == 0 && i + 1 < argc) {
-      options.require_speedup = std::atof(argv[++i]);
+      options.require_speedup =
+          cmcp::common::parse_flag<double>(argv[i], argv[i + 1]);
+      ++i;
     } else if (std::strcmp(argv[i], "--rows") == 0 && i + 1 < argc) {
       options.rows = argv[++i];
     } else if (argv[i][0] != '-' && npaths < 2) {

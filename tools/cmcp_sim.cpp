@@ -17,6 +17,7 @@
 #include <string>
 
 #include "cmcp.h"
+#include "common/parse_number.h"
 #include "metrics/resilience_report.h"
 
 namespace {
@@ -30,9 +31,6 @@ using namespace cmcp;
       "  --workload bt|lu|cg|scale   (default bt)\n"
       "  --size small|big            footprint class (default small)\n"
       "  --cores N                   simulated cores (default 56)\n"
-      "  --threads N                 host worker threads (default 1 = serial;\n"
-      "                              0 = hardware concurrency); results and\n"
-      "                              traces are identical at any value\n"
       "  --policy fifo|lru|cmcp|clock|lfu|random|cmcp-dyn|arc (default cmcp)\n"
       "  --p X                       CMCP prioritized ratio (default per workload)\n"
       "  --pt pspt|regular           page tables (default pspt)\n"
@@ -100,11 +98,7 @@ int main(int argc, char** argv) {
       else
         usage(argv[0]);
     } else if (arg == "--cores") {
-      config.machine.num_cores = static_cast<CoreId>(std::atoi(need_value(i)));
-    } else if (arg == "--threads") {
-      // Execution knob only: deliberately kept out of the exported metadata
-      // so traces stay byte-identical across thread counts.
-      config.threads = static_cast<unsigned>(std::atoi(need_value(i)));
+      config.machine.num_cores = common::parse_flag<CoreId>(arg, need_value(i));
     } else if (arg == "--policy") {
       const std::string_view v = need_value(i);
       if (v == "fifo") config.policy.kind = PolicyKind::kFifo;
@@ -117,14 +111,14 @@ int main(int argc, char** argv) {
       else if (v == "arc") config.policy.kind = PolicyKind::kArc;
       else usage(argv[0]);
     } else if (arg == "--p") {
-      p = std::atof(need_value(i));
+      p = common::parse_flag<double>(arg, need_value(i));
     } else if (arg == "--pt") {
       const std::string_view v = need_value(i);
       if (v == "pspt") config.pt_kind = PageTableKind::kPspt;
       else if (v == "regular") config.pt_kind = PageTableKind::kRegular;
       else usage(argv[0]);
     } else if (arg == "--fraction") {
-      fraction = std::atof(need_value(i));
+      fraction = common::parse_flag<double>(arg, need_value(i));
     } else if (arg == "--page-size") {
       const std::string_view v = need_value(i);
       if (v == "4k") config.machine.page_size = PageSizeClass::k4K;
@@ -132,16 +126,17 @@ int main(int argc, char** argv) {
       else if (v == "2m") config.machine.page_size = PageSizeClass::k2M;
       else usage(argv[0]);
     } else if (arg == "--prefetch") {
-      config.prefetch_degree = static_cast<unsigned>(std::atoi(need_value(i)));
+      config.prefetch_degree = common::parse_flag<unsigned>(arg, need_value(i));
     } else if (arg == "--scan-ms") {
       config.machine.cost.scan_period = static_cast<Cycles>(
-          std::atof(need_value(i)) * 1e6 * config.machine.cost.clock_ghz);
+          common::parse_flag<double>(arg, need_value(i)) * 1e6 *
+          config.machine.cost.clock_ghz);
     } else if (arg == "--hw-tlb") {
       config.machine.tlb_coherence = sim::TlbCoherence::kHardwareDirectory;
     } else if (arg == "--preload") {
       config.preload = true;
     } else if (arg == "--seed") {
-      seed = static_cast<std::uint64_t>(std::atoll(need_value(i)));
+      seed = common::parse_flag<std::uint64_t>(arg, need_value(i));
     } else if (arg == "--faults") {
       if (!sim::FaultPlanConfig::parse(need_value(i), &config.faults)) {
         std::fprintf(stderr, "malformed --faults spec\n");
