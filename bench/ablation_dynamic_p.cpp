@@ -3,7 +3,6 @@
 // controller against the best and worst static p per workload.
 #include <cstdint>
 #include <cstdio>
-#include <string_view>
 
 #include "cmcp.h"
 
@@ -48,13 +47,10 @@ int main() {
     wl::WorkloadParams wp;
     wp.cores = cores;
     const auto w2 = wl::make_paper_workload(which, wp);
-    core::Simulation sim(config, *w2);
-    const auto result = sim.run();
+    const auto result = core::run_simulation(config, *w2);
     std::uint64_t p_permille = 0;
-    sim.memory_manager().policy().stats(
-        [&](std::string_view name, std::uint64_t value) {
-          if (name == "p_permille") p_permille = value;
-        });
+    for (const auto& [name, value] : result.policy_stats)
+      if (name == "p_permille") p_permille = value;
     const auto final_p = p_permille / 1000.0;
 
     table.add_row({std::string(to_string(which)), metrics::fmt_double(best_p, 1),

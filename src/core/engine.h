@@ -1,6 +1,5 @@
-// The deterministic virtual-time engine, shared by core::Simulation (one
-// barrier group spanning the machine) and core::run_multi_tenant (one group
-// per tenant core block). Replaces the twin heap loops both used to carry.
+// The deterministic virtual-time engine that core::Simulation drives, with
+// one barrier group per tenant core block.
 //
 // Always execute the op of the earliest core next, ties broken by core id,
 // so shared-resource queueing (PCIe link, page-table locks, invalidation
@@ -41,9 +40,8 @@ struct EngineGroup {
 };
 
 /// Run every core's stream to completion. `cores` has one entry per app
-/// core; `groups` partitions them (group index == tenant asid for
-/// multi-tenant runs, one all-cores group otherwise). Aborts via CMCP_CHECK
-/// if any group deadlocks at a barrier.
+/// core; `groups` partitions them (group index == tenant asid). Aborts via
+/// CMCP_CHECK if any group deadlocks at a barrier.
 void run_engine(sim::Machine& machine, MemoryManager& mm,
                 std::span<EngineCoreInit> cores,
                 std::span<const EngineGroup> groups);

@@ -7,12 +7,6 @@ namespace cmcp::core {
 
 namespace {
 
-/// Partition shares for the legacy single-tenant constructor: one tenant,
-/// no reserve, weight 1 — PartitionKind::kNone ignores them anyway.
-std::vector<mm::TenantShare> single_tenant_shares() {
-  return {mm::TenantShare{}};
-}
-
 std::vector<mm::TenantShare> shares_of(const std::vector<AddressSpaceSpec>& specs) {
   std::vector<mm::TenantShare> out;
   out.reserve(specs.size());
@@ -21,18 +15,6 @@ std::vector<mm::TenantShare> shares_of(const std::vector<AddressSpaceSpec>& spec
 }
 
 }  // namespace
-
-MemoryManager::MemoryManager(sim::Machine& machine, const mm::ComputationArea& area,
-                             const MemoryManagerConfig& config)
-    : machine_(machine),
-      allocator_(config.capacity_units, area.page_size()),
-      partition_(mm::PartitionKind::kNone, config.capacity_units,
-                 single_tenant_shares()),
-      interference_(1, 0) {
-  CMCP_CHECK(config.capacity_units > 0);
-  spaces_.push_back(std::make_unique<AddressSpace>(*this, 0, area, config,
-                                                   config.capacity_units));
-}
 
 MemoryManager::MemoryManager(sim::Machine& machine,
                              const std::vector<AddressSpaceSpec>& specs,

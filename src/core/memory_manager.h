@@ -2,15 +2,13 @@
 // Fig. 1b/1c): the computation area is partially resident in device RAM and
 // backed by host memory over PCIe.
 //
-// Since the multi-tenant refactor this class is a *coordinator*: it owns the
-// shared FrameAllocator, the frame-partition (QoS) policy, and N
-// core::AddressSpace instances — each with its own page table, registry and
-// replacement policy — contending for the shared frames, PCIe link and
-// invalidation slot of one sim::Machine. Single-tenant construction (the
-// legacy three-argument constructor) builds exactly one space owning every
-// core and behaves byte-identically to the pre-refactor manager; the
-// accessors that used to expose "the" page table / policy / area delegate to
-// space 0 so existing callers and tests keep working unchanged.
+// The manager is a coordinator: it owns the shared FrameAllocator, the
+// frame-partition (QoS) policy, and one core::AddressSpace per tenant — each
+// with its own page table, registry and replacement policy — contending for
+// the shared frames, PCIe link and invalidation slot of one sim::Machine.
+// It is built from a list of AddressSpaceSpec; the paper's single manager
+// is the one-spec, PartitionKind::kNone case. Per-tenant state is reached
+// through space(asid).
 #pragma once
 
 #include <algorithm>
@@ -42,10 +40,9 @@ struct MemoryManagerConfig {
   policy::PolicyParams policy;
   /// When set, overrides `policy` with a user-supplied implementation.
   PolicyFactory custom_policy;
-  /// Device frames available to the computation area, in mapping units.
-  /// Single-tenant: the shared allocator capacity. Per-tenant specs: the
-  /// nominal capacity this space's policy reasons about (0 = derive from
-  /// the partition target).
+  /// The nominal device capacity, in mapping units, this space's policy
+  /// reasons about (0 = derive from the partition target). A preloaded
+  /// space needs it to cover the footprint.
   std::uint64_t capacity_units = 0;
   /// Sequential prefetch: on a major fault, also fetch up to this many
   /// following non-resident units — but only into FREE frames (prefetch
@@ -64,7 +61,7 @@ struct MemoryManagerConfig {
   bool preload = false;
 };
 
-/// One tenant of a multi-tenant manager.
+/// One tenant of the manager.
 struct AddressSpaceSpec {
   mm::ComputationArea area;
   MemoryManagerConfig config;
@@ -74,13 +71,8 @@ struct AddressSpaceSpec {
 
 class MemoryManager final {
  public:
-  /// Single-tenant (legacy) construction: one address space owning every
-  /// core, PartitionKind::kNone. Byte-identical to the pre-refactor manager.
-  MemoryManager(sim::Machine& machine, const mm::ComputationArea& area,
-                const MemoryManagerConfig& config);
-
-  /// Multi-tenant construction: one address space per spec (asid == index),
-  /// all contending for `shared_capacity_units` frames under `partition`.
+  /// One address space per spec (asid == index), all contending for
+  /// `shared_capacity_units` frames under `partition`.
   /// The machine must have been built with
   /// MachineConfig::num_address_spaces == specs.size(); core -> space
   /// assignment is the caller's job via Machine::set_core_space.
@@ -107,7 +99,6 @@ class MemoryManager final {
     return due;
   }
 
-  // --- multi-tenant surface ------------------------------------------------
   unsigned num_spaces() const { return static_cast<unsigned>(spaces_.size()); }
   AddressSpace& space(Asid asid) { return *spaces_[asid]; }
   const AddressSpace& space(Asid asid) const { return *spaces_[asid]; }
@@ -139,38 +130,18 @@ class MemoryManager final {
   /// invalidated on `receiver`'s cores by shootdowns `cause` initiated.
   const std::vector<std::uint64_t>& interference() const { return interference_; }
 
-  // --- single-tenant compatibility (delegates to space 0) ------------------
-  const mm::PageTable& page_table() const { return spaces_[0]->page_table(); }
-  const mm::PageRegistry& registry() const { return spaces_[0]->registry(); }
   const mm::FrameAllocator& allocator() const { return allocator_; }
   /// Mutable allocator access for SimCheck fault-injection tests ONLY
   /// (mirrors AddressSpace::mutable_page_table_for_test).
   mm::FrameAllocator& mutable_allocator_for_test() { return allocator_; }
   /// Shared device capacity in mapping units (the allocator's capacity).
   std::uint64_t capacity_units() const { return allocator_.capacity(); }
-  const mm::ComputationArea& area() const { return spaces_[0]->area(); }
-  policy::ReplacementPolicy& policy() { return spaces_[0]->policy(); }
-  const policy::ReplacementPolicy& policy() const { return spaces_[0]->policy(); }
-  bool scanner_enabled() const { return spaces_[0]->scanner_enabled(); }
-  std::uint64_t scans_completed() const { return spaces_[0]->scans_completed(); }
-  bool pinned() const { return spaces_[0]->pinned(); }
 
   /// Attach a SimCheck registry (non-owning, may be null). Every address
   /// space then runs invariant sweeps at its protocol checkpoints. Only
   /// effective when CMCP_SIMCHECK_ENABLED compiles the call sites in.
   void set_check_registry(sim::CheckRegistry* checks) { checks_ = checks; }
   sim::CheckRegistry* check_registry() const { return checks_; }
-
-  /// Mutable page-table access for SimCheck fault-injection tests ONLY
-  /// (e.g. Pspt::corrupt_count_for_test). Product code must never use it.
-  mm::PageTable& mutable_page_table_for_test() {
-    return spaces_[0]->mutable_page_table_for_test();
-  }
-
-  /// Histogram of resident units by number of mapping cores (space 0).
-  std::vector<std::uint64_t> sharing_histogram() const {
-    return spaces_[0]->sharing_histogram();
-  }
 
  private:
   sim::Machine& machine_;

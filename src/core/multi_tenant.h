@@ -1,13 +1,14 @@
-// Multi-tenant run facade: N workloads, each in its own core::AddressSpace,
-// contending for one shared FrameAllocator and one sim::Machine under a
+// Multi-tenant vocabulary: N workloads, each in its own core::AddressSpace,
+// contending for one shared frame pool and one sim::Machine under a
 // frame-partition (QoS) policy.
 //
-// The engine is the same deterministic virtual-time interleaver as
-// core::Simulation — per-core clocks, min-heap ordered by (time, core id) —
-// with one multi-tenant twist: barriers synchronize only WITHIN a tenant
-// (each workload's barrier group is its own core block), and each tenant
-// finishes independently. Identical configuration => bit-identical results
-// and traces, tenants included.
+// These are the config and result types of core::Simulation's tenant-list
+// constructor (core/simulation.h), which owns every run; run_multi_tenant is
+// the configure + run convenience over it. Barriers synchronize only WITHIN
+// a tenant (each workload's barrier group is its own core block) and each
+// tenant finishes independently. A one-tenant kNone run is exactly the
+// single-tenant core::Simulation. Identical configuration => bit-identical
+// results and traces, tenants included.
 #pragma once
 
 #include <cstdint>
@@ -20,7 +21,6 @@
 #include "core/memory_manager.h"
 #include "metrics/counters.h"
 #include "mm/frame_partition.h"
-#include "sim/checker.h"
 #include "sim/fault_plan.h"
 #include "sim/machine.h"
 #include "workloads/multi_tenant.h"
@@ -101,8 +101,8 @@ struct MultiTenantResult {
   sim::FaultStats fault_stats;
 };
 
-/// Run the composed workloads to completion. `tenant_configs` must have one
-/// entry per tenant in `spec` (asid order).
+/// Convenience: build the N-tenant core::Simulation and run it to completion.
+/// `tenant_configs` must have one entry per tenant in `spec` (asid order).
 MultiTenantResult run_multi_tenant(const MultiTenantConfig& config,
                                    const wl::MultiTenantSpec& spec,
                                    const std::vector<TenantRunConfig>& tenant_configs);

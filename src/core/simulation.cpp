@@ -1,15 +1,43 @@
 #include "core/simulation.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <cmath>
+#include <cstdlib>
 
 #include "check/invariant_checkers.h"
 #include "common/assert.h"
 #include "core/engine.h"
 
 namespace cmcp::core {
+
+namespace {
+
+/// The configured plan, or — when it is disabled — the CMCP_CHAOS_FAULTS
+/// environment plan. CI chaos hook: an explicitly configured plan always
+/// wins, but a run with faults off picks up the variable so the whole fast
+/// suite can be replayed under a fault mix without touching each test.
+sim::FaultPlanConfig effective_faults(const sim::FaultPlanConfig& configured) {
+  sim::FaultPlanConfig fc = configured;
+  if (!fc.enabled()) {
+    if (const char* env = std::getenv("CMCP_CHAOS_FAULTS");
+        env != nullptr && *env != '\0') {
+      CMCP_CHECK_MSG(sim::FaultPlanConfig::parse(env, &fc),
+                     "malformed CMCP_CHAOS_FAULTS spec");
+    }
+  }
+  return fc;
+}
+
+/// Fault-injection accounting shared by both result shapes.
+template <typename Result>
+void collect_faults(const sim::FaultPlan* faults, Result& result) {
+  if (faults == nullptr) return;
+  result.faults_enabled = true;
+  result.fault_config = faults->config();
+  result.fault_stats = faults->stats();
+}
+
+}  // namespace
 
 double SimulationResult::avg_major_faults_per_core() const {
   if (per_core.empty()) return 0.0;
@@ -29,64 +57,123 @@ double SimulationResult::avg_dtlb_misses_per_core() const {
          static_cast<double>(per_core.size());
 }
 
-sim::MachineConfig Simulation::machine_config_for(const SimulationConfig& config,
-                                                  const wl::Workload& workload) {
-  sim::MachineConfig mc = config.machine;
-  mc.num_cores = workload.num_cores();
-  return mc;
-}
+/// The tenant list both public constructors translate into.
+struct Simulation::Setup {
+  Setup(const SimulationConfig& config, const wl::Workload& workload)
+      : machine(config.machine),
+        trace(config.trace),
+        simcheck(config.simcheck),
+        faults(config.faults) {
+    wl::TenantPlacement placement;
+    placement.num_cores = workload.num_cores();
+    placement.footprint_base_pages = workload.footprint_base_pages();
+    MemoryManagerConfig mmc;
+    mmc.pt_kind = config.pt_kind;
+    mmc.policy = config.policy;
+    mmc.custom_policy = config.custom_policy;
+    mmc.preload = config.preload;
+    mmc.prefetch_degree = config.prefetch_degree;
+    mmc.async_writeback = config.async_writeback;
+    add_tenant(workload, placement, mmc, mm::TenantShare{});
 
-mm::ComputationArea Simulation::area_for(const SimulationConfig& config,
-                                         const wl::Workload& workload) {
-  // Align the base to the largest unit so any page size is valid.
-  const Vpn base = (config.area_base_vpn + 511) & ~Vpn{511};
-  return mm::ComputationArea(base, workload.footprint_base_pages(),
-                             config.machine.page_size);
-}
-
-MemoryManagerConfig Simulation::mm_config_for(const SimulationConfig& config,
-                                              const mm::ComputationArea& area) {
-  MemoryManagerConfig mmc;
-  mmc.pt_kind = config.pt_kind;
-  mmc.policy = config.policy;
-  mmc.custom_policy = config.custom_policy;
-  mmc.preload = config.preload;
-  mmc.prefetch_degree = config.prefetch_degree;
-  mmc.async_writeback = config.async_writeback;
-  if (config.capacity_units_override != 0) {
-    mmc.capacity_units = config.capacity_units_override;
-  } else {
-    const double frac = std::max(config.memory_fraction, 0.0);
-    mmc.capacity_units = static_cast<std::uint64_t>(
-        std::ceil(frac * static_cast<double>(area.num_units())));
+    capacity_units =
+        shared_capacity(config.memory_fraction, config.capacity_units_override);
+    if (config.preload)
+      capacity_units = std::max(capacity_units, specs[0].area.num_units());
+    // The one tenant's policy reasons about the whole device, as the paper's
+    // single memory manager does (and preload checks it covers the area).
+    specs[0].config.capacity_units = capacity_units;
   }
-  mmc.capacity_units = std::max<std::uint64_t>(mmc.capacity_units, 1);
-  if (config.preload)
-    mmc.capacity_units = std::max(mmc.capacity_units, area.num_units());
-  return mmc;
-}
 
-Simulation::Simulation(const SimulationConfig& config, const wl::Workload& workload)
-    : config_(config),
-      workload_(workload),
-      machine_(machine_config_for(config, workload)),
-      area_(area_for(config, workload)),
-      mm_(machine_, area_, mm_config_for(config, area_)) {
-  if (config_.trace != nullptr) {
-    config_.trace->set_num_app_cores(machine_.num_cores());
-    machine_.set_trace(config_.trace);
-  }
-  sim::FaultPlanConfig fc = config_.faults;
-  if (!fc.enabled()) {
-    // CI chaos hook: an explicitly configured plan always wins, but a run
-    // with faults off picks up CMCP_CHAOS_FAULTS so the whole fast suite
-    // can be replayed under a fault mix without touching each test.
-    if (const char* env = std::getenv("CMCP_CHAOS_FAULTS");
-        env != nullptr && *env != '\0') {
-      CMCP_CHECK_MSG(sim::FaultPlanConfig::parse(env, &fc),
-                     "malformed CMCP_CHAOS_FAULTS spec");
+  Setup(const MultiTenantConfig& config, const wl::MultiTenantSpec& spec,
+        const std::vector<TenantRunConfig>& tenant_configs)
+      : machine(config.machine),
+        partition(config.partition),
+        trace(config.trace),
+        simcheck(config.simcheck),
+        faults(config.faults) {
+    const auto num_tenants = static_cast<Asid>(spec.num_tenants());
+    CMCP_CHECK(num_tenants > 0);
+    CMCP_CHECK_MSG(tenant_configs.size() == num_tenants,
+                   "one TenantRunConfig per tenant, in asid order");
+    for (Asid t = 0; t < num_tenants; ++t) {
+      const TenantRunConfig& tc = tenant_configs[t];
+      MemoryManagerConfig mmc;
+      mmc.pt_kind = tc.pt_kind;
+      mmc.policy = tc.policy;
+      mmc.custom_policy = tc.custom_policy;
+      mmc.prefetch_degree = tc.prefetch_degree;
+      mmc.async_writeback = tc.async_writeback;
+      mmc.capacity_units = tc.capacity_units;
+      add_tenant(spec.tenant(t), spec.placement(t), mmc, tc.share);
     }
+    capacity_units =
+        shared_capacity(config.memory_fraction, config.capacity_units_override);
   }
+
+  /// The configured machine; add_tenant grows it by one core block and one
+  /// scanner pseudo-core per tenant.
+  sim::MachineConfig machine;
+  std::vector<Tenant> tenants;
+  std::vector<AddressSpaceSpec> specs;  ///< parallel to `tenants`
+  std::uint64_t capacity_units = 0;     ///< shared device capacity
+  mm::PartitionKind partition = mm::PartitionKind::kNone;
+  sim::trace::EventSink* trace = nullptr;
+  bool simcheck = true;
+  sim::FaultPlanConfig faults;
+
+ private:
+  /// Tenants arrive in asid order with contiguous core blocks.
+  void add_tenant(const wl::Workload& workload,
+                  const wl::TenantPlacement& placement,
+                  const MemoryManagerConfig& config,
+                  const mm::TenantShare& share) {
+    tenants.push_back({&workload, placement});
+    specs.push_back({mm::ComputationArea(placement.area_base_vpn,
+                                         placement.footprint_base_pages,
+                                         machine.page_size),
+                     config, share});
+    machine.num_cores = placement.first_core + placement.num_cores;
+    machine.num_address_spaces = static_cast<unsigned>(tenants.size());
+  }
+
+  /// `override_units` if set, else `fraction` of the combined footprint
+  /// (at least one unit).
+  std::uint64_t shared_capacity(double fraction,
+                                std::uint64_t override_units) const {
+    if (override_units != 0) return override_units;
+    std::uint64_t total_units = 0;
+    for (const AddressSpaceSpec& s : specs) total_units += s.area.num_units();
+    const auto cap = static_cast<std::uint64_t>(
+        std::ceil(std::max(fraction, 0.0) * static_cast<double>(total_units)));
+    return std::max<std::uint64_t>(cap, 1);
+  }
+};
+
+Simulation::Simulation(const SimulationConfig& config,
+                       const wl::Workload& workload)
+    : Simulation(Setup(config, workload)) {}
+
+Simulation::Simulation(const MultiTenantConfig& config,
+                       const wl::MultiTenantSpec& spec,
+                       const std::vector<TenantRunConfig>& tenant_configs)
+    : Simulation(Setup(config, spec, tenant_configs)) {}
+
+Simulation::Simulation(Setup setup)
+    : tenants_(std::move(setup.tenants)),
+      machine_(setup.machine),
+      mm_(machine_, setup.specs, setup.capacity_units, setup.partition) {
+  for (Asid t = 0; t < tenants_.size(); ++t) {
+    const wl::TenantPlacement& p = tenants_[t].placement;
+    for (CoreId c = 0; c < p.num_cores; ++c)
+      machine_.set_core_space(p.first_core + c, t);
+  }
+  if (setup.trace != nullptr) {
+    setup.trace->set_num_app_cores(machine_.num_cores());
+    setup.trace->set_num_spaces(mm_.num_spaces());
+    machine_.set_trace(setup.trace);
+  }
+  const sim::FaultPlanConfig fc = effective_faults(setup.faults);
   if (fc.enabled()) {
     faults_ = std::make_unique<sim::FaultPlan>(fc);
     faults_->select_poison(mm_.capacity_units(),
@@ -94,52 +181,97 @@ Simulation::Simulation(const SimulationConfig& config, const wl::Workload& workl
     machine_.set_fault_plan(faults_.get());
   }
 #if CMCP_SIMCHECK_ENABLED
-  if (config_.simcheck) {
+  if (setup.simcheck) {
     checks_ = std::make_unique<sim::CheckRegistry>();
     check::register_default_checkers(*checks_, mm_, machine_);
-    checks_->set_event_source(config_.trace);
+    checks_->set_event_source(setup.trace);
     mm_.set_check_registry(checks_.get());
   }
 #endif
 }
 
-SimulationResult Simulation::run() {
+void Simulation::execute() {
   CMCP_CHECK_MSG(!ran_, "Simulation::run is single-use");
   ran_ = true;
 
-  const CoreId n = machine_.num_cores();
-  std::vector<EngineCoreInit> cores(n);
-  for (CoreId c = 0; c < n; ++c) {
-    cores[c].stream = workload_.make_stream(c);
-    cores[c].area_base = area_.base_vpn();
+  // One barrier group per tenant: barriers synchronize only within a
+  // tenant's core block, and each tenant finishes independently.
+  std::vector<EngineCoreInit> cores(machine_.num_cores());
+  std::vector<EngineGroup> groups(tenants_.size());
+  for (Asid t = 0; t < tenants_.size(); ++t) {
+    const wl::TenantPlacement& p = tenants_[t].placement;
+    groups[t] = {p.first_core, p.num_cores};
+    for (CoreId c = 0; c < p.num_cores; ++c) {
+      EngineCoreInit& init = cores[p.first_core + c];
+      init.stream = tenants_[t].workload->make_stream(c);
+      init.tenant = t;
+      init.area_base = p.area_base_vpn;
+    }
   }
-  // One barrier group spanning the whole machine: wl::OpKind::kBarrier
-  // synchronizes every core.
-  const EngineGroup group{0, n};
-  run_engine(machine_, mm_, cores, std::span<const EngineGroup>(&group, 1));
+  run_engine(machine_, mm_, cores, groups);
   if (checks_ != nullptr) checks_->run_now(sim::CheckPoint::kEndOfRun);
+}
 
-  SimulationResult result;
-  for (CoreId c = 0; c < n; ++c)
-    result.makespan = std::max(result.makespan, machine_.clock(c));
-  result.per_core.reserve(n);
-  for (CoreId c = 0; c < n; ++c) result.per_core.push_back(machine_.counters(c));
-  result.app_total = machine_.aggregate_app_counters();
-  result.scanner = machine_.counters(machine_.scanner_core());
-  result.footprint_units = area_.num_units();
-  result.capacity_units = mm_.capacity_units();
-  result.scans = mm_.scans_completed();
-  result.sharing_histogram = mm_.sharing_histogram();
-  const policy::ReplacementPolicy& pol = mm_.policy();
-  result.policy_name = std::string(pol.name());
-  pol.stats([&](std::string_view name, std::uint64_t value) {
-    result.policy_stats.emplace_back(std::string(name), value);
-  });
-  if (faults_ != nullptr) {
-    result.faults_enabled = true;
-    result.fault_config = faults_->config();
-    result.fault_stats = faults_->stats();
+TenantResult Simulation::collect_tenant(Asid asid) const {
+  const wl::TenantPlacement& p = tenants_[asid].placement;
+  const AddressSpace& space = mm_.space(asid);
+  TenantResult tr;
+  tr.workload_name = std::string(tenants_[asid].workload->name());
+  tr.policy_name = std::string(space.policy().name());
+  tr.first_core = p.first_core;
+  tr.num_cores = p.num_cores;
+  for (CoreId c = p.first_core; c < p.first_core + p.num_cores; ++c) {
+    tr.makespan = std::max(tr.makespan, machine_.clock(c));
+    tr.total += machine_.counters(c);
   }
+  tr.scanner = machine_.counters(machine_.scanner_core(asid));
+  space.policy().stats([&](std::string_view name, std::uint64_t value) {
+    tr.policy_stats.emplace_back(std::string(name), value);
+  });
+  tr.footprint_units = space.area().num_units();
+  tr.capacity_target_units = mm_.partition().target_of(asid);
+  tr.reserve_units = mm_.partition().reserve_of(asid);
+  tr.resident_units_end = mm_.allocator().in_use_by(asid);
+  tr.scans = space.scans_completed();
+  return tr;
+}
+
+SimulationResult Simulation::run() {
+  CMCP_CHECK_MSG(tenants_.size() == 1,
+                 "Simulation::run reports one tenant; use run_tenants()");
+  execute();
+
+  TenantResult tr = collect_tenant(0);
+  SimulationResult result;
+  result.makespan = tr.makespan;
+  result.per_core.reserve(tr.num_cores);
+  for (CoreId c = 0; c < tr.num_cores; ++c)
+    result.per_core.push_back(machine_.counters(c));
+  result.app_total = tr.total;
+  result.scanner = tr.scanner;
+  result.policy_name = std::move(tr.policy_name);
+  result.policy_stats = std::move(tr.policy_stats);
+  result.footprint_units = tr.footprint_units;
+  result.capacity_units = mm_.capacity_units();
+  result.scans = tr.scans;
+  result.sharing_histogram = mm_.space(0).sharing_histogram();
+  collect_faults(faults_.get(), result);
+  return result;
+}
+
+MultiTenantResult Simulation::run_tenants() {
+  execute();
+
+  MultiTenantResult result;
+  result.shared_capacity_units = mm_.capacity_units();
+  result.partition_kind = std::string(mm::to_string(mm_.partition().kind()));
+  result.interference = mm_.interference();
+  result.tenants.reserve(tenants_.size());
+  for (Asid t = 0; t < tenants_.size(); ++t) {
+    result.tenants.push_back(collect_tenant(t));
+    result.makespan = std::max(result.makespan, result.tenants[t].makespan);
+  }
+  collect_faults(faults_.get(), result);
   return result;
 }
 

@@ -1,11 +1,22 @@
-// Public facade: run one workload on one machine/memory-management
-// configuration and collect the observables the paper reports.
+// The one owner of a simulation run.
 //
-// The engine is a deterministic virtual-time interleaver: every core owns a
-// private cycle clock, and the engine always executes the op of the
-// earliest core next (ties broken by core id), so shared-resource queueing
-// (PCIe link, page-table locks, invalidation slot) is resolved in a single
-// reproducible order. Identical configuration => bit-identical results.
+// A run is a list of tenants on one sim::Machine: each tenant is a workload
+// with its own contiguous core block and core::AddressSpace, and all of them
+// contend for one shared frame pool, PCIe link and invalidation slot under a
+// frame-partition (QoS) policy. The paper's setting — one OS memory manager
+// owning one computation area — is the one-tenant, PartitionKind::kNone case:
+// Simulation(SimulationConfig, Workload) translates its config into exactly
+// that tenant list, and run_multi_tenant (core/multi_tenant.h) is an
+// N-tenant Simulation.
+//
+// Setup happens here once for every run: the machine, the memory manager,
+// trace wiring, the fault plan (including the CMCP_CHAOS_FAULTS hook) and
+// the SimCheck registry. The run itself is the shared deterministic
+// virtual-time engine (core/engine.h) with one barrier group per tenant:
+// every core owns a private cycle clock, and the engine always executes the
+// op of the earliest core next (ties broken by core id), so shared-resource
+// queueing resolves in a single reproducible order. Identical configuration
+// => bit-identical results.
 #pragma once
 
 #include <cstdint>
@@ -16,6 +27,7 @@
 
 #include "common/types.h"
 #include "core/memory_manager.h"
+#include "core/multi_tenant.h"
 #include "metrics/counters.h"
 #include "sim/checker.h"
 #include "sim/fault_plan.h"
@@ -47,9 +59,6 @@ struct SimulationConfig {
 
   /// Queue dirty write-backs instead of blocking the evicting core.
   bool async_writeback = false;
-
-  /// Base of the computation area (2 MB aligned so all unit sizes fit).
-  Vpn area_base_vpn = 0;
 
   /// Ignored by the library; remains only so bench/suite compiles, and goes
   /// away when a benchmark change retires bt56_cmcp_local_t4.
@@ -110,10 +119,21 @@ struct SimulationResult {
 
 class Simulation {
  public:
+  /// The paper's single-tenant run: one PartitionKind::kNone tenant owning
+  /// every core, with the capacity derived from `config`.
   Simulation(const SimulationConfig& config, const wl::Workload& workload);
 
-  /// Run to completion and return the collected results. Single use.
+  /// A multi-tenant run: `tenant_configs` has one entry per tenant in `spec`
+  /// (asid order). `spec` must outlive the Simulation.
+  Simulation(const MultiTenantConfig& config, const wl::MultiTenantSpec& spec,
+             const std::vector<TenantRunConfig>& tenant_configs);
+
+  /// Run a one-tenant simulation to completion and return its result.
+  /// Single use (shared with run_tenants()).
   SimulationResult run();
+
+  /// Run to completion and return every tenant's result. Single use.
+  MultiTenantResult run_tenants();
 
   /// The machine (for inspection in tests; valid after construction).
   sim::Machine& machine() { return machine_; }
@@ -128,17 +148,22 @@ class Simulation {
   sim::FaultPlan* fault_plan() { return faults_.get(); }
 
  private:
-  static sim::MachineConfig machine_config_for(const SimulationConfig& config,
-                                               const wl::Workload& workload);
-  static mm::ComputationArea area_for(const SimulationConfig& config,
-                                      const wl::Workload& workload);
-  static MemoryManagerConfig mm_config_for(const SimulationConfig& config,
-                                           const mm::ComputationArea& area);
+  /// One tenant's workload (non-owning) and where it landed.
+  struct Tenant {
+    const wl::Workload* workload = nullptr;
+    wl::TenantPlacement placement;
+  };
+  /// Everything the shared setup needs, whichever constructor built it.
+  struct Setup;
 
-  const SimulationConfig config_;
-  const wl::Workload& workload_;
+  explicit Simulation(Setup setup);
+
+  /// Drive the engine over every tenant, then the end-of-run SimCheck sweep.
+  void execute();
+  TenantResult collect_tenant(Asid asid) const;
+
+  std::vector<Tenant> tenants_;
   sim::Machine machine_;
-  mm::ComputationArea area_;
   MemoryManager mm_;
   /// Null when SimCheck is disabled (by config or compiled out).
   std::unique_ptr<sim::CheckRegistry> checks_;

@@ -78,6 +78,8 @@ struct CoreCounters {
     cycles_straggler += o.cycles_straggler;
     return *this;
   }
+
+  bool operator==(const CoreCounters&) const = default;
 };
 
 }  // namespace cmcp::metrics

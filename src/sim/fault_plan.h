@@ -118,6 +118,8 @@ struct FaultStats {
     for (const std::uint64_t n : injected) total += n;
     return total;
   }
+
+  bool operator==(const FaultStats&) const = default;
 };
 
 /// Live injection state for one simulation. Internally synchronized like

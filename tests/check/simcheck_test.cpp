@@ -267,7 +267,7 @@ TEST(SimCheck, QuarantineCheckerCatchesLeakedFrame) {
   sim.check_registry()->run_now(CheckPoint::kEndOfRun);
   EXPECT_TRUE(captured.empty());
   Pfn resident = kInvalidPfn;
-  sim.memory_manager().registry().for_each(
+  sim.memory_manager().space(0).registry().for_each(
       [&](const mm::ResidentPage& pg) { resident = pg.pfn; });
   ASSERT_NE(resident, kInvalidPfn);
   sim.memory_manager().mutable_allocator_for_test().quarantine(resident);

@@ -21,11 +21,12 @@ struct HwFixture {
           return mc;
         }()),
         area(0, 64, PageSizeClass::k4K),
-        mm(machine, area, [] {
-          MemoryManagerConfig config;
-          config.capacity_units = 2;
-          return config;
-        }()) {}
+        mm(machine, {{area, [] {
+                        MemoryManagerConfig config;
+                        config.capacity_units = 2;
+                        return config;
+                      }(), {}}},
+           2, mm::PartitionKind::kNone) {}
 
   void touch(CoreId core, Vpn vpn) {
     machine.advance(core, mm.access(core, vpn, false, machine.clock(core)));
@@ -99,12 +100,13 @@ struct PrefetchFixture {
           return mc;
         }()),
         area(0, 64, PageSizeClass::k4K),
-        mm(machine, area, [&] {
-          MemoryManagerConfig config;
-          config.capacity_units = capacity;
-          config.prefetch_degree = degree;
-          return config;
-        }()) {}
+        mm(machine, {{area, [&] {
+                        MemoryManagerConfig config;
+                        config.capacity_units = capacity;
+                        config.prefetch_degree = degree;
+                        return config;
+                      }(), {}}},
+           capacity, mm::PartitionKind::kNone) {}
 
   void touch(CoreId core, Vpn vpn) {
     machine.advance(core, mm.access(core, vpn, false, machine.clock(core)));
@@ -119,20 +121,20 @@ TEST(Prefetch, DisabledByDefault) {
   PrefetchFixture f(0);
   f.touch(0, 0);
   EXPECT_EQ(f.machine.counters(0).prefetches, 0u);
-  EXPECT_EQ(f.mm.registry().size(), 1u);
+  EXPECT_EQ(f.mm.space(0).registry().size(), 1u);
 }
 
 TEST(Prefetch, FetchesFollowingUnits) {
   PrefetchFixture f(3);
   f.touch(0, 0);
   EXPECT_EQ(f.machine.counters(0).prefetches, 3u);
-  EXPECT_EQ(f.mm.registry().size(), 4u);  // demand + 3 readahead
+  EXPECT_EQ(f.mm.space(0).registry().size(), 4u);  // demand + 3 readahead
   for (UnitIdx u = 1; u <= 3; ++u) {
-    ASSERT_NE(f.mm.registry().find(u), nullptr);
-    EXPECT_GT(f.mm.registry().find(u)->ready_at, 0u);
+    ASSERT_NE(f.mm.space(0).registry().find(u), nullptr);
+    EXPECT_GT(f.mm.space(0).registry().find(u)->ready_at, 0u);
   }
   // Prefetched units are resident but unmapped until touched.
-  EXPECT_FALSE(f.mm.page_table().any_mapping(1));
+  EXPECT_FALSE(f.mm.space(0).page_table().any_mapping(1));
 }
 
 TEST(Prefetch, SequentialWalkTurnsFaultsIntoMinorFaults) {
@@ -155,7 +157,7 @@ TEST(Prefetch, NeverEvicts) {
   f.touch(0, 0);  // 1 free frame left: at most 1 prefetch
   EXPECT_LE(f.machine.counters(0).prefetches, 1u);
   EXPECT_EQ(f.machine.counters(0).evictions, 0u);
-  EXPECT_LE(f.mm.registry().size(), 2u);
+  EXPECT_LE(f.mm.space(0).registry().size(), 2u);
 }
 
 TEST(Prefetch, PrefetchedPageIsEvictableBeforeUse) {

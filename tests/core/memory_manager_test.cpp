@@ -18,14 +18,15 @@ struct Fixture {
           return mc;
         }()),
         area(0, area_pages, size),
-        mm(machine, area, [&] {
-          MemoryManagerConfig config;
-          config.pt_kind = pt;
-          config.policy.kind = policy;
-          config.capacity_units = capacity;
-          config.preload = preload;
-          return config;
-        }()) {}
+        mm(machine, {{area, [&] {
+                        MemoryManagerConfig config;
+                        config.pt_kind = pt;
+                        config.policy.kind = policy;
+                        config.capacity_units = capacity;
+                        config.preload = preload;
+                        return config;
+                      }(), {}}},
+           capacity, mm::PartitionKind::kNone) {}
 
   Cycles touch(CoreId core, Vpn vpn, bool write = false) {
     const Cycles cost = mm.access(core, vpn, write, machine.clock(core));
@@ -45,8 +46,8 @@ TEST(MemoryManager, FirstTouchMajorFaultFetchesOverPcie) {
   EXPECT_EQ(ctr.major_faults, 1u);
   EXPECT_EQ(ctr.dtlb_misses, 1u);
   EXPECT_EQ(ctr.pcie_bytes_in, 4096u);
-  EXPECT_TRUE(f.mm.page_table().has_mapping(0, 5));
-  EXPECT_EQ(f.mm.registry().size(), 1u);
+  EXPECT_TRUE(f.mm.space(0).page_table().has_mapping(0, 5));
+  EXPECT_EQ(f.mm.space(0).registry().size(), 1u);
 }
 
 TEST(MemoryManager, SecondTouchHitsTlb) {
@@ -67,8 +68,8 @@ TEST(MemoryManager, PsptSecondCoreTakesMinorFault) {
   EXPECT_EQ(f.machine.counters(1).major_faults, 0u);
   EXPECT_EQ(f.machine.counters(1).pcie_bytes_in, 0u);  // no data moved
   const UnitIdx unit = f.area.unit_of(5);
-  EXPECT_EQ(f.mm.page_table().core_map_count(unit), 2u);
-  EXPECT_EQ(f.mm.registry().find(unit)->core_map_count, 2u);
+  EXPECT_EQ(f.mm.space(0).page_table().core_map_count(unit), 2u);
+  EXPECT_EQ(f.mm.space(0).registry().find(unit)->core_map_count, 2u);
 }
 
 TEST(MemoryManager, RegularTableSecondCoreJustWalks) {
@@ -86,9 +87,9 @@ TEST(MemoryManager, EvictionAtCapacityRecyclesFrames) {
   EXPECT_EQ(f.machine.counters(0).evictions, 0u);
   f.touch(0, 10);  // capacity exceeded: FIFO evicts page 0
   EXPECT_EQ(f.machine.counters(0).evictions, 1u);
-  EXPECT_EQ(f.mm.registry().size(), 4u);
-  EXPECT_FALSE(f.mm.page_table().any_mapping(0));
-  EXPECT_TRUE(f.mm.page_table().any_mapping(10));
+  EXPECT_EQ(f.mm.space(0).registry().size(), 4u);
+  EXPECT_FALSE(f.mm.space(0).page_table().any_mapping(0));
+  EXPECT_TRUE(f.mm.space(0).page_table().any_mapping(10));
 }
 
 TEST(MemoryManager, DirtyEvictionWritesBack) {
@@ -179,7 +180,7 @@ TEST(MemoryManager, TwoMegUnitsMoveTwoMegabytes) {
             PageSizeClass::k2M, false, /*area_pages=*/1024);
   f.touch(0, 3);
   EXPECT_EQ(f.machine.counters(0).pcie_bytes_in, 2u * 1024 * 1024);
-  EXPECT_EQ(f.mm.area().num_units(), 2u);
+  EXPECT_EQ(f.mm.space(0).area().num_units(), 2u);
 }
 
 TEST(MemoryManager, SharingHistogramCountsMappingCores) {
@@ -190,7 +191,7 @@ TEST(MemoryManager, SharingHistogramCountsMappingCores) {
   f.touch(0, 1);  // unit 1: 1 core
   f.touch(1, 2);
   f.touch(2, 2);  // unit 2: 2 cores
-  const auto hist = f.mm.sharing_histogram();
+  const auto hist = f.mm.space(0).sharing_histogram();
   EXPECT_EQ(hist[1], 1u);
   EXPECT_EQ(hist[2], 1u);
   EXPECT_EQ(hist[3], 1u);
@@ -215,7 +216,9 @@ TEST(MemoryManagerDeath, PreloadRequiresFullCapacity) {
   MemoryManagerConfig config;
   config.capacity_units = 32;
   config.preload = true;
-  EXPECT_DEATH(MemoryManager(machine, area, config), "preload");
+  EXPECT_DEATH(MemoryManager(machine, {{area, config, {}}}, config.capacity_units,
+                             mm::PartitionKind::kNone),
+               "preload");
 }
 
 }  // namespace

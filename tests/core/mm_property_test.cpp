@@ -42,7 +42,8 @@ TEST_P(MmPropertyTest, BookkeepingInvariantsUnderRandomTrace) {
   config.pt_kind = p.pt;
   config.policy.kind = p.policy;
   config.capacity_units = capacity;
-  MemoryManager mm(machine, area, config);
+  MemoryManager mm(machine, {{area, config, {}}}, capacity,
+                   mm::PartitionKind::kNone);
 
   // Reference: which units are resident, and who mapped them since load.
   std::map<UnitIdx, std::set<CoreId>> resident;
@@ -77,9 +78,9 @@ TEST_P(MmPropertyTest, BookkeepingInvariantsUnderRandomTrace) {
     // Update the reference model: the touched unit is now resident and
     // mapped by this core; any unit evicted by the manager disappears.
     std::set<UnitIdx> still_resident;
-    mm.registry();  // (const access below)
+    mm.space(0).registry();  // (const access below)
     for (auto it = resident.begin(); it != resident.end();) {
-      if (mm.registry().find(it->first) == nullptr)
+      if (mm.space(0).registry().find(it->first) == nullptr)
         it = resident.erase(it);  // evicted
       else
         ++it;
@@ -90,19 +91,19 @@ TEST_P(MmPropertyTest, BookkeepingInvariantsUnderRandomTrace) {
     if (!was_resident) resident[unit] = {core};
 
     // --- invariants -------------------------------------------------------
-    ASSERT_LE(mm.registry().size(), capacity);
-    ASSERT_EQ(mm.registry().size(), resident.size());
+    ASSERT_LE(mm.space(0).registry().size(), capacity);
+    ASSERT_EQ(mm.space(0).registry().size(), resident.size());
 
     for (const auto& [u, cores] : resident) {
-      const mm::ResidentPage* page = mm.registry().find(u);
+      const mm::ResidentPage* page = mm.space(0).registry().find(u);
       ASSERT_NE(page, nullptr);
-      ASSERT_TRUE(mm.page_table().any_mapping(u));
+      ASSERT_TRUE(mm.space(0).page_table().any_mapping(u));
       if (p.pt == PageTableKind::kPspt) {
         // Exact core-map count == cores that touched since residency.
-        ASSERT_EQ(mm.page_table().core_map_count(u), cores.size())
+        ASSERT_EQ(mm.space(0).page_table().core_map_count(u), cores.size())
             << "unit " << u << " at step " << step;
         for (CoreId c = 0; c < kCores; ++c)
-          ASSERT_EQ(mm.page_table().has_mapping(c, u), cores.contains(c));
+          ASSERT_EQ(mm.space(0).page_table().has_mapping(c, u), cores.contains(c));
       }
     }
     (void)still_resident;
@@ -110,7 +111,7 @@ TEST_P(MmPropertyTest, BookkeepingInvariantsUnderRandomTrace) {
 
   // Global counter consistency: evictions == majors - resident-at-end.
   metrics::CoreCounters total = machine.aggregate_app_counters();
-  ASSERT_EQ(total.evictions, total.major_faults - mm.registry().size());
+  ASSERT_EQ(total.evictions, total.major_faults - mm.space(0).registry().size());
   // Every writeback corresponds to a dirty eviction; bytes match counts.
   ASSERT_EQ(total.pcie_bytes_out, total.writebacks * unit_bytes(p.size));
   ASSERT_EQ(total.pcie_bytes_in, total.major_faults * unit_bytes(p.size));

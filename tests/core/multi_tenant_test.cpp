@@ -1,17 +1,24 @@
-// Multi-tenant runner semantics: a 1-tenant run through run_multi_tenant is
-// the same simulation as core::Simulation; tenants with disjoint barriers
-// finish independently; partition floors actually protect a tenant under a
-// noisy neighbor; frame ownership accounting survives the full engine.
+// Multi-tenant runner semantics: a 1-tenant run through the tenant-list
+// entry point is the same simulation as core::Simulation(SimulationConfig);
+// both entry points honour the CMCP_CHAOS_FAULTS hook the same way; tenants
+// with disjoint barriers finish independently; partition floors actually
+// protect a tenant under a noisy neighbor; frame ownership accounting
+// survives the full engine.
 #include "core/multi_tenant.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/simulation.h"
+#include "sim/trace.h"
 #include "workloads/access_stream.h"
+#include "workloads/workload_factory.h"
 
 namespace cmcp::core {
 namespace {
@@ -45,47 +52,198 @@ std::vector<wl::Op> thrash_script(std::uint64_t pages) {
           wl::Op::access(0, false, static_cast<std::uint32_t>(pages))};
 }
 
-bool counters_equal(const metrics::CoreCounters& a,
-                    const metrics::CoreCounters& b) {
-  return a.accesses == b.accesses && a.major_faults == b.major_faults &&
-         a.minor_faults == b.minor_faults && a.evictions == b.evictions &&
-         a.shootdowns_initiated == b.shootdowns_initiated &&
-         a.remote_invalidations_received == b.remote_invalidations_received &&
-         a.pcie_bytes_in == b.pcie_bytes_in &&
-         a.pcie_bytes_out == b.pcie_bytes_out &&
-         a.cycles_fault == b.cycles_fault &&
-         a.cycles_barrier == b.cycles_barrier;
+/// One row of the single-tenant equivalence table.
+struct EquivalenceCase {
+  const char* name;
+  PageTableKind pt;
+  PolicyKind policy;
+  double memory_fraction;
+  std::uint64_t capacity_units_override;
+  unsigned prefetch_degree;
+  bool async_writeback;
+  const char* faults;  ///< FaultPlanConfig spec; "" = no explicit plan
+  /// True when the run actually drove the path the row names, so the
+  /// equivalence proves what it claims.
+  bool (*exercised)(const SimulationResult&);
+};
+
+const EquivalenceCase kEquivalenceCases[] = {
+    {"pspt_cmcp_constrained", PageTableKind::kPspt, PolicyKind::kCmcp, 0.5, 0,
+     0, false, "",
+     [](const SimulationResult& r) { return r.app_total.evictions > 0; }},
+    {"pspt_lru_scanner", PageTableKind::kPspt, PolicyKind::kLru, 0.5, 0, 0,
+     false, "", [](const SimulationResult& r) { return r.scans > 0; }},
+    {"regular_fifo", PageTableKind::kRegular, PolicyKind::kFifo, 0.37, 0, 0,
+     false, "",
+     [](const SimulationResult& r) {
+       return r.app_total.remote_invalidations_received > 0;
+     }},
+    {"fault_plan", PageTableKind::kPspt, PolicyKind::kCmcp, 0.5, 0, 0, false,
+     "seed=5,pcie=0.02,sticky=0.005,ack=0.05,poison=2,straggler=0.1",
+     [](const SimulationResult& r) {
+       return r.fault_stats.total_injected() > 0;
+     }},
+    {"prefetch_async_writeback", PageTableKind::kPspt, PolicyKind::kFifo, 0.5,
+     0, 4, true, "",
+     [](const SimulationResult& r) {
+       return r.app_total.prefetches > 0 && r.app_total.writebacks > 0;
+     }},
+    {"capacity_override", PageTableKind::kPspt, PolicyKind::kCmcp, 1.0, 20, 0,
+     false, "",
+     [](const SimulationResult& r) { return r.capacity_units == 20; }},
+};
+
+std::unique_ptr<wl::Workload> small_bt() {
+  wl::WorkloadParams params;
+  params.cores = 4;
+  params.scale = 0.05;
+  return wl::make_paper_workload(wl::PaperWorkload::kBt, params);
+}
+
+std::string jsonl_of(const sim::trace::EventSink& sink) {
+  std::ostringstream out;
+  sim::trace::export_jsonl(sink, {{"run", "equivalence"}}, {}, out);
+  return out.str();
 }
 
 TEST(MultiTenant, SingleTenantMatchesSimulation) {
-  // The multi-tenant engine with one tenant must BE the single-tenant
-  // engine: same machine layout (scanner pseudo-core included), same
-  // virtual-time interleaving, same counters, same makespan.
-  const auto make = [] {
-    return ScriptedWorkload(2, 24, {thrash_script(24), thrash_script(24)});
-  };
+  // The tenant-list entry point with one kNone tenant must BE the
+  // single-tenant run: same machine layout (scanner pseudo-core included),
+  // same virtual-time interleaving, same counters on every core, same policy
+  // and fault accounting, same trace bytes. This guards Simulation's
+  // SimulationConfig -> one-tenant translation. TenantRunConfig has no
+  // preload knob; Simulation.PreloadForcesFullCapacity pins that row.
+  for (const EquivalenceCase& c : kEquivalenceCases) {
+    SCOPED_TRACE(c.name);
+    sim::FaultPlanConfig faults;
+    ASSERT_TRUE(sim::FaultPlanConfig::parse(c.faults, &faults));
 
-  SimulationConfig sconfig;
-  sconfig.machine.num_cores = 2;
-  sconfig.policy.kind = PolicyKind::kCmcp;
-  sconfig.memory_fraction = 0.5;
-  const ScriptedWorkload solo = make();
-  Simulation sim(sconfig, solo);
-  const SimulationResult expected = sim.run();
+    SimulationConfig sconfig;
+    sconfig.pt_kind = c.pt;
+    sconfig.policy.kind = c.policy;
+    sconfig.memory_fraction = c.memory_fraction;
+    sconfig.capacity_units_override = c.capacity_units_override;
+    sconfig.prefetch_degree = c.prefetch_degree;
+    sconfig.async_writeback = c.async_writeback;
+    sconfig.faults = faults;
+    sim::trace::EventSink solo_sink;
+    sconfig.trace = &solo_sink;
+    const auto solo = small_bt();
+    const SimulationResult expected = run_simulation(sconfig, *solo);
+    EXPECT_TRUE(c.exercised(expected));
 
+    wl::MultiTenantSpec spec;
+    spec.add(small_bt());
+    MultiTenantConfig mconfig;
+    mconfig.memory_fraction = c.memory_fraction;
+    mconfig.capacity_units_override = c.capacity_units_override;
+    mconfig.faults = faults;
+    sim::trace::EventSink tenant_sink;
+    mconfig.trace = &tenant_sink;
+    std::vector<TenantRunConfig> tenants(1);
+    tenants[0].pt_kind = c.pt;
+    tenants[0].policy.kind = c.policy;
+    tenants[0].prefetch_degree = c.prefetch_degree;
+    tenants[0].async_writeback = c.async_writeback;
+    Simulation sim(mconfig, spec, tenants);
+    const MultiTenantResult actual = sim.run_tenants();
+
+    ASSERT_EQ(actual.tenants.size(), 1u);
+    const TenantResult& tenant = actual.tenants[0];
+    EXPECT_EQ(actual.makespan, expected.makespan);
+    EXPECT_EQ(tenant.makespan, expected.makespan);
+    ASSERT_EQ(tenant.num_cores, expected.per_core.size());
+    for (CoreId core = 0; core < tenant.num_cores; ++core)
+      EXPECT_EQ(sim.machine().counters(core), expected.per_core[core])
+          << "core " << core;
+    EXPECT_EQ(tenant.total, expected.app_total);
+    EXPECT_EQ(tenant.scanner, expected.scanner);
+    EXPECT_EQ(tenant.policy_name, expected.policy_name);
+    EXPECT_EQ(tenant.policy_stats, expected.policy_stats);
+    EXPECT_EQ(tenant.scans, expected.scans);
+    EXPECT_EQ(tenant.footprint_units, expected.footprint_units);
+    EXPECT_EQ(actual.shared_capacity_units, expected.capacity_units);
+    EXPECT_EQ(sim.memory_manager().space(0).sharing_histogram(),
+              expected.sharing_histogram);
+    EXPECT_EQ(actual.faults_enabled, expected.faults_enabled);
+    EXPECT_EQ(actual.fault_config.to_spec(), expected.fault_config.to_spec());
+    EXPECT_EQ(actual.fault_stats, expected.fault_stats);
+    EXPECT_FALSE(solo_sink.empty());
+    EXPECT_EQ(jsonl_of(tenant_sink), jsonl_of(solo_sink));
+  }
+}
+
+/// Sets CMCP_CHAOS_FAULTS for one scope and restores the previous value on
+/// exit (the CI chaos job runs the whole suite with it set).
+class ScopedChaosEnv {
+ public:
+  explicit ScopedChaosEnv(const char* spec) {
+    if (const char* old = std::getenv(kVar)) saved_ = old;
+    setenv(kVar, spec, 1);
+  }
+  ~ScopedChaosEnv() {
+    if (saved_)
+      setenv(kVar, saved_->c_str(), 1);
+    else
+      unsetenv(kVar);
+  }
+  ScopedChaosEnv(const ScopedChaosEnv&) = delete;
+  ScopedChaosEnv& operator=(const ScopedChaosEnv&) = delete;
+
+ private:
+  static constexpr const char* kVar = "CMCP_CHAOS_FAULTS";
+  std::optional<std::string> saved_;
+};
+
+constexpr const char* kEnvSpec = "seed=3,pcie=0.2";
+
+ScriptedWorkload chaos_workload() {
+  return ScriptedWorkload(2, 24, {thrash_script(24), thrash_script(24)});
+}
+
+/// The effective plan a run used, through each entry point.
+sim::FaultPlanConfig simulation_plan(const sim::FaultPlanConfig& explicit_plan) {
+  SimulationConfig config;
+  config.memory_fraction = 0.5;
+  config.faults = explicit_plan;
+  const SimulationResult result = run_simulation(config, chaos_workload());
+  EXPECT_TRUE(result.faults_enabled);
+  return result.fault_config;
+}
+
+sim::FaultPlanConfig multi_tenant_plan(const sim::FaultPlanConfig& explicit_plan) {
   wl::MultiTenantSpec spec;
-  spec.add(std::make_unique<ScriptedWorkload>(make()));
-  MultiTenantConfig mconfig;
-  mconfig.memory_fraction = 0.5;
-  std::vector<TenantRunConfig> tenants(1);
-  tenants[0].policy.kind = PolicyKind::kCmcp;
-  const MultiTenantResult actual = run_multi_tenant(mconfig, spec, tenants);
+  spec.add(std::make_unique<ScriptedWorkload>(chaos_workload()));
+  MultiTenantConfig config;
+  config.memory_fraction = 0.5;
+  config.faults = explicit_plan;
+  const MultiTenantResult result =
+      run_multi_tenant(config, spec, std::vector<TenantRunConfig>(1));
+  EXPECT_TRUE(result.faults_enabled);
+  return result.fault_config;
+}
 
-  ASSERT_EQ(actual.tenants.size(), 1u);
-  EXPECT_EQ(actual.makespan, expected.makespan);
-  EXPECT_TRUE(counters_equal(actual.tenants[0].total, expected.app_total));
-  EXPECT_EQ(actual.tenants[0].scans, expected.scans);
-  EXPECT_EQ(actual.shared_capacity_units, expected.capacity_units);
+TEST(ChaosHook, EnvPlanRunsWhenFaultsOff) {
+  const ScopedChaosEnv env(kEnvSpec);
+  sim::FaultPlanConfig env_plan;
+  ASSERT_TRUE(sim::FaultPlanConfig::parse(kEnvSpec, &env_plan));
+  EXPECT_EQ(simulation_plan({}).to_spec(), env_plan.to_spec());
+  EXPECT_EQ(multi_tenant_plan({}).to_spec(), env_plan.to_spec());
+}
+
+TEST(ChaosHook, ExplicitPlanWinsOverEnv) {
+  const ScopedChaosEnv env(kEnvSpec);
+  sim::FaultPlanConfig explicit_plan;
+  ASSERT_TRUE(sim::FaultPlanConfig::parse("seed=9,ack=0.1", &explicit_plan));
+  EXPECT_EQ(simulation_plan(explicit_plan).to_spec(), explicit_plan.to_spec());
+  EXPECT_EQ(multi_tenant_plan(explicit_plan).to_spec(),
+            explicit_plan.to_spec());
+}
+
+TEST(ChaosHookDeath, MalformedSpecDies) {
+  const ScopedChaosEnv env("pcie=notanumber");
+  EXPECT_DEATH(simulation_plan({}), "malformed CMCP_CHAOS_FAULTS spec");
+  EXPECT_DEATH(multi_tenant_plan({}), "malformed CMCP_CHAOS_FAULTS spec");
 }
 
 TEST(MultiTenant, TenantsFinishIndependently) {

@@ -17,13 +17,14 @@ struct ScannerFixture {
           return mc;
         }()),
         area(0, 64, PageSizeClass::k4K),
-        mm(machine, area, [&] {
-          MemoryManagerConfig config;
-          config.pt_kind = PageTableKind::kPspt;
-          config.policy.kind = policy;
-          config.capacity_units = capacity;
-          return config;
-        }()) {}
+        mm(machine, {{area, [&] {
+                        MemoryManagerConfig config;
+                        config.pt_kind = PageTableKind::kPspt;
+                        config.policy.kind = policy;
+                        config.capacity_units = capacity;
+                        return config;
+                      }(), {}}},
+           capacity, mm::PartitionKind::kNone) {}
 
   void touch(CoreId core, Vpn vpn) {
     machine.advance(core, mm.access(core, vpn, false, machine.clock(core)));
@@ -36,10 +37,10 @@ struct ScannerFixture {
 
 TEST(Scanner, DisabledForFifo) {
   ScannerFixture f(PolicyKind::kFifo);
-  EXPECT_FALSE(f.mm.scanner_enabled());
+  EXPECT_FALSE(f.mm.space(0).scanner_enabled());
   f.touch(0, 1);
   f.mm.run_periodic(10 * f.machine.cost().scan_period);
-  EXPECT_EQ(f.mm.scans_completed(), 0u);
+  EXPECT_EQ(f.mm.space(0).scans_completed(), 0u);
   EXPECT_EQ(f.machine.counters(0).remote_invalidations_received, 0u);
 }
 
@@ -47,25 +48,25 @@ TEST(Scanner, DisabledForCmcp) {
   // The headline property: CMCP needs no usage sampling, hence no scanner
   // and no scanning shootdowns at all.
   ScannerFixture f(PolicyKind::kCmcp);
-  EXPECT_FALSE(f.mm.scanner_enabled());
+  EXPECT_FALSE(f.mm.space(0).scanner_enabled());
   for (Vpn v = 0; v < 16; ++v) f.touch(0, v);
   f.mm.run_periodic(10 * f.machine.cost().scan_period);
-  EXPECT_EQ(f.mm.scans_completed(), 0u);
+  EXPECT_EQ(f.mm.space(0).scans_completed(), 0u);
   metrics::CoreCounters total = f.machine.aggregate_app_counters();
   EXPECT_EQ(total.remote_invalidations_received, 0u);
 }
 
 TEST(Scanner, RunsAtConfiguredPeriodForLru) {
   ScannerFixture f(PolicyKind::kLru);
-  EXPECT_TRUE(f.mm.scanner_enabled());
+  EXPECT_TRUE(f.mm.space(0).scanner_enabled());
   f.touch(0, 1);
   const Cycles period = f.machine.cost().scan_period;
   f.mm.run_periodic(period - 1);
-  EXPECT_EQ(f.mm.scans_completed(), 0u);
+  EXPECT_EQ(f.mm.space(0).scans_completed(), 0u);
   f.mm.run_periodic(period);
-  EXPECT_EQ(f.mm.scans_completed(), 1u);
+  EXPECT_EQ(f.mm.space(0).scans_completed(), 1u);
   f.mm.run_periodic(3 * period);
-  EXPECT_EQ(f.mm.scans_completed(), 3u);
+  EXPECT_EQ(f.mm.space(0).scans_completed(), 3u);
 }
 
 TEST(Scanner, ClearingAccessedBitsShootsDownMappingCores) {
@@ -78,7 +79,7 @@ TEST(Scanner, ClearingAccessedBitsShootsDownMappingCores) {
   EXPECT_GE(f.machine.counters(1).remote_invalidations_received, 1u);
   EXPECT_EQ(f.machine.counters(2).remote_invalidations_received, 0u);
   // The accessed bit really is clear afterwards.
-  EXPECT_FALSE(f.mm.page_table().test_accessed(f.area.unit_of(1), nullptr));
+  EXPECT_FALSE(f.mm.space(0).page_table().test_accessed(f.area.unit_of(1), nullptr));
 }
 
 TEST(Scanner, UnreferencedPagesCostNoShootdowns) {
@@ -101,7 +102,7 @@ TEST(Scanner, RetouchAfterScanRefaultsTlbAndSetsBitAgain) {
   // The shootdown dropped the TLB entry: next touch walks again.
   f.touch(0, 1);
   EXPECT_EQ(f.machine.counters(0).dtlb_misses, misses_before + 1);
-  EXPECT_TRUE(f.mm.page_table().test_accessed(f.area.unit_of(1), nullptr));
+  EXPECT_TRUE(f.mm.space(0).page_table().test_accessed(f.area.unit_of(1), nullptr));
 }
 
 TEST(Scanner, ScannerTimeAdvancesOnItsOwnCore) {
@@ -125,8 +126,8 @@ TEST(Scanner, OverrunSkipsTicksInsteadOfDiverging) {
   const Cycles period = f.machine.cost().scan_period;
   f.mm.run_periodic(100 * period);
   // Scans completed is bounded by wall progress, not by tick count.
-  EXPECT_GT(f.mm.scans_completed(), 0u);
-  EXPECT_LE(f.mm.scans_completed(), 100u);
+  EXPECT_GT(f.mm.space(0).scans_completed(), 0u);
+  EXPECT_LE(f.mm.space(0).scans_completed(), 100u);
 }
 
 TEST(Scanner, FeedsPolicyScanEvents) {
@@ -140,7 +141,7 @@ TEST(Scanner, FeedsPolicyScanEvents) {
   f.mm.run_periodic(2 * period);
   f.touch(0, 1);
   f.mm.run_periodic(3 * period);
-  EXPECT_GE(testing::stat_of(f.mm.policy(), "promotions"), 1u);
+  EXPECT_GE(testing::stat_of(f.mm.space(0).policy(), "promotions"), 1u);
 }
 
 }  // namespace

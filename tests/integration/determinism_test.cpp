@@ -27,19 +27,6 @@ core::SimulationResult run_once(PolicyKind policy, std::uint64_t seed,
   return core::run_simulation(config, *w);
 }
 
-bool counters_equal(const metrics::CoreCounters& a, const metrics::CoreCounters& b) {
-  return a.accesses == b.accesses && a.dtlb_misses == b.dtlb_misses &&
-         a.major_faults == b.major_faults && a.minor_faults == b.minor_faults &&
-         a.remote_invalidations_received == b.remote_invalidations_received &&
-         a.evictions == b.evictions && a.writebacks == b.writebacks &&
-         a.pcie_bytes_in == b.pcie_bytes_in &&
-         a.cycles_compute == b.cycles_compute &&
-         a.cycles_fault == b.cycles_fault &&
-         a.cycles_lock_wait == b.cycles_lock_wait &&
-         a.cycles_pcie_wait == b.cycles_pcie_wait &&
-         a.cycles_barrier == b.cycles_barrier;
-}
-
 class DeterminismTest : public ::testing::TestWithParam<PolicyKind> {};
 
 TEST_P(DeterminismTest, IdenticalConfigIdenticalResult) {
@@ -49,8 +36,8 @@ TEST_P(DeterminismTest, IdenticalConfigIdenticalResult) {
   EXPECT_EQ(a.sharing_histogram, b.sharing_histogram);
   ASSERT_EQ(a.per_core.size(), b.per_core.size());
   for (std::size_t c = 0; c < a.per_core.size(); ++c)
-    EXPECT_TRUE(counters_equal(a.per_core[c], b.per_core[c])) << "core " << c;
-  EXPECT_TRUE(counters_equal(a.scanner, b.scanner));
+    EXPECT_EQ(a.per_core[c], b.per_core[c]) << "core " << c;
+  EXPECT_EQ(a.scanner, b.scanner);
 }
 
 TEST_P(DeterminismTest, DifferentSeedsDiverge) {
@@ -95,8 +82,7 @@ TEST(Determinism, TracingIsObservationOnly) {
   EXPECT_EQ(traced.makespan, plain.makespan);
   ASSERT_EQ(traced.per_core.size(), plain.per_core.size());
   for (std::size_t c = 0; c < traced.per_core.size(); ++c)
-    EXPECT_TRUE(counters_equal(traced.per_core[c], plain.per_core[c]))
-        << "core " << c;
+    EXPECT_EQ(traced.per_core[c], plain.per_core[c]) << "core " << c;
 }
 
 TEST(Determinism, AllWorkloadsStable) {

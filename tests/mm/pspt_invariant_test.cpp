@@ -27,13 +27,14 @@ struct Fixture {
           return mc;
         }()),
         area(0, 64, PageSizeClass::k4K),
-        mm(machine, area, [&] {
-          core::MemoryManagerConfig config;
-          config.pt_kind = PageTableKind::kPspt;
-          config.policy.kind = PolicyKind::kCmcp;
-          config.capacity_units = capacity;
-          return config;
-        }()) {
+        mm(machine, {{area, [&] {
+                        core::MemoryManagerConfig config;
+                        config.pt_kind = PageTableKind::kPspt;
+                        config.policy.kind = PolicyKind::kCmcp;
+                        config.capacity_units = capacity;
+                        return config;
+                      }(), {}}},
+           capacity, PartitionKind::kNone) {
     check::register_default_checkers(registry, mm, machine);
     registry.set_handler(
         [this](const CheckViolation& v) { captured.push_back(v); });
@@ -45,7 +46,7 @@ struct Fixture {
   }
 
   Pspt& pspt() {
-    auto* table = dynamic_cast<Pspt*>(&mm.mutable_page_table_for_test());
+    auto* table = dynamic_cast<Pspt*>(&mm.space(0).mutable_page_table_for_test());
     CMCP_CHECK(table != nullptr);
     return *table;
   }
