@@ -18,12 +18,14 @@
 // Numbers are only comparable within one build configuration: commit JSONs
 // from the `release` preset (-O2 -DNDEBUG, SimCheck off) exclusively.
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <fstream>
 #include <functional>
 #include <string>
 #include <vector>
@@ -58,6 +60,51 @@ std::uint64_t peak_rss_kb() {
   rusage usage{};
   getrusage(RUSAGE_SELF, &usage);
   return static_cast<std::uint64_t>(usage.ru_maxrss);
+}
+
+std::string shell_output(const std::string& command) {
+  std::string out;
+  if (FILE* p = popen(command.c_str(), "r")) {
+    char buf[256];
+    while (std::fgets(buf, sizeof buf, p) != nullptr) out += buf;
+    pclose(p);
+  }
+  while (!out.empty() && (out.back() == '\n' || out.back() == '\r'))
+    out.pop_back();
+  return out;
+}
+
+std::string cpu_model() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    const auto colon = line.find(':');
+    if (line.rfind("model name", 0) == 0 && colon != std::string::npos)
+      return line.substr(std::min(colon + 2, line.size()));
+  }
+  return "unknown";
+}
+
+/// Which build and host produced the numbers, the same fields
+/// bench/suite records, so two BENCH documents show whether they can be
+/// compared at all. The commit is read from the source tree at run time:
+/// "unknown" outside a git checkout.
+void write_provenance(metrics::ResultWriter& writer) {
+  const std::string git = std::string("git -C '") + CMCP_SOURCE_DIR + "' ";
+  std::string commit = shell_output(git + "rev-parse HEAD 2>/dev/null");
+  std::string dirty = "unknown";
+  if (commit.empty()) {
+    commit = "unknown";
+  } else {
+    const std::string status = shell_output(
+        git + "status --porcelain --untracked-files=no 2>/dev/null");
+    dirty = status.empty() ? "false" : "true";
+  }
+  writer.meta("commit", commit);
+  writer.meta("dirty", dirty);
+  writer.meta("compiler", CMCP_COMPILER);
+  writer.meta("cpu_model", cpu_model());
+  writer.meta("nproc", std::to_string(sysconf(_SC_NPROCESSORS_ONLN)));
 }
 
 struct PhaseResult {
@@ -433,6 +480,7 @@ int main(int argc, char** argv) {
   writer.meta("fast_mode", fast ? "true" : "false");
   writer.meta("repeat", std::to_string(repeat));
   writer.meta("peak_rss_kb", std::to_string(peak_rss_kb()));
+  write_provenance(writer);
   for (const PhaseResult& p : phases) {
     auto& row = writer.add_row();
     const double refs = static_cast<double>(std::max<std::uint64_t>(p.refs, 1));

@@ -62,13 +62,14 @@ AddressSpace::AddressSpace(MemoryManager& mm, Asid asid,
                                  : policy::make_policy(*this, config.policy);
   // Dense unit-indexed storage (docs/performance.md) is sized once here so
   // the per-access path never grows a vector: the registry's unit index and
-  // every TLB's unit -> slot array. TLB reservation is grow-only, so with
-  // several spaces every core's TLB ends up covering the largest area it
-  // could ever cache (each core only ever holds its own space's units).
+  // every app core's TLB unit -> slot array. TLB reservation is grow-only,
+  // so with several spaces every core's TLB ends up covering the largest
+  // area it could ever cache (each core only ever holds its own space's
+  // units). The scanner pseudo-core never caches a translation, so its TLB
+  // stays unsized.
   registry_.reserve_units(area_.num_units());
   for (CoreId c = 0; c < machine_.num_cores(); ++c)
     machine_.tlb(c).reserve_units(area_.num_units());
-  machine_.tlb(machine_.scanner_core(asid_)).reserve_units(area_.num_units());
   scan_flush_.reserve(machine_.cost().scanner_flush_batch);
   next_tick_ = machine_.cost().scan_period;
   if (config.preload) {

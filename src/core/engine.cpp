@@ -1,90 +1,27 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <array>
 
 #include "common/assert.h"
+#include "core/event_tree.h"
 #include "sim/trace.h"
 
 namespace cmcp::core {
 
 namespace {
 
-// Heap keys pack (virtual time, core id) into one u64 so a single integer
+// Event keys pack (virtual time, core id) into one u64 so a single integer
 // compare is the engine's event order: 11 low bits cover CoreMask::kMaxCores
-// simulated cores; virtual times stay far below 2^53.
+// simulated cores, which leaves 53 bits of virtual time.
 constexpr unsigned kCoreBits = 11;
 constexpr std::uint64_t kCoreIdMask = (std::uint64_t{1} << kCoreBits) - 1;
-constexpr std::uint64_t kMaxKey = ~std::uint64_t{0};
 
 std::uint64_t pack(Cycles time, CoreId core) {
+  CMCP_CHECK_MSG(time >> (64 - kCoreBits) == 0,
+                 "virtual time reached 2^53 cycles, the engine's event-key "
+                 "limit");
   return (time << kCoreBits) | core;
 }
-
-/// 4-ary min-heap over packed keys, one entry per runnable core. Unlike
-/// the old lazy-push priority_queue there are no duplicate entries: a stale
-/// root is corrected in place (replace_root), which only sifts down because
-/// clocks are monotone. Four-way branching halves the sift depth of a
-/// binary heap (3 levels instead of 6 at 56 cores) and the four children
-/// of a node share one cache line; replace_root runs once per engine event,
-/// so this is the engine loop's hottest data structure.
-class EventHeap {
- public:
-  void reserve(std::size_t n) { keys_.reserve(n); }
-  bool empty() const { return keys_.empty(); }
-  std::uint64_t root() const { return keys_[0]; }
-
-  /// Smallest key other than the root (kMaxKey when the root is alone):
-  /// the run-batching horizon. In any d-ary min-heap the second-smallest
-  /// key is one of the root's children.
-  std::uint64_t second_min() const {
-    const std::size_t n = std::min<std::size_t>(keys_.size(), 5);
-    std::uint64_t m = kMaxKey;
-    for (std::size_t c = 1; c < n; ++c) m = std::min(m, keys_[c]);
-    return m;
-  }
-
-  void push(std::uint64_t key) {
-    keys_.push_back(key);
-    std::size_t i = keys_.size() - 1;
-    while (i > 0) {
-      const std::size_t parent = (i - 1) / 4;
-      if (keys_[parent] <= keys_[i]) break;
-      std::swap(keys_[parent], keys_[i]);
-      i = parent;
-    }
-  }
-
-  void replace_root(std::uint64_t key) {
-    keys_[0] = key;
-    sift_down();
-  }
-
-  void pop_root() {
-    keys_[0] = keys_.back();
-    keys_.pop_back();
-    if (!keys_.empty()) sift_down();
-  }
-
- private:
-  void sift_down() {
-    const std::size_t n = keys_.size();
-    std::size_t i = 0;
-    for (;;) {
-      const std::size_t first = 4 * i + 1;
-      if (first >= n) return;
-      std::size_t best = first;
-      const std::size_t last = std::min(first + 4, n);
-      for (std::size_t c = first + 1; c < last; ++c)
-        if (keys_[c] < keys_[best]) best = c;
-      if (keys_[i] <= keys_[best]) return;
-      std::swap(keys_[i], keys_[best]);
-      i = best;
-    }
-  }
-
-  std::vector<std::uint64_t> keys_;
-};
 
 enum class CoreState : std::uint8_t { kRunning, kAtBarrier, kDone };
 
@@ -110,7 +47,10 @@ class Engine {
  public:
   Engine(sim::Machine& machine, MemoryManager& mm,
          std::span<EngineCoreInit> inits, std::span<const EngineGroup> groups)
-      : machine_(machine), mm_(mm), cores_(machine.num_cores()) {
+      : machine_(machine),
+        mm_(mm),
+        cores_(machine.num_cores()),
+        events_(machine.num_cores()) {
     const CoreId n = machine_.num_cores();
     CMCP_CHECK(inits.size() == n);
     CMCP_CHECK(n < (CoreId{1} << kCoreBits));
@@ -150,16 +90,16 @@ class Engine {
                   cores_[c].tenant});
       machine_.set_clock(c, tmax);
       cores_[c].state = CoreState::kRunning;
-      heap_.push(pack(tmax, c));
+      events_.set(c, pack(tmax, c));
     }
     g.at_barrier = 0;
   }
 
-  /// Execute ONE engine event for `core` (assumed at the heap root): one
+  /// Execute ONE engine event for `core` (the event tree's root): one
   /// page of an in-progress access op, or the next stream op. Shared
   /// resources (PCIe link, page-table locks, invalidation slot) are thereby
   /// updated in near-global time order, so queueing is resolved at page
-  /// granularity. Returns false when the core left the heap (barrier/end).
+  /// granularity. Returns false when the core left the tree (barrier/end).
   bool execute_event(CoreId core) {
     PerCore& pc = cores_[core];
     if (pc.has_pending) {
@@ -217,14 +157,14 @@ class Engine {
       case wl::OpKind::kBarrier: {
         pc.state = CoreState::kAtBarrier;
         ++groups_[pc.group].at_barrier;
-        heap_.pop_root();
+        events_.set(core, EventTree::kMaxKey);
         release_barrier_if_complete(pc.group);
         return false;
       }
       case wl::OpKind::kEnd: {
         pc.state = CoreState::kDone;
         --groups_[pc.group].active;
-        heap_.pop_root();
+        events_.set(core, EventTree::kMaxKey);
         // A barrier pending among the group's remaining cores may now be
         // complete.
         release_barrier_if_complete(pc.group);
@@ -238,54 +178,34 @@ class Engine {
   MemoryManager& mm_;
   std::vector<PerCore> cores_;
   std::vector<GroupState> groups_;
-  EventHeap heap_;
+  EventTree events_;  ///< one leaf per core, kMaxKey while not runnable
   Cycles next_due_ = 0;
 };
 
 void Engine::run() {
-  const CoreId n = machine_.num_cores();
-  heap_.reserve(n);
-  for (CoreId c = 0; c < n; ++c) heap_.push(pack(0, c));
+  for (CoreId c = 0; c < machine_.num_cores(); ++c) events_.set(c, pack(0, c));
   next_due_ = mm_.next_periodic_due();
   machine_.set_engine_running(true);
 
-  while (!heap_.empty()) {
-    const std::uint64_t rootkey = heap_.root();
+  // A core keeps running exactly while its key stays the root, so run
+  // batching needs no code of its own. Other cores' keys can only be stale
+  // LOW (shootdown interrupts advance their clocks), so a non-stale root is
+  // the true earliest event.
+  while (!events_.empty()) {
+    const std::uint64_t rootkey = events_.root();
     const CoreId core = static_cast<CoreId>(rootkey & kCoreIdMask);
-    const Cycles time = rootkey >> kCoreBits;
     const Cycles actual = machine_.clock(core);
-    if (actual != time) {
-      // Clock advanced (shootdown interrupts) since this key was set.
-      heap_.replace_root(pack(actual, core));
+    if (actual != rootkey >> kCoreBits) {
+      events_.set(core, pack(actual, core));
       continue;
     }
-
-    // Periodic work due at or before this event fires first, exactly as
-    // when the old engine called run_periodic before every event — for
-    // events below next_due_ that call was a no-op, so only batch starts
-    // need it. Batches never cross next_due_ (the horizon caps them).
+    // Periodic work due at or before this event fires first. The event
+    // still runs even if run_periodic advanced this core's clock.
     if (actual >= next_due_) {
       mm_.run_periodic(actual);
       next_due_ = mm_.next_periodic_due();
     }
-
-    // Run batching: keep executing THIS core's events while its packed
-    // clock stays the global minimum. Other cores' keys can only be stale
-    // LOW (their clocks move up, never down), so the horizon is
-    // conservative: the batch can only end early, never late. The first
-    // event always runs — the root is the true minimum, matching the old
-    // engine's behavior even when run_periodic just advanced this clock.
-    const std::uint64_t limit =
-        std::min(heap_.second_min(), next_due_ << kCoreBits);
-    bool requeue = true;
-    do {
-      if (!execute_event(core)) {
-        requeue = false;
-        break;
-      }
-    } while (pack(machine_.clock(core), core) < limit);
-
-    if (requeue) heap_.replace_root(pack(machine_.clock(core), core));
+    if (execute_event(core)) events_.set(core, pack(machine_.clock(core), core));
   }
 
   machine_.set_engine_running(false);

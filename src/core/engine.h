@@ -5,13 +5,13 @@
 // so shared-resource queueing (PCIe link, page-table locks, invalidation
 // slot) resolves in a single reproducible (virtual_time, core_id) order.
 //
-// Indexed heap, run batching (docs/performance.md). One packed
-// (time << 11 | core) key per runnable core in a 4-ary min-heap. After
-// popping the earliest core the engine keeps executing ITS events while its
-// packed clock stays below the horizon — the second-smallest heap key,
-// capped by the next periodic tick. Heap keys only go stale LOW (shootdown
-// interrupts advance receivers' clocks), so the horizon is a conservative
-// bound and the batched order equals the one-event-at-a-time order exactly.
+// Winner tree (core/event_tree.h, docs/performance.md). One packed
+// (time << 11 | core) key per core; the tree's root is the next event.
+// After each event the engine re-keys the core's leaf and re-reads the
+// root, so a core keeps running while it stays the earliest, capped by the
+// next periodic tick. Keys only go stale LOW (shootdown interrupts advance
+// receivers' clocks); a stale root is re-keyed before it runs, so the event
+// order equals the one-event-at-a-time order exactly.
 #pragma once
 
 #include <memory>

@@ -56,6 +56,8 @@ BenchDoc load_bench_json(std::istream& in) {
   BenchDoc doc;
   std::string line;
   while (std::getline(in, line)) {
+    // The meta object, one line in ResultWriter output, names the mode.
+    if (const auto mode = find_string(line, "fast_mode")) doc.fast_mode = *mode;
     // ResultWriter emits one row object per line inside the "rows" array;
     // only lines carrying a "name" field are bench rows.
     if (line.empty() || line[0] != '{') continue;
@@ -76,6 +78,11 @@ BenchDoc load_bench_file(const std::string& path) {
   std::ifstream in(path);
   if (!in.good()) return {};
   return load_bench_json(in);
+}
+
+bool same_mode(const BenchDoc& a, const BenchDoc& b) {
+  return a.fast_mode.empty() || b.fast_mode.empty() ||
+         a.fast_mode == b.fast_mode;
 }
 
 CompareResult compare_bench(const BenchDoc& baseline, const BenchDoc& current,

@@ -30,6 +30,9 @@ struct BenchRow {
 struct BenchDoc {
   std::vector<BenchRow> rows;
   bool ok = false;  ///< document parsed and contained at least one row
+  /// meta.fast_mode ("true"/"false"); empty when the document has no such
+  /// key, which reads as unknown.
+  std::string fast_mode;
 };
 
 BenchDoc load_bench_json(std::istream& in);
@@ -79,6 +82,11 @@ struct CompareResult {
     return true;
   }
 };
+
+/// False when both documents record meta.fast_mode and the values differ:
+/// fast and full mode run different row shapes, so their numbers cannot be
+/// compared. A missing key is unknown and accepted.
+bool same_mode(const BenchDoc& a, const BenchDoc& b);
 
 CompareResult compare_bench(const BenchDoc& baseline, const BenchDoc& current,
                             const CompareOptions& options);

@@ -6,6 +6,9 @@ namespace cmcp::sim {
 
 Tlb::Tlb(std::uint32_t capacity) : capacity_(capacity), slots_(capacity) {
   CMCP_CHECK(capacity > 0);
+  CMCP_CHECK_MSG(capacity <= kMaxCapacity,
+                 "TLB capacity above 255 entries overflows the one-byte "
+                 "unit -> slot index");
   free_.reserve(capacity);
   for (std::uint32_t i = capacity; i-- > 0;) free_.push_back(i);
 }
@@ -34,7 +37,7 @@ void Tlb::push_mru(std::uint32_t s) {
 
 void Tlb::insert(UnitIdx unit) {
   if (unit >= slot_of_.size()) reserve_units(unit + 1);
-  if (const std::uint32_t s = slot_of_[unit]; s != kNil) {
+  if (const std::uint32_t s = slot_of(unit); s != kNil) {
     // Already present (e.g. re-walk after an access-bit refresh); touch it.
     if (s != mru_) {
       unlink(s);
@@ -50,18 +53,18 @@ void Tlb::insert(UnitIdx unit) {
   } else {
     CMCP_CHECK(lru_ != kNil);
     s = lru_;
-    slot_of_[slots_[s].unit] = kNil;
+    slot_of_[slots_[s].unit] = kNotCached;
     unlink(s);
   }
   slots_[s].unit = unit;
-  slot_of_[unit] = s;
+  slot_of_[unit] = static_cast<std::uint8_t>(s);
   push_mru(s);
 }
 
 bool Tlb::invalidate(UnitIdx unit) {
   const std::uint32_t s = slot_of(unit);
   if (s == kNil) return false;
-  slot_of_[unit] = kNil;
+  slot_of_[unit] = kNotCached;
   unlink(s);
   slots_[s].unit = kInvalidUnit;
   free_.push_back(s);
@@ -74,7 +77,7 @@ void Tlb::flush() {
   // holds at most `capacity_` entries while the index spans every unit.
   for (std::uint32_t s = mru_; s != kNil;) {
     const std::uint32_t next = slots_[s].next;
-    slot_of_[slots_[s].unit] = kNil;
+    slot_of_[slots_[s].unit] = kNotCached;
     slots_[s] = Slot{};
     s = next;
   }

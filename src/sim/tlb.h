@@ -6,11 +6,14 @@
 // group occupies a single entry — that is exactly the benefit the hint bit
 // buys (paper section 4).
 //
-// The unit -> slot index is a dense direct-indexed array (the unit index is
-// the slot-array subscript; docs/performance.md): a lookup — the single
-// hottest operation in the whole simulator, one per simulated reference per
-// core — is one bounds check and one load, no hashing. The LRU order lives
-// in an intrusive prev/next chain over the fixed slot pool, as before.
+// The unit -> slot index is a dense direct-indexed array of one byte per
+// unit (the unit index is the array subscript; docs/performance.md): a
+// lookup — the single hottest operation in the whole simulator, one per
+// simulated reference per core — is one bounds check and one load, no
+// hashing. One byte caps the capacity at kMaxCapacity (255) entries, slots
+// 0..254, since 0xFF marks "not cached"; the KNC dTLB's largest class has
+// 64. The LRU order lives in an intrusive prev/next chain over the fixed
+// slot pool.
 #pragma once
 
 #include <cstdint>
@@ -37,6 +40,10 @@ struct TlbConfig {
 
 class Tlb {
  public:
+  /// Largest capacity the one-byte slot index can address: slots 0..254,
+  /// with the byte value 255 kept for "not cached".
+  static constexpr std::uint32_t kMaxCapacity = 0xff;
+
   Tlb(std::uint32_t capacity);
 
   /// True if `unit` is cached; refreshes its LRU position on hit.
@@ -64,7 +71,7 @@ class Tlb {
   /// Size the unit index for units [0, n) so steady-state insert() never
   /// grows it (the memory manager calls this with the area's num_units()).
   void reserve_units(UnitIdx n) {
-    if (n > slot_of_.size()) slot_of_.resize(n, kNil);
+    if (n > slot_of_.size()) slot_of_.resize(n, kNotCached);
   }
 
   std::uint32_t capacity() const { return capacity_; }
@@ -80,7 +87,8 @@ class Tlb {
   }
 
  private:
-  static constexpr std::uint32_t kNil = 0xffffffffu;
+  static constexpr std::uint32_t kNil = 0xffffffffu;        ///< end of LRU chain
+  static constexpr std::uint8_t kNotCached = kMaxCapacity;  ///< slot_of_ "absent"
 
   struct Slot {
     UnitIdx unit = kInvalidUnit;
@@ -89,7 +97,8 @@ class Tlb {
   };
 
   std::uint32_t slot_of(UnitIdx unit) const {
-    return unit < slot_of_.size() ? slot_of_[unit] : kNil;
+    const std::uint8_t s = unit < slot_of_.size() ? slot_of_[unit] : kNotCached;
+    return s == kNotCached ? kNil : s;
   }
 
   void unlink(std::uint32_t s);
@@ -100,7 +109,7 @@ class Tlb {
   std::vector<std::uint32_t> free_;
   std::uint32_t mru_ = kNil;
   std::uint32_t lru_ = kNil;
-  std::vector<std::uint32_t> slot_of_;  ///< [unit] -> slot index or kNil
+  std::vector<std::uint8_t> slot_of_;  ///< [unit] -> slot or kNotCached
   std::size_t occupancy_ = 0;
 };
 

@@ -3,8 +3,11 @@
 // consistent accounting — across page sizes, policies and coherence modes.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
 #include "common/rng.h"
 #include "core/simulation.h"
+#include "workloads/trace.h"
 
 namespace cmcp::core {
 namespace {
@@ -133,6 +136,27 @@ INSTANTIATE_TEST_SUITE_P(
         FuzzParams{9, PolicyKind::kLru, PageSizeClass::k64K, true, 0.4},
         FuzzParams{10, PolicyKind::kCmcp, PageSizeClass::k4K, false, 1.0},
         FuzzParams{11, PolicyKind::kArc, PageSizeClass::k4K, false, 0.4}));
+
+// Event keys pack (time << 11 | core) into 64 bits. A virtual time of 2^53
+// cycles or more used to wrap to a small key, and the engine re-keyed the
+// same wrapped key forever; it must abort naming the limit instead.
+TEST(EngineDeathTest, VirtualTimePast2To53Aborts) {
+  std::istringstream trace(
+      "cmcp-trace v1\n"
+      "cores 2\n"
+      "pages 64\n"
+      "core 0\n"
+      "a 0 4 1 1 r 100\n"
+      "c 18014398509481984\n"
+      "a 4 4 1 1 r 100\n"
+      "core 1\n"
+      "a 8 4 1 1 r 100\n"
+      "a 12 4 1 1 r 100\n");
+  const auto workload = wl::TraceWorkload::parse(trace);
+  SimulationConfig config;
+  config.machine.num_cores = workload->num_cores();
+  EXPECT_DEATH(run_simulation(config, *workload), "2\\^53 cycles");
+}
 
 }  // namespace
 }  // namespace cmcp::core

@@ -198,5 +198,34 @@ TEST(BenchCompareTest, CommittedFixturesBehave) {
   EXPECT_TRUE(fig7_regressed);
 }
 
+// A fast-mode document against a full-mode one is refused before any row is
+// compared; a document without meta.fast_mode (like the committed fixtures)
+// is unknown and compares with either.
+TEST(BenchCompareTest, FastModeMismatchIsRefused) {
+  const auto with_mode = [](const char* mode) {
+    return doc_from(std::string("{\"schema_version\":1,\n"
+                                "\"meta\":{\"bench\":\"wallclock\","
+                                "\"fast_mode\":\"") +
+                    mode +
+                    "\",\"repeat\":\"3\"},\n\"rows\":[\n"
+                    "{\"name\":\"sim_a\",\"kind\":\"sim\",\"ns_per_ref\":100.0}\n"
+                    "]}\n");
+  };
+  const BenchDoc fast = with_mode("true");
+  const BenchDoc full = with_mode("false");
+  const BenchDoc unknown = load_bench_file(std::string(CMCP_TEST_DATA_DIR) +
+                                           "/bench_baseline_fixture.json");
+  ASSERT_TRUE(fast.ok);
+  ASSERT_TRUE(unknown.ok);
+  EXPECT_EQ(fast.fast_mode, "true");
+  EXPECT_EQ(full.fast_mode, "false");
+  EXPECT_EQ(unknown.fast_mode, "");
+  EXPECT_FALSE(same_mode(fast, full));
+  EXPECT_FALSE(same_mode(full, fast));
+  EXPECT_TRUE(same_mode(fast, fast));
+  EXPECT_TRUE(same_mode(unknown, fast));
+  EXPECT_TRUE(same_mode(full, unknown));
+}
+
 }  // namespace
 }  // namespace cmcp::metrics

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
+#include <list>
+#include <vector>
 
 namespace cmcp::sim {
 namespace {
@@ -113,6 +116,69 @@ TEST(TlbProperty, StressAgainstReferenceModel) {
     }
     ASSERT_LE(tlb.occupancy(), kCapacity);
   }
+}
+
+// Eviction order against a std::list true-LRU model (front = MRU): after
+// every operation the TLB's MRU -> LRU chain equals the list. Run at the
+// KNC 4 kB capacity and at the largest the one-byte slot index allows.
+class TlbLruOrderTest : public ::testing::TestWithParam<std::uint32_t> {};
+
+TEST_P(TlbLruOrderTest, MatchesListModel) {
+  const std::uint32_t capacity = GetParam();
+  Tlb tlb(capacity);
+  std::list<UnitIdx> model;
+  std::uint64_t state = 4321;
+  const auto next = [&state] {
+    state = state * 6364136223846793005ULL + 1442695040888963407ULL;
+    return state >> 33;
+  };
+  const auto touch = [&model](UnitIdx unit) {
+    const auto it = std::find(model.begin(), model.end(), unit);
+    if (it == model.end()) return false;
+    model.splice(model.begin(), model, it);
+    return true;
+  };
+  std::vector<UnitIdx> chain;
+  for (int i = 0; i < 20000; ++i) {
+    const UnitIdx unit = static_cast<UnitIdx>(next() % (3 * capacity));
+    switch (next() % 8) {
+      case 0: case 1: case 2:
+        ASSERT_EQ(tlb.lookup(unit), touch(unit));
+        break;
+      case 3: case 4: case 5:
+        tlb.insert(unit);
+        if (!touch(unit)) {
+          if (model.size() == capacity) model.pop_back();
+          model.push_front(unit);
+        }
+        break;
+      case 6: {
+        const auto it = std::find(model.begin(), model.end(), unit);
+        ASSERT_EQ(tlb.invalidate(unit), it != model.end());
+        if (it != model.end()) model.erase(it);
+        break;
+      }
+      case 7:
+        if (next() % 64 == 0) {
+          tlb.flush();
+          model.clear();
+        }
+        break;
+    }
+    chain.clear();
+    tlb.for_each_entry([&chain](UnitIdx u) { chain.push_back(u); });
+    ASSERT_TRUE(std::equal(chain.begin(), chain.end(), model.begin(),
+                           model.end()))
+        << "after op " << i;
+    ASSERT_EQ(tlb.occupancy(), model.size());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Capacities, TlbLruOrderTest,
+                         ::testing::Values(64u, Tlb::kMaxCapacity));
+
+TEST(TlbDeath, RejectsCapacityAboveOneByteIndex) {
+  EXPECT_DEATH(Tlb(Tlb::kMaxCapacity + 1), "one-byte");
 }
 
 // gtest has no printer for this struct, so each case's CTest name is the

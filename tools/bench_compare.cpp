@@ -1,6 +1,8 @@
 // CLI gate over metrics::bench_compare: diff two wall-clock bench documents
 // (bench/wallclock --json output) and exit non-zero when the current one
 // regressed past the tolerance, dropped a row, or missed a required speedup.
+// Exits 2 without comparing when one document is fast mode and the other
+// full mode (meta.fast_mode).
 //
 //   bench_compare BASELINE.json CURRENT.json [--tolerance 0.25]
 //                 [--metric refs_per_sec|ns_per_ref] [--require-speedup 1.5]
@@ -62,6 +64,16 @@ int main(int argc, char** argv) {
   if (!current.ok) {
     std::fprintf(stderr, "bench_compare: cannot load current %s\n",
                  paths[1].c_str());
+    return 2;
+  }
+
+  if (!cmcp::metrics::same_mode(baseline, current)) {
+    std::fprintf(stderr,
+                 "bench_compare: cannot compare meta.fast_mode=%s (%s) with "
+                 "meta.fast_mode=%s (%s): fast and full mode run different "
+                 "rows\n",
+                 baseline.fast_mode.c_str(), paths[0].c_str(),
+                 current.fast_mode.c_str(), paths[1].c_str());
     return 2;
   }
 
