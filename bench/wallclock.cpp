@@ -292,9 +292,9 @@ PhaseResult micro_scan_sweep(std::uint64_t sweeps) {
 
 PhaseResult micro_fault_recovery(std::uint64_t iters) {
   // Fault-path micro: seeded injection draws plus the retry/backoff episode
-  // arithmetic of transfer_with_faults, with a straggler hash query per
-  // iteration. The rates keep ~6% of transfers on the recovery path, so both
-  // the healthy branch and the episode math are timed.
+  // arithmetic of a fault-planned PcieLink::transfer, with a straggler hash
+  // query per iteration. The rates keep ~6% of transfers on the recovery
+  // path, so both the healthy branch and the episode math are timed.
   const sim::CostModel cost = sim::CostModel::knc();
   sim::PcieLink link(cost);
   sim::FaultPlanConfig fc;
@@ -308,8 +308,8 @@ PhaseResult micro_fault_recovery(std::uint64_t iters) {
   std::uint64_t failures = 0;
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < iters; ++i) {
-    const sim::PcieTransferOutcome out = link.transfer_with_faults(
-        sim::PcieDir::kHostToDevice, now, 4096, plan);
+    const sim::PcieTransferOutcome out =
+        link.transfer(sim::PcieDir::kHostToDevice, now, 4096, &plan);
     failures += out.failures;
     bool window_start = false;
     (void)plan.straggler_mult_at(static_cast<CoreId>(i & 7), now,

@@ -3,19 +3,12 @@
 //
 // Raw `std::mutex` / `std::lock_guard` are banned outside this header
 // (cmcp_lint rule `raw-mutex`): an unannotated mutex protects nothing at
-// compile time, and the code that does run on several host threads (the
-// parallel experiment runner, the trace sink, the PCIe link's counters)
-// compiles against `-Wthread-safety -Werror`.
+// compile time. A simulation runs on one host thread, so the only code that
+// locks is the parallel experiment runner (metrics/parallel_runner.cpp),
+// which compiles against `-Wthread-safety -Werror`; cmcp_lint's
+// `stray-thread` rule keeps this wrapper out of every other file.
 //
-// Lock hierarchy (acquire strictly downward; documented, not yet
-// machine-checked):
-//
-//   core::AddressSpace::scan_mu_         (scanner flush batch)
-//     -> sim::Machine::shootdown_mu_     (invalidation-slot capability)
-//       -> sim::trace::EventSink::mu_    (event buffer)
-//   sim::PcieLink::mu_                   (leaf; never held across calls out)
-//   metrics::ResultWriter::mu_           (leaf)
-//   parallel-runner job state            (leaf)
+// Lock hierarchy: one leaf, the runner's first-error slot.
 #pragma once
 
 #include <mutex>
@@ -33,7 +26,6 @@ class CMCP_CAPABILITY("mutex") Mutex {
 
   void lock() CMCP_ACQUIRE() { mu_.lock(); }
   void unlock() CMCP_RELEASE() { mu_.unlock(); }
-  bool try_lock() CMCP_TRY_ACQUIRE(true) { return mu_.try_lock(); }
 
  private:
   std::mutex mu_;

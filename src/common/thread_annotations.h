@@ -1,16 +1,15 @@
 // Clang Thread Safety Analysis annotations (Abseil-style, CMCP_-prefixed).
 //
-// These macros attach compile-time lock-discipline contracts to types,
-// fields and functions: which mutex guards which field, which capabilities a
-// function requires, acquires or must not hold. Under Clang with
-// `-Wthread-safety` (the `thread-safety` CI job builds with `-Werror`) a
-// violated contract is a build failure; under GCC and MSVC every macro
-// expands to nothing, so the annotations are zero-cost documentation.
+// These macros attach compile-time lock-discipline contracts to types and
+// fields: which class is a lock, which RAII guard holds it, and which mutex
+// guards which field. Under Clang with `-Wthread-safety` (the
+// `thread-safety` CI job builds with `-Werror`) a violated contract is a
+// build failure; under GCC and MSVC every macro expands to nothing, so the
+// annotations are zero-cost documentation.
 //
 // The repo's only annotated lock is `common::Mutex` (common/mutex.h) — raw
 // `std::mutex` is banned outside that wrapper by cmcp_lint's `raw-mutex`
-// rule. Conventions, the lock hierarchy and worked examples live in
-// docs/static-analysis.md.
+// rule. Conventions live in docs/static-analysis.md.
 #pragma once
 
 #if defined(__clang__)
@@ -28,9 +27,6 @@
 /// Field may only be read/written while holding the given capability.
 #define CMCP_GUARDED_BY(x) CMCP_THREAD_ANNOTATION_ATTRIBUTE(guarded_by(x))
 
-/// Pointer field whose *pointee* is guarded by the given capability.
-#define CMCP_PT_GUARDED_BY(x) CMCP_THREAD_ANNOTATION_ATTRIBUTE(pt_guarded_by(x))
-
 /// Function acquires the capability (and does not release it).
 #define CMCP_ACQUIRE(...) \
   CMCP_THREAD_ANNOTATION_ATTRIBUTE(acquire_capability(__VA_ARGS__))
@@ -38,27 +34,3 @@
 /// Function releases the capability.
 #define CMCP_RELEASE(...) \
   CMCP_THREAD_ANNOTATION_ATTRIBUTE(release_capability(__VA_ARGS__))
-
-/// Function acquires the capability when it returns the given value.
-#define CMCP_TRY_ACQUIRE(...) \
-  CMCP_THREAD_ANNOTATION_ATTRIBUTE(try_acquire_capability(__VA_ARGS__))
-
-/// Caller must hold the capability for the duration of the call.
-#define CMCP_REQUIRES(...) \
-  CMCP_THREAD_ANNOTATION_ATTRIBUTE(requires_capability(__VA_ARGS__))
-
-/// Caller must NOT hold the capability (the function acquires it itself);
-/// prevents self-deadlock on the non-reentrant common::Mutex.
-#define CMCP_EXCLUDES(...) \
-  CMCP_THREAD_ANNOTATION_ATTRIBUTE(locks_excluded(__VA_ARGS__))
-
-/// Function returns a reference to the given capability.
-#define CMCP_RETURN_CAPABILITY(x) \
-  CMCP_THREAD_ANNOTATION_ATTRIBUTE(lock_returned(x))
-
-/// Escape hatch: skip analysis of this function body. Used only for
-/// quiescent-phase accessors that hand out references to guarded state
-/// after all writer threads have joined; every use carries a comment
-/// stating the phase argument (see docs/static-analysis.md).
-#define CMCP_NO_THREAD_SAFETY_ANALYSIS \
-  CMCP_THREAD_ANNOTATION_ATTRIBUTE(no_thread_safety_analysis)

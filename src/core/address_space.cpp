@@ -192,7 +192,7 @@ Cycles AddressSpace::access(CoreId core, Vpn vpn, bool write, Cycles now) {
 
     // Fetch the unit's data from the host.
     const Cycles ready = now + mem_cycles + fault_cycles + lock_wait;
-    const sim::Machine::PcieTransferResult xfer = machine_.pcie_transfer(
+    const sim::PcieTransferOutcome xfer = machine_.pcie_transfer(
         core, sim::PcieDir::kHostToDevice, ready, unit_bytes(area_.page_size()),
         unit, asid_);
     pcie_wait += xfer.done - ready;
@@ -256,7 +256,7 @@ Cycles AddressSpace::prefetch_after(CoreId core, UnitIdx unit, Cycles now) {
     const Pfn pfn = allocate_frame(core, now, &issue_cycles,
                                    /*honor_partition=*/true);
     if (pfn == kInvalidPfn) break;  // quarantines may have drained the pool
-    const sim::Machine::PcieTransferResult xfer = machine_.pcie_transfer(
+    const sim::PcieTransferOutcome xfer = machine_.pcie_transfer(
         core, sim::PcieDir::kHostToDevice, now, unit_bytes(area_.page_size()),
         next, asid_);
     mm::ResidentPage& pg = registry_.insert(next, pfn, now);
@@ -362,7 +362,7 @@ Cycles AddressSpace::evict_one(CoreId faulting_core, Cycles now) {
     // default (the paper's kernel); with async_writeback the core only
     // queues the transfer — the link still carries the bytes.
     const Cycles ready = now + cycles;
-    const sim::Machine::PcieTransferResult xfer = machine_.pcie_transfer(
+    const sim::PcieTransferOutcome xfer = machine_.pcie_transfer(
         faulting_core, sim::PcieDir::kDeviceToHost, ready,
         unit_bytes(area_.page_size()), unit, asid_);
     ctr.pcie_bytes_out += unit_bytes(area_.page_size());
@@ -423,9 +423,7 @@ void AddressSpace::run_periodic(Cycles watermark) {
       // The scanner daemon runs on this space's dedicated hyperthread
       // (paper section 5.1): its cycles accrue to the pseudo-core, not to
       // the app cores — but every cleared bit shoots down the mapping
-      // cores. One sweep at a time: the sweep owns the reused flush batch
-      // for its whole duration.
-      common::LockGuard scan_lock(scan_mu_);
+      // cores.
       const CoreId scanner = machine_.scanner_core(asid_);
       if (machine_.clock(scanner) < tick_time)
         machine_.set_clock(scanner, tick_time);

@@ -13,8 +13,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "mm/address.h"
 #include "mm/frame_allocator.h"
@@ -75,10 +73,7 @@ class AddressSpace final : public policy::PolicyHost {
   policy::ReplacementPolicy& policy() { return *policy_; }
   const policy::ReplacementPolicy& policy() const { return *policy_; }
   bool scanner_enabled() const { return policy_->wants_scanner(); }
-  std::uint64_t scans_completed() const CMCP_EXCLUDES(scan_mu_) {
-    common::LockGuard lock(scan_mu_);
-    return scans_completed_;
-  }
+  std::uint64_t scans_completed() const { return scans_completed_; }
   bool pinned() const { return pinned_; }
 
   /// Mutable page-table access for SimCheck fault-injection tests ONLY.
@@ -127,18 +122,12 @@ class AddressSpace final : public policy::PolicyHost {
   /// Address-space-wide page-table lock (regular tables only).
   Cycles pt_lock_busy_until_ = 0;
 
-  /// Serializes this space's access-bit scanner: at most one sweep mutates
-  /// the flush batch at a time. Ordered above Machine::shootdown_mu_ (the
-  /// sweep flushes batches into the invalidation slot while holding this
-  /// lock) — see the hierarchy in common/mutex.h.
-  mutable common::Mutex scan_mu_;
   /// Scanner shootdown batch, reused across scan passes (reserved once in
   /// the constructor so a sweep allocates nothing).
-  std::vector<sim::Machine::BatchItem> scan_flush_ CMCP_GUARDED_BY(scan_mu_);
-  std::uint64_t scans_completed_ CMCP_GUARDED_BY(scan_mu_) = 0;
+  std::vector<sim::Machine::BatchItem> scan_flush_;
+  std::uint64_t scans_completed_ = 0;
 
-  /// Engine-thread-only: run_periodic's watermark cursor (the engine calls
-  /// run_periodic from exactly one thread, its contract).
+  /// run_periodic's watermark cursor: the next scanner tick.
   Cycles next_tick_ = 0;
   /// Pinned mode: preloaded with full capacity — no evictions ever.
   bool pinned_ = false;

@@ -141,12 +141,12 @@ class Engine {
         const sim::CostModel& cost = machine_.cost();
         metrics::CoreCounters& ctr = machine_.counters(core);
         const Cycles start = machine_.clock(core) + cost.syscall_local;
-        const sim::Machine::PcieTransferResult req = machine_.pcie_transfer(
+        const sim::PcieTransferOutcome req = machine_.pcie_transfer(
             core, sim::PcieDir::kDeviceToHost, start,
             cost.syscall_message_bytes + op.count, kInvalidUnit, pc.tenant);
         const Cycles host_done =
             req.done + cost.syscall_host_dispatch + op.cycles;
-        const sim::Machine::PcieTransferResult resp = machine_.pcie_transfer(
+        const sim::PcieTransferOutcome resp = machine_.pcie_transfer(
             core, sim::PcieDir::kHostToDevice, host_done,
             cost.syscall_message_bytes, kInvalidUnit, pc.tenant);
         ++ctr.syscalls;
@@ -185,7 +185,6 @@ class Engine {
 void Engine::run() {
   for (CoreId c = 0; c < machine_.num_cores(); ++c) events_.set(c, pack(0, c));
   next_due_ = mm_.next_periodic_due();
-  machine_.set_engine_running(true);
 
   // A core keeps running exactly while its key stays the root, so run
   // batching needs no code of its own. Other cores' keys can only be stale
@@ -208,7 +207,6 @@ void Engine::run() {
     if (execute_event(core)) events_.set(core, pack(machine_.clock(core), core));
   }
 
-  machine_.set_engine_running(false);
   for (const GroupState& g : groups_)
     CMCP_CHECK_MSG(g.active == 0 && g.at_barrier == 0,
                    "engine deadlock: cores stuck at a barrier");

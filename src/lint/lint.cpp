@@ -388,7 +388,9 @@ void rule_raw_mutex(const Ctx& c) {
 /// parallelism entry point, metrics/parallel_runner (independent runs in
 /// parallel). Everything else in the simulation core is single-threaded by
 /// contract; keeping thread creation in one audited file is what makes that
-/// contract checkable.
+/// contract checkable. common::Mutex / common::LockGuard fire too (outside
+/// their own header): with one host thread there is nothing to lock, so a
+/// lock in the core is either dead weight or a thread that slipped in.
 void rule_stray_thread(const Ctx& c) {
   if (!in_src(c.path)) return;
   if (c.path == "src/metrics/parallel_runner.cpp" ||
@@ -401,13 +403,21 @@ void rule_stray_thread(const Ctx& c) {
       "atomic_bool",  "barrier",       "latch",
       "counting_semaphore",            "binary_semaphore",
       "stop_source",  "stop_token"};
+  constexpr std::array<std::string_view, 2> kLocks = {"Mutex", "LockGuard"};
+  const bool locks_banned = c.path != "src/common/mutex.h";
   for (std::size_t i = 2; i < c.ts.size(); ++i) {
-    if (ident_in(c.ts, i, kThreading) && is_punct(c.ts, i - 1, "::") &&
-        is_ident(c.ts, i - 2, "std")) {
+    if (!is_punct(c.ts, i - 1, "::")) continue;
+    if (ident_in(c.ts, i, kThreading) && is_ident(c.ts, i - 2, "std")) {
       c.report(c.ts[i].line, "stray-thread",
                "std::" + c.ts[i].text +
                    " outside metrics/parallel_runner: "
                    "the simulation core is single-threaded by contract");
+    } else if (locks_banned && ident_in(c.ts, i, kLocks) &&
+               is_ident(c.ts, i - 2, "common")) {
+      c.report(c.ts[i].line, "stray-thread",
+               "common::" + c.ts[i].text +
+                   " outside metrics/parallel_runner: a simulation runs on "
+                   "one host thread and needs no lock");
     }
   }
 }
@@ -529,7 +539,8 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"float-virtual-time", "floating-point values holding virtual time"},
       {"check-side-effect", "mutation inside CMCP_CHECK/SIMCHECK arguments"},
       {"raw-mutex", "std synchronization primitive outside common/mutex.h"},
-      {"stray-thread", "threading primitive outside metrics/parallel_runner"},
+      {"stray-thread",
+       "threading primitive or lock outside metrics/parallel_runner"},
       {"volatile-qualifier", "volatile used as a synchronization tool"},
       {"unordered-iteration", "iteration over an unordered container"},
   };

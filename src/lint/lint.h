@@ -3,11 +3,12 @@
 // Generic linters (clang-tidy, compiler warnings) cannot know this
 // codebase's contracts: virtual time is integral `Cycles`, hot state is
 // dense unit-indexed (docs/performance.md), traces must be byte-identical
-// across runs and SimCheck modes (docs/invariants.md), and all
-// synchronization goes through the annotated `common::Mutex` wrapper
-// (common/mutex.h). Each rule here mechanizes one of those contracts as a
-// reviewable, CI-gated check over the token stream of every translation
-// unit in compile_commands.json plus every header under the source tree.
+// across runs and SimCheck modes (docs/invariants.md), and the one
+// host-threaded path (metrics/parallel_runner) synchronizes through the
+// annotated `common::Mutex` wrapper (common/mutex.h). Each rule here
+// mechanizes one of those contracts as a reviewable, CI-gated check over
+// the token stream of every translation unit in compile_commands.json plus
+// every header under the source tree.
 //
 // Rule catalog (ids are stable; suppress with `// cmcp-lint: allow(id)`):
 //   hash-keyed-index       unordered container keyed by UnitIdx/Pfn/Vpn/
@@ -36,7 +37,8 @@
 //   raw-mutex              std::mutex / lock types outside common/mutex.h:
 //                          the wrapper carries the thread-safety
 //                          annotations and the documented lock hierarchy.
-//   stray-thread           std::thread/async/atomic outside
+//   stray-thread           std::thread/async/atomic, or common::Mutex /
+//                          LockGuard outside common/mutex.h, outside
 //                          metrics/parallel_runner: one sanctioned
 //                          parallelism entry point keeps determinism
 //                          auditable.

@@ -90,34 +90,26 @@ ResultWriter::Row& ResultWriter::Row::set(std::string name, std::int64_t value) 
 }
 
 ResultWriter::Row& ResultWriter::add_row() {
-  common::LockGuard lock(mu_);
   rows_.emplace_back();
   return rows_.back();
 }
 
 std::size_t ResultWriter::rows() const {
-  common::LockGuard lock(mu_);
   return rows_.size();
 }
 
 ResultWriter& ResultWriter::meta(std::string name, std::string value) {
-  common::LockGuard lock(mu_);
   meta_.emplace_back(std::move(name), std::move(value));
   return *this;
 }
 
-std::vector<std::string> ResultWriter::columns_locked() const {
+std::vector<std::string> ResultWriter::columns() const {
   std::vector<std::string> cols;
   for (const Row& row : rows_)
     for (const Row::Field& f : row.fields_)
       if (std::find(cols.begin(), cols.end(), f.name) == cols.end())
         cols.push_back(f.name);
   return cols;
-}
-
-std::vector<std::string> ResultWriter::columns() const {
-  common::LockGuard lock(mu_);
-  return columns_locked();
 }
 
 void ResultWriter::write_csv_row(std::ostream& os,
@@ -153,8 +145,7 @@ void ResultWriter::write_rows_csv(std::ostream& os,
 }
 
 void ResultWriter::to_csv(std::ostream& os) const {
-  common::LockGuard lock(mu_);
-  const auto cols = columns_locked();
+  const auto cols = columns();
   write_csv_row(os, cols);
   write_rows_csv(os, cols);
 }
@@ -174,8 +165,7 @@ void ResultWriter::save_csv(const std::string& path) const {
 }
 
 void ResultWriter::append_csv(const std::string& path) const {
-  common::LockGuard lock(mu_);
-  const auto cols = columns_locked();
+  const auto cols = columns();
   std::ostringstream header_ss;
   write_csv_row(header_ss, cols);
   std::string header = header_ss.str();
@@ -201,7 +191,6 @@ void ResultWriter::append_csv(const std::string& path) const {
 }
 
 void ResultWriter::to_json(std::ostream& os) const {
-  common::LockGuard lock(mu_);
   os << "{\"schema_version\":" << kSchemaVersion << ",\n\"meta\":{";
   for (std::size_t i = 0; i < meta_.size(); ++i) {
     if (i != 0) os << ',';

@@ -11,13 +11,6 @@
 // schema-versioned document:
 //
 //   {"schema_version": 1, "meta": {...}, "rows": [{...}, ...]}
-//
-// Thread safety: `add_row()` and `meta()` may be called concurrently (the
-// parallel experiment runner appends from worker jobs); the container is
-// guarded by an annotated mutex and rows live in a deque so the returned
-// `Row&` stays valid across concurrent appends. Filling the returned row is
-// the creating thread's business — finish filling every row before calling
-// any serialization function.
 #pragma once
 
 #include <cstdint>
@@ -25,10 +18,8 @@
 #include <iosfwd>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
-
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 
 namespace cmcp::metrics {
 
@@ -63,22 +54,22 @@ class ResultWriter {
     std::vector<Field> fields_;
   };
 
-  /// Append an empty row; fill it through the returned reference. Safe to
-  /// call from concurrent jobs; the reference stays valid as others append.
-  Row& add_row() CMCP_EXCLUDES(mu_);
-  std::size_t rows() const CMCP_EXCLUDES(mu_);
+  /// Append an empty row; fill it through the returned reference, which
+  /// stays valid as later rows are appended.
+  Row& add_row();
+  std::size_t rows() const;
 
   /// Run metadata, emitted as the JSON "meta" object (CSV ignores it).
-  ResultWriter& meta(std::string name, std::string value) CMCP_EXCLUDES(mu_);
+  ResultWriter& meta(std::string name, std::string value);
 
   // --- CSV -----------------------------------------------------------------
-  void to_csv(std::ostream& os) const CMCP_EXCLUDES(mu_);
+  void to_csv(std::ostream& os) const;
   std::string csv() const;
   /// Truncate-write `path` (parent directories created).
   void save_csv(const std::string& path) const;
   /// Append rows to `path`; writes the header only when creating the file
   /// and aborts if an existing header does not match this writer's columns.
-  void append_csv(const std::string& path) const CMCP_EXCLUDES(mu_);
+  void append_csv(const std::string& path) const;
 
   /// The one CSV serialization primitive (escaping + row layout) — also
   /// used by metrics::Table so every CSV the project writes agrees.
@@ -86,23 +77,21 @@ class ResultWriter {
                             const std::vector<std::string>& cells);
 
   // --- JSON ----------------------------------------------------------------
-  void to_json(std::ostream& os) const CMCP_EXCLUDES(mu_);
+  void to_json(std::ostream& os) const;
   std::string json() const;
   void save_json(const std::string& path) const;
 
   /// Column names (union over rows, first-seen order).
-  std::vector<std::string> columns() const CMCP_EXCLUDES(mu_);
+  std::vector<std::string> columns() const;
 
  private:
-  std::vector<std::string> columns_locked() const CMCP_REQUIRES(mu_);
-  void write_rows_csv(std::ostream& os, const std::vector<std::string>& cols)
-      const CMCP_REQUIRES(mu_);
+  void write_rows_csv(std::ostream& os,
+                      const std::vector<std::string>& cols) const;
 
-  mutable common::Mutex mu_;
   /// Deque, not vector: `add_row()` hands out references that must survive
-  /// later appends from other jobs.
-  std::deque<Row> rows_ CMCP_GUARDED_BY(mu_);
-  std::vector<std::pair<std::string, std::string>> meta_ CMCP_GUARDED_BY(mu_);
+  /// later appends.
+  std::deque<Row> rows_;
+  std::vector<std::pair<std::string, std::string>> meta_;
 };
 
 }  // namespace cmcp::metrics

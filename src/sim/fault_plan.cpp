@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 
 #include "common/assert.h"
+#include "common/parse_number.h"
 
 namespace cmcp::sim {
 
@@ -36,26 +38,17 @@ std::string fmt_double(double value) {
   return buf;
 }
 
-bool parse_uint(std::string_view text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  std::uint64_t value = 0;
-  for (const char ch : text) {
-    if (ch < '0' || ch > '9') return false;
-    value = value * 10 + static_cast<std::uint64_t>(ch - '0');
-  }
-  *out = value;
-  return true;
+/// Stores `text` as a T in `*out`; false unless all of it is an in-range T.
+template <typename T>
+bool parse_value(std::string_view text, T* out) {
+  const std::optional<T> value = common::parse_number<T>(text);
+  if (value) *out = *value;
+  return value.has_value();
 }
 
-bool parse_double(std::string_view text, double* out) {
-  if (text.empty()) return false;
-  const std::string copy(text);
-  char* end = nullptr;
-  const double value = std::strtod(copy.c_str(), &end);
-  if (end != copy.c_str() + copy.size()) return false;
-  if (value < 0.0 || value > 1.0) return false;  // rates are probabilities
-  *out = value;
-  return true;
+/// A rate is a probability in [0, 1].
+bool parse_rate(std::string_view text, double* out) {
+  return parse_value(text, out) && *out >= 0.0 && *out <= 1.0;
 }
 
 }  // namespace
@@ -120,35 +113,35 @@ bool FaultPlanConfig::parse(std::string_view spec, FaultPlanConfig* out) {
     if (eq == std::string_view::npos) return false;
     const std::string_view key = token.substr(0, eq);
     const std::string_view value = token.substr(eq + 1);
-    std::uint64_t u = 0;
     if (key == "seed") {
-      if (!parse_uint(value, &out->seed)) return false;
+      if (!parse_value(value, &out->seed)) return false;
     } else if (key == "pcie") {
-      if (!parse_double(value, &out->pcie_transient_rate)) return false;
+      if (!parse_rate(value, &out->pcie_transient_rate)) return false;
     } else if (key == "sticky") {
-      if (!parse_double(value, &out->pcie_sticky_rate)) return false;
+      if (!parse_rate(value, &out->pcie_sticky_rate)) return false;
     } else if (key == "ack") {
-      if (!parse_double(value, &out->shootdown_ack_rate)) return false;
+      if (!parse_rate(value, &out->shootdown_ack_rate)) return false;
     } else if (key == "poison") {
-      if (!parse_uint(value, &out->poison_frames)) return false;
+      if (!parse_value(value, &out->poison_frames)) return false;
     } else if (key == "straggler") {
-      if (!parse_double(value, &out->straggler_rate)) return false;
+      if (!parse_rate(value, &out->straggler_rate)) return false;
     } else if (key == "retries") {
-      if (!parse_uint(value, &u) || u == 0) return false;
-      out->max_retries = static_cast<unsigned>(u);
+      if (!parse_value(value, &out->max_retries) || out->max_retries == 0)
+        return false;
     } else if (key == "backoff") {
-      if (!parse_uint(value, &out->backoff_base)) return false;
+      if (!parse_value(value, &out->backoff_base)) return false;
     } else if (key == "cap") {
-      if (!parse_uint(value, &out->backoff_cap)) return false;
+      if (!parse_value(value, &out->backoff_cap)) return false;
     } else if (key == "reset") {
-      if (!parse_uint(value, &out->link_reset_cycles)) return false;
+      if (!parse_value(value, &out->link_reset_cycles)) return false;
     } else if (key == "ecc") {
-      if (!parse_uint(value, &out->ecc_detect_cycles)) return false;
+      if (!parse_value(value, &out->ecc_detect_cycles)) return false;
     } else if (key == "mult") {
-      if (!parse_uint(value, &u) || u == 0) return false;
-      out->straggler_mult = static_cast<unsigned>(u);
+      if (!parse_value(value, &out->straggler_mult) ||
+          out->straggler_mult == 0)
+        return false;
     } else if (key == "window") {
-      if (!parse_uint(value, &out->straggler_window) ||
+      if (!parse_value(value, &out->straggler_window) ||
           out->straggler_window == 0)
         return false;
     } else {
@@ -166,7 +159,6 @@ FaultPlan::FaultPlan(const FaultPlanConfig& config)
       ecc_rng_(mix64(config.seed ^ 0x656363ULL)) {}
 
 FaultPlan::PcieDecision FaultPlan::next_pcie() {
-  common::LockGuard lock(mu_);
   // One draw per transfer regardless of outcome keeps the decision stream
   // aligned across rate changes of OTHER kinds.
   const double r = pcie_rng_.next_double();
@@ -181,13 +173,11 @@ FaultPlan::PcieDecision FaultPlan::next_pcie() {
 }
 
 bool FaultPlan::next_ack_lost() {
-  common::LockGuard lock(mu_);
   return ack_rng_.next_double() < config_.shootdown_ack_rate;
 }
 
 void FaultPlan::select_poison(std::uint64_t capacity_units,
                               std::uint64_t frames_per_unit) {
-  common::LockGuard lock(mu_);
   CMCP_CHECK(frames_per_unit > 0);
   poison_.clear();
   if (config_.poison_frames == 0 || capacity_units == 0) return;
@@ -211,7 +201,6 @@ void FaultPlan::select_poison(std::uint64_t capacity_units,
 }
 
 bool FaultPlan::surfaces_at_alloc(Pfn pfn) {
-  common::LockGuard lock(mu_);
   for (Poison& p : poison_) {
     if (p.pfn != pfn || p.latent || p.surfaced) continue;
     p.surfaced = true;
@@ -221,7 +210,6 @@ bool FaultPlan::surfaces_at_alloc(Pfn pfn) {
 }
 
 bool FaultPlan::surfaces_at_evict(Pfn pfn) {
-  common::LockGuard lock(mu_);
   for (Poison& p : poison_) {
     if (p.pfn != pfn || !p.latent || p.surfaced) continue;
     p.surfaced = true;
@@ -238,7 +226,6 @@ unsigned FaultPlan::straggler_mult_at(CoreId core, Cycles now,
   const std::uint64_t h =
       mix64(config_.seed ^ mix64(0x73747261ULL + core) ^ mix64(window));
   if (unit_double(h) >= config_.straggler_rate) return 1;
-  common::LockGuard lock(mu_);
   if (core >= straggler_emitted_.size())
     straggler_emitted_.resize(core + 1, ~std::uint64_t{0});
   if (straggler_emitted_[core] != window) {
@@ -248,8 +235,9 @@ unsigned FaultPlan::straggler_mult_at(CoreId core, Cycles now,
   return config_.straggler_mult;
 }
 
-void FaultPlan::count(FaultKind kind, Asid asid, std::uint64_t injected,
-                      Cycles recovery_cycles) {
+void FaultPlan::record(FaultKind kind, Asid asid, std::uint64_t injected,
+                       std::uint64_t retries, bool gave_up,
+                       Cycles recovery_cycles) {
   stats_.injected[static_cast<unsigned>(kind)] += injected;
   stats_.recovery_cycles += recovery_cycles;
   if (asid >= stats_.per_asid_faults.size()) {
@@ -258,30 +246,16 @@ void FaultPlan::count(FaultKind kind, Asid asid, std::uint64_t injected,
   }
   stats_.per_asid_faults[asid] += injected;
   stats_.per_asid_recovery[asid] += recovery_cycles;
-}
-
-void FaultPlan::record(FaultKind kind, Asid asid, std::uint64_t injected,
-                       std::uint64_t retries, bool gave_up,
-                       Cycles recovery_cycles) {
-  common::LockGuard lock(mu_);
-  count(kind, asid, injected, recovery_cycles);
   stats_.retries += retries;
   if (gave_up) ++stats_.give_ups;
 }
 
 void FaultPlan::record_quarantine() {
-  common::LockGuard lock(mu_);
   ++stats_.frames_quarantined;
 }
 
 void FaultPlan::record_straggler_cycles(Cycles extra) {
-  common::LockGuard lock(mu_);
   stats_.straggler_cycles += extra;
-}
-
-FaultStats FaultPlan::stats() const {
-  common::LockGuard lock(mu_);
-  return stats_;
 }
 
 }  // namespace cmcp::sim

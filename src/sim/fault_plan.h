@@ -18,11 +18,11 @@
 //
 // Determinism contract: every decision is drawn from seeded per-kind
 // cmcp::Rng streams (or a pure hash of (seed, core, window) for
-// stragglers), all costs are integer virtual cycles, and the engine is
-// single-threaded — so a fixed (workload seed, FaultPlanConfig) pair
-// replays bit-identically, including across `-j` parallel_runner execution
-// where each simulation owns a private plan. No wallclock anywhere
-// (cmcp_lint enforces this repo-wide).
+// stragglers), all costs are integer virtual cycles, and a plan belongs to
+// one simulation on one host thread — so a fixed (workload seed,
+// FaultPlanConfig) pair replays bit-identically, including across `-j`
+// parallel_runner execution where each simulation owns a private plan. No
+// wallclock anywhere (cmcp_lint enforces this repo-wide).
 //
 // The plan only injects; recovery lives where the paper's protocol lives —
 // PcieLink replays transfers, Machine re-sends IPI rounds, AddressSpace /
@@ -35,9 +35,7 @@
 #include <string_view>
 #include <vector>
 
-#include "common/mutex.h"
 #include "common/rng.h"
-#include "common/thread_annotations.h"
 #include "common/types.h"
 
 namespace cmcp::sim {
@@ -122,8 +120,7 @@ struct FaultStats {
   bool operator==(const FaultStats&) const = default;
 };
 
-/// Live injection state for one simulation. Internally synchronized like
-/// PcieLink, although the engine is single-threaded.
+/// Live injection state for one simulation.
 class FaultPlan {
  public:
   explicit FaultPlan(const FaultPlanConfig& config);
@@ -135,41 +132,39 @@ class FaultPlan {
     unsigned failures = 0;  ///< failed attempts before the data lands
     bool sticky = false;    ///< budget exhausted; link reset taken
   };
-  PcieDecision next_pcie() CMCP_EXCLUDES(mu_);
+  PcieDecision next_pcie();
 
   /// One ack-wait decision: true = this round's acknowledgement is lost.
-  bool next_ack_lost() CMCP_EXCLUDES(mu_);
+  bool next_ack_lost();
 
   /// Draw `poison_frames` distinct frame slots from [0, capacity_units).
   /// Each is 50/50 at-allocation vs latent (surfaces on eviction touch).
   /// Called once by the simulation constructor; pfns are slot *
   /// frames_per_unit, matching FrameAllocator's layout.
   void select_poison(std::uint64_t capacity_units,
-                     std::uint64_t frames_per_unit) CMCP_EXCLUDES(mu_);
+                     std::uint64_t frames_per_unit);
 
   /// Does ECC poison surface when data first lands on `pfn`? Consumes the
   /// poison: subsequent calls for the same frame return false.
-  bool surfaces_at_alloc(Pfn pfn) CMCP_EXCLUDES(mu_);
+  bool surfaces_at_alloc(Pfn pfn);
 
   /// Does latent ECC poison surface when the eviction path touches `pfn`?
-  bool surfaces_at_evict(Pfn pfn) CMCP_EXCLUDES(mu_);
+  bool surfaces_at_evict(Pfn pfn);
 
   /// Access-cost multiplier for `core` at virtual time `now` (1 = healthy).
   /// `window_start` is set on the first query of an afflicted (core, window)
   /// pair, so the caller emits exactly one inject event per window. The
   /// decision itself is a pure hash of (seed, core, window index): no state,
   /// no draw-order dependence.
-  unsigned straggler_mult_at(CoreId core, Cycles now, bool* window_start)
-      CMCP_EXCLUDES(mu_);
+  unsigned straggler_mult_at(CoreId core, Cycles now, bool* window_start);
 
   // -- accounting (called by the recovery sites) ----------------------------
   void record(FaultKind kind, Asid asid, std::uint64_t injected,
-              std::uint64_t retries, bool gave_up, Cycles recovery_cycles)
-      CMCP_EXCLUDES(mu_);
-  void record_quarantine() CMCP_EXCLUDES(mu_);
-  void record_straggler_cycles(Cycles extra) CMCP_EXCLUDES(mu_);
+              std::uint64_t retries, bool gave_up, Cycles recovery_cycles);
+  void record_quarantine();
+  void record_straggler_cycles(Cycles extra);
 
-  FaultStats stats() const CMCP_EXCLUDES(mu_);
+  const FaultStats& stats() const { return stats_; }
 
  private:
   struct Poison {
@@ -178,18 +173,14 @@ class FaultPlan {
     bool surfaced = false;  ///< consumed (frame already quarantined)
   };
 
-  void count(FaultKind kind, Asid asid, std::uint64_t injected,
-             Cycles recovery_cycles) CMCP_REQUIRES(mu_);
-
   const FaultPlanConfig config_;
-  mutable common::Mutex mu_;
-  Rng pcie_rng_ CMCP_GUARDED_BY(mu_);
-  Rng ack_rng_ CMCP_GUARDED_BY(mu_);
-  Rng ecc_rng_ CMCP_GUARDED_BY(mu_);
-  std::vector<Poison> poison_ CMCP_GUARDED_BY(mu_);
+  Rng pcie_rng_;
+  Rng ack_rng_;
+  Rng ecc_rng_;
+  std::vector<Poison> poison_;
   /// Last straggler window index a start event was emitted for, per core.
-  std::vector<std::uint64_t> straggler_emitted_ CMCP_GUARDED_BY(mu_);
-  FaultStats stats_ CMCP_GUARDED_BY(mu_);
+  std::vector<std::uint64_t> straggler_emitted_;
+  FaultStats stats_;
 };
 
 }  // namespace cmcp::sim

@@ -32,10 +32,6 @@ Cycles Machine::shootdown(CoreId initiator, Cycles now, const CoreMask& targets,
   const unsigned num_targets = targets.count(mask_words_);
   if (num_targets == 0 || units.empty()) return 0;
 
-  // The invalidation-request slot: every shootdown in the machine holds it,
-  // exactly like the kernel lock the paper measures (section 5.5).
-  common::LockGuard slot(shootdown_mu_);
-
   if (config_.tlb_coherence == TlbCoherence::kHardwareDirectory)
     return hw_invalidate(initiator, now, targets, units);
 
@@ -160,7 +156,6 @@ Cycles Machine::hw_invalidate(CoreId initiator, Cycles now,
 Cycles Machine::shootdown_batch(CoreId initiator, Cycles now,
                                 std::span<const BatchItem> items) {
   if (items.empty()) return 0;
-  common::LockGuard slot(shootdown_mu_);
   CoreMask union_targets;
   for (const BatchItem& item : items) union_targets = union_targets | item.targets;
   union_targets.clear(initiator);
@@ -225,60 +220,48 @@ Cycles Machine::shootdown_batch(CoreId initiator, Cycles now,
   return initiator_cost + extra;
 }
 
-Machine::PcieTransferResult Machine::pcie_transfer(CoreId core, PcieDir dir,
-                                                   Cycles ready_at,
-                                                   std::uint64_t bytes,
-                                                   UnitIdx unit, Asid asid) {
-  PcieTransferResult r;
-  if (faults_ == nullptr) {
-    r.done = pcie_.transfer(dir, ready_at, bytes, &r.queue_wait);
-  } else {
-    const PcieTransferOutcome out =
-        pcie_.transfer_with_faults(dir, ready_at, bytes, *faults_);
-    r.done = out.done;
-    r.queue_wait = out.queue_wait;
-    r.recovery = out.recovery;
-    r.failures = out.failures;
-    r.gave_up = out.gave_up;
-    if (out.failures > 0) {
-      const FaultPlanConfig& fc = faults_->config();
-      const FaultKind kind = out.gave_up ? FaultKind::kPcieSticky
-                                         : FaultKind::kPcieTransient;
-      const auto kind_ord = static_cast<std::uint64_t>(kind);
-      const unsigned retries = out.failures - (out.gave_up ? 1u : 0u);
-      metrics::CoreCounters& ctr = counters_[core];
-      ctr.faults_injected += out.failures;
-      ctr.fault_retries += retries;
-      if (out.gave_up) ++ctr.fault_give_ups;
-      ctr.cycles_recovery += out.recovery;
-      if (trace_ != nullptr) {
-        Cycles t = out.start;
-        for (unsigned attempt = 1; attempt <= out.failures; ++attempt) {
-          trace_->emit({trace::EventKind::kFaultInject, core, t,
-                        out.attempt_cost, unit, kind_ord, attempt, 0, asid});
-          t += out.attempt_cost;
-          if (out.gave_up && attempt == out.failures) {
-            trace_->emit({trace::EventKind::kFaultGiveUp, core, t,
-                          fc.link_reset_cycles, unit, kind_ord, attempt, 0,
-                          asid});
-            t += fc.link_reset_cycles;
-          } else {
-            const Cycles wait = fc.backoff(attempt);
-            trace_->emit({trace::EventKind::kFaultRetry, core, t, wait, unit,
-                          kind_ord, attempt, wait, asid});
-            t += wait;
-          }
+PcieTransferOutcome Machine::pcie_transfer(CoreId core, PcieDir dir,
+                                           Cycles ready_at, std::uint64_t bytes,
+                                           UnitIdx unit, Asid asid) {
+  const PcieTransferOutcome out = pcie_.transfer(dir, ready_at, bytes, faults_);
+  if (out.failures > 0) {
+    const FaultPlanConfig& fc = faults_->config();
+    const FaultKind kind =
+        out.gave_up ? FaultKind::kPcieSticky : FaultKind::kPcieTransient;
+    const auto kind_ord = static_cast<std::uint64_t>(kind);
+    const unsigned retries = out.failures - (out.gave_up ? 1u : 0u);
+    metrics::CoreCounters& ctr = counters_[core];
+    ctr.faults_injected += out.failures;
+    ctr.fault_retries += retries;
+    if (out.gave_up) ++ctr.fault_give_ups;
+    ctr.cycles_recovery += out.recovery;
+    if (trace_ != nullptr) {
+      Cycles t = out.start;
+      for (unsigned attempt = 1; attempt <= out.failures; ++attempt) {
+        trace_->emit({trace::EventKind::kFaultInject, core, t,
+                      out.attempt_cost, unit, kind_ord, attempt, 0, asid});
+        t += out.attempt_cost;
+        if (out.gave_up && attempt == out.failures) {
+          trace_->emit({trace::EventKind::kFaultGiveUp, core, t,
+                        fc.link_reset_cycles, unit, kind_ord, attempt, 0,
+                        asid});
+          t += fc.link_reset_cycles;
+        } else {
+          const Cycles wait = fc.backoff(attempt);
+          trace_->emit({trace::EventKind::kFaultRetry, core, t, wait, unit,
+                        kind_ord, attempt, wait, asid});
+          t += wait;
         }
       }
-      faults_->record(kind, asid, out.failures, retries, out.gave_up,
-                      out.recovery);
     }
+    faults_->record(kind, asid, out.failures, retries, out.gave_up,
+                    out.recovery);
   }
   if (trace_ != nullptr)
     trace_->emit({trace::EventKind::kPcieTransfer, core, ready_at,
-                  r.done - ready_at, unit, static_cast<std::uint64_t>(dir),
-                  bytes, r.queue_wait, asid});
-  return r;
+                  out.done - ready_at, unit, static_cast<std::uint64_t>(dir),
+                  bytes, out.queue_wait, asid});
+  return out;
 }
 
 metrics::CoreCounters Machine::aggregate_app_counters() const {

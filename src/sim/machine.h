@@ -5,16 +5,17 @@
 // hyperthread the paper uses for LRU's access-bit scanner: it has a clock and
 // counters but never runs application work, so scanning consumes no
 // application compute time — only its shootdowns disturb the app cores.
+//
+// A Machine belongs to one Simulation and runs on one host thread. The
+// paper's serialized invalidation-request slot (section 5.5) is modelled
+// in virtual time by the Interconnect, not by a host lock.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
-#include "common/assert.h"
 #include "common/core_mask.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "common/types.h"
 #include "metrics/counters.h"
 #include "sim/cost_model.h"
@@ -83,20 +84,7 @@ class Machine {
   const metrics::CoreCounters& counters(CoreId core) const { return counters_[core]; }
 
   PcieLink& pcie() { return pcie_; }
-  /// Quiescent-phase accessor (post-run introspection): the interconnect is
-  /// guarded by `shootdown_mu_` while shootdowns run. Asserts quiescence
-  /// instead of trusting the caller — the engine brackets its run with
-  /// set_engine_running(), so a mid-run call aborts deterministically.
-  Interconnect& interconnect() CMCP_NO_THREAD_SAFETY_ANALYSIS {
-    CMCP_CHECK_MSG(!engine_running_,
-                   "interconnect() is a quiescent-phase accessor; while the "
-                   "engine runs the interconnect is guarded by shootdown_mu_");
-    return interconnect_;
-  }
-
-  /// Engine entry/exit bracket for the quiescent-phase assertions above.
-  /// Only the engine's coordinator thread calls this.
-  void set_engine_running(bool running) { engine_running_ = running; }
+  Interconnect& interconnect() { return interconnect_; }
 
   /// Attach/detach the structured event sink. Null (the default) disables
   /// tracing; every emit point is then a single pointer test.
@@ -111,18 +99,10 @@ class Machine {
 
   /// One PCIe transfer routed through the fault plan (when attached),
   /// emitting the kPcieTransfer trace event plus any fault/retry/give-up
-  /// events. With no plan this is exactly pcie().transfer() + the same
-  /// event the call sites used to emit inline — byte-identical traces.
-  struct PcieTransferResult {
-    Cycles done = 0;
-    Cycles queue_wait = 0;
-    Cycles recovery = 0;    ///< extra cycles the fault path cost
-    unsigned failures = 0;  ///< injected failures (0 = clean transfer)
-    bool gave_up = false;
-  };
-  PcieTransferResult pcie_transfer(CoreId core, PcieDir dir, Cycles ready_at,
-                                   std::uint64_t bytes, UnitIdx unit,
-                                   Asid asid);
+  /// events and charging `core` the fault counters.
+  PcieTransferOutcome pcie_transfer(CoreId core, PcieDir dir, Cycles ready_at,
+                                    std::uint64_t bytes, UnitIdx unit,
+                                    Asid asid);
 
   /// Perform a remote TLB shootdown of `units` on all cores in `targets`
   /// (the initiator must not be in the mask). Invalidates the receivers'
@@ -130,7 +110,7 @@ class Machine {
   /// cycles consumed at the initiator, which the caller adds to its clock.
   /// Also fills the initiator's shootdown/lock-wait counters.
   Cycles shootdown(CoreId initiator, Cycles now, const CoreMask& targets,
-                   std::span<const UnitIdx> units) CMCP_EXCLUDES(shootdown_mu_);
+                   std::span<const UnitIdx> units);
 
   /// Batched shootdown: one slot acquisition and one IPI round for several
   /// (unit, mapping-cores) pairs — how the access-bit scanner flushes a run
@@ -142,8 +122,7 @@ class Machine {
     CoreMask targets;
   };
   Cycles shootdown_batch(CoreId initiator, Cycles now,
-                         std::span<const BatchItem> items)
-      CMCP_EXCLUDES(shootdown_mu_);
+                         std::span<const BatchItem> items);
 
   /// Aggregate counters over application cores (excludes the scanner).
   metrics::CoreCounters aggregate_app_counters() const;
@@ -165,8 +144,7 @@ class Machine {
 
   /// Directed invalidation via the hypothetical TLB directory hardware.
   Cycles hw_invalidate(CoreId initiator, Cycles now, const CoreMask& targets,
-                       std::span<const UnitIdx> units)
-      CMCP_REQUIRES(shootdown_mu_);
+                       std::span<const UnitIdx> units);
 
   /// Lost-acknowledgement injection for one completed IPI round. Each lost
   /// ack costs the initiator an exponential-backoff timeout plus a re-sent
@@ -175,15 +153,13 @@ class Machine {
   /// directly. Returns the extra initiator cycles. Runs with the slot held
   /// (it models the initiator still occupying the invalidation request).
   Cycles inject_ack_faults(CoreId initiator, Cycles ack_time,
-                           const CoreMask& targets, UnitIdx unit, Asid asid)
-      CMCP_REQUIRES(shootdown_mu_);
+                           const CoreMask& targets, UnitIdx unit, Asid asid);
 
   MachineConfig config_;
-  // Per-core state (clocks, TLBs, counters) is sharded by core id.
-  // Shootdowns are the one path that mutates *other* cores' shards — which
-  // is why the whole shootdown protocol serializes on `shootdown_mu_` below,
-  // the lock modelling the kernel's invalidation-request slot (paper
-  // section 5.5).
+  // Per-core state (clocks, TLBs, counters) is indexed by core id.
+  // Shootdowns are the one path that mutates *other* cores' state; their
+  // serialization on the kernel's invalidation-request slot (paper section
+  // 5.5) is modelled in virtual time by `interconnect_`.
   std::vector<Cycles> clocks_;
   /// ceil(total_cores()/64): live word count for CoreMask scans on the
   /// shootdown path — target masks can never have bits past the machine's
@@ -194,14 +170,10 @@ class Machine {
   /// Core -> owning address space, for tagging machine-level trace events.
   /// Written during setup, read-only while the engine runs.
   std::vector<Asid> core_space_;
-  PcieLink pcie_;  ///< internally synchronized (see pcie_link.h)
-  mutable common::Mutex shootdown_mu_;
-  Interconnect interconnect_ CMCP_GUARDED_BY(shootdown_mu_);
+  PcieLink pcie_;
+  Interconnect interconnect_;
   trace::EventSink* trace_ = nullptr;  ///< non-owning; null = disabled
   FaultPlan* faults_ = nullptr;        ///< non-owning; null = perfect machine
-  /// True between the engine's set_engine_running(true/false) bracket;
-  /// written only by the coordinator thread.
-  bool engine_running_ = false;
 };
 
 }  // namespace cmcp::sim

@@ -6,42 +6,28 @@
 
 namespace cmcp::sim {
 
-Cycles PcieLink::transfer(PcieDir dir, Cycles ready_at, std::uint64_t bytes,
-                          Cycles* queue_wait) {
-  common::LockGuard lock(mu_);
-  const int d = static_cast<int>(dir);
-  const Cycles start = std::max(ready_at, busy_until_[d]);
-  if (queue_wait != nullptr) *queue_wait = start - ready_at;
-  const Cycles done = start + cost_->pcie_setup + cost_->pcie_transfer_cycles(bytes);
-  busy_until_[d] = done;
-  bytes_[d] += bytes;
-  ++transfers_[d];
-  return done;
-}
-
-PcieTransferOutcome PcieLink::transfer_with_faults(PcieDir dir,
-                                                   Cycles ready_at,
-                                                   std::uint64_t bytes,
-                                                   FaultPlan& plan) {
-  // Draw the decision before taking the channel mutex (plan has its own).
-  const FaultPlan::PcieDecision decision = plan.next_pcie();
-  const FaultPlanConfig& fc = plan.config();
-  common::LockGuard lock(mu_);
+PcieTransferOutcome PcieLink::transfer(PcieDir dir, Cycles ready_at,
+                                       std::uint64_t bytes, FaultPlan* plan) {
   const int d = static_cast<int>(dir);
   PcieTransferOutcome out;
   out.start = std::max(ready_at, busy_until_[d]);
   out.queue_wait = out.start - ready_at;
   out.attempt_cost = cost_->pcie_setup + cost_->pcie_transfer_cycles(bytes);
-  out.failures = decision.failures;
-  out.gave_up = decision.sticky;
   Cycles t = out.start;
-  for (unsigned attempt = 1; attempt <= out.failures; ++attempt) {
-    t += out.attempt_cost;  // the failed attempt still occupied the channel
-    // After the final sticky failure the initiator gives up on retrying and
-    // resets the link; otherwise it backs off exponentially and replays.
-    t += (out.gave_up && attempt == out.failures) ? fc.link_reset_cycles
-                                                  : fc.backoff(attempt);
-    bytes_[d] += bytes;  // junk bytes of the failed attempt
+  if (plan != nullptr) {
+    const FaultPlan::PcieDecision decision = plan->next_pcie();
+    const FaultPlanConfig& fc = plan->config();
+    out.failures = decision.failures;
+    out.gave_up = decision.sticky;
+    for (unsigned attempt = 1; attempt <= out.failures; ++attempt) {
+      t += out.attempt_cost;  // the failed attempt still occupied the channel
+      // After the final sticky failure the initiator gives up on retrying
+      // and resets the link; otherwise it backs off exponentially and
+      // replays.
+      t += (out.gave_up && attempt == out.failures) ? fc.link_reset_cycles
+                                                    : fc.backoff(attempt);
+      bytes_[d] += bytes;  // junk bytes of the failed attempt
+    }
   }
   t += out.attempt_cost;  // the attempt that lands
   bytes_[d] += bytes;
@@ -50,13 +36,6 @@ PcieTransferOutcome PcieLink::transfer_with_faults(PcieDir dir,
   out.done = t;
   out.recovery = out.done - (out.start + out.attempt_cost);
   return out;
-}
-
-void PcieLink::reset() {
-  common::LockGuard lock(mu_);
-  busy_until_[0] = busy_until_[1] = 0;
-  bytes_[0] = bytes_[1] = 0;
-  transfers_[0] = transfers_[1] = 0;
 }
 
 }  // namespace cmcp::sim

@@ -27,8 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
 #include "common/types.h"
 
 namespace cmcp::sim::trace {
@@ -81,39 +79,18 @@ struct Event {
 
 /// Flat, append-only event buffer. A null `EventSink*` is the disabled
 /// ("null sink") state: emit points guard on the pointer and cost one
-/// predictable branch.
-///
-/// Emission is internally synchronized: emitters may call emit()
-/// concurrently without corrupting the buffer, though the engine emits
-/// from one thread. Read-side accessors are quiescent-phase only — export
-/// after the run, when no emitter is live. Concurrent emission is
-/// memory-safe but its interleaving is not deterministic.
+/// predictable branch. A sink belongs to one run: its engine emits and the
+/// exporters read, on the same host thread.
 class EventSink {
  public:
   EventSink() { events_.reserve(kInitialCapacity); }
 
-  void emit(const Event& event) CMCP_EXCLUDES(mu_) {
-    common::LockGuard lock(mu_);
-    events_.push_back(event);
-  }
+  void emit(const Event& event) { events_.push_back(event); }
 
-  /// Quiescent-phase accessor: hands out a reference to the guarded buffer,
-  /// valid only once every emitter has finished (exporters run post-run).
-  const std::vector<Event>& events() const CMCP_NO_THREAD_SAFETY_ANALYSIS {
-    return events_;
-  }
-  std::size_t size() const CMCP_EXCLUDES(mu_) {
-    common::LockGuard lock(mu_);
-    return events_.size();
-  }
-  bool empty() const CMCP_EXCLUDES(mu_) {
-    common::LockGuard lock(mu_);
-    return events_.empty();
-  }
-  void clear() CMCP_EXCLUDES(mu_) {
-    common::LockGuard lock(mu_);
-    events_.clear();
-  }
+  const std::vector<Event>& events() const { return events_; }
+  std::size_t size() const { return events_.size(); }
+  bool empty() const { return events_.empty(); }
+  void clear() { events_.clear(); }
 
   /// Number of application cores, set by the simulation when the sink is
   /// attached; fixes the track layout (scanner/PCIe/slot tracks follow).
@@ -136,8 +113,7 @@ class EventSink {
 
  private:
   static constexpr std::size_t kInitialCapacity = 4096;
-  mutable common::Mutex mu_;
-  std::vector<Event> events_ CMCP_GUARDED_BY(mu_);
+  std::vector<Event> events_;
   /// Set once when the sink is attached, before any emitter runs.
   unsigned num_app_cores_ = 0;
   unsigned num_spaces_ = 1;

@@ -164,6 +164,15 @@ TEST(CmcpLint, StrayThreadSanctionsOnlyTheParallelRunner) {
   EXPECT_EQ(count_by_rule(lint_source("src/common/thread_pool.cpp",
                                       src))["stray-thread"],
             2);
+  // The annotated lock is the runner's too: a simulation runs on one host
+  // thread, so a common::Mutex anywhere else in the core fires.
+  const std::string lock =
+      "common::Mutex mu_; void f() { common::LockGuard g(mu_); }";
+  EXPECT_TRUE(lint_source("src/metrics/parallel_runner.cpp", lock).empty());
+  EXPECT_TRUE(lint_source("src/common/mutex.h", lock).empty());
+  EXPECT_EQ(
+      count_by_rule(lint_source("src/sim/machine.h", lock))["stray-thread"],
+      2);
 }
 
 // ---------------------------------------------------------------------------

@@ -54,6 +54,29 @@ TEST(FaultPlanConfig, SpecRoundTripsThroughParse) {
   EXPECT_EQ(parsed.max_retries, 4u);
   EXPECT_EQ(parsed.backoff_base, 1000u);
   EXPECT_EQ(parsed.straggler_window, 500'000u);
+
+  // Every spec parse accepts re-parses from its own to_spec() to the same
+  // spec, so a trace header always reproduces the schedule it came from.
+  const char* kSpecs[] = {
+      "",
+      "seed=77,pcie=0.02,sticky=0.005,ack=0.02,straggler=0.05",
+      "seed=101,pcie=0.05,sticky=0.01,ack=0.05,poison=0,straggler=0",
+      "seed=202,pcie=0,sticky=0,ack=0,poison=3,straggler=0.25",
+      "seed=7,pcie=0.01,poison=2,ack=0.02",
+      "seed=18446744073709551615,poison=18446744073709551615",
+      "retries=4294967295,mult=4294967295,window=1,backoff=0,cap=0",
+      "pcie=1,ack=0,straggler=1e-3",
+      "retries=4294967296",
+      "mult=4294967296",
+      "seed=18446744073709551617",
+  };
+  for (const char* text : kSpecs) {
+    FaultPlanConfig first;
+    if (!FaultPlanConfig::parse(text, &first)) continue;
+    FaultPlanConfig second;
+    ASSERT_TRUE(FaultPlanConfig::parse(first.to_spec(), &second)) << text;
+    EXPECT_EQ(second.to_spec(), first.to_spec()) << text;
+  }
 }
 
 TEST(FaultPlanConfig, DefaultKnobsAreOmittedFromSpec) {
@@ -72,6 +95,15 @@ TEST(FaultPlanConfig, ParseRejectsGarbage) {
   EXPECT_FALSE(FaultPlanConfig::parse("seed=", &out));
   EXPECT_FALSE(FaultPlanConfig::parse("retries=0", &out));
   EXPECT_FALSE(FaultPlanConfig::parse(",,", &out));
+  // Out-of-range integers must not wrap (mult=0 and retries=0 are invalid;
+  // a wrapped seed or poison count silently changes the schedule).
+  EXPECT_FALSE(FaultPlanConfig::parse("mult=4294967296", &out));
+  EXPECT_FALSE(FaultPlanConfig::parse("retries=4294967296", &out));
+  EXPECT_FALSE(FaultPlanConfig::parse("seed=18446744073709551617", &out));
+  EXPECT_FALSE(FaultPlanConfig::parse("poison=18446744073709551616", &out));
+  // Rates are finite numbers with nothing around them.
+  EXPECT_FALSE(FaultPlanConfig::parse("pcie=nan", &out));
+  EXPECT_FALSE(FaultPlanConfig::parse("ack= 0.5", &out));
   // The empty spec is the default (disabled) plan.
   EXPECT_TRUE(FaultPlanConfig::parse("", &out));
   EXPECT_FALSE(out.enabled());
@@ -210,20 +242,19 @@ class FaultyPcieTest : public ::testing::Test {
 };
 
 TEST_F(FaultyPcieTest, ZeroFailureOutcomeMatchesPlainTransfer) {
-  // With rates at zero the fault-aware path must be arithmetic-identical to
-  // transfer(): same completion time, same queueing, same byte counters.
+  // A disabled plan must be arithmetic-identical to a null plan: same
+  // completion time, same queueing, same byte counters.
   FaultPlanConfig config;  // disabled; next_pcie always returns healthy
   FaultPlan plan(config);
   PcieLink faulty(cost);
   PcieLink plain(cost);
-  Cycles wait = 0;
   for (int i = 0; i < 5; ++i) {
-    const Cycles expected =
-        plain.transfer(PcieDir::kHostToDevice, 100 * i, 4096, &wait);
+    const PcieTransferOutcome expected =
+        plain.transfer(PcieDir::kHostToDevice, 100 * i, 4096, nullptr);
     const PcieTransferOutcome out =
-        faulty.transfer_with_faults(PcieDir::kHostToDevice, 100 * i, 4096, plan);
-    EXPECT_EQ(out.done, expected);
-    EXPECT_EQ(out.queue_wait, wait);
+        faulty.transfer(PcieDir::kHostToDevice, 100 * i, 4096, &plan);
+    EXPECT_EQ(out.done, expected.done);
+    EXPECT_EQ(out.queue_wait, expected.queue_wait);
     EXPECT_EQ(out.failures, 0u);
     EXPECT_FALSE(out.gave_up);
     EXPECT_EQ(out.recovery, 0u);
@@ -240,7 +271,7 @@ TEST_F(FaultyPcieTest, TransientFailurePaysOneAttemptAndBackoff) {
   FaultPlan plan(config);
   PcieLink link(cost);
   const PcieTransferOutcome out =
-      link.transfer_with_faults(PcieDir::kHostToDevice, 0, 4096, plan);
+      link.transfer(PcieDir::kHostToDevice, 0, 4096, &plan);
   const Cycles attempt = cost.pcie_setup + cost.pcie_transfer_cycles(4096);
   EXPECT_EQ(out.failures, 1u);
   EXPECT_FALSE(out.gave_up);
@@ -259,7 +290,7 @@ TEST_F(FaultyPcieTest, StickyFailureResetsLinkAndStillDelivers) {
   FaultPlan plan(config);
   PcieLink link(cost);
   const PcieTransferOutcome out =
-      link.transfer_with_faults(PcieDir::kDeviceToHost, 0, 4096, plan);
+      link.transfer(PcieDir::kDeviceToHost, 0, 4096, &plan);
   const Cycles attempt = cost.pcie_setup + cost.pcie_transfer_cycles(4096);
   EXPECT_EQ(out.failures, 3u);
   EXPECT_TRUE(out.gave_up);

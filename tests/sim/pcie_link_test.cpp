@@ -12,64 +12,55 @@ class PcieLinkTest : public ::testing::Test {
 
 TEST_F(PcieLinkTest, TransferTimeMatchesBandwidth) {
   PcieLink link(cost);
-  Cycles wait = 0;
-  const Cycles done = link.transfer(PcieDir::kHostToDevice, 0, 4096, &wait);
-  EXPECT_EQ(wait, 0u);
+  const PcieTransferOutcome out =
+      link.transfer(PcieDir::kHostToDevice, 0, 4096, nullptr);
+  EXPECT_EQ(out.queue_wait, 0u);
   // 4 kB at 6 GB/s = ~683 ns = ~719 cycles at 1.053 GHz, plus setup.
   const Cycles expected = cost.pcie_setup + cost.pcie_transfer_cycles(4096);
-  EXPECT_EQ(done, expected);
+  EXPECT_EQ(out.done, expected);
   EXPECT_NEAR(static_cast<double>(cost.pcie_transfer_cycles(4096)), 718.0, 2.0);
 }
 
 TEST_F(PcieLinkTest, BackToBackTransfersQueue) {
   PcieLink link(cost);
-  Cycles wait = 0;
-  const Cycles first = link.transfer(PcieDir::kHostToDevice, 0, 4096, &wait);
-  const Cycles second = link.transfer(PcieDir::kHostToDevice, 0, 4096, &wait);
-  EXPECT_EQ(wait, first);          // queued behind the first transfer
-  EXPECT_EQ(second, 2 * first);    // serialized occupancy
+  const Cycles first =
+      link.transfer(PcieDir::kHostToDevice, 0, 4096, nullptr).done;
+  const PcieTransferOutcome second =
+      link.transfer(PcieDir::kHostToDevice, 0, 4096, nullptr);
+  EXPECT_EQ(second.queue_wait, first);  // queued behind the first transfer
+  EXPECT_EQ(second.done, 2 * first);    // serialized occupancy
 }
 
 TEST_F(PcieLinkTest, DirectionsAreIndependent) {
   PcieLink link(cost);
-  Cycles wait = 0;
-  link.transfer(PcieDir::kHostToDevice, 0, 1 << 20, &wait);
-  const Cycles up = link.transfer(PcieDir::kDeviceToHost, 0, 4096, &wait);
-  EXPECT_EQ(wait, 0u);  // full duplex: no queueing across directions
-  EXPECT_EQ(up, cost.pcie_setup + cost.pcie_transfer_cycles(4096));
+  link.transfer(PcieDir::kHostToDevice, 0, 1 << 20, nullptr);
+  const PcieTransferOutcome up =
+      link.transfer(PcieDir::kDeviceToHost, 0, 4096, nullptr);
+  EXPECT_EQ(up.queue_wait, 0u);  // full duplex: no queueing across directions
+  EXPECT_EQ(up.done, cost.pcie_setup + cost.pcie_transfer_cycles(4096));
 }
 
 TEST_F(PcieLinkTest, LateArrivalDoesNotQueue) {
   PcieLink link(cost);
-  Cycles wait = 0;
-  const Cycles first = link.transfer(PcieDir::kHostToDevice, 0, 4096, &wait);
+  const Cycles first =
+      link.transfer(PcieDir::kHostToDevice, 0, 4096, nullptr).done;
   const Cycles start = first + 1000;
-  const Cycles done = link.transfer(PcieDir::kHostToDevice, start, 4096, &wait);
-  EXPECT_EQ(wait, 0u);
-  EXPECT_EQ(done, start + cost.pcie_setup + cost.pcie_transfer_cycles(4096));
+  const PcieTransferOutcome late =
+      link.transfer(PcieDir::kHostToDevice, start, 4096, nullptr);
+  EXPECT_EQ(late.queue_wait, 0u);
+  EXPECT_EQ(late.done,
+            start + cost.pcie_setup + cost.pcie_transfer_cycles(4096));
 }
 
 TEST_F(PcieLinkTest, CountsBytesAndTransfers) {
   PcieLink link(cost);
-  Cycles wait = 0;
-  link.transfer(PcieDir::kHostToDevice, 0, 4096, &wait);
-  link.transfer(PcieDir::kHostToDevice, 0, 65536, &wait);
-  link.transfer(PcieDir::kDeviceToHost, 0, 4096, &wait);
+  link.transfer(PcieDir::kHostToDevice, 0, 4096, nullptr);
+  link.transfer(PcieDir::kHostToDevice, 0, 65536, nullptr);
+  link.transfer(PcieDir::kDeviceToHost, 0, 4096, nullptr);
   EXPECT_EQ(link.bytes_moved(PcieDir::kHostToDevice), 4096u + 65536u);
   EXPECT_EQ(link.bytes_moved(PcieDir::kDeviceToHost), 4096u);
   EXPECT_EQ(link.transfers(PcieDir::kHostToDevice), 2u);
   EXPECT_EQ(link.transfers(PcieDir::kDeviceToHost), 1u);
-}
-
-TEST_F(PcieLinkTest, ResetClearsState) {
-  PcieLink link(cost);
-  Cycles wait = 0;
-  link.transfer(PcieDir::kHostToDevice, 0, 4096, &wait);
-  link.reset();
-  EXPECT_EQ(link.bytes_moved(PcieDir::kHostToDevice), 0u);
-  const Cycles done = link.transfer(PcieDir::kHostToDevice, 0, 4096, &wait);
-  EXPECT_EQ(wait, 0u);
-  EXPECT_EQ(done, cost.pcie_setup + cost.pcie_transfer_cycles(4096));
 }
 
 TEST_F(PcieLinkTest, LargerPagesMoveProportionallyMoreData) {
