@@ -48,7 +48,7 @@ void BM_PsptMapUnmap(benchmark::State& state) {
   mm::Pspt pt(cores);
   UnitIdx u = 0;
   for (auto _ : state) {
-    for (CoreId c = 0; c < cores; ++c) pt.map(c, u, u * 8);
+    for (CoreId c = 0; c < cores; ++c) pt.map(c, u);
     benchmark::DoNotOptimize(pt.core_map_count(u));
     pt.unmap_all(u);
     u = (u + 1) % kUnitSpace;
@@ -60,7 +60,7 @@ void BM_RegularMapUnmap(benchmark::State& state) {
   mm::RegularPageTable pt(56);
   UnitIdx u = 0;
   for (auto _ : state) {
-    pt.map(0, u, u * 8);
+    pt.map(0, u);
     pt.unmap_all(u);
     u = (u + 1) % kUnitSpace;
   }
@@ -79,7 +79,8 @@ BENCHMARK(BM_CoreMaskForEach)->Arg(2)->Arg(56);
 
 void BM_FifoInsertEvict(benchmark::State& state) {
   policy::FifoPolicy policy;
-  testing::PageFactory pages;
+  testing::FakePolicyHost host(1024, 56);
+  testing::PageFactory pages(host);
   std::vector<mm::ResidentPage*> resident;
   for (UnitIdx u = 0; u < 1024; ++u) {
     resident.push_back(&pages.make(u));
@@ -103,7 +104,7 @@ void BM_CmcpInsertEvict(benchmark::State& state) {
   policy::CmcpConfig config;
   config.p = 0.4;
   policy::CmcpPolicy policy(host, config);
-  testing::PageFactory pages;
+  testing::PageFactory pages(host);
   Rng rng(1);
   for (UnitIdx u = 0; u < 1024; ++u)
     policy.on_insert(pages.make(u, 1 + rng.next_below(8)));
@@ -126,7 +127,7 @@ void BM_CmcpAgingTick(benchmark::State& state) {
   config.p = 1.0;
   config.age_limit_ticks = 4;
   policy::CmcpPolicy policy(host, config);
-  testing::PageFactory pages;
+  testing::PageFactory pages(host);
   Rng rng(2);
   for (UnitIdx u = 0; u < 4096; ++u)
     policy.on_insert(pages.make(u, 1 + rng.next_below(8)));
@@ -137,7 +138,8 @@ BENCHMARK(BM_CmcpAgingTick);
 
 void BM_LruScanEvent(benchmark::State& state) {
   policy::LruApproxPolicy policy;
-  testing::PageFactory pages;
+  testing::FakePolicyHost host(1024, 56);
+  testing::PageFactory pages(host);
   std::vector<mm::ResidentPage*> resident;
   for (UnitIdx u = 0; u < 1024; ++u) {
     resident.push_back(&pages.make(u));

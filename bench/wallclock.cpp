@@ -215,7 +215,7 @@ PhaseResult micro_pte_walk(std::uint64_t iters) {
   constexpr CoreId kCores = 56;
   constexpr UnitIdx kUnits = 1 << 15;
   mm::Pspt pt(kCores);
-  for (UnitIdx u = 0; u < kUnits; ++u) pt.map(u % kCores, u, u * 16);
+  for (UnitIdx u = 0; u < kUnits; ++u) pt.map(u % kCores, u);
   PhaseResult r;
   const auto t0 = Clock::now();
   std::uint64_t mapped = 0;
@@ -266,8 +266,8 @@ PhaseResult micro_scan_sweep(std::uint64_t sweeps) {
   mm::Pspt pt(kCores);
   mm::PageRegistry reg;
   for (UnitIdx u = 0; u < kUnits; ++u) {
-    pt.map(u % kCores, u, u * 16);
-    if (u % 3 == 0) pt.map((u + 1) % kCores, u, u * 16);
+    pt.map(u % kCores, u);
+    if (u % 3 == 0) pt.map((u + 1) % kCores, u);
     reg.insert(u, u * 16, /*now=*/0);
     if ((u & 7) != 0) pt.mark_accessed(u % kCores, u);
   }

@@ -53,7 +53,7 @@ class WeightedCmcpPolicy final : public policy::ReplacementPolicy {
   std::uint32_t weight(const mm::ResidentPage& page) const {
     // 2 points per mapping core; like CMCP, this uses only PSPT-provided
     // knowledge — no accessed bits, hence no scanning shootdowns ever.
-    const std::uint32_t w = 2 * page.core_map_count;
+    const std::uint32_t w = 2 * host_.core_map_count(page);
     return std::min<std::uint32_t>(w, static_cast<std::uint32_t>(buckets_.size() - 1));
   }
 

@@ -1,7 +1,6 @@
 #include "check/invariant_checkers.h"
 
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -16,10 +15,10 @@ using sim::CheckPoint;
 using sim::CheckViolation;
 
 /// PSPT consistency (paper section 2.3): for every resident unit the
-/// directory's core-map count, the mapping-core mask, the per-core private
-/// PTEs, and the ResidentPage's cached count must all agree — CMCP's whole
-/// priority signal is this number. One instance per address space (each
-/// space owns its own table and registry).
+/// directory's core-map count, the mapping-core mask and the per-core
+/// private PTEs must all agree — CMCP's whole priority signal is this
+/// number. One instance per address space (each space owns its own table
+/// and registry).
 class PsptConsistencyChecker final : public sim::Checker {
  public:
   PsptConsistencyChecker(const core::AddressSpace& space, std::string name)
@@ -47,12 +46,6 @@ class PsptConsistencyChecker final : public sim::Checker {
                            " != mapping-mask population " +
                            std::to_string(population),
                        pg.unit, kInvalidCore});
-      if (pg.core_map_count != count)
-        out.push_back({std::string(name()), "cached-count",
-                       "ResidentPage::core_map_count " +
-                           std::to_string(pg.core_map_count) +
-                           " != page-table count " + std::to_string(count),
-                       pg.unit, kInvalidCore});
       if (pt.any_mapping(pg.unit) != (count > 0))
         out.push_back({std::string(name()), "any-mapping",
                        "any_mapping() disagrees with core_map_count()",
@@ -63,11 +56,6 @@ class PsptConsistencyChecker final : public sim::Checker {
                          "mapping mask names a core with no private PTE",
                          pg.unit, core});
       });
-      if (count > 0 && pt.pfn_of(pg.unit) != pg.pfn)
-        out.push_back({std::string(name()), "pfn-mismatch",
-                       "page-table pfn " + std::to_string(pt.pfn_of(pg.unit)) +
-                           " != registry pfn " + std::to_string(pg.pfn),
-                       pg.unit, kInvalidCore});
     });
     // Dangling-translation sweep: every mapped unit must be resident, so
     // the table may not hold more units than the registry accounts for.
@@ -131,21 +119,67 @@ class TlbConsistencyChecker final : public sim::Checker {
   const sim::Machine& machine_;
 };
 
-/// Frame accounting: the allocator's in-use count must equal the number of
-/// resident pages across every address space (each holds exactly one
-/// frame), and no two resident pages — of any space — may share a frame. A
-/// double-free or double-allocate here corrupts every downstream figure.
-class FrameRefcountChecker final : public sim::Checker {
+/// Frame table (the coremap, docs/invariants.md): every resident page's
+/// coremap entry must name {its space, its unit, resident}, and the
+/// coremap's state tallies must match the allocator's counters — free,
+/// quarantined and per-space in use — and each space's resident set. With
+/// the page -> entry match this makes resident pages and resident frames a
+/// bijection: no frame is aliased, mis-owned, leaked or quarantined while
+/// resident. The partition must also have seen the current usable capacity
+/// (the MemoryManager::on_frames_quarantined hook fired). The partition's
+/// floors and targets are computed from these counters, and a frame
+/// leaking out of quarantine re-exposes the ECC poison it contains.
+class FrameTableChecker final : public sim::Checker {
  public:
-  explicit FrameRefcountChecker(const core::MemoryManager& mm) : mm_(mm) {}
+  explicit FrameTableChecker(const core::MemoryManager& mm) : mm_(mm) {}
 
-  std::string_view name() const override { return "frame-refcount"; }
+  std::string_view name() const override { return "frame-table"; }
 
   void check(CheckPoint /*point*/, std::vector<CheckViolation>& out) override {
     const mm::FrameAllocator& alloc = mm_.allocator();
+    const Asid spaces = mm_.num_spaces();
+    resident_by_.assign(spaces, 0);
+    std::uint64_t free = 0;
+    std::uint64_t quarantined = 0;
+    for (const mm::Frame& f : alloc.frames()) {
+      if (f.state == mm::FrameState::kFree)
+        ++free;
+      else if (f.state == mm::FrameState::kQuarantined)
+        ++quarantined;
+      else if (f.owner < spaces)
+        ++resident_by_[f.owner];
+    }
+    const auto tally = [&](const char* kind, const std::string& what,
+                           std::uint64_t entries, std::uint64_t counter) {
+      if (entries != counter)
+        out.push_back({std::string(name()), kind,
+                       "coremap holds " + std::to_string(entries) + " " +
+                           what + " frames but the allocator counts " +
+                           std::to_string(counter),
+                       kInvalidUnit, kInvalidCore});
+    };
+    tally("free-crossfoot", "free", free, alloc.free_count());
+    tally("quarantine-crossfoot", "quarantined", quarantined,
+          alloc.quarantined_count());
+
     std::uint64_t resident_total = 0;
-    for (Asid s = 0; s < mm_.num_spaces(); ++s)
-      resident_total += mm_.space(s).registry().size();
+    for (Asid s = 0; s < spaces; ++s) {
+      const mm::PageRegistry& registry = mm_.space(s).registry();
+      resident_total += registry.size();
+      tally("ownership-crossfoot", "space " + std::to_string(s) + "'s",
+            resident_by_[s], alloc.in_use_by(s));
+      if (alloc.in_use_by(s) != registry.size())
+        out.push_back({std::string(name()), "per-space-count",
+                       "allocator says space " + std::to_string(s) +
+                           " holds " + std::to_string(alloc.in_use_by(s)) +
+                           " frames but its registry has " +
+                           std::to_string(registry.size()) +
+                           " resident pages",
+                       kInvalidUnit, kInvalidCore});
+      registry.for_each([&](const mm::ResidentPage& pg) {
+        check_page(alloc, s, pg, out);
+      });
+    }
     if (alloc.in_use() != resident_total)
       out.push_back({std::string(name()), "in-use-vs-resident",
                      "allocator has " + std::to_string(alloc.in_use()) +
@@ -153,128 +187,6 @@ class FrameRefcountChecker final : public sim::Checker {
                          std::to_string(resident_total) +
                          " pages are resident",
                      kInvalidUnit, kInvalidCore});
-    seen_.clear();
-    for (Asid s = 0; s < mm_.num_spaces(); ++s) {
-      mm_.space(s).registry().for_each([&](const mm::ResidentPage& pg) {
-        if (pg.pfn == kInvalidPfn) {
-          out.push_back({std::string(name()), "invalid-pfn",
-                         "resident page holds kInvalidPfn", pg.unit,
-                         kInvalidCore});
-          return;
-        }
-        if (!seen_.insert(pg.pfn).second)
-          out.push_back({std::string(name()), "frame-aliased",
-                         "frame " + std::to_string(pg.pfn) +
-                             " is held by more than one resident page",
-                         pg.unit, kInvalidCore});
-      });
-    }
-  }
-
- private:
-  const core::MemoryManager& mm_;
-  std::unordered_set<Pfn> seen_;  ///< scratch, reused across sweeps
-};
-
-/// Frame ownership (multi-tenant QoS accounting): every frame a space's
-/// resident page holds must be recorded by the allocator as owned by that
-/// space's asid, each space's resident-set size must equal the allocator's
-/// per-tenant in-use count, and the per-tenant counts must cross-foot to
-/// the total. The partition policy's floors and targets are computed from
-/// these counters — drift here silently breaks the QoS guarantees.
-class FrameOwnershipChecker final : public sim::Checker {
- public:
-  explicit FrameOwnershipChecker(const core::MemoryManager& mm) : mm_(mm) {}
-
-  std::string_view name() const override { return "frame-ownership"; }
-
-  void check(CheckPoint /*point*/, std::vector<CheckViolation>& out) override {
-    const mm::FrameAllocator& alloc = mm_.allocator();
-    std::uint64_t owned_total = 0;
-    for (Asid s = 0; s < mm_.num_spaces(); ++s) {
-      const core::AddressSpace& space = mm_.space(s);
-      space.registry().for_each([&](const mm::ResidentPage& pg) {
-        if (pg.pfn == kInvalidPfn) return;  // frame-refcount reports this
-        const Asid owner = alloc.owner_of(pg.pfn);
-        if (owner != s)
-          out.push_back({std::string(name()), "wrong-owner",
-                         "frame " + std::to_string(pg.pfn) +
-                             " is resident in space " + std::to_string(s) +
-                             " but the allocator records owner " +
-                             (owner == kInvalidAsid ? std::string("<free>")
-                                                    : std::to_string(owner)),
-                         pg.unit, kInvalidCore});
-      });
-      const std::uint64_t held = alloc.in_use_by(s);
-      if (held != space.registry().size())
-        out.push_back({std::string(name()), "per-space-count",
-                       "allocator says space " + std::to_string(s) +
-                           " holds " + std::to_string(held) +
-                           " frames but its registry has " +
-                           std::to_string(space.registry().size()) +
-                           " resident pages",
-                       kInvalidUnit, kInvalidCore});
-      owned_total += held;
-    }
-    if (owned_total != alloc.in_use())
-      out.push_back({std::string(name()), "ownership-crossfoot",
-                     "per-tenant in-use counts sum to " +
-                         std::to_string(owned_total) + " but " +
-                         std::to_string(alloc.in_use()) +
-                         " frames are in use",
-                     kInvalidUnit, kInvalidCore});
-  }
-
- private:
-  const core::MemoryManager& mm_;
-};
-
-/// Quarantine integrity (fault injection, docs/robustness.md): a
-/// quarantined frame is retired for the run — the allocator must record no
-/// owner for it, no address space may still hold it in a resident set, the
-/// quarantine bitmap must cross-foot to the cached count, and the frame
-/// partition must have been recomputed against the shrunk usable capacity
-/// (the MemoryManager::on_frames_quarantined hook fired). A frame that
-/// leaks back into service re-exposes the ECC poison the quarantine exists
-/// to contain.
-class FrameQuarantineChecker final : public sim::Checker {
- public:
-  explicit FrameQuarantineChecker(const core::MemoryManager& mm) : mm_(mm) {}
-
-  std::string_view name() const override { return "frame-quarantine"; }
-
-  void check(CheckPoint /*point*/, std::vector<CheckViolation>& out) override {
-    const mm::FrameAllocator& alloc = mm_.allocator();
-    std::uint64_t scanned = 0;
-    for (std::uint64_t slot = 0; slot < alloc.capacity(); ++slot) {
-      const Pfn pfn = slot * alloc.frames_per_unit();
-      if (!alloc.is_quarantined(pfn)) continue;
-      ++scanned;
-      const Asid owner = alloc.owner_of(pfn);
-      if (owner != kInvalidAsid)
-        out.push_back({std::string(name()), "quarantined-with-owner",
-                       "quarantined frame " + std::to_string(pfn) +
-                           " is still charged to asid " +
-                           std::to_string(owner),
-                       kInvalidUnit, kInvalidCore});
-    }
-    if (scanned != alloc.quarantined_count())
-      out.push_back({std::string(name()), "quarantine-crossfoot",
-                     "quarantine bitmap marks " + std::to_string(scanned) +
-                         " frames but the counter says " +
-                         std::to_string(alloc.quarantined_count()),
-                     kInvalidUnit, kInvalidCore});
-    for (Asid s = 0; s < mm_.num_spaces(); ++s) {
-      mm_.space(s).registry().for_each([&](const mm::ResidentPage& pg) {
-        if (pg.pfn == kInvalidPfn) return;  // frame-refcount reports this
-        if (alloc.is_quarantined(pg.pfn))
-          out.push_back({std::string(name()), "resident-on-quarantined",
-                         "space " + std::to_string(s) +
-                             " holds quarantined frame " +
-                             std::to_string(pg.pfn) + " resident",
-                         pg.unit, kInvalidCore});
-      });
-    }
     if (mm_.partition().capacity() != alloc.usable_capacity())
       out.push_back({std::string(name()), "stale-partition-capacity",
                      "partition targets computed for " +
@@ -285,7 +197,42 @@ class FrameQuarantineChecker final : public sim::Checker {
   }
 
  private:
+  /// The resident page `pg` of space `s` against its coremap entry.
+  void check_page(const mm::FrameAllocator& alloc, Asid s,
+                  const mm::ResidentPage& pg,
+                  std::vector<CheckViolation>& out) const {
+    const mm::Frame* f = alloc.find(pg.pfn);
+    if (f != nullptr && f->state == mm::FrameState::kResident &&
+        f->owner == s && f->unit == pg.unit)
+      return;
+    const std::string frame = "frame " + std::to_string(pg.pfn);
+    const auto report = [&](const char* kind, const std::string& message) {
+      out.push_back(
+          {std::string(name()), kind, message, pg.unit, kInvalidCore});
+    };
+    if (f == nullptr)
+      report("invalid-pfn", "resident page holds " + frame +
+                                ", which is no device frame");
+    else if (f->state == mm::FrameState::kQuarantined)
+      report("resident-on-quarantined", "space " + std::to_string(s) +
+                                            " holds quarantined " + frame +
+                                            " resident");
+    else if (f->state == mm::FrameState::kFree || f->owner != s)
+      report("wrong-owner",
+             frame + " is resident in space " + std::to_string(s) +
+                 " but the coremap records owner " +
+                 (f->state == mm::FrameState::kFree
+                      ? std::string("<free>")
+                      : std::to_string(f->owner)));
+    else
+      report("frame-aliased", frame + " backs unit " +
+                                  std::to_string(pg.unit) +
+                                  " but the coremap records unit " +
+                                  std::to_string(f->unit));
+  }
+
   const core::MemoryManager& mm_;
+  std::vector<std::uint64_t> resident_by_;  ///< scratch, reused across sweeps
 };
 
 /// Policy accounting: every built-in policy reports how many pages its
@@ -369,19 +316,9 @@ std::unique_ptr<sim::Checker> make_tlb_consistency_checker(
   return std::make_unique<TlbConsistencyChecker>(mm, machine);
 }
 
-std::unique_ptr<sim::Checker> make_frame_refcount_checker(
+std::unique_ptr<sim::Checker> make_frame_table_checker(
     const core::MemoryManager& mm) {
-  return std::make_unique<FrameRefcountChecker>(mm);
-}
-
-std::unique_ptr<sim::Checker> make_frame_ownership_checker(
-    const core::MemoryManager& mm) {
-  return std::make_unique<FrameOwnershipChecker>(mm);
-}
-
-std::unique_ptr<sim::Checker> make_frame_quarantine_checker(
-    const core::MemoryManager& mm) {
-  return std::make_unique<FrameQuarantineChecker>(mm);
+  return std::make_unique<FrameTableChecker>(mm);
 }
 
 std::unique_ptr<sim::Checker> make_policy_accounting_checker(
@@ -402,9 +339,7 @@ void register_default_checkers(sim::CheckRegistry& registry,
     registry.add(std::make_unique<PsptConsistencyChecker>(
         mm.space(s), scoped_name("pspt-consistency", mm, s)));
   registry.add(make_tlb_consistency_checker(mm, machine));
-  registry.add(make_frame_refcount_checker(mm));
-  registry.add(make_frame_ownership_checker(mm));
-  registry.add(make_frame_quarantine_checker(mm));
+  registry.add(make_frame_table_checker(mm));
   for (Asid s = 0; s < mm.num_spaces(); ++s)
     registry.add(std::make_unique<PolicyAccountingChecker>(
         mm.space(s), scoped_name("policy-accounting", mm, s)));

@@ -4,12 +4,10 @@
 //
 //   pspt-consistency   core-map count == mapping mask == per-core PTEs
 //   tlb-consistency    no cached translation without a live PTE
-//   frame-refcount     frames in use == resident pages, one frame per page
-//   frame-ownership    every frame owned by exactly the space holding it;
-//                      per-tenant in-use counts match registries and cross-foot
-//   frame-quarantine   quarantined (ECC-poisoned) frames carry no owner, sit
-//                      in no resident set, cross-foot to the cached count,
-//                      and the partition saw the shrunk usable capacity
+//   frame-table        every resident page's coremap entry names its space
+//                      and unit; coremap tallies match the allocator's
+//                      counters and the registries; the partition saw the
+//                      current usable capacity
 //   policy-accounting  policy list sizes == resident-set size
 //   clock-monotonic    per-core virtual clocks never run backwards
 //
@@ -35,13 +33,7 @@ std::unique_ptr<sim::Checker> make_pspt_consistency_checker(
 std::unique_ptr<sim::Checker> make_tlb_consistency_checker(
     const core::MemoryManager& mm, const sim::Machine& machine);
 
-std::unique_ptr<sim::Checker> make_frame_refcount_checker(
-    const core::MemoryManager& mm);
-
-std::unique_ptr<sim::Checker> make_frame_ownership_checker(
-    const core::MemoryManager& mm);
-
-std::unique_ptr<sim::Checker> make_frame_quarantine_checker(
+std::unique_ptr<sim::Checker> make_frame_table_checker(
     const core::MemoryManager& mm);
 
 std::unique_ptr<sim::Checker> make_policy_accounting_checker(

@@ -88,7 +88,7 @@ void AddressSpace::preload_all() {
   // Residency without mappings: data was placed in device RAM up front, and
   // cores establish PTEs on first touch (minor faults, no PCIe traffic).
   for (UnitIdx unit = 0; unit < area_.num_units(); ++unit) {
-    const Pfn pfn = allocator_.allocate(asid_);
+    const Pfn pfn = allocator_.allocate(asid_, unit);
     CMCP_CHECK(pfn != kInvalidPfn);
     registry_.insert(unit, pfn, 0);
   }
@@ -162,9 +162,8 @@ Cycles AddressSpace::access(CoreId core, Vpn vpn, bool write, Cycles now) {
       ++ctr.prefetch_hits;
       trace_prefetch_hit = 1;
     }
-    page_table_->map(core, unit, page->pfn);
-    page->core_map_count = page_table_->core_map_count(unit);
-    trace_map_count = page->core_map_count;
+    page_table_->map(core, unit);
+    trace_map_count = core_map_count(*page);
     if (!pinned_) policy_->on_core_map_grow(*page);
   } else {
     // Major fault: the unit lives in host memory.
@@ -180,14 +179,14 @@ Cycles AddressSpace::access(CoreId core, Vpn vpn, bool write, Cycles now) {
     // attached, ECC-poisoned frames surfacing at allocation (and latent
     // poison swallowing the frame an eviction was meant to free) re-enter
     // the loop; each quarantine consumes its poison, so it terminates.
-    Pfn pfn = allocate_frame(core, now + mem_cycles + lock_wait, &fault_cycles,
-                             /*honor_partition=*/true);
+    Pfn pfn = allocate_frame(core, unit, now + mem_cycles + lock_wait,
+                             &fault_cycles, /*honor_partition=*/true);
     while (pfn == kInvalidPfn) {
       fault_cycles +=
           mm_.evict_for(asid_, core, now + mem_cycles + fault_cycles + lock_wait);
       trace_evicted = 1;
-      pfn = allocate_frame(core, now + mem_cycles + lock_wait, &fault_cycles,
-                           /*honor_partition=*/false);
+      pfn = allocate_frame(core, unit, now + mem_cycles + lock_wait,
+                           &fault_cycles, /*honor_partition=*/false);
     }
 
     // Fetch the unit's data from the host.
@@ -199,8 +198,7 @@ Cycles AddressSpace::access(CoreId core, Vpn vpn, bool write, Cycles now) {
     ctr.pcie_bytes_in += unit_bytes(area_.page_size());
 
     mm::ResidentPage& fresh = registry_.insert(unit, pfn, now);
-    page_table_->map(core, unit, pfn);
-    fresh.core_map_count = page_table_->core_map_count(unit);
+    page_table_->map(core, unit);
     fault_cycles += cost.map_cost(area_.page_size()) + cost.policy_op;
     policy_->on_insert(fresh);
 
@@ -253,7 +251,7 @@ Cycles AddressSpace::prefetch_after(CoreId core, UnitIdx unit, Cycles now) {
     if (!mm_.partition().may_allocate(asid_, allocator_)) break;
     if (registry_.find(next) != nullptr) continue;
     if (page_table_->any_mapping(next)) continue;
-    const Pfn pfn = allocate_frame(core, now, &issue_cycles,
+    const Pfn pfn = allocate_frame(core, next, now, &issue_cycles,
                                    /*honor_partition=*/true);
     if (pfn == kInvalidPfn) break;  // quarantines may have drained the pool
     const sim::PcieTransferOutcome xfer = machine_.pcie_transfer(
@@ -261,7 +259,6 @@ Cycles AddressSpace::prefetch_after(CoreId core, UnitIdx unit, Cycles now) {
         next, asid_);
     mm::ResidentPage& pg = registry_.insert(next, pfn, now);
     pg.ready_at = xfer.done;
-    pg.core_map_count = 0;  // no core maps it yet
     policy_->on_insert(pg);
     ctr.pcie_bytes_in += unit_bytes(area_.page_size());
     ++ctr.prefetches;
@@ -270,13 +267,13 @@ Cycles AddressSpace::prefetch_after(CoreId core, UnitIdx unit, Cycles now) {
   return issue_cycles;
 }
 
-Pfn AddressSpace::allocate_frame(CoreId core, Cycles base, Cycles* cycles,
-                                 bool honor_partition) {
+Pfn AddressSpace::allocate_frame(CoreId core, UnitIdx unit, Cycles base,
+                                 Cycles* cycles, bool honor_partition) {
   sim::FaultPlan* const plan = machine_.fault_plan();
   for (;;) {
     if (honor_partition && !mm_.partition().may_allocate(asid_, allocator_))
       return kInvalidPfn;
-    const Pfn pfn = allocator_.allocate(asid_);
+    const Pfn pfn = allocator_.allocate(asid_, unit);
     if (pfn == kInvalidPfn) return pfn;
     if (plan == nullptr || !plan->surfaces_at_alloc(pfn)) return pfn;
     // ECC poison surfaced while the kernel scrubbed the fresh frame:
@@ -345,7 +342,7 @@ Cycles AddressSpace::evict_one(CoreId faulting_core, Cycles now) {
   sim::trace::EventSink* const tr = machine_.trace();
   if (tr != nullptr)
     tr->emit({sim::trace::EventKind::kVictimPick, faulting_core, now, cycles,
-              victim->unit, victim->core_map_count, 0, 0, asid_});
+              victim->unit, core_map_count(*victim), 0, 0, asid_});
 
   const UnitIdx unit = victim->unit;
   const bool dirty = page_table_->test_dirty(unit);

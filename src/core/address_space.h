@@ -61,6 +61,9 @@ class AddressSpace final : public policy::PolicyHost {
   std::uint64_t capacity_units() const override { return policy_capacity_units_; }
   unsigned num_cores() const override;
   Asid asid() const override { return asid_; }
+  unsigned core_map_count(const mm::ResidentPage& page) const override {
+    return page_table_->core_map_count(page.unit);
+  }
   bool unit_accessed(const mm::ResidentPage& page) const override;
   Cycles core_clock(CoreId core) const override;
   Cycles clear_accessed_and_shootdown(mm::ResidentPage& page, CoreId initiator,
@@ -85,14 +88,15 @@ class AddressSpace final : public policy::PolicyHost {
  private:
   Cycles prefetch_after(CoreId core, UnitIdx unit, Cycles now);
 
-  /// Allocate a frame for this space, screening each candidate against the
-  /// fault plan's ECC poison set: poisoned frames are quarantined (cost
-  /// added to `*cycles`, events stamped at `base + *cycles`) and the next
-  /// free frame is tried. With no plan attached this is exactly the
-  /// pre-fault may_allocate + allocate sequence. `honor_partition` is false
-  /// on the retry directly after an eviction this tenant ordered (the
-  /// pre-fault contract: it paid for the frame and takes it).
-  Pfn allocate_frame(CoreId core, Cycles base, Cycles* cycles,
+  /// Allocate a frame for this space's `unit`, screening each candidate
+  /// against the fault plan's ECC poison set: poisoned frames are
+  /// quarantined (cost added to `*cycles`, events stamped at
+  /// `base + *cycles`) and the next free frame is tried. With no plan
+  /// attached this is exactly the pre-fault may_allocate + allocate
+  /// sequence. `honor_partition` is false on the retry directly after an
+  /// eviction this tenant ordered (the pre-fault contract: it paid for the
+  /// frame and takes it).
+  Pfn allocate_frame(CoreId core, UnitIdx unit, Cycles base, Cycles* cycles,
                      bool honor_partition);
 
   /// Retire `pfn` (ECC poison surfaced): quarantine it in the shared

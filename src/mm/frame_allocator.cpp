@@ -5,82 +5,63 @@
 namespace cmcp::mm {
 
 FrameAllocator::FrameAllocator(std::uint64_t capacity, PageSizeClass size)
-    : capacity_(capacity), frames_per_unit_(base_pages_per_unit(size)) {
+    : frames_per_unit_(base_pages_per_unit(size)),
+      frames_(capacity),
+      free_head_(0),
+      free_count_(capacity) {
   CMCP_CHECK(capacity > 0);
-  free_.reserve(capacity);
   // LIFO free list; hand out ascending frame numbers first.
-  for (std::uint64_t i = capacity; i-- > 0;) free_.push_back(i * frames_per_unit_);
-  allocated_.assign(capacity, 0);
-  owners_.assign(capacity, kInvalidAsid);
-  quarantined_.assign(capacity, 0);
+  for (std::uint64_t slot = 0; slot + 1 < capacity; ++slot)
+    frames_[slot].unit = slot + 1;
 }
 
-Pfn FrameAllocator::allocate(Asid owner) {
-  if (free_.empty()) return kInvalidPfn;
-  const Pfn pfn = free_.back();
-  free_.pop_back();
+std::uint64_t FrameAllocator::slot_of(Pfn pfn) const {
+  CMCP_CHECK(pfn % frames_per_unit_ == 0);
   const auto slot = pfn / frames_per_unit_;
-  CMCP_CHECK(allocated_[slot] == 0);
-  allocated_[slot] = 1;
-  owners_[slot] = owner;
-  if (owner >= in_use_by_.size()) in_use_by_.resize(owner + 1, 0);
+  CMCP_CHECK(slot < capacity());
+  return slot;
+}
+
+Pfn FrameAllocator::allocate(Asid owner, UnitIdx unit) {
+  if (free_head_ == kInvalidUnit) return kInvalidPfn;
+  const std::uint64_t slot = free_head_;
+  Frame& f = frames_[slot];
+  CMCP_CHECK(f.state == FrameState::kFree);
+  free_head_ = f.unit;
+  --free_count_;
+  f = Frame{.unit = unit, .owner = owner, .state = FrameState::kResident};
+  if (owner >= in_use_by_.size()) {
+    CMCP_CHECK_MSG(owner != kInvalidAsid, "frame charged to kInvalidAsid");
+    in_use_by_.resize(owner + 1, 0);
+  }
   ++in_use_by_[owner];
-  return pfn;
+  return slot * frames_per_unit_;
+}
+
+void FrameAllocator::uncharge(const Frame& f) {
+  CMCP_CHECK(f.owner < in_use_by_.size() && in_use_by_[f.owner] > 0);
+  --in_use_by_[f.owner];
 }
 
 void FrameAllocator::free(Pfn pfn) {
-  CMCP_CHECK(pfn % frames_per_unit_ == 0);
-  const auto slot = pfn / frames_per_unit_;
-  CMCP_CHECK(slot < capacity_);
-  CMCP_CHECK_MSG(allocated_[slot] != 0, "double free of device frame");
-  allocated_[slot] = 0;
-  const Asid owner = owners_[slot];
-  CMCP_CHECK(owner < in_use_by_.size() && in_use_by_[owner] > 0);
-  --in_use_by_[owner];
-  owners_[slot] = kInvalidAsid;
-  free_.push_back(pfn);
+  const std::uint64_t slot = slot_of(pfn);
+  Frame& f = frames_[slot];
+  CMCP_CHECK_MSG(f.state == FrameState::kResident,
+                 "double free of device frame");
+  uncharge(f);
+  f = Frame{.unit = free_head_};
+  free_head_ = slot;
+  ++free_count_;
 }
 
 void FrameAllocator::quarantine(Pfn pfn) {
-  CMCP_CHECK(pfn % frames_per_unit_ == 0);
-  const auto slot = pfn / frames_per_unit_;
-  CMCP_CHECK(slot < capacity_);
-  CMCP_CHECK_MSG(allocated_[slot] != 0,
+  Frame& f = frames_[slot_of(pfn)];
+  CMCP_CHECK_MSG(f.state == FrameState::kResident,
                  "quarantine of a frame that is not allocated");
-  CMCP_CHECK_MSG(quarantined_[slot] == 0, "double quarantine of device frame");
-  allocated_[slot] = 0;
-  const Asid owner = owners_[slot];
-  CMCP_CHECK(owner < in_use_by_.size() && in_use_by_[owner] > 0);
-  --in_use_by_[owner];
-  owners_[slot] = kInvalidAsid;
-  // Deliberately NOT pushed onto free_: the frame is retired for the run.
-  quarantined_[slot] = 1;
+  uncharge(f);
+  // Deliberately NOT pushed onto the free list: retired for the run.
+  f = Frame{.state = FrameState::kQuarantined};
   ++quarantined_count_;
-}
-
-bool FrameAllocator::is_quarantined(Pfn pfn) const {
-  CMCP_CHECK(pfn % frames_per_unit_ == 0);
-  const auto slot = pfn / frames_per_unit_;
-  CMCP_CHECK(slot < capacity_);
-  return quarantined_[slot] != 0;
-}
-
-Asid FrameAllocator::owner_of(Pfn pfn) const {
-  CMCP_CHECK(pfn % frames_per_unit_ == 0);
-  const auto slot = pfn / frames_per_unit_;
-  CMCP_CHECK(slot < capacity_);
-  return allocated_[slot] ? owners_[slot] : kInvalidAsid;
-}
-
-std::uint64_t FrameAllocator::release_all(Asid owner) {
-  std::uint64_t reclaimed = 0;
-  for (std::uint64_t slot = 0; slot < capacity_; ++slot) {
-    if (allocated_[slot] != 0 && owners_[slot] == owner) {
-      free(slot * frames_per_unit_);
-      ++reclaimed;
-    }
-  }
-  return reclaimed;
 }
 
 }  // namespace cmcp::mm

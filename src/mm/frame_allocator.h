@@ -5,19 +5,38 @@
 // cg.B's footprint — and the host side is treated as an infinite backing
 // store reached over PCIe.
 //
-// Multi-tenant runs share one allocator between address spaces: every
-// allocation is tagged with the owning asid so partition policies and the
-// frame-ownership invariant checker can account per-tenant usage. Single
-// tenant callers use the default owner (asid 0) and see exactly the
-// pre-refactor behavior.
+// The allocator is a coremap: one entry per device frame holding the frame's
+// state, the address space charged for it and the unit it backs. It is the
+// only record of frame ownership and state; multi-tenant runs share one
+// allocator between address spaces, and partition policies read the
+// per-tenant counts kept beside it. The LIFO free list is threaded through
+// the free entries, so the allocator holds a single per-frame vector.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "common/types.h"
 
 namespace cmcp::mm {
+
+enum class FrameState : std::uint8_t {
+  kFree,
+  kResident,
+  /// Retired (ECC poison): neither free nor in use for the rest of the run.
+  kQuarantined,
+};
+
+/// Coremap entry.
+struct Frame {
+  /// kResident: the unit this frame backs. kFree: the slot of the next
+  /// free frame (the end of the list is kInvalidUnit).
+  UnitIdx unit = kInvalidUnit;
+  /// kResident: the address space the frame is charged to.
+  Asid owner = kInvalidAsid;
+  FrameState state = FrameState::kFree;
+};
 
 class FrameAllocator {
  public:
@@ -26,31 +45,33 @@ class FrameAllocator {
   FrameAllocator(std::uint64_t capacity, PageSizeClass size);
 
   /// Returns kInvalidPfn when the device memory is exhausted (the caller
-  /// must evict first). The frame is charged to `owner`.
-  Pfn allocate(Asid owner = 0);
+  /// must evict first). The frame is charged to `owner` and backs `unit`.
+  Pfn allocate(Asid owner, UnitIdx unit);
 
   void free(Pfn pfn);
 
   /// Retire an allocated frame (ECC poison): it is uncharged from its owner
   /// but never returns to the free list, shrinking usable capacity for the
-  /// rest of the run. Quarantined frames are neither free nor in use.
+  /// rest of the run.
   void quarantine(Pfn pfn);
 
-  bool is_quarantined(Pfn pfn) const;
+  bool is_quarantined(Pfn pfn) const {
+    return frames_[slot_of(pfn)].state == FrameState::kQuarantined;
+  }
   std::uint64_t quarantined_count() const { return quarantined_count_; }
   /// Frames the allocator can still serve: capacity minus the quarantine
   /// list. FramePartition targets are recomputed against this after every
   /// quarantine (core::MemoryManager::on_frames_quarantined).
   std::uint64_t usable_capacity() const {
-    return capacity_ - quarantined_count_;
+    return capacity() - quarantined_count_;
   }
 
-  std::uint64_t capacity() const { return capacity_; }
+  std::uint64_t capacity() const { return frames_.size(); }
   std::uint64_t in_use() const {
-    return capacity_ - free_.size() - quarantined_count_;
+    return capacity() - free_count_ - quarantined_count_;
   }
-  std::uint64_t free_count() const { return free_.size(); }
-  bool full() const { return free_.empty(); }
+  std::uint64_t free_count() const { return free_count_; }
+  bool full() const { return free_count_ == 0; }
 
   std::uint64_t frames_per_unit() const { return frames_per_unit_; }
 
@@ -59,29 +80,43 @@ class FrameAllocator {
     return owner < in_use_by_.size() ? in_use_by_[owner] : 0;
   }
 
-  /// Owner of an allocated frame; kInvalidAsid when the frame is free.
-  Asid owner_of(Pfn pfn) const;
+  /// Owner of an allocated frame; kInvalidAsid when the frame is not
+  /// resident.
+  Asid owner_of(Pfn pfn) const {
+    const Frame& f = frames_[slot_of(pfn)];
+    return f.state == FrameState::kResident ? f.owner : kInvalidAsid;
+  }
 
-  /// Frees every frame still charged to `owner` (tenant exit). Returns the
-  /// number of frames reclaimed.
-  std::uint64_t release_all(Asid owner);
+  /// The coremap entry of `pfn`, or nullptr when `pfn` names no frame of
+  /// this allocator (SimCheck reads entries for pfns it has not vetted).
+  const Frame* find(Pfn pfn) const {
+    return pfn % frames_per_unit_ == 0 && pfn / frames_per_unit_ < capacity()
+               ? &frames_[pfn / frames_per_unit_]
+               : nullptr;
+  }
+
+  /// The whole coremap, indexed by pfn / frames_per_unit().
+  std::span<const Frame> frames() const { return frames_; }
+
+  /// Overwrite an entry behind the counters' and free list's back, the way
+  /// an accounting bug would. SimCheck fault-injection tests ONLY.
+  void corrupt_frame_for_test(Pfn pfn, const Frame& entry) {
+    frames_[slot_of(pfn)] = entry;
+  }
 
  private:
-  std::uint64_t capacity_;
+  /// Coremap slot of `pfn`; aborts when `pfn` names no frame.
+  std::uint64_t slot_of(Pfn pfn) const;
+  /// Uncharge a resident frame from its owner.
+  void uncharge(const Frame& f);
+
   std::uint64_t frames_per_unit_;
-  std::vector<Pfn> free_;
-  /// Double-free / double-allocate detection (always on: the check is one
-  /// byte test per event and eviction bugs corrupt every statistic). Byte
-  /// storage, not vector<bool>: the proxy-reference bit masking costs more
-  /// than the byte it saves on a structure this small.
-  std::vector<std::uint8_t> allocated_;
-  /// Owner asid per frame slot; only meaningful where allocated_[slot] != 0.
-  std::vector<Asid> owners_;
+  std::vector<Frame> frames_;  ///< the coremap, [pfn / frames_per_unit_]
+  UnitIdx free_head_;          ///< top of the LIFO free list, or kInvalidUnit
+  std::uint64_t free_count_;
+  std::uint64_t quarantined_count_ = 0;
   /// Per-asid allocated-frame counts, grown on demand.
   std::vector<std::uint64_t> in_use_by_;
-  /// Retired (ECC-poisoned) slots: never free, never allocatable again.
-  std::vector<std::uint8_t> quarantined_;
-  std::uint64_t quarantined_count_ = 0;
 };
 
 }  // namespace cmcp::mm

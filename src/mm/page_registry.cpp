@@ -18,7 +18,10 @@ ResidentPage& PageRegistry::insert(UnitIdx unit, Pfn pfn, Cycles now) {
   page->pfn = pfn;
   page->seq = next_seq_++;
   page->inserted_at = now;
-  if (unit >= by_unit_.size()) reserve_units(unit + 1);
+  if (unit >= by_unit_.size()) {
+    CMCP_CHECK_MSG(unit != kInvalidUnit, "insert of kInvalidUnit");
+    reserve_units(unit + 1);
+  }
   CMCP_CHECK_MSG(by_unit_[unit] == nullptr, "unit already resident");
   by_unit_[unit] = page;
   ++size_;

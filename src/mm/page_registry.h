@@ -21,11 +21,9 @@ namespace cmcp::mm {
 
 struct ResidentPage {
   UnitIdx unit = kInvalidUnit;
+  /// The device frame backing the unit: its only copy (the page tables keep
+  /// none; the coremap entry names the unit back).
   Pfn pfn = kInvalidPfn;
-  /// Cached number of mapping cores, maintained by the memory manager as
-  /// PSPT minor faults add mappings. Regular tables keep it at the core
-  /// count (the information is unobtainable there).
-  unsigned core_map_count = 0;
   /// Monotonic insertion sequence number (FIFO arbitration, test oracles).
   std::uint64_t seq = 0;
   Cycles inserted_at = 0;

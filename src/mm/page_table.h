@@ -30,8 +30,9 @@ class PageTable {
   virtual bool any_mapping(UnitIdx unit) const = 0;
 
   /// Install a translation for `core`. For regular tables the entry becomes
-  /// visible to every core at once. pfn is the device frame.
-  virtual void map(CoreId core, UnitIdx unit, Pfn pfn) = 0;
+  /// visible to every core at once. The device frame is the resident page's
+  /// (mm::ResidentPage::pfn); the table does not keep a copy.
+  virtual void map(CoreId core, UnitIdx unit) = 0;
 
   /// Remove the translation on every core; returns the set of cores whose
   /// TLBs may cache it and therefore must be shot down.
@@ -45,8 +46,6 @@ class PageTable {
   /// regular table pessimistically reports the full core count (paper: the
   /// information "cannot be obtained from regular page tables").
   virtual unsigned core_map_count(UnitIdx unit) const = 0;
-
-  virtual Pfn pfn_of(UnitIdx unit) const = 0;
 
   // --- hardware-set attribute bits ---------------------------------------
   virtual void mark_accessed(CoreId core, UnitIdx unit) = 0;

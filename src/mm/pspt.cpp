@@ -18,7 +18,10 @@ void Pspt::reserve_units(UnitIdx n) {
 }
 
 void Pspt::ensure_unit(UnitIdx unit) {
-  if (unit >= directory_.size()) reserve_units(unit + 1);
+  if (unit >= directory_.size()) {
+    CMCP_CHECK_MSG(unit != kInvalidUnit, "map of kInvalidUnit");
+    reserve_units(unit + 1);
+  }
 }
 
 bool Pspt::has_mapping(CoreId core, UnitIdx unit) const {
@@ -31,7 +34,7 @@ bool Pspt::any_mapping(UnitIdx unit) const {
   return unit < directory_.size() && directory_[unit].present;
 }
 
-void Pspt::map(CoreId core, UnitIdx unit, Pfn pfn) {
+void Pspt::map(CoreId core, UnitIdx unit) {
   CMCP_CHECK(core < num_cores_);
   ensure_unit(unit);
   std::uint8_t& pte = tables_[core][unit];
@@ -39,12 +42,8 @@ void Pspt::map(CoreId core, UnitIdx unit, Pfn pfn) {
   UnitInfo& info = directory_[unit];
   if (!info.present) {
     info.present = true;
-    info.pfn = pfn;
     ++mapped_units_;
   }
-  // Private PTEs for the same virtual address must define the same
-  // translation on every core (paper section 2.3).
-  CMCP_CHECK_MSG(info.pfn == pfn, "PSPT coherence violation: divergent pfn");
   std::uint64_t& word = mask_of(unit)[core >> 6];
   const std::uint64_t bit = std::uint64_t{1} << (core & 63);
   CMCP_CHECK((word & bit) == 0);
@@ -77,12 +76,6 @@ CoreMask Pspt::mapping_cores(UnitIdx unit) const {
 
 unsigned Pspt::core_map_count(UnitIdx unit) const {
   return unit < directory_.size() ? directory_[unit].count : 0;
-}
-
-Pfn Pspt::pfn_of(UnitIdx unit) const {
-  return unit < directory_.size() && directory_[unit].present
-             ? directory_[unit].pfn
-             : kInvalidPfn;
 }
 
 void Pspt::mark_accessed(CoreId core, UnitIdx unit) {

@@ -7,11 +7,11 @@
 // and "how many cores map this page?" (CMCP's priority signal).
 //
 // Storage is dense and direct-indexed (docs/performance.md): the unit index
-// is the slot. The per-core "PTE" is a single flag byte — the frame number
-// need not be replicated per core because the PSPT coherence invariant
-// (all private PTEs of a virtual page name the same frame) pins it to the
-// directory entry. Every query on the per-access path is one or two indexed
-// loads; no hashing anywhere.
+// is the slot. The per-core "PTE" is a single flag byte and the directory
+// holds no frame number: the frame is stored once, in the resident page
+// (mm::ResidentPage::pfn), so the PSPT coherence invariant (all private PTEs
+// of a virtual page name the same frame) holds by construction. Every query
+// on the per-access path is one or two indexed loads; no hashing anywhere.
 #pragma once
 
 #include <bit>
@@ -30,11 +30,10 @@ class Pspt final : public PageTable {
 
   bool has_mapping(CoreId core, UnitIdx unit) const override;
   bool any_mapping(UnitIdx unit) const override;
-  void map(CoreId core, UnitIdx unit, Pfn pfn) override;
+  void map(CoreId core, UnitIdx unit) override;
   CoreMask unmap_all(UnitIdx unit) override;
   CoreMask mapping_cores(UnitIdx unit) const override;
   unsigned core_map_count(UnitIdx unit) const override;
-  Pfn pfn_of(UnitIdx unit) const override;
 
   void mark_accessed(CoreId core, UnitIdx unit) override;
   void mark_dirty(CoreId core, UnitIdx unit) override;
@@ -75,7 +74,6 @@ class Pspt final : public PageTable {
   /// every fault and eviction, and shrinking the entry from three cache
   /// lines to one is worth the widening copy at the CoreMask API boundary.
   struct UnitInfo {
-    Pfn pfn = kInvalidPfn;
     unsigned count = 0;
     /// Directory entry liveness. Deliberately separate from `count`, which
     /// the corruption test hooks may set to arbitrary values (including 0)

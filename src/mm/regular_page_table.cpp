@@ -8,7 +8,7 @@ RegularPageTable::RegularPageTable(CoreId num_cores)
     : num_cores_(num_cores), all_cores_(CoreMask::first_n(num_cores)) {}
 
 void RegularPageTable::reserve_units(UnitIdx n) {
-  if (n > entries_.size()) entries_.resize(n);
+  if (n > entries_.size()) entries_.resize(n, 0);
 }
 
 bool RegularPageTable::has_mapping(CoreId /*core*/, UnitIdx unit) const {
@@ -19,21 +19,22 @@ bool RegularPageTable::any_mapping(UnitIdx unit) const {
   return entry(unit) != nullptr;
 }
 
-void RegularPageTable::map(CoreId /*core*/, UnitIdx unit, Pfn pfn) {
-  if (unit >= entries_.size()) reserve_units(unit + 1);
-  Entry& e = entries_[unit];
-  if ((e.flags & kPresent) == 0) {
-    e = Entry{.pfn = pfn, .flags = kPresent};
-    ++mapped_;
-    return;
+void RegularPageTable::map(CoreId /*core*/, UnitIdx unit) {
+  if (unit >= entries_.size()) {
+    CMCP_CHECK_MSG(unit != kInvalidUnit, "map of kInvalidUnit");
+    reserve_units(unit + 1);
   }
-  CMCP_CHECK_MSG(e.pfn == pfn, "remap to a different frame");
+  std::uint8_t& e = entries_[unit];
+  if ((e & kPresent) == 0) {
+    e = kPresent;
+    ++mapped_;
+  }
 }
 
 CoreMask RegularPageTable::unmap_all(UnitIdx unit) {
-  Entry* e = entry(unit);
+  std::uint8_t* e = entry(unit);
   CMCP_CHECK_MSG(e != nullptr, "unmap of an unmapped unit");
-  *e = Entry{};
+  *e = 0;
   --mapped_;
   // Centralized book-keeping: any core may have cached this translation.
   return all_cores_;
@@ -48,45 +49,40 @@ unsigned RegularPageTable::core_map_count(UnitIdx unit) const {
   return entry(unit) != nullptr ? num_cores_ : 0;
 }
 
-Pfn RegularPageTable::pfn_of(UnitIdx unit) const {
-  const Entry* e = entry(unit);
-  return e == nullptr ? kInvalidPfn : e->pfn;
-}
-
 void RegularPageTable::mark_accessed(CoreId /*core*/, UnitIdx unit) {
-  Entry* e = entry(unit);
+  std::uint8_t* e = entry(unit);
   CMCP_CHECK(e != nullptr);
-  e->flags |= kAccessed;
+  *e |= kAccessed;
 }
 
 void RegularPageTable::mark_dirty(CoreId /*core*/, UnitIdx unit) {
-  Entry* e = entry(unit);
+  std::uint8_t* e = entry(unit);
   CMCP_CHECK(e != nullptr);
-  e->flags |= kDirty;
+  *e |= kDirty;
 }
 
 bool RegularPageTable::test_accessed(UnitIdx unit, unsigned* pte_reads) const {
   if (pte_reads != nullptr) *pte_reads = 1;
-  const Entry* e = entry(unit);
-  return e != nullptr && (e->flags & kAccessed) != 0;
+  const std::uint8_t* e = entry(unit);
+  return e != nullptr && (*e & kAccessed) != 0;
 }
 
 bool RegularPageTable::clear_accessed(UnitIdx unit) {
-  Entry* e = entry(unit);
+  std::uint8_t* e = entry(unit);
   if (e == nullptr) return false;
-  const bool was = (e->flags & kAccessed) != 0;
-  e->flags &= static_cast<std::uint8_t>(~kAccessed);
+  const bool was = (*e & kAccessed) != 0;
+  *e &= static_cast<std::uint8_t>(~kAccessed);
   return was;
 }
 
 bool RegularPageTable::test_dirty(UnitIdx unit) const {
-  const Entry* e = entry(unit);
-  return e != nullptr && (e->flags & kDirty) != 0;
+  const std::uint8_t* e = entry(unit);
+  return e != nullptr && (*e & kDirty) != 0;
 }
 
 void RegularPageTable::clear_dirty(UnitIdx unit) {
-  Entry* e = entry(unit);
-  if (e != nullptr) e->flags &= static_cast<std::uint8_t>(~kDirty);
+  std::uint8_t* e = entry(unit);
+  if (e != nullptr) *e &= static_cast<std::uint8_t>(~kDirty);
 }
 
 }  // namespace cmcp::mm

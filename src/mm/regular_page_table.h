@@ -1,8 +1,8 @@
 // Traditional process model: one set of page tables shared by all cores.
 //
 // Entries live in a dense direct-indexed vector (the unit index is the
-// slot; docs/performance.md) — present/accessed/dirty are flag bits, so a
-// walk is a single indexed load.
+// slot; docs/performance.md) — an entry is one byte of present/accessed/dirty
+// flag bits, so a walk is a single indexed load.
 #pragma once
 
 #include <cstdint>
@@ -20,11 +20,10 @@ class RegularPageTable final : public PageTable {
 
   bool has_mapping(CoreId core, UnitIdx unit) const override;
   bool any_mapping(UnitIdx unit) const override;
-  void map(CoreId core, UnitIdx unit, Pfn pfn) override;
+  void map(CoreId core, UnitIdx unit) override;
   CoreMask unmap_all(UnitIdx unit) override;
   CoreMask mapping_cores(UnitIdx unit) const override;
   unsigned core_map_count(UnitIdx unit) const override;
-  Pfn pfn_of(UnitIdx unit) const override;
 
   void mark_accessed(CoreId core, UnitIdx unit) override;
   void mark_dirty(CoreId core, UnitIdx unit) override;
@@ -43,23 +42,20 @@ class RegularPageTable final : public PageTable {
     kDirty = 1u << 2,
   };
 
-  struct Entry {
-    Pfn pfn = kInvalidPfn;
-    std::uint8_t flags = 0;
-  };
-
-  Entry* entry(UnitIdx unit) {
-    return unit < entries_.size() && (entries_[unit].flags & kPresent) != 0
+  /// The entry of a present unit, or nullptr. An entry is a flag byte: the
+  /// frame lives in the resident page (mm::ResidentPage::pfn).
+  std::uint8_t* entry(UnitIdx unit) {
+    return unit < entries_.size() && (entries_[unit] & kPresent) != 0
                ? &entries_[unit]
                : nullptr;
   }
-  const Entry* entry(UnitIdx unit) const {
+  const std::uint8_t* entry(UnitIdx unit) const {
     return const_cast<RegularPageTable*>(this)->entry(unit);
   }
 
   CoreId num_cores_;
   CoreMask all_cores_;
-  std::vector<Entry> entries_;  ///< [unit]
+  std::vector<std::uint8_t> entries_;  ///< [unit] EntryFlags
   std::uint64_t mapped_ = 0;
 };
 

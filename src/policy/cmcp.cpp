@@ -48,7 +48,7 @@ mm::ResidentPage* CmcpPolicy::lowest_priority_page() {
 }
 
 void CmcpPolicy::promote(mm::ResidentPage& page) {
-  const unsigned b = bucket_of(page.core_map_count);
+  const unsigned b = bucket_of(host_.core_map_count(page));
   page.where = kPriority;
   page.bucket = b;
   page.age_stamp = tick_count_;
@@ -69,7 +69,7 @@ void CmcpPolicy::demote_to_fifo(mm::ResidentPage& page) {
 }
 
 void CmcpPolicy::place(mm::ResidentPage& page) {
-  const unsigned count = page.core_map_count;
+  const unsigned count = host_.core_map_count(page);
   if (count == 0) {
     // Prefetched, not yet mapped by anyone: plain FIFO material.
     page.where = kFifo;
@@ -82,7 +82,9 @@ void CmcpPolicy::place(mm::ResidentPage& page) {
   }
   if (max_priority_ > 0) {
     mm::ResidentPage* lowest = lowest_priority_page();
-    if (lowest != nullptr && lowest->core_map_count < count) {
+    // A prioritized page's bucket is its core-map count: counts only grow
+    // while a page is resident, and every growth re-buckets it.
+    if (lowest != nullptr && lowest->bucket < count) {
       // Displace the least-shared prioritized page (paper's insertion rule).
       demote_to_fifo(*lowest);
       ++displacements_;
@@ -99,7 +101,7 @@ void CmcpPolicy::on_insert(mm::ResidentPage& page) { place(page); }
 void CmcpPolicy::on_core_map_grow(mm::ResidentPage& page) {
   if (page.where == kPriority) {
     // Re-bucket and refresh the aging position.
-    const unsigned b = bucket_of(page.core_map_count);
+    const unsigned b = bucket_of(host_.core_map_count(page));
     if (b != page.bucket) {
       buckets_[page.bucket].erase(page);
       page.bucket = b;

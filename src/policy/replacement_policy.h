@@ -36,6 +36,12 @@ class PolicyHost {
   /// label statistics or trace output but never see other spaces' pages.
   virtual Asid asid() const { return 0; }
 
+  /// Number of cores mapping `page` — CMCP's priority signal. Exact under
+  /// PSPT, the full core count under regular tables (the information is
+  /// unobtainable there), 0 while no core maps a resident page (prefetched
+  /// or preloaded). Read from the page-table directory, its only store.
+  virtual unsigned core_map_count(const mm::ResidentPage& page) const = 0;
+
   /// Read the accessed bit (any mapping core / any sub-entry) WITHOUT
   /// clearing it. Cheap: no shootdown.
   virtual bool unit_accessed(const mm::ResidentPage& page) const = 0;
@@ -61,7 +67,8 @@ class ReplacementPolicy {
 
   virtual std::string_view name() const = 0;
 
-  /// A unit became resident; core_map_count is already filled in.
+  /// A unit became resident; its mapping (if any) is already installed, so
+  /// PolicyHost::core_map_count answers for it.
   virtual void on_insert(mm::ResidentPage& page) = 0;
 
   /// An additional core mapped an already-resident unit (PSPT minor fault).

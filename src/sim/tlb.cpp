@@ -36,7 +36,10 @@ void Tlb::push_mru(std::uint32_t s) {
 }
 
 void Tlb::insert(UnitIdx unit) {
-  if (unit >= slot_of_.size()) reserve_units(unit + 1);
+  if (unit >= slot_of_.size()) {
+    CMCP_CHECK_MSG(unit != kInvalidUnit, "insert of kInvalidUnit");
+    reserve_units(unit + 1);
+  }
   if (const std::uint32_t s = slot_of(unit); s != kNil) {
     // Already present (e.g. re-walk after an access-bit refresh); touch it.
     if (s != mru_) {

@@ -1,12 +1,14 @@
 // SimCheck framework tests: registry mechanics (strides, handlers,
-// diagnostics) and checker-catches-the-bug coverage for the TLB, policy
-// accounting and clock monotonicity invariants. The PSPT corruption cases
-// live in tests/mm/pspt_invariant_test.cpp.
+// diagnostics) and checker-catches-the-bug coverage for the TLB, frame
+// table, policy accounting and clock monotonicity invariants. The PSPT
+// corruption cases live in tests/mm/pspt_invariant_test.cpp.
 #include "check/invariant_checkers.h"
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -97,10 +99,10 @@ TEST(CheckRegistry, FormatViolationIncludesEventTail) {
   sim::trace::EventSink events;
   events.emit({sim::trace::EventKind::kMajorFault, 2, 100, 50, 9, 0, 0, 0});
   events.emit({sim::trace::EventKind::kEviction, 2, 160, 40, 4, 1, 2, 4096});
-  const CheckViolation violation{"frame-refcount", "frame-aliased",
+  const CheckViolation violation{"frame-table", "frame-aliased",
                                  "frame 4 is held twice", 4, 2};
   const std::string text = sim::format_violation(violation, &events);
-  EXPECT_NE(text.find("frame-refcount"), std::string::npos);
+  EXPECT_NE(text.find("frame-table"), std::string::npos);
   EXPECT_NE(text.find("frame-aliased"), std::string::npos);
   EXPECT_NE(text.find("unit      : 4"), std::string::npos);
   EXPECT_NE(text.find("major_fault"), std::string::npos);
@@ -248,44 +250,89 @@ TEST(SimCheck, ClockCheckerCatchesRegression) {
 }
 
 TEST(SimCheck, QuarantineCheckerCatchesLeakedFrame) {
-  // Quarantine a RESIDENT frame directly in the allocator — bypassing the
-  // recovery protocol (no registry removal, no partition recompute). The
-  // frame-quarantine checker must flag both the resident page still sitting
-  // on the retired frame and the partition's stale capacity.
-  std::vector<wl::Op> script = {wl::Op::access(0, false, 16)};
-  ScriptedWorkload w(1, 16, {script});
-  core::SimulationConfig config;
-  config.machine.num_cores = 1;
-  config.memory_fraction = 0.5;
-  core::Simulation sim(config, w);
-  sim.run();
-  std::vector<CheckViolation> captured;
-  sim.check_registry()->set_handler(
-      [&](const CheckViolation& v) {
-        if (v.checker == "frame-quarantine") captured.push_back(v);
-      });
-  sim.check_registry()->run_now(CheckPoint::kEndOfRun);
-  EXPECT_TRUE(captured.empty());
-  Pfn resident = kInvalidPfn;
-  sim.memory_manager().space(0).registry().for_each(
-      [&](const mm::ResidentPage& pg) { resident = pg.pfn; });
-  ASSERT_NE(resident, kInvalidPfn);
-  sim.memory_manager().mutable_allocator_for_test().quarantine(resident);
-  sim.check_registry()->run_now(CheckPoint::kEndOfRun);
-  ASSERT_FALSE(captured.empty());
-  bool saw_resident = false, saw_stale = false;
-  for (const CheckViolation& v : captured) {
-    if (v.invariant == "resident-on-quarantined") saw_resident = true;
-    if (v.invariant == "stale-partition-capacity") saw_stale = true;
+  // Each row corrupts the frame state of a finished constrained run behind
+  // the recovery protocol's back — through the allocator, or the way an
+  // accounting bug would — and the frame-table checker must report exactly
+  // the named kinds. The run leaves all 8 frames resident in space 0.
+  using Corrupt = std::function<void(core::Simulation&, mm::ResidentPage&)>;
+  struct Row {
+    const char* what;
+    Corrupt corrupt;
+    std::set<std::string> kinds;
+  };
+  const auto alloc = [](core::Simulation& sim) -> mm::FrameAllocator& {
+    return sim.memory_manager().mutable_allocator_for_test();
+  };
+  const Row rows[] = {
+      {"frame re-allocated to another unit",
+       [&](core::Simulation& sim, mm::ResidentPage& pg) {
+         alloc(sim).free(pg.pfn);
+         ASSERT_EQ(alloc(sim).allocate(0, pg.unit + 1000), pg.pfn);
+       },
+       {"frame-aliased"}},
+      {"frame re-allocated to another space",
+       [&](core::Simulation& sim, mm::ResidentPage& pg) {
+         alloc(sim).free(pg.pfn);
+         ASSERT_EQ(alloc(sim).allocate(1, pg.unit), pg.pfn);
+       },
+       {"wrong-owner", "per-space-count"}},
+      {"resident frame quarantined",
+       [&](core::Simulation& sim, mm::ResidentPage& pg) {
+         alloc(sim).quarantine(pg.pfn);
+       },
+       {"resident-on-quarantined", "per-space-count", "in-use-vs-resident",
+        "stale-partition-capacity"}},
+      {"resident frame freed",
+       [&](core::Simulation& sim, mm::ResidentPage& pg) {
+         alloc(sim).free(pg.pfn);
+       },
+       {"wrong-owner", "per-space-count", "in-use-vs-resident"}},
+      {"page holds no frame",
+       [](core::Simulation&, mm::ResidentPage& pg) { pg.pfn = kInvalidPfn; },
+       {"invalid-pfn"}},
+      {"entry turned free behind the counters",
+       [&](core::Simulation& sim, mm::ResidentPage& pg) {
+         alloc(sim).corrupt_frame_for_test(pg.pfn, mm::Frame{});
+       },
+       {"free-crossfoot", "ownership-crossfoot", "wrong-owner"}},
+      {"entry turned quarantined behind the counters",
+       [&](core::Simulation& sim, mm::ResidentPage& pg) {
+         alloc(sim).corrupt_frame_for_test(
+             pg.pfn, mm::Frame{.state = mm::FrameState::kQuarantined});
+       },
+       {"quarantine-crossfoot", "ownership-crossfoot",
+        "resident-on-quarantined"}},
+  };
+  for (const Row& row : rows) {
+    SCOPED_TRACE(row.what);
+    std::vector<wl::Op> script = {wl::Op::access(0, false, 16)};
+    ScriptedWorkload w(1, 16, {script});
+    core::SimulationConfig config;
+    config.machine.num_cores = 1;
+    config.memory_fraction = 0.5;
+    core::Simulation sim(config, w);
+    sim.run();
+    std::set<std::string> kinds;
+    sim.check_registry()->set_handler([&](const CheckViolation& v) {
+      if (v.checker == "frame-table") kinds.insert(v.invariant);
+    });
+    sim.check_registry()->run_now(CheckPoint::kEndOfRun);
+    ASSERT_TRUE(kinds.empty());
+    const mm::ResidentPage* last = nullptr;
+    sim.memory_manager().space(0).registry().for_each(
+        [&](const mm::ResidentPage& pg) { last = &pg; });
+    ASSERT_NE(last, nullptr);
+    // The registry hands out const pages; corrupting one is the point.
+    row.corrupt(sim, const_cast<mm::ResidentPage&>(*last));
+    sim.check_registry()->run_now(CheckPoint::kEndOfRun);
+    EXPECT_EQ(kinds, row.kinds);
   }
-  EXPECT_TRUE(saw_resident);
-  EXPECT_TRUE(saw_stale);
 }
 
 TEST(SimCheck, HealthyFaultInjectedRunReportsNoViolations) {
   // Full fault mix under a tight memory constraint: the recovery protocol
   // (retries, quarantines, re-allocation) must leave every invariant —
-  // including the new frame-quarantine checks — intact at every sweep.
+  // including the frame-table checks — intact at every sweep.
   std::vector<wl::Op> script = {wl::Op::access(0, true, 32),
                                 wl::Op::barrier(),
                                 wl::Op::access(0, false, 32)};
@@ -310,13 +357,13 @@ TEST(SimCheck, HealthyFaultInjectedRunReportsNoViolations) {
       << "/" << captured[0].invariant << ": " << captured[0].message;
 }
 
-TEST(SimCheck, DefaultSuiteRegistersSevenCheckers) {
+TEST(SimCheck, DefaultSuiteRegistersFiveCheckers) {
   ScriptedWorkload w(1, 4, {{wl::Op::access(0, false, 4)}});
   core::SimulationConfig config;
   config.machine.num_cores = 1;
   core::Simulation sim(config, w);
   ASSERT_NE(sim.check_registry(), nullptr);
-  EXPECT_EQ(sim.check_registry()->num_checkers(), 7u);
+  EXPECT_EQ(sim.check_registry()->num_checkers(), 5u);
 }
 
 #endif  // CMCP_SIMCHECK_ENABLED

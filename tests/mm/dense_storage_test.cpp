@@ -5,6 +5,8 @@
 // index arithmetic has to prove it.
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "mm/frame_allocator.h"
 #include "mm/page_registry.h"
 #include "mm/pspt.h"
@@ -17,12 +19,10 @@ namespace {
 TEST(DensePspt, UnitZeroAndLastReservedUnit) {
   Pspt pt(4);
   pt.reserve_units(8);
-  pt.map(0, 0, 0);
-  pt.map(3, 7, 56);
+  pt.map(0, 0);
+  pt.map(3, 7);
   EXPECT_TRUE(pt.has_mapping(0, 0));
   EXPECT_TRUE(pt.has_mapping(3, 7));
-  EXPECT_EQ(pt.pfn_of(0), 0u);
-  EXPECT_EQ(pt.pfn_of(7), 56u);
   EXPECT_EQ(pt.core_map_count(0), 1u);
   EXPECT_EQ(pt.mapped_units(), 2u);
   // Units inside the reserved range but never mapped are cleanly absent.
@@ -44,14 +44,13 @@ TEST(DensePspt, QueriesBeyondReservedRangeAreAbsentNotFatal) {
 
 TEST(DensePspt, RemapAfterUnmapTakesANewFrame) {
   Pspt pt(2);
-  pt.map(0, 5, 80);
-  pt.map(1, 5, 80);
+  pt.map(0, 5);
+  pt.map(1, 5);
   pt.mark_dirty(0, 5);
   EXPECT_EQ(pt.unmap_all(5).count(), 2u);
   // Eviction recycled the slot: a later fault may install a different
   // frame, and the old accessed/dirty state must not leak into it.
-  pt.map(1, 5, 16);
-  EXPECT_EQ(pt.pfn_of(5), 16u);
+  pt.map(1, 5);
   EXPECT_EQ(pt.core_map_count(5), 1u);
   EXPECT_FALSE(pt.has_mapping(0, 5));
   EXPECT_FALSE(pt.test_dirty(5));
@@ -62,15 +61,15 @@ TEST(DensePspt, RemapAfterUnmapTakesANewFrame) {
 TEST(DenseRegularPageTable, UnitZeroLastUnitAndRemap) {
   RegularPageTable pt(2);
   pt.reserve_units(8);
-  pt.map(0, 0, 0);
-  pt.map(1, 7, 112);
+  pt.map(0, 0);
+  pt.map(1, 7);
   EXPECT_TRUE(pt.any_mapping(0));
-  EXPECT_EQ(pt.pfn_of(7), 112u);
+  EXPECT_TRUE(pt.any_mapping(7));
   EXPECT_FALSE(pt.any_mapping(800));  // past the reserved range
   pt.mark_dirty(0, 7);
   pt.unmap_all(7);
-  pt.map(0, 7, 48);
-  EXPECT_EQ(pt.pfn_of(7), 48u);
+  pt.map(0, 7);
+  EXPECT_TRUE(pt.any_mapping(7));
   EXPECT_FALSE(pt.test_dirty(7));
 }
 
@@ -131,12 +130,35 @@ TEST(DenseTlb, ReinsertAfterEvictionReusesTheSlotCleanly) {
 
 TEST(DenseFrameAllocator, CapacityOneRecycles) {
   FrameAllocator alloc(1, PageSizeClass::k4K);
-  const Pfn pfn = alloc.allocate();
+  const Pfn pfn = alloc.allocate(0, 0);
   ASSERT_NE(pfn, kInvalidPfn);
   EXPECT_TRUE(alloc.full());
-  EXPECT_EQ(alloc.allocate(), kInvalidPfn);  // exhausted, not UB
+  EXPECT_EQ(alloc.allocate(0, 0), kInvalidPfn);  // exhausted, not UB
   alloc.free(pfn);
-  EXPECT_EQ(alloc.allocate(), pfn);
+  EXPECT_EQ(alloc.allocate(0, 0), pfn);
+}
+
+TEST(DenseStorageDeath, SentinelIndicesAbortInsteadOfWrapping) {
+  // Growing to `index + 1` wraps to 0 for the all-ones sentinels; every
+  // grow-on-demand structure must refuse them before indexing.
+  struct Row {
+    const char* what;
+    std::function<void()> call;
+    const char* message;
+  };
+  const Row rows[] = {
+      {"FrameAllocator::allocate",
+       [] { FrameAllocator(2, PageSizeClass::k4K).allocate(kInvalidAsid, 0); },
+       "kInvalidAsid"},
+      {"PageRegistry::insert",
+       [] { PageRegistry().insert(kInvalidUnit, 0, 0); }, "kInvalidUnit"},
+      {"Pspt::map", [] { Pspt(2).map(0, kInvalidUnit); }, "kInvalidUnit"},
+      {"RegularPageTable::map",
+       [] { RegularPageTable(2).map(0, kInvalidUnit); }, "kInvalidUnit"},
+      {"Tlb::insert", [] { sim::Tlb(4).insert(kInvalidUnit); },
+       "kInvalidUnit"},
+  };
+  for (const Row& row : rows) EXPECT_DEATH(row.call(), row.message) << row.what;
 }
 
 }  // namespace

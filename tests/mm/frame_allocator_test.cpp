@@ -11,22 +11,22 @@ TEST(FrameAllocator, AllocatesUpToCapacity) {
   FrameAllocator alloc(3, PageSizeClass::k4K);
   std::set<Pfn> frames;
   for (int i = 0; i < 3; ++i) {
-    const Pfn pfn = alloc.allocate();
+    const Pfn pfn = alloc.allocate(0, i);
     ASSERT_NE(pfn, kInvalidPfn);
     EXPECT_TRUE(frames.insert(pfn).second) << "duplicate frame";
   }
-  EXPECT_EQ(alloc.allocate(), kInvalidPfn);
+  EXPECT_EQ(alloc.allocate(0, 3), kInvalidPfn);
   EXPECT_TRUE(alloc.full());
   EXPECT_EQ(alloc.in_use(), 3u);
 }
 
 TEST(FrameAllocator, FreeMakesFrameReusable) {
   FrameAllocator alloc(1, PageSizeClass::k4K);
-  const Pfn pfn = alloc.allocate();
-  EXPECT_EQ(alloc.allocate(), kInvalidPfn);
+  const Pfn pfn = alloc.allocate(0, 0);
+  EXPECT_EQ(alloc.allocate(0, 1), kInvalidPfn);
   alloc.free(pfn);
   EXPECT_EQ(alloc.in_use(), 0u);
-  EXPECT_EQ(alloc.allocate(), pfn);
+  EXPECT_EQ(alloc.allocate(0, 1), pfn);
 }
 
 TEST(FrameAllocator, FramesAlignedFor64k) {
@@ -34,7 +34,7 @@ TEST(FrameAllocator, FramesAlignedFor64k) {
   // aligned physical frame (paper section 4).
   FrameAllocator alloc(8, PageSizeClass::k64K);
   for (int i = 0; i < 8; ++i) {
-    const Pfn pfn = alloc.allocate();
+    const Pfn pfn = alloc.allocate(0, i);
     ASSERT_NE(pfn, kInvalidPfn);
     EXPECT_EQ(pfn % 16, 0u) << "64kB frame misaligned";
   }
@@ -43,7 +43,7 @@ TEST(FrameAllocator, FramesAlignedFor64k) {
 TEST(FrameAllocator, FramesAlignedFor2M) {
   FrameAllocator alloc(4, PageSizeClass::k2M);
   for (int i = 0; i < 4; ++i) {
-    const Pfn pfn = alloc.allocate();
+    const Pfn pfn = alloc.allocate(0, i);
     EXPECT_EQ(pfn % 512, 0u);
   }
 }
@@ -55,7 +55,7 @@ TEST(FrameAllocator, ChurnNeverLosesFrames) {
   for (int step = 0; step < 5000; ++step) {
     state = state * 6364136223846793005ULL + 1;
     if ((state >> 33) % 2 == 0 && !alloc.full()) {
-      held.push_back(alloc.allocate());
+      held.push_back(alloc.allocate(0, step));
     } else if (!held.empty()) {
       alloc.free(held.back());
       held.pop_back();
@@ -66,8 +66,8 @@ TEST(FrameAllocator, ChurnNeverLosesFrames) {
 
 TEST(FrameAllocator, QuarantineRetiresFrameForTheRun) {
   FrameAllocator alloc(2, PageSizeClass::k4K);
-  const Pfn a = alloc.allocate();
-  const Pfn b = alloc.allocate();
+  const Pfn a = alloc.allocate(0, 0);
+  const Pfn b = alloc.allocate(0, 1);
   alloc.quarantine(a);
   EXPECT_TRUE(alloc.is_quarantined(a));
   EXPECT_FALSE(alloc.is_quarantined(b));
@@ -78,42 +78,45 @@ TEST(FrameAllocator, QuarantineRetiresFrameForTheRun) {
   EXPECT_EQ(alloc.free_count(), 0u);
   EXPECT_EQ(alloc.owner_of(a), kInvalidAsid);
   // The retired frame never comes back: the pool is exhausted at 1 frame.
-  EXPECT_EQ(alloc.allocate(), kInvalidPfn);
+  EXPECT_EQ(alloc.allocate(0, 2), kInvalidPfn);
   alloc.free(b);
-  EXPECT_EQ(alloc.allocate(), b);
+  EXPECT_EQ(alloc.allocate(0, 2), b);
 }
 
-TEST(FrameAllocator, TenantExitSkipsQuarantinedFrames) {
-  // Quarantine-then-tenant-exit: release_all must reclaim only the frames
-  // still charged to the tenant — a quarantined frame was already uncharged
-  // and must NOT return to the free pool with ECC poison on it.
-  FrameAllocator alloc(4, PageSizeClass::k4K);
-  const Pfn a = alloc.allocate(1);
-  const Pfn b = alloc.allocate(1);
-  const Pfn c = alloc.allocate(1);
+TEST(FrameAllocator, HandsOutAscendingThenLifo) {
+  // The free list is threaded through the coremap's free entries; it must
+  // serve frames in the order every golden result was recorded with.
+  FrameAllocator alloc(4, PageSizeClass::k64K);
+  EXPECT_EQ(alloc.allocate(0, 10), 0u);
+  EXPECT_EQ(alloc.allocate(0, 11), 16u);
+  EXPECT_EQ(alloc.allocate(0, 12), 32u);
+  alloc.free(0);
+  alloc.free(32);
+  EXPECT_EQ(alloc.allocate(0, 13), 32u);
+  EXPECT_EQ(alloc.allocate(0, 14), 0u);
+  EXPECT_EQ(alloc.allocate(0, 15), 48u);
+  EXPECT_EQ(alloc.allocate(0, 16), kInvalidPfn);
+}
+
+TEST(FrameAllocator, CoremapEntryNamesOwnerAndUnit) {
+  FrameAllocator alloc(3, PageSizeClass::k4K);
+  const Pfn a = alloc.allocate(2, 40);
+  const Pfn b = alloc.allocate(0, 7);
   alloc.quarantine(b);
-  EXPECT_EQ(alloc.in_use_by(1), 2u);
-  EXPECT_EQ(alloc.release_all(1), 2u);
-  EXPECT_EQ(alloc.in_use_by(1), 0u);
-  EXPECT_EQ(alloc.in_use(), 0u);
-  EXPECT_TRUE(alloc.is_quarantined(b));
-  EXPECT_EQ(alloc.usable_capacity(), 3u);
-  // Only the 3 usable frames are servable after the exit.
-  std::set<Pfn> served;
-  for (int i = 0; i < 3; ++i) {
-    const Pfn pfn = alloc.allocate();
-    ASSERT_NE(pfn, kInvalidPfn);
-    served.insert(pfn);
-  }
-  EXPECT_EQ(alloc.allocate(), kInvalidPfn);
-  EXPECT_EQ(served.count(b), 0u) << "quarantined frame re-served";
-  EXPECT_EQ(served.count(a), 1u);
-  EXPECT_EQ(served.count(c), 1u);
+  ASSERT_NE(alloc.find(a), nullptr);
+  EXPECT_EQ(alloc.find(a)->state, FrameState::kResident);
+  EXPECT_EQ(alloc.find(a)->owner, 2u);
+  EXPECT_EQ(alloc.find(a)->unit, 40u);
+  EXPECT_EQ(alloc.find(b)->state, FrameState::kQuarantined);
+  EXPECT_EQ(alloc.frames().size(), 3u);
+  EXPECT_EQ(alloc.frames()[2].state, FrameState::kFree);
+  EXPECT_EQ(alloc.find(3), nullptr);  // past capacity
+  EXPECT_EQ(alloc.find(kInvalidPfn), nullptr);
 }
 
 TEST(FrameAllocatorDeath, DoubleFreeAborts) {
   FrameAllocator alloc(2, PageSizeClass::k4K);
-  const Pfn pfn = alloc.allocate();
+  const Pfn pfn = alloc.allocate(0, 0);
   alloc.free(pfn);
   EXPECT_DEATH(alloc.free(pfn), "");
 }
@@ -125,14 +128,14 @@ TEST(FrameAllocatorDeath, MisalignedFreeAborts) {
 
 TEST(FrameAllocatorDeath, QuarantineOfFreeFrameAborts) {
   FrameAllocator alloc(2, PageSizeClass::k4K);
-  const Pfn pfn = alloc.allocate();
+  const Pfn pfn = alloc.allocate(0, 0);
   alloc.free(pfn);
   EXPECT_DEATH(alloc.quarantine(pfn), "");
 }
 
 TEST(FrameAllocatorDeath, FreeOfQuarantinedFrameAborts) {
   FrameAllocator alloc(2, PageSizeClass::k4K);
-  const Pfn pfn = alloc.allocate();
+  const Pfn pfn = alloc.allocate(0, 0);
   alloc.quarantine(pfn);
   EXPECT_DEATH(alloc.free(pfn), "");
 }

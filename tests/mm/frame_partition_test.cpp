@@ -1,7 +1,7 @@
 // FrameAllocator ownership tagging and FramePartition QoS edges: reserve
-// floor exhaustion, tenant exit reclaiming frames, and proportional-share
-// rounding with tiny capacities — the corners where the partition either
-// honors its guarantees or silently starves a tenant.
+// floor exhaustion and proportional-share rounding with tiny capacities —
+// the corners where the partition either honors its guarantees or silently
+// starves a tenant.
 #include "mm/frame_partition.h"
 
 #include <gtest/gtest.h>
@@ -21,7 +21,7 @@ FrameAllocator make_alloc(std::uint64_t capacity) {
 std::vector<Pfn> take(FrameAllocator& alloc, Asid owner, std::uint64_t n) {
   std::vector<Pfn> pfns;
   for (std::uint64_t i = 0; i < n; ++i) {
-    const Pfn pfn = alloc.allocate(owner);
+    const Pfn pfn = alloc.allocate(owner, i);
     EXPECT_NE(pfn, kInvalidPfn);
     pfns.push_back(pfn);
   }
@@ -44,23 +44,6 @@ TEST(FrameAllocatorOwnership, TracksPerTenantCountsAndOwners) {
   alloc.free(a[1]);
   EXPECT_EQ(alloc.in_use_by(0), 2u);
   EXPECT_EQ(alloc.owner_of(a[1]), kInvalidAsid);
-}
-
-TEST(FrameAllocatorOwnership, TenantExitReclaimsEveryFrame) {
-  FrameAllocator alloc = make_alloc(6);
-  take(alloc, 0, 2);
-  take(alloc, 1, 3);
-  // Tenant 1 exits: all of its frames return to the free pool in one sweep
-  // and become allocatable by the survivor.
-  EXPECT_EQ(alloc.release_all(1), 3u);
-  EXPECT_EQ(alloc.in_use_by(1), 0u);
-  EXPECT_EQ(alloc.in_use(), 2u);
-  EXPECT_EQ(alloc.free_count(), 4u);
-  take(alloc, 0, 4);
-  EXPECT_EQ(alloc.in_use_by(0), 6u);
-  EXPECT_TRUE(alloc.full());
-  // Releasing an exited (or never-seen) tenant again is a no-op.
-  EXPECT_EQ(alloc.release_all(1), 0u);
 }
 
 // --- static reserve ---------------------------------------------------------

@@ -41,13 +41,13 @@ TEST(PageRegistry, ReinsertAfterEraseResetsPolicyState) {
   pg.where = 3;
   pg.bucket = 9;
   pg.referenced = true;
-  pg.core_map_count = 5;
+  pg.ready_at = 5;
   reg.erase(pg);
   ResidentPage& fresh = reg.insert(7, 200, 10);
   EXPECT_EQ(fresh.where, 0);
   EXPECT_EQ(fresh.bucket, 0u);
   EXPECT_FALSE(fresh.referenced);
-  EXPECT_EQ(fresh.core_map_count, 0u);
+  EXPECT_EQ(fresh.ready_at, 0u);
   EXPECT_EQ(fresh.pfn, 200u);
 }
 

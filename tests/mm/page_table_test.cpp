@@ -29,31 +29,28 @@ class PageTableContractTest : public ::testing::TestWithParam<PageTableKind> {
 TEST_P(PageTableContractTest, UnmappedUnitHasNothing) {
   EXPECT_FALSE(pt_->any_mapping(7));
   EXPECT_FALSE(pt_->has_mapping(0, 7));
-  EXPECT_EQ(pt_->pfn_of(7), kInvalidPfn);
   EXPECT_EQ(pt_->core_map_count(7), 0u);
   EXPECT_TRUE(pt_->mapping_cores(7).none());
   EXPECT_EQ(pt_->mapped_units(), 0u);
 }
 
 TEST_P(PageTableContractTest, MapMakesUnitVisible) {
-  pt_->map(2, 7, 100);
+  pt_->map(2, 7);
   EXPECT_TRUE(pt_->any_mapping(7));
   EXPECT_TRUE(pt_->has_mapping(2, 7));
-  EXPECT_EQ(pt_->pfn_of(7), 100u);
   EXPECT_EQ(pt_->mapped_units(), 1u);
 }
 
 TEST_P(PageTableContractTest, UnmapAllRemovesEverything) {
-  pt_->map(1, 3, 50);
+  pt_->map(1, 3);
   const CoreMask affected = pt_->unmap_all(3);
   EXPECT_TRUE(affected.any());
   EXPECT_FALSE(pt_->any_mapping(3));
   EXPECT_FALSE(pt_->has_mapping(1, 3));
-  EXPECT_EQ(pt_->pfn_of(3), kInvalidPfn);
 }
 
 TEST_P(PageTableContractTest, AccessedBitLifecycle) {
-  pt_->map(0, 9, 10);
+  pt_->map(0, 9);
   unsigned reads = 0;
   EXPECT_FALSE(pt_->test_accessed(9, &reads));
   pt_->mark_accessed(0, 9);
@@ -64,7 +61,7 @@ TEST_P(PageTableContractTest, AccessedBitLifecycle) {
 }
 
 TEST_P(PageTableContractTest, DirtyBitLifecycle) {
-  pt_->map(0, 4, 11);
+  pt_->map(0, 4);
   EXPECT_FALSE(pt_->test_dirty(4));
   pt_->mark_dirty(0, 4);
   EXPECT_TRUE(pt_->test_dirty(4));
@@ -73,9 +70,10 @@ TEST_P(PageTableContractTest, DirtyBitLifecycle) {
 }
 
 TEST_P(PageTableContractTest, ManyUnitsIndependent) {
-  for (UnitIdx u = 0; u < 100; ++u) pt_->map(u % kCores, u, u * 10);
+  for (UnitIdx u = 0; u < 100; ++u) pt_->map(u % kCores, u);
   EXPECT_EQ(pt_->mapped_units(), 100u);
-  for (UnitIdx u = 0; u < 100; ++u) EXPECT_EQ(pt_->pfn_of(u), u * 10);
+  for (UnitIdx u = 0; u < 100; ++u)
+    EXPECT_TRUE(pt_->has_mapping(u % kCores, u));
   pt_->unmap_all(50);
   EXPECT_EQ(pt_->mapped_units(), 99u);
   EXPECT_TRUE(pt_->any_mapping(49));
@@ -97,14 +95,14 @@ INSTANTIATE_TEST_SUITE_P(BothKinds, PageTableContractTest,
 
 TEST(RegularPageTable, MappingVisibleToEveryCoreAtOnce) {
   RegularPageTable pt(kCores);
-  pt.map(0, 5, 42);
+  pt.map(0, 5);
   for (CoreId c = 0; c < kCores; ++c) EXPECT_TRUE(pt.has_mapping(c, 5));
 }
 
 TEST(RegularPageTable, ShootdownMustTargetAllCores) {
   // Centralized book-keeping cannot tell whose TLB holds the translation.
   RegularPageTable pt(kCores);
-  pt.map(3, 5, 42);
+  pt.map(3, 5);
   EXPECT_EQ(pt.mapping_cores(5), CoreMask::first_n(kCores));
   EXPECT_EQ(pt.unmap_all(5), CoreMask::first_n(kCores));
 }
@@ -113,13 +111,13 @@ TEST(RegularPageTable, CoreMapCountIsPessimistic) {
   // "such information cannot be obtained from regular page tables" — the
   // model reports the upper bound.
   RegularPageTable pt(kCores);
-  pt.map(0, 5, 42);
+  pt.map(0, 5);
   EXPECT_EQ(pt.core_map_count(5), kCores);
 }
 
 TEST(Pspt, MappingPrivatePerCore) {
   Pspt pt(kCores);
-  pt.map(2, 5, 42);
+  pt.map(2, 5);
   EXPECT_TRUE(pt.has_mapping(2, 5));
   for (CoreId c = 0; c < kCores; ++c) {
     if (c != 2) {
@@ -130,19 +128,19 @@ TEST(Pspt, MappingPrivatePerCore) {
 
 TEST(Pspt, CoreMapCountIsExact) {
   Pspt pt(kCores);
-  pt.map(0, 5, 42);
+  pt.map(0, 5);
   EXPECT_EQ(pt.core_map_count(5), 1u);
-  pt.map(3, 5, 42);
+  pt.map(3, 5);
   EXPECT_EQ(pt.core_map_count(5), 2u);
-  pt.map(7, 5, 42);
+  pt.map(7, 5);
   EXPECT_EQ(pt.core_map_count(5), 3u);
 }
 
 TEST(Pspt, ShootdownTargetsOnlyMappingCores) {
   // The red dashed lines of Fig. 3: invalidation hits Core0 and Core1 only.
   Pspt pt(kCores);
-  pt.map(0, 5, 42);
-  pt.map(1, 5, 42);
+  pt.map(0, 5);
+  pt.map(1, 5);
   CoreMask expected;
   expected.set(0);
   expected.set(1);
@@ -150,23 +148,16 @@ TEST(Pspt, ShootdownTargetsOnlyMappingCores) {
   EXPECT_EQ(pt.unmap_all(5), expected);
 }
 
-TEST(Pspt, CoherenceViolationAborts) {
-  // Private PTEs for the same VA must define the same translation.
-  Pspt pt(kCores);
-  pt.map(0, 5, 42);
-  EXPECT_DEATH(pt.map(1, 5, 43), "coherence");
-}
-
 TEST(Pspt, DoubleMapBySameCoreAborts) {
   Pspt pt(kCores);
-  pt.map(0, 5, 42);
-  EXPECT_DEATH(pt.map(0, 5, 42), "already maps");
+  pt.map(0, 5);
+  EXPECT_DEATH(pt.map(0, 5), "already maps");
 }
 
 TEST(Pspt, AccessedBitAggregatesOverMappingCores) {
   Pspt pt(kCores);
-  pt.map(0, 5, 42);
-  pt.map(1, 5, 42);
+  pt.map(0, 5);
+  pt.map(1, 5);
   pt.mark_accessed(1, 5);
   unsigned reads = 0;
   EXPECT_TRUE(pt.test_accessed(5, &reads));
@@ -178,9 +169,9 @@ TEST(Pspt, AccessedBitAggregatesOverMappingCores) {
 
 TEST(Pspt, PerCoreMappedUnits) {
   Pspt pt(kCores);
-  pt.map(0, 1, 10);
-  pt.map(0, 2, 20);
-  pt.map(1, 2, 20);
+  pt.map(0, 1);
+  pt.map(0, 2);
+  pt.map(1, 2);
   EXPECT_EQ(pt.mapped_units_of_core(0), 2u);
   EXPECT_EQ(pt.mapped_units_of_core(1), 1u);
   EXPECT_EQ(pt.mapped_units(), 2u);

@@ -51,8 +51,7 @@ struct Fixture {
     return *table;
   }
 
-  /// Violations from `checker` only (a corrupt directory also trips the
-  /// cached-count cross-checks; tests assert on the primary finding).
+  /// Violations from `checker` only (tests assert on the primary finding).
   std::vector<CheckViolation> from(std::string_view checker) const {
     std::vector<CheckViolation> out;
     for (const CheckViolation& v : captured)
@@ -100,17 +99,17 @@ TEST(PsptInvariant, CorruptedCountIsReportedWithUnit) {
 }
 
 TEST(PsptInvariant, CorruptedCountTripsTheCachedCountCrossCheck) {
-  // The ResidentPage caches the count the policy ranks on; when the
-  // directory drifts, the checker must also flag the stale cache so the
-  // diagnostic points at CMCP's actual decision input.
+  // The directory's count caches the population of the per-core PTEs and
+  // is what the policy ranks on; when it drifts, the cross-foot against the
+  // per-core PTE populations must flag it too.
   Fixture f;
   f.touch(0, 5);
   f.pspt().corrupt_count_for_test(5, 3);
   f.registry.run_now(CheckPoint::kEndOfRun);
-  bool cached = false;
+  bool crossfoot = false;
   for (const CheckViolation& v : f.from("pspt-consistency"))
-    if (v.invariant == "cached-count" && v.unit == 5u) cached = true;
-  EXPECT_TRUE(cached);
+    if (v.invariant == "count-crossfoot") crossfoot = true;
+  EXPECT_TRUE(crossfoot);
 }
 
 TEST(PsptInvariant, MaskGainingCoreWithoutPteIsReported) {

@@ -12,9 +12,8 @@ namespace cmcp::mm {
 namespace {
 
 struct ReferenceModel {
-  // unit -> (pfn, set of mapping cores, accessed cores, dirty cores)
+  // unit -> (set of mapping cores, accessed cores, dirty cores)
   struct Unit {
-    Pfn pfn;
     std::set<CoreId> cores;
     std::set<CoreId> accessed;
     std::set<CoreId> dirty;
@@ -37,10 +36,8 @@ TEST_P(PsptPropertyTest, AgreesWithReferenceModelUnderRandomOps) {
     switch (rng.next_below(6)) {
       case 0: {  // map (if this core doesn't already)
         auto it = ref.units.find(unit);
-        const Pfn pfn = it != ref.units.end() ? it->second.pfn : unit * 100;
         if (it == ref.units.end() || !it->second.cores.contains(core)) {
-          pt.map(core, unit, pfn);
-          ref.units[unit].pfn = pfn;
+          pt.map(core, unit);
           ref.units[unit].cores.insert(core);
         }
         break;
@@ -93,7 +90,6 @@ TEST_P(PsptPropertyTest, AgreesWithReferenceModelUnderRandomOps) {
       EXPECT_EQ(pt.core_map_count(unit), 0u);
     } else {
       EXPECT_TRUE(pt.any_mapping(unit));
-      EXPECT_EQ(pt.pfn_of(unit), it->second.pfn);
       // Core-map count == exact number of mapping cores.
       EXPECT_EQ(pt.core_map_count(unit), it->second.cores.size());
       const CoreMask mask = pt.mapping_cores(unit);

@@ -14,7 +14,7 @@ using testing::PageFactory;
 TEST(Arc, ColdPagesEnterRecencyList) {
   FakePolicyHost host(8, 4);
   ArcPolicy policy(host);
-  PageFactory pages;
+  PageFactory pages(host);
   policy.on_insert(pages.make(1));
   policy.on_insert(pages.make(2));
   EXPECT_EQ(policy.t1_size(), 2u);
@@ -24,7 +24,7 @@ TEST(Arc, ColdPagesEnterRecencyList) {
 TEST(Arc, VictimIsT1LruWhenTargetZero) {
   FakePolicyHost host(8, 4);
   ArcPolicy policy(host);
-  PageFactory pages;
+  PageFactory pages(host);
   auto& a = pages.make(1);
   auto& b = pages.make(2);
   policy.on_insert(a);
@@ -36,7 +36,7 @@ TEST(Arc, VictimIsT1LruWhenTargetZero) {
 TEST(Arc, EvictedT1PageGoesToGhostB1) {
   FakePolicyHost host(8, 4);
   ArcPolicy policy(host);
-  PageFactory pages;
+  PageFactory pages(host);
   auto& a = pages.make(1);
   policy.on_insert(a);
   policy.on_evict(a);
@@ -48,7 +48,7 @@ TEST(Arc, EvictedT1PageGoesToGhostB1) {
 TEST(Arc, RefaultFromB1EntersT2AndGrowsTarget) {
   FakePolicyHost host(8, 4);
   ArcPolicy policy(host);
-  PageFactory pages;
+  PageFactory pages(host);
   auto& a = pages.make(1);
   policy.on_insert(a);
   policy.on_evict(a);
@@ -66,11 +66,11 @@ TEST(Arc, RefaultFromB1EntersT2AndGrowsTarget) {
 TEST(Arc, RefaultFromB2ShrinksTarget) {
   FakePolicyHost host(8, 4);
   ArcPolicy policy(host);
-  PageFactory pages;
+  PageFactory pages(host);
   // Get a page into T2, evict it (-> B2), refault it.
   auto& a = pages.make(1);
   policy.on_insert(a);
-  a.core_map_count = 2;
+  host.set_core_map_count(a.unit, 2);
   policy.on_core_map_grow(a);  // T1 -> T2
   ASSERT_EQ(policy.t2_size(), 1u);
   policy.on_evict(a);
@@ -96,10 +96,10 @@ TEST(Arc, RefaultFromB2ShrinksTarget) {
 TEST(Arc, MinorFaultPromotesToT2) {
   FakePolicyHost host(8, 4);
   ArcPolicy policy(host);
-  PageFactory pages;
+  PageFactory pages(host);
   auto& a = pages.make(1);
   policy.on_insert(a);
-  a.core_map_count = 2;
+  host.set_core_map_count(a.unit, 2);
   policy.on_core_map_grow(a);
   EXPECT_EQ(policy.t1_size(), 0u);
   EXPECT_EQ(policy.t2_size(), 1u);
@@ -109,7 +109,7 @@ TEST(Arc, MinorFaultPromotesToT2) {
 TEST(Arc, GhostListsBounded) {
   FakePolicyHost host(4, 4);  // capacity 4 -> ghosts bounded at 4
   ArcPolicy policy(host);
-  PageFactory pages;
+  PageFactory pages(host);
   for (UnitIdx u = 0; u < 20; ++u) {
     auto& pg = pages.make(u);
     policy.on_insert(pg);
@@ -124,12 +124,12 @@ TEST(Arc, PromotedPagesSurviveColdStreaming) {
   // while T1 pages exist and the target favours frequency (no ghost hits).
   FakePolicyHost host(16, 4);
   ArcPolicy policy(host);
-  PageFactory pages;
+  PageFactory pages(host);
   std::vector<mm::ResidentPage*> hot;
   for (UnitIdx u = 0; u < 4; ++u) {
     hot.push_back(&pages.make(u));
     policy.on_insert(*hot.back());
-    hot.back()->core_map_count = 2;
+    host.set_core_map_count(hot.back()->unit, 2);
     policy.on_core_map_grow(*hot.back());  // -> T2
   }
   ASSERT_EQ(policy.t2_size(), 4u);

@@ -32,7 +32,7 @@ TEST_P(CmcpTraceTest, StructuralInvariantsUnderRandomTrace) {
   config.p = GetParam().p;
   config.age_limit_ticks = 5;
   CmcpPolicy policy(host, config);
-  PageFactory pages;
+  PageFactory pages(host);
   Rng rng(GetParam().seed);
 
   std::unordered_map<UnitIdx, mm::ResidentPage*> resident;
@@ -57,8 +57,9 @@ TEST_P(CmcpTraceTest, StructuralInvariantsUnderRandomTrace) {
       if (!resident.empty()) {
         auto it = resident.begin();
         std::advance(it, rng.next_below(resident.size()) % resident.size());
-        if (it->second->core_map_count < 16) {
-          ++it->second->core_map_count;
+        const mm::ResidentPage& pg = *it->second;
+        if (host.core_map_count(pg) < 16) {
+          host.set_core_map_count(pg.unit, host.core_map_count(pg) + 1);
           policy.on_core_map_grow(*it->second);
         }
       }
@@ -97,7 +98,7 @@ TEST(CmcpEquivalence, PZeroMatchesFifoVictimForVictim) {
   config.p = 0.0;
   CmcpPolicy cmcp(host, config);
   FifoPolicy fifo;
-  PageFactory cmcp_pages, fifo_pages;
+  PageFactory cmcp_pages(host), fifo_pages(host);
   Rng rng(77);
 
   std::unordered_set<UnitIdx> resident;
@@ -124,8 +125,7 @@ TEST(CmcpEquivalence, PZeroMatchesFifoVictimForVictim) {
       fifo.on_insert(b);
       // Random growth events must not perturb the p=0 equivalence.
       if (rng.next() % 4 == 0) {
-        ++a.core_map_count;
-        ++b.core_map_count;
+        host.set_core_map_count(a.unit, count + 1);  // a and b share the unit
         cmcp.on_core_map_grow(a);
         fifo.on_core_map_grow(b);
       }
@@ -142,7 +142,7 @@ TEST(CmcpOrdering, FullPriorityEvictsAscendingByCount) {
   config.p = 1.0;
   config.aging_enabled = false;
   CmcpPolicy policy(host, config);
-  PageFactory pages;
+  PageFactory pages(host);
   // Insert counts in scrambled order.
   const unsigned counts[] = {7, 2, 11, 4, 15, 1, 9, 3};
   std::vector<mm::ResidentPage*> inserted;
@@ -155,8 +155,8 @@ TEST(CmcpOrdering, FullPriorityEvictsAscendingByCount) {
     Cycles extra = 0;
     mm::ResidentPage* victim = policy.pick_victim(0, extra);
     ASSERT_NE(victim, nullptr);
-    EXPECT_GE(victim->core_map_count, prev);
-    prev = victim->core_map_count;
+    EXPECT_GE(host.core_map_count(*victim), prev);
+    prev = host.core_map_count(*victim);
     policy.on_evict(*victim);
   }
 }
@@ -200,7 +200,7 @@ TEST(CmcpBehaviour, BeatsFifoOnRecurringSharedPages) {
   config.p = 0.5;
   CmcpPolicy cmcp(host, config);
   FifoPolicy fifo;
-  PageFactory a, b;
+  PageFactory a(host), b(host);
   const std::uint64_t cmcp_faults = run(cmcp, a);
   const std::uint64_t fifo_faults = run(fifo, b);
   // FIFO refaults the shared set every round; CMCP pins it.

@@ -34,7 +34,7 @@ TEST(Cmcp, PriorityCapacityFollowsP) {
 TEST(Cmcp, StatsVisitorEnumeratesEveryCounter) {
   FakePolicyHost host(10, 8);
   CmcpPolicy policy(host, config_with_p(0.2));
-  PageFactory pages;
+  PageFactory pages(host);
   policy.on_insert(pages.make(1, 1));
   std::vector<std::string> names;
   policy.stats([&](std::string_view name, std::uint64_t) {
@@ -52,7 +52,7 @@ TEST(Cmcp, StatsVisitorEnumeratesEveryCounter) {
 TEST(Cmcp, FillsPriorityGroupUntilFull) {
   FakePolicyHost host(10, 8);
   CmcpPolicy policy(host, config_with_p(0.2));  // room for 2
-  PageFactory pages;
+  PageFactory pages(host);
   policy.on_insert(pages.make(1, 1));
   policy.on_insert(pages.make(2, 1));
   policy.on_insert(pages.make(3, 1));
@@ -67,7 +67,7 @@ TEST(Cmcp, HigherCountDisplacesLowestPriorityPage) {
   // and the new page is placed into the priority group."
   FakePolicyHost host(10, 8);
   CmcpPolicy policy(host, config_with_p(0.1));  // room for exactly 1
-  PageFactory pages;
+  PageFactory pages(host);
   auto& low = pages.make(1, 2);
   policy.on_insert(low);
   ASSERT_EQ(policy.priority_size(), 1u);
@@ -84,7 +84,7 @@ TEST(Cmcp, HigherCountDisplacesLowestPriorityPage) {
 TEST(Cmcp, EqualCountDoesNotDisplace) {
   FakePolicyHost host(10, 8);
   CmcpPolicy policy(host, config_with_p(0.1));
-  PageFactory pages;
+  PageFactory pages(host);
   auto& first = pages.make(1, 3);
   policy.on_insert(first);
   auto& second = pages.make(2, 3);
@@ -98,7 +98,7 @@ TEST(Cmcp, EvictionPrefersFifoHead) {
   // "the algorithm either takes the first page of the regular FIFO list..."
   FakePolicyHost host(10, 8);
   CmcpPolicy policy(host, config_with_p(0.5));
-  PageFactory pages;
+  PageFactory pages(host);
   auto& prio = pages.make(1, 6);
   auto& fifo1 = pages.make(2, 1);
   auto& fifo2 = pages.make(3, 1);
@@ -118,7 +118,7 @@ TEST(Cmcp, FallsBackToLowestPriorityWhenFifoEmpty) {
   // prioritized group is removed."
   FakePolicyHost host(10, 8);
   CmcpPolicy policy(host, config_with_p(1.0));
-  PageFactory pages;
+  PageFactory pages(host);
   auto& two = pages.make(1, 2);
   auto& five = pages.make(2, 5);
   auto& three = pages.make(3, 3);
@@ -137,14 +137,15 @@ TEST(Cmcp, FallsBackToLowestPriorityWhenFifoEmpty) {
 TEST(Cmcp, CoreMapGrowthPromotesFifoPage) {
   FakePolicyHost host(10, 8);
   CmcpPolicy policy(host, config_with_p(0.1));
-  PageFactory pages;
+  PageFactory pages(host);
   auto& shared = pages.make(1, 2);
   policy.on_insert(shared);  // priority (room)
   auto& page = pages.make(2, 1);
   policy.on_insert(page);  // FIFO (group full, count 1 < 2)
   ASSERT_EQ(policy.fifo_size(), 1u);
 
-  page.core_map_count = 4;  // grew past the lowest prioritized page
+  // The page grew past the lowest prioritized page.
+  host.set_core_map_count(page.unit, 4);
   policy.on_core_map_grow(page);
   EXPECT_EQ(policy.priority_size(), 1u);
   Cycles extra = 0;
@@ -154,12 +155,12 @@ TEST(Cmcp, CoreMapGrowthPromotesFifoPage) {
 TEST(Cmcp, GrowthWhilePrioritizedRebuckets) {
   FakePolicyHost host(10, 8);
   CmcpPolicy policy(host, config_with_p(1.0));
-  PageFactory pages;
+  PageFactory pages(host);
   auto& a = pages.make(1, 2);
   auto& b = pages.make(2, 3);
   policy.on_insert(a);
   policy.on_insert(b);
-  a.core_map_count = 6;
+  host.set_core_map_count(a.unit, 6);
   policy.on_core_map_grow(a);  // a now outranks b
   Cycles extra = 0;
   EXPECT_EQ(policy.pick_victim(0, extra), &b);
@@ -172,7 +173,7 @@ TEST(Cmcp, AgingDemotesStalePrioritizedPages) {
   CmcpConfig config = config_with_p(1.0);
   config.age_limit_ticks = 3;
   CmcpPolicy policy(host, config);
-  PageFactory pages;
+  PageFactory pages(host);
   auto& pg = pages.make(1, 5);
   policy.on_insert(pg);
   ASSERT_EQ(policy.priority_size(), 1u);
@@ -189,12 +190,12 @@ TEST(Cmcp, RemapRefreshesAge) {
   CmcpConfig config = config_with_p(1.0);
   config.age_limit_ticks = 3;
   CmcpPolicy policy(host, config);
-  PageFactory pages;
+  PageFactory pages(host);
   auto& pg = pages.make(1, 2);
   policy.on_insert(pg);
   policy.on_tick(0);
   policy.on_tick(1);
-  pg.core_map_count = 3;
+  host.set_core_map_count(pg.unit, 3);
   policy.on_core_map_grow(pg);  // refresh
   policy.on_tick(2);
   policy.on_tick(3);
@@ -210,7 +211,7 @@ TEST(Cmcp, AgingDisabledKeepsPagesPinned) {
   CmcpConfig config = config_with_p(1.0);
   config.aging_enabled = false;
   CmcpPolicy policy(host, config);
-  PageFactory pages;
+  PageFactory pages(host);
   policy.on_insert(pages.make(1, 5));
   for (int t = 0; t < 1000; ++t) policy.on_tick(t);
   EXPECT_EQ(policy.priority_size(), 1u);
@@ -221,7 +222,7 @@ TEST(Cmcp, NoScannerRequired) {
   FakePolicyHost host(10, 8);
   CmcpPolicy policy(host, config_with_p(0.5));
   EXPECT_FALSE(policy.wants_scanner());
-  PageFactory pages;
+  PageFactory pages(host);
   for (UnitIdx u = 0; u < 10; ++u) policy.on_insert(pages.make(u, 1 + u % 4));
   Cycles extra = 0;
   for (int i = 0; i < 10; ++i) {

@@ -7,11 +7,13 @@
 namespace cmcp::policy {
 namespace {
 
+using testing::FakePolicyHost;
 using testing::PageFactory;
 
 TEST(Fifo, EvictsInInsertionOrder) {
   FifoPolicy policy;
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   auto& a = pages.make(1);
   auto& b = pages.make(2);
   auto& c = pages.make(3);
@@ -30,7 +32,8 @@ TEST(Fifo, EvictsInInsertionOrder) {
 
 TEST(Fifo, PickDoesNotRemove) {
   FifoPolicy policy;
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   auto& a = pages.make(1);
   policy.on_insert(a);
   Cycles extra = 0;
@@ -41,7 +44,8 @@ TEST(Fifo, PickDoesNotRemove) {
 
 TEST(Fifo, EvictFromMiddleKeepsOrder) {
   FifoPolicy policy;
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   auto& a = pages.make(1);
   auto& b = pages.make(2);
   auto& c = pages.make(3);
@@ -64,12 +68,13 @@ TEST(Fifo, NoScannerNoTicks) {
 
 TEST(Fifo, CoreMapGrowthIsIgnored) {
   FifoPolicy policy;
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   auto& a = pages.make(1);
   auto& b = pages.make(2);
   policy.on_insert(a);
   policy.on_insert(b);
-  a.core_map_count = 7;
+  host.set_core_map_count(a.unit, 7);
   policy.on_core_map_grow(a);  // FIFO does not reorder on sharing
   Cycles extra = 0;
   EXPECT_EQ(policy.pick_victim(0, extra), &a);

@@ -7,6 +7,7 @@
 namespace cmcp::policy {
 namespace {
 
+using testing::FakePolicyHost;
 using testing::PageFactory;
 
 TEST(LruApprox, WantsScanner) {
@@ -16,7 +17,8 @@ TEST(LruApprox, WantsScanner) {
 
 TEST(LruApprox, NewPagesStartInactive) {
   LruApproxPolicy policy;
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   policy.on_insert(pages.make(1));
   policy.on_insert(pages.make(2));
   EXPECT_EQ(policy.inactive_size(), 2u);
@@ -27,7 +29,8 @@ TEST(LruApprox, PromotionRequiresTwoReferencedScans) {
   // Linux's two-touch rule: the first observed reference is just the fault
   // that brought the page in.
   LruApproxPolicy policy;
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   auto& pg = pages.make(1);
   policy.on_insert(pg);
   policy.on_scan(pg, true);
@@ -40,7 +43,8 @@ TEST(LruApprox, PromotionRequiresTwoReferencedScans) {
 
 TEST(LruApprox, UnreferencedInactivePagesAgeInPlace) {
   LruApproxPolicy policy;
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   auto& pg = pages.make(1);
   policy.on_insert(pg);
   for (int i = 0; i < 5; ++i) policy.on_scan(pg, false);
@@ -50,7 +54,8 @@ TEST(LruApprox, UnreferencedInactivePagesAgeInPlace) {
 
 TEST(LruApprox, DemotionRequiresTwoQuietScans) {
   LruApproxPolicy policy;
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   auto& pg = pages.make(1);
   policy.on_insert(pg);
   policy.on_scan(pg, true);
@@ -66,7 +71,8 @@ TEST(LruApprox, DemotionRequiresTwoQuietScans) {
 
 TEST(LruApprox, VictimsComeFromInactiveFirst) {
   LruApproxPolicy policy;
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   auto& hot = pages.make(1);
   auto& cold = pages.make(2);
   policy.on_insert(hot);
@@ -84,7 +90,8 @@ TEST(LruApprox, VictimsComeFromInactiveFirst) {
 
 TEST(LruApprox, FallsBackToActiveWhenInactiveEmpty) {
   LruApproxPolicy policy;
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   auto& pg = pages.make(1);
   policy.on_insert(pg);
   policy.on_scan(pg, true);
@@ -95,7 +102,8 @@ TEST(LruApprox, FallsBackToActiveWhenInactiveEmpty) {
 
 TEST(LruApprox, ActiveRotationKeepsHottestLast) {
   LruApproxPolicy policy;
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   auto& a = pages.make(1);
   auto& b = pages.make(2);
   for (auto* pg : {&a, &b}) {
@@ -116,7 +124,8 @@ TEST(LruApprox, ActiveRotationKeepsHottestLast) {
 
 TEST(LruApprox, EvictFromEitherList) {
   LruApproxPolicy policy;
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   auto& act = pages.make(1);
   auto& inact = pages.make(2);
   policy.on_insert(act);
@@ -133,7 +142,8 @@ TEST(LruApprox, ProtectsHotSetOnMixedTrace) {
   // Behavioural: with a hot set re-referenced every round and a cold
   // stream, LRU should evict the stream and keep the hot set.
   LruApproxPolicy policy;
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   constexpr UnitIdx kHot = 4;
   std::vector<mm::ResidentPage*> hot;
   for (UnitIdx u = 0; u < kHot; ++u) {

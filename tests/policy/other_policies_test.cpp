@@ -19,7 +19,7 @@ using testing::PageFactory;
 TEST(Clock, EvictsUnreferencedHand) {
   FakePolicyHost host(8, 4);
   ClockPolicy policy(host);
-  PageFactory pages;
+  PageFactory pages(host);
   auto& a = pages.make(1);
   auto& b = pages.make(2);
   policy.on_insert(a);
@@ -32,7 +32,7 @@ TEST(Clock, EvictsUnreferencedHand) {
 TEST(Clock, ReferencedHandGetsSecondChanceAtShootdownCost) {
   FakePolicyHost host(8, 4);
   ClockPolicy policy(host);
-  PageFactory pages;
+  PageFactory pages(host);
   auto& a = pages.make(1);
   auto& b = pages.make(2);
   policy.on_insert(a);
@@ -48,7 +48,7 @@ TEST(Clock, ReferencedHandGetsSecondChanceAtShootdownCost) {
 TEST(Clock, AllReferencedStillYieldsVictim) {
   FakePolicyHost host(8, 4);
   ClockPolicy policy(host);
-  PageFactory pages;
+  PageFactory pages(host);
   for (UnitIdx u = 0; u < 4; ++u) {
     policy.on_insert(pages.make(u));
     host.set_accessed(u);
@@ -63,7 +63,8 @@ TEST(Clock, AllReferencedStillYieldsVictim) {
 TEST(Lfu, EvictsLeastFrequentlyScannedFirst) {
   LfuPolicy policy;
   EXPECT_TRUE(policy.wants_scanner());
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   auto& rare = pages.make(1);
   auto& frequent = pages.make(2);
   policy.on_insert(rare);
@@ -78,7 +79,8 @@ TEST(Lfu, EvictsLeastFrequentlyScannedFirst) {
 
 TEST(Lfu, TiesBrokenFifoWithinBucket) {
   LfuPolicy policy;
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   auto& a = pages.make(1);
   auto& b = pages.make(2);
   policy.on_insert(a);
@@ -89,7 +91,8 @@ TEST(Lfu, TiesBrokenFifoWithinBucket) {
 
 TEST(Lfu, FrequencySaturates) {
   LfuPolicy policy;
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   auto& pg = pages.make(1);
   policy.on_insert(pg);
   for (int s = 0; s < 300; ++s) policy.on_scan(pg, true);
@@ -99,7 +102,8 @@ TEST(Lfu, FrequencySaturates) {
 
 TEST(Random, VictimsAreResidentAndCoverTheSet) {
   RandomPolicy policy(/*seed=*/42);
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   std::unordered_set<UnitIdx> resident;
   for (UnitIdx u = 0; u < 16; ++u) {
     policy.on_insert(pages.make(u));
@@ -119,7 +123,8 @@ TEST(Random, VictimsAreResidentAndCoverTheSet) {
 
 TEST(Random, SwapRemoveKeepsIndexConsistent) {
   RandomPolicy policy(7);
-  PageFactory pages;
+  FakePolicyHost host(8, 4);
+  PageFactory pages(host);
   std::vector<mm::ResidentPage*> resident;
   for (UnitIdx u = 0; u < 8; ++u) {
     resident.push_back(&pages.make(u));
@@ -143,7 +148,7 @@ TEST(DynamicP, AdjustsPOverWindows) {
   config.window_ticks = 2;
   DynamicPCmcpPolicy policy(host, config);
   const double initial = policy.current_p();
-  PageFactory pages;
+  PageFactory pages(host);
   // Feed eviction activity and ticks; p must move.
   UnitIdx next = 0;
   for (int w = 0; w < 6; ++w) {
@@ -169,7 +174,7 @@ TEST(DynamicP, StaysWithinBounds) {
   config.step = 0.3;
   config.window_ticks = 1;
   DynamicPCmcpPolicy policy(host, config);
-  PageFactory pages;
+  PageFactory pages(host);
   UnitIdx next = 0;
   for (int w = 0; w < 50; ++w) {
     auto& pg = pages.make(next++, 1);
@@ -194,7 +199,7 @@ TEST_P(FactoryTest, ConstructsWorkingPolicy) {
   ASSERT_NE(policy, nullptr);
   EXPECT_EQ(policy->name(), to_string(GetParam()));
 
-  PageFactory pages;
+  PageFactory pages(host);
   for (UnitIdx u = 0; u < 4; ++u) policy->on_insert(pages.make(u, 1 + u));
   Cycles extra = 0;
   mm::ResidentPage* victim = policy->pick_victim(0, extra);

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <deque>
+#include <vector>
 
 #include "mm/page_registry.h"
 #include "policy/replacement_policy.h"
@@ -16,6 +17,11 @@ class FakePolicyHost final : public policy::PolicyHost {
 
   std::uint64_t capacity_units() const override { return capacity_; }
   unsigned num_cores() const override { return cores_; }
+
+  /// Counts are served by unit; units never set map on one core.
+  unsigned core_map_count(const mm::ResidentPage& page) const override {
+    return page.unit < counts_.size() ? counts_[page.unit] : 1;
+  }
 
   bool unit_accessed(const mm::ResidentPage& page) const override {
     return page.unit < accessed_.size() && accessed_[page.unit];
@@ -39,6 +45,11 @@ class FakePolicyHost final : public policy::PolicyHost {
     accessed_[unit] = value;
   }
 
+  void set_core_map_count(UnitIdx unit, unsigned count) {
+    if (unit >= counts_.size()) counts_.resize(unit + 1, 1);
+    counts_[unit] = count;
+  }
+
   std::uint64_t shootdowns() const { return shootdowns_; }
 
   Cycles shootdown_cost = 1000;
@@ -47,21 +58,25 @@ class FakePolicyHost final : public policy::PolicyHost {
   std::uint64_t capacity_;
   unsigned cores_;
   std::deque<bool> accessed_;
+  std::vector<unsigned> counts_;  ///< [unit] core-map count
   std::uint64_t shootdowns_ = 0;
 };
 
-/// Owns ResidentPage objects for policy tests (pointer-stable).
+/// Owns ResidentPage objects for policy tests (pointer-stable) and records
+/// each page's core-map count on the host the policy reads it from.
 class PageFactory {
  public:
+  explicit PageFactory(FakePolicyHost& host) : host_(host) {}
+
   mm::ResidentPage& make(UnitIdx unit, unsigned core_map_count = 1) {
-    mm::ResidentPage& pg = registry_.insert(unit, next_pfn_++, /*now=*/0);
-    pg.core_map_count = core_map_count;
-    return pg;
+    host_.set_core_map_count(unit, core_map_count);
+    return registry_.insert(unit, next_pfn_++, /*now=*/0);
   }
 
   mm::PageRegistry& registry() { return registry_; }
 
  private:
+  FakePolicyHost& host_;
   mm::PageRegistry registry_;
   Pfn next_pfn_ = 0;
 };
