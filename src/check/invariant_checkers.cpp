@@ -28,16 +28,12 @@ class PsptConsistencyChecker final : public sim::Checker {
 
   void check(CheckPoint /*point*/, std::vector<CheckViolation>& out) override {
     const mm::PageTable& pt = space_.page_table();
-    // Both page-table kinds are built for the space's cores and never set a
-    // mask bit at or above num_cores(), so only the words covering them are
-    // counted and walked — a full-width count costs 17 popcounts per page.
-    const std::size_t words = (space_.num_cores() + 63) / 64;
     std::uint64_t mapped_resident = 0;
     std::uint64_t count_sum = 0;
     space_.registry().for_each([&](const mm::ResidentPage& pg) {
       const unsigned count = pt.core_map_count(pg.unit);
       const CoreMask mask = pt.mapping_cores(pg.unit);
-      const unsigned population = mask.count(words);
+      const unsigned population = mask.count();
       count_sum += count;
       if (count > 0) ++mapped_resident;
       if (population != count)
@@ -50,7 +46,7 @@ class PsptConsistencyChecker final : public sim::Checker {
         out.push_back({std::string(name()), "any-mapping",
                        "any_mapping() disagrees with core_map_count()",
                        pg.unit, kInvalidCore});
-      mask.for_each(words, [&](CoreId core) {
+      mask.for_each([&](CoreId core) {
         if (!pt.has_mapping(core, pg.unit))
           out.push_back({std::string(name()), "mask-without-pte",
                          "mapping mask names a core with no private PTE",

@@ -12,6 +12,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "common/parse_number.h"
 #include "common/types.h"
 #include "sim/trace.h"
 
@@ -24,19 +25,35 @@ namespace {
 // or simple-string values, so targeted field lookups are sufficient (and
 // keep the linter free of a JSON dependency the container may not have).
 
+/// The run of decimal digits starting at `text[begin]` (empty when none).
+std::string_view digit_run(std::string_view text, std::size_t begin) {
+  std::size_t end = begin;
+  while (end < text.size() &&
+         std::isdigit(static_cast<unsigned char>(text[end])) != 0)
+    ++end;
+  return text.substr(begin, end - begin);
+}
+
+/// The first numeric field value of `text` that does not fit in 64 bits.
+/// Lines carrying one are rejected whole, so find_uint never truncates.
+std::optional<std::string_view> oversized_number(std::string_view text) {
+  for (std::size_t pos = text.find("\":"); pos != std::string_view::npos;
+       pos = text.find("\":", pos + 2)) {
+    const std::string_view digits = digit_run(text, pos + 2);
+    if (!digits.empty() && !common::parse_number<std::uint64_t>(digits))
+      return digits;
+  }
+  return std::nullopt;
+}
+
 std::optional<std::uint64_t> find_uint(std::string_view text,
                                        std::string_view key) {
   const std::string needle = '"' + std::string(key) + "\":";
   const std::size_t pos = text.find(needle);
   if (pos == std::string_view::npos) return std::nullopt;
-  std::size_t i = pos + needle.size();
-  if (i >= text.size() ||
-      std::isdigit(static_cast<unsigned char>(text[i])) == 0)
-    return std::nullopt;
-  std::uint64_t value = 0;
-  while (i < text.size() && std::isdigit(static_cast<unsigned char>(text[i])) != 0)
-    value = value * 10 + static_cast<std::uint64_t>(text[i++] - '0');
-  return value;
+  const std::string_view digits = digit_run(text, pos + needle.size());
+  if (digits.empty()) return std::nullopt;
+  return common::parse_number<std::uint64_t>(digits);
 }
 
 std::optional<std::string_view> find_string(std::string_view text,
@@ -93,6 +110,11 @@ class Linter {
       issue(number, "parse-error", "line has no \"type\" field");
       return;
     }
+    if (const auto oversized = oversized_number(text)) {
+      issue(number, "parse-error",
+            "number " + std::string(*oversized) + " does not fit in 64 bits");
+      return;
+    }
     if (saw_summary_)
       issue(number, "trailing-line", "content after the summary footer");
     if (*type == "meta") {
@@ -104,12 +126,12 @@ class Linter {
       // Fault-injected traces declare their retry budget (a quoted config
       // string); absent means the FaultPlanConfig default.
       if (const auto retries = find_string(text, "fault_max_retries")) {
-        std::uint64_t value = 0;
-        for (const char ch : *retries) {
-          if (ch < '0' || ch > '9') return;
-          value = value * 10 + static_cast<std::uint64_t>(ch - '0');
-        }
-        max_retries_ = value;
+        const auto value = common::parse_number<std::uint64_t>(*retries);
+        if (!value)
+          return issue(number, "parse-error",
+                       "fault_max_retries \"" + std::string(*retries) +
+                           "\" is not a 64-bit unsigned number");
+        max_retries_ = *value;
       }
       return;
     }

@@ -1,10 +1,16 @@
 // Fixed-capacity bitset of CPU cores. PSPT tracks, per mapping unit, exactly
 // which cores hold a private PTE; shootdown targeting and the CMCP core-map
 // count both derive from this mask.
+//
+// The capacity is 1088 cores (17 words), but a mask also tracks how many
+// leading words can be non-zero, and count()/any()/for_each() stop there:
+// on a 56-core machine every scan is one word, not seventeen.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <bit>
+#include <cstddef>
 #include <cstdint>
 
 #include "common/assert.h"
@@ -17,17 +23,19 @@ class CoreMask {
   /// Upper bound on simulated cores. Knights Corner has 61, but the engine
   /// sweeps past the paper's hardware: the 512/1024-core bench rows probe
   /// where CMCP's no-shootdown advantage saturates, so leave room for 1024
-  /// app cores plus scanner pseudo-cores. Masks are 17 words; hot loops
-  /// over them are word-skipping, and the page tables store only the words
-  /// the machine's core count needs (full-width CoreMask values live on
-  /// the stack, where the headroom is cache-hot noise).
+  /// app cores plus scanner pseudo-cores.
   static constexpr CoreId kMaxCores = 1088;
+
+  /// Number of 64-bit words backing a full mask.
+  static constexpr std::size_t kWords = kMaxCores / 64;
 
   constexpr CoreMask() = default;
 
   void set(CoreId core) {
     CMCP_CHECK(core < kMaxCores);
-    words_[core >> 6] |= std::uint64_t{1} << (core & 63);
+    const unsigned wi = core >> 6;
+    words_[wi] |= std::uint64_t{1} << (core & 63);
+    if (wi >= live_) live_ = wi + 1;
   }
 
   void clear(CoreId core) {
@@ -40,26 +48,20 @@ class CoreMask {
     return (words_[core >> 6] >> (core & 63)) & 1;
   }
 
-  void reset() { words_ = {}; }
+  void reset() { *this = CoreMask{}; }
 
   bool any() const {
-    for (auto w : words_)
-      if (w != 0) return true;
+    for (unsigned wi = 0; wi < live_; ++wi)
+      if (words_[wi] != 0) return true;
     return false;
   }
 
   bool none() const { return !any(); }
 
   /// Number of set bits == number of mapping cores.
-  unsigned count() const { return count(words_.size()); }
-
-  /// Number of set bits among the first `words` words. Hot callers that know
-  /// the machine's live core count (sim::Machine caps at
-  /// ceil(total_cores/64)) skip the always-zero tail of the fixed-capacity
-  /// array — one word scanned instead of seventeen at the paper's 56 cores.
-  unsigned count(std::size_t words) const {
+  unsigned count() const {
     unsigned c = 0;
-    for (std::size_t wi = 0; wi < words; ++wi)
+    for (unsigned wi = 0; wi < live_; ++wi)
       c += static_cast<unsigned>(std::popcount(words_[wi]));
     return c;
   }
@@ -67,13 +69,7 @@ class CoreMask {
   /// Invoke fn(CoreId) for every set bit, ascending.
   template <typename Fn>
   void for_each(Fn&& fn) const {
-    for_each(words_.size(), static_cast<Fn&&>(fn));
-  }
-
-  /// for_each over the first `words` words only (see count(words)).
-  template <typename Fn>
-  void for_each(std::size_t words, Fn&& fn) const {
-    for (std::size_t wi = 0; wi < words; ++wi) {
+    for (unsigned wi = 0; wi < live_; ++wi) {
       std::uint64_t w = words_[wi];
       while (w != 0) {
         const unsigned bit = static_cast<unsigned>(std::countr_zero(w));
@@ -83,39 +79,50 @@ class CoreMask {
     }
   }
 
-  /// Number of 64-bit words backing a full mask.
-  static constexpr std::size_t kWords = kMaxCores / 64;
-
   /// Raw word access, for dense per-unit mask storage (mm::Pspt keeps only
   /// ceil(num_cores/64) words per unit and widens to a CoreMask at the
   /// API boundary).
   std::uint64_t word(std::size_t i) const { return words_[i]; }
-  void set_word(std::size_t i, std::uint64_t w) { words_[i] = w; }
+  void set_word(std::size_t i, std::uint64_t w) {
+    words_[i] = w;
+    if (w != 0 && i >= live_) live_ = static_cast<unsigned>(i + 1);
+  }
 
   /// All cores in [0, n).
   static CoreMask first_n(CoreId n) {
     CMCP_CHECK(n <= kMaxCores);
     CoreMask m;
-    for (CoreId i = 0; i < n; ++i) m.set(i);
+    for (CoreId wi = 0; wi < n / 64; ++wi) m.words_[wi] = ~std::uint64_t{0};
+    if (n % 64 != 0) m.words_[n / 64] = (std::uint64_t{1} << (n % 64)) - 1;
+    m.live_ = (n + 63) / 64;
     return m;
   }
 
-  friend bool operator==(const CoreMask&, const CoreMask&) = default;
+  /// Equal bits, whatever the live bounds.
+  friend bool operator==(const CoreMask& a, const CoreMask& b) {
+    return a.words_ == b.words_;
+  }
 
   CoreMask operator|(const CoreMask& o) const {
     CoreMask r;
-    for (std::size_t i = 0; i < words_.size(); ++i) r.words_[i] = words_[i] | o.words_[i];
+    r.live_ = std::max(live_, o.live_);
+    for (unsigned i = 0; i < r.live_; ++i) r.words_[i] = words_[i] | o.words_[i];
     return r;
   }
 
   CoreMask operator&(const CoreMask& o) const {
     CoreMask r;
-    for (std::size_t i = 0; i < words_.size(); ++i) r.words_[i] = words_[i] & o.words_[i];
+    r.live_ = std::min(live_, o.live_);
+    for (unsigned i = 0; i < r.live_; ++i) r.words_[i] = words_[i] & o.words_[i];
     return r;
   }
 
  private:
-  std::array<std::uint64_t, kMaxCores / 64> words_{};
+  std::array<std::uint64_t, kWords> words_{};
+  /// Live word count: every word at or past it is zero, so scans stop here
+  /// instead of walking all kWords. An upper bound, not exact — clear()
+  /// leaves it alone — which keeps every mutator branch-light.
+  unsigned live_ = 0;
 };
 
 }  // namespace cmcp

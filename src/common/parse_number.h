@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <optional>
+#include <string>
 #include <string_view>
 #include <system_error>
 #include <type_traits>
@@ -36,6 +37,19 @@ T parse_flag(std::string_view flag, std::string_view text) {
   std::fprintf(stderr, "%.*s: '%.*s' is not a number\n",
                static_cast<int>(flag.size()), flag.data(),
                static_cast<int>(text.size()), text.data());
+  std::exit(2);
+}
+
+/// parse_flag limited to [lo, hi]. A value outside it is a usage error:
+/// prints "--cores: '0' is out of range [1, 1087]" and exits 2.
+template <typename T>
+T parse_flag(std::string_view flag, std::string_view text, T lo, T hi) {
+  const T value = parse_flag<T>(flag, text);
+  if (value >= lo && value <= hi) return value;
+  std::fprintf(stderr, "%.*s: '%.*s' is out of range [%s, %s]\n",
+               static_cast<int>(flag.size()), flag.data(),
+               static_cast<int>(text.size()), text.data(),
+               std::to_string(lo).c_str(), std::to_string(hi).c_str());
   std::exit(2);
 }
 

@@ -349,7 +349,7 @@ Cycles AddressSpace::evict_one(CoreId faulting_core, Cycles now) {
   std::uint64_t trace_targets = 0;
   if (page_table_->any_mapping(unit)) {
     const CoreMask affected = page_table_->unmap_all(unit);
-    trace_targets = affected.count();
+    if (tr != nullptr) trace_targets = affected.count();
     cycles += shootdown_unit(faulting_core, now + cycles, affected, unit);
   }
   // (Prefetched-but-never-touched units have no mappings to tear down.)

@@ -16,7 +16,6 @@ Machine::Machine(const MachineConfig& config)
   const std::uint32_t tlb_entries = config_.tlb.entries_for(config_.page_size);
   // One scanner pseudo-core per address space (id == num_cores + asid).
   const CoreId total = config_.num_cores + config_.num_address_spaces;
-  mask_words_ = (static_cast<std::size_t>(total) + 63u) / 64u;
   clocks_.assign(total, 0);
   counters_.assign(total, metrics::CoreCounters{});
   tlbs_.reserve(total);
@@ -29,7 +28,7 @@ Machine::Machine(const MachineConfig& config)
 Cycles Machine::shootdown(CoreId initiator, Cycles now, const CoreMask& targets,
                           std::span<const UnitIdx> units) {
   CMCP_CHECK(!targets.test(initiator));
-  const unsigned num_targets = targets.count(mask_words_);
+  const unsigned num_targets = targets.count();
   if (num_targets == 0 || units.empty()) return 0;
 
   if (config_.tlb_coherence == TlbCoherence::kHardwareDirectory)
@@ -53,7 +52,7 @@ Cycles Machine::shootdown(CoreId initiator, Cycles now, const CoreMask& targets,
                   num_targets, 0, 0, core_space_[initiator]});
   }
 
-  targets.for_each(mask_words_, [&](CoreId target) {
+  targets.for_each([&](CoreId target) {
     metrics::CoreCounters& ctr = counters_[target];
     ++ctr.ipis_received;
     ctr.remote_invalidations_received += units.size();
@@ -110,7 +109,7 @@ Cycles Machine::inject_ack_faults(CoreId initiator, Cycles ack_time,
                     wait, asid});
     extra += wait + config_.cost.ipi_initiate;
     t += wait + config_.cost.ipi_initiate;
-    targets.for_each(mask_words_, [&](CoreId target) {
+    targets.for_each([&](CoreId target) {
       metrics::CoreCounters& ctr = counters_[target];
       ++ctr.ipis_received;
       ctr.cycles_interrupt += config_.cost.ipi_receive;
@@ -139,7 +138,7 @@ Cycles Machine::hw_invalidate(CoreId initiator, Cycles now,
   Cycles cycles = 0;
   for (const UnitIdx unit : units) {
     cycles += config_.cost.hw_inval_lookup;
-    targets.for_each(mask_words_, [&](CoreId target) {
+    targets.for_each([&](CoreId target) {
       cycles += config_.cost.hw_inval_per_target;
       ++counters_[target].remote_invalidations_received;
       tlbs_[target].invalidate(unit);
@@ -159,7 +158,7 @@ Cycles Machine::shootdown_batch(CoreId initiator, Cycles now,
   CoreMask union_targets;
   for (const BatchItem& item : items) union_targets = union_targets | item.targets;
   union_targets.clear(initiator);
-  const unsigned num_targets = union_targets.count(mask_words_);
+  const unsigned num_targets = union_targets.count();
   if (num_targets == 0) return 0;
 
   if (config_.tlb_coherence == TlbCoherence::kHardwareDirectory) {
@@ -188,7 +187,7 @@ Cycles Machine::shootdown_batch(CoreId initiator, Cycles now,
   }
 
   Cycles slowest_receiver = 0;
-  union_targets.for_each(mask_words_, [&](CoreId target) {
+  union_targets.for_each([&](CoreId target) {
     metrics::CoreCounters& ctr = counters_[target];
     ++ctr.ipis_received;
     Tlb& target_tlb = tlbs_[target];

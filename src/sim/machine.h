@@ -161,10 +161,6 @@ class Machine {
   // serialization on the kernel's invalidation-request slot (paper section
   // 5.5) is modelled in virtual time by `interconnect_`.
   std::vector<Cycles> clocks_;
-  /// ceil(total_cores()/64): live word count for CoreMask scans on the
-  /// shootdown path — target masks can never have bits past the machine's
-  /// core range, so the fixed-capacity tail is skipped.
-  std::size_t mask_words_ = CoreMask::kWords;
   std::vector<Tlb> tlbs_;
   std::vector<metrics::CoreCounters> counters_;
   /// Core -> owning address space, for tagging machine-level trace events.

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <initializer_list>
 #include <memory>
@@ -264,6 +265,22 @@ TEST(TraceLint, GarbageLineIsParseError) {
   EXPECT_TRUE(contains(rules_of(result), "parse-error"));
 }
 
+TEST(TraceLint, OversizedNumberIsParseErrorOnItsLine) {
+  // 2^64 used to wrap to 0 and lint exactly like "unit":0.
+  std::string text = traced_run(PolicyKind::kCmcp, 0.5);
+  const std::size_t unit = text.find("\"unit\":0,");
+  ASSERT_NE(unit, std::string::npos);
+  text.replace(unit, 9, "\"unit\":18446744073709551616,");
+  const auto line = static_cast<std::size_t>(
+      std::count(text.begin(), text.begin() + static_cast<long>(unit), '\n') + 1);
+  const LintResult result = lint_string(text);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.issues[0].rule, "parse-error");
+  EXPECT_EQ(result.issues[0].line, line);
+  EXPECT_NE(result.issues[0].message.find("18446744073709551616"),
+            std::string::npos);
+}
+
 TEST(TraceLint, CheckedInCorruptFixtureFails) {
   // The repo ships a corrupted trace (tests/data/) so the linter's failure
   // mode itself is pinned: CI runs trace_lint against it and expects a
@@ -444,6 +461,18 @@ TEST(TraceLint, EarlyGiveUpIsCaught) {
   text.replace(text.find(give_up), give_up.size(), early);
   EXPECT_TRUE(
       contains(rules_of(lint_string(text)), "give-up-without-max-retries"));
+}
+
+TEST(TraceLint, OversizedRetryBudgetIsParseError) {
+  // The retry budget is a quoted number in the meta header.
+  std::string text = traced_fault_run("seed=7,pcie=0.3");
+  const std::size_t budget = text.find("\"fault_max_retries\":\"");
+  ASSERT_NE(budget, std::string::npos);
+  text.insert(budget + 21, "99999999999999999999");
+  const LintResult result = lint_string(text);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.issues[0].rule, "parse-error");
+  EXPECT_EQ(result.issues[0].line, 1u);
 }
 
 TEST(TraceLint, CheckedInCorruptFaultFixtureFails) {

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bitset>
+#include <cstdint>
+#include <random>
 #include <vector>
 
 namespace cmcp {
@@ -151,6 +155,133 @@ TEST(CoreMask, ClearOnEmptyMaskIsHarmless) {
   m.clear(42);
   EXPECT_TRUE(m.none());
   EXPECT_EQ(m.count(), 0u);
+}
+
+// --- differential test against std::bitset -------------------------------
+
+using Reference = std::bitset<CoreMask::kMaxCores>;
+
+std::vector<CoreId> bits_of(const Reference& ref) {
+  std::vector<CoreId> out;
+  for (CoreId c = 0; c < CoreMask::kMaxCores; ++c)
+    if (ref[c]) out.push_back(c);
+  return out;
+}
+
+/// Highest non-zero word of `ref`, or -1 when it is empty.
+int top_word(const Reference& ref) {
+  for (int c = static_cast<int>(CoreMask::kMaxCores) - 1; c >= 0; --c)
+    if (ref[static_cast<std::size_t>(c)]) return c / 64;
+  return -1;
+}
+
+/// The same bits built by set() alone: its live bound is exact, so ==
+/// against it checks that equality ignores a stale bound.
+CoreMask rebuilt(const Reference& ref) {
+  CoreMask m;
+  for (const CoreId c : bits_of(ref)) m.set(c);
+  return m;
+}
+
+void expect_matches(const CoreMask& m, const Reference& ref, int step) {
+  SCOPED_TRACE(step);
+  EXPECT_EQ(m.count(), ref.count());
+  EXPECT_EQ(m.any(), ref.any());
+  EXPECT_EQ(m.none(), ref.none());
+  std::vector<CoreId> seen;
+  m.for_each([&](CoreId c) { seen.push_back(c); });
+  EXPECT_EQ(seen, bits_of(ref));
+  EXPECT_TRUE(m == rebuilt(ref));
+  EXPECT_EQ(m == CoreMask{}, ref.none());
+}
+
+TEST(CoreMask, MatchesBitsetUnderRandomOperations) {
+  constexpr std::size_t kWords = CoreMask::kWords;
+  std::mt19937_64 rng(20140623);
+  const auto below = [&](std::uint64_t n) { return rng() % n; };
+  std::array<CoreMask, 2> masks;
+  std::array<Reference, 2> refs;
+  bool cleared_top_word = false;
+  bool zeroed_a_word = false;
+  bool filled_every_word = false;
+
+  for (int step = 0; step < 4000; ++step) {
+    const std::size_t i = below(2);
+    CoreMask& m = masks[i];
+    Reference& ref = refs[i];
+    const int top_before = top_word(ref);
+    switch (below(9)) {
+      case 0: {
+        const auto c = static_cast<CoreId>(below(CoreMask::kMaxCores));
+        m.set(c);
+        ref.set(c);
+        break;
+      }
+      case 1: {  // clear a set bit when there is one
+        const std::vector<CoreId> bits = bits_of(ref);
+        const CoreId c = bits.empty()
+                             ? static_cast<CoreId>(below(CoreMask::kMaxCores))
+                             : bits[below(bits.size())];
+        m.clear(c);
+        ref.reset(c);
+        break;
+      }
+      case 2: {  // set_word with a random, all-zero or all-one word
+        const std::size_t wi = below(kWords);
+        const std::uint64_t roll = below(6);
+        const std::uint64_t w =
+            roll < 2 ? 0 : roll == 2 ? ~std::uint64_t{0} : rng();
+        m.set_word(wi, w);
+        for (CoreId b = 0; b < 64; ++b) ref[wi * 64 + b] = ((w >> b) & 1) != 0;
+        if (w == 0) zeroed_a_word = true;
+        break;
+      }
+      case 3:
+        m = m | masks[1 - i];
+        ref |= refs[1 - i];
+        break;
+      case 4:
+        m = m & masks[1 - i];
+        ref &= refs[1 - i];
+        break;
+      case 5:
+        if (below(4) == 0) {
+          m.reset();
+          ref.reset();
+        }
+        break;
+      case 6: {  // copy
+        const CoreMask copy = masks[1 - i];
+        m = copy;
+        ref = refs[1 - i];
+        break;
+      }
+      case 7: {
+        const auto n = static_cast<CoreId>(below(CoreMask::kMaxCores + 1));
+        m = CoreMask::first_n(n);
+        ref.reset();
+        for (CoreId c = 0; c < n; ++c) ref.set(c);
+        break;
+      }
+      case 8:  // clear every bit of the highest live word, one by one
+        if (top_before >= 0)
+          for (CoreId b = 0; b < 64; ++b) {
+            const CoreId c = static_cast<CoreId>(top_before) * 64 + b;
+            m.clear(c);
+            ref.reset(c);
+          }
+        break;
+    }
+    if (top_word(ref) < top_before) cleared_top_word = true;
+    // More bits than 16 words hold: every one of the 17 is non-zero.
+    if (ref.count() > (kWords - 1) * 64) filled_every_word = true;
+    expect_matches(masks[0], refs[0], step);
+    expect_matches(masks[1], refs[1], step);
+    if (::testing::Test::HasFailure()) break;
+  }
+  EXPECT_TRUE(cleared_top_word);
+  EXPECT_TRUE(zeroed_a_word);
+  EXPECT_TRUE(filled_every_word);
 }
 
 TEST(CoreMaskDeath, OutOfRangeAborts) {

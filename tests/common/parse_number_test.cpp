@@ -51,5 +51,17 @@ TEST(ParseNumberDeath, BadFlagValueExitsTwoNamingTheFlag) {
               "--cores: 'abc' is not a number");
 }
 
+TEST(ParseNumberDeath, OutOfRangeFlagValueExitsTwoNamingTheRange) {
+  EXPECT_EQ(parse_flag<std::uint32_t>("--cores", "1", 1, 1087), 1u);
+  EXPECT_EQ(parse_flag<std::uint32_t>("--cores", "1087", 1, 1087), 1087u);
+  EXPECT_EXIT(parse_flag<std::uint32_t>("--cores", "0", 1, 1087),
+              ::testing::ExitedWithCode(2),
+              "--cores: '0' is out of range \\[1, 1087\\]");
+  EXPECT_EXIT(parse_flag<std::uint32_t>("--cores", "1088", 1, 1087),
+              ::testing::ExitedWithCode(2), "--cores: '1088' is out of range");
+  EXPECT_EXIT(parse_flag<std::uint32_t>("--cores", "x", 1, 1087),
+              ::testing::ExitedWithCode(2), "--cores: 'x' is not a number");
+}
+
 }  // namespace
 }  // namespace cmcp::common

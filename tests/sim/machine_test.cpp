@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <cstdint>
+#include <initializer_list>
+#include <utility>
 
 namespace cmcp::sim {
 namespace {
@@ -113,6 +116,68 @@ TEST(Machine, BatchShootdownSkipsInitiator) {
       Machine::BatchItem{5, self_only}};
   EXPECT_EQ(m.shootdown_batch(0, 0, items), 0u);
   EXPECT_EQ(m.counters(0).ipis_received, 0u);
+}
+
+// The 512/1024-core sweep shape: 1024 app cores plus the scanner
+// pseudo-core make masks whose live words run through all 17.
+TEST(Machine, WideMachineShootdownChargesEachTargetOnce) {
+  Machine m(small_config(1024));
+  ASSERT_EQ(m.total_cores(), 1025u);
+  m.tlb(1023).insert(7);
+  m.tlb(1024).insert(7);
+
+  // Broadcast from core 0 to every other core of the machine.
+  CoreMask targets = CoreMask::first_n(m.total_cores());
+  targets.clear(0);
+  const std::array<UnitIdx, 1> units = {7};
+  EXPECT_GT(m.shootdown(0, 0, targets, units), 0u);
+  std::uint64_t ipis = 0;
+  for (CoreId c = 0; c < m.total_cores(); ++c) {
+    const std::uint64_t want = c == 0 ? 0u : 1u;
+    EXPECT_EQ(m.counters(c).ipis_received, want) << "core " << c;
+    EXPECT_EQ(m.counters(c).remote_invalidations_received, want)
+        << "core " << c;
+    ipis += m.counters(c).ipis_received;
+  }
+  EXPECT_EQ(ipis, 1024u);
+  EXPECT_FALSE(m.tlb(1023).lookup(7));
+  EXPECT_FALSE(m.tlb(1024).lookup(7));
+}
+
+TEST(Machine, WideMachineBatchStraddlingWordsChargesEachTargetOnce) {
+  Machine m(small_config(1024));
+  m.tlb(1023).insert(10);
+  m.tlb(1023).insert(11);
+  m.tlb(64).insert(10);
+
+  // Targets on both sides of the 64-, 128-, 512- and 1024-bit boundaries;
+  // the initiator (core 0) in an item's mask is skipped.
+  const auto mask = [](std::initializer_list<CoreId> cores) {
+    CoreMask out;
+    for (const CoreId c : cores) out.set(c);
+    return out;
+  };
+  const std::array<Machine::BatchItem, 3> items = {
+      Machine::BatchItem{10, mask({63, 64, 1023})},
+      Machine::BatchItem{11, mask({127, 128, 1023, 1024})},
+      Machine::BatchItem{12, mask({0, 511, 512})}};
+  EXPECT_GT(m.shootdown_batch(0, 0, items), 0u);
+
+  const std::array<std::pair<CoreId, std::uint64_t>, 8> invals = {{
+      {63, 1}, {64, 1}, {127, 1}, {128, 1}, {511, 1}, {512, 1},
+      {1023, 2}, {1024, 1}}};
+  std::uint64_t ipis = 0;
+  for (CoreId c = 0; c < m.total_cores(); ++c) ipis += m.counters(c).ipis_received;
+  EXPECT_EQ(ipis, invals.size());
+  for (const auto& [core, n] : invals) {
+    EXPECT_EQ(m.counters(core).ipis_received, 1u) << "core " << core;
+    EXPECT_EQ(m.counters(core).remote_invalidations_received, n)
+        << "core " << core;
+  }
+  EXPECT_EQ(m.counters(0).ipis_received, 0u);
+  EXPECT_FALSE(m.tlb(1023).lookup(10));
+  EXPECT_FALSE(m.tlb(1023).lookup(11));
+  EXPECT_FALSE(m.tlb(64).lookup(10));
 }
 
 TEST(Machine, AggregateExcludesScanner) {

@@ -17,6 +17,7 @@
 #include <string>
 
 #include "cmcp.h"
+#include "common/core_mask.h"
 #include "common/parse_number.h"
 #include "metrics/resilience_report.h"
 
@@ -30,7 +31,7 @@ using namespace cmcp;
       "usage: %s [options]\n"
       "  --workload bt|lu|cg|scale   (default bt)\n"
       "  --size small|big            footprint class (default small)\n"
-      "  --cores N                   simulated cores (default 56)\n"
+      "  --cores N                   simulated cores, 1..1087 (default 56)\n"
       "  --policy fifo|lru|cmcp|clock|lfu|random|cmcp-dyn|arc (default cmcp)\n"
       "  --p X                       CMCP prioritized ratio (default per workload)\n"
       "  --pt pspt|regular           page tables (default pspt)\n"
@@ -98,7 +99,9 @@ int main(int argc, char** argv) {
       else
         usage(argv[0]);
     } else if (arg == "--cores") {
-      config.machine.num_cores = common::parse_flag<CoreId>(arg, need_value(i));
+      // One scanner pseudo-core rides above the app cores (sim/machine.h).
+      config.machine.num_cores = common::parse_flag<CoreId>(
+          arg, need_value(i), 1, CoreMask::kMaxCores - 1);
     } else if (arg == "--policy") {
       const std::string_view v = need_value(i);
       if (v == "fifo") config.policy.kind = PolicyKind::kFifo;
