@@ -240,7 +240,7 @@ PhaseResult micro_fault_evict(std::uint64_t iters) {
   mm::PageRegistry reg;
   policy::FifoPolicy policy;
   for (UnitIdx u = 0; u < kResident; ++u)
-    policy.on_insert(reg.insert(u, u, /*now=*/0));
+    policy.on_insert(reg.insert(u, u));
   PhaseResult r;
   UnitIdx next = kResident;
   const auto t0 = Clock::now();
@@ -249,7 +249,7 @@ PhaseResult micro_fault_evict(std::uint64_t iters) {
     mm::ResidentPage* victim = policy.pick_victim(0, extra);
     policy.on_evict(*victim);
     reg.erase(*victim);
-    mm::ResidentPage& pg = reg.insert(next, next, /*now=*/0);
+    mm::ResidentPage& pg = reg.insert(next, next);
     policy.on_insert(pg);
     // FIFO recycles a unit ~kResident insertions after its eviction, long
     // after it left the registry, so wrapped ids never collide.
@@ -268,7 +268,7 @@ PhaseResult micro_scan_sweep(std::uint64_t sweeps) {
   for (UnitIdx u = 0; u < kUnits; ++u) {
     pt.map(u % kCores, u);
     if (u % 3 == 0) pt.map((u + 1) % kCores, u);
-    reg.insert(u, u * 16, /*now=*/0);
+    reg.insert(u, u * 16);
     if ((u & 7) != 0) pt.mark_accessed(u % kCores, u);
   }
   PhaseResult r;

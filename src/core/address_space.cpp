@@ -61,15 +61,9 @@ AddressSpace::AddressSpace(MemoryManager& mm, Asid asid,
   policy_ = config.custom_policy ? config.custom_policy(*this)
                                  : policy::make_policy(*this, config.policy);
   // Dense unit-indexed storage (docs/performance.md) is sized once here so
-  // the per-access path never grows a vector: the registry's unit index and
-  // every app core's TLB unit -> slot array. TLB reservation is grow-only,
-  // so with several spaces every core's TLB ends up covering the largest
-  // area it could ever cache (each core only ever holds its own space's
-  // units). The scanner pseudo-core never caches a translation, so its TLB
-  // stays unsized.
+  // the per-access path never grows a vector. Each app core's TLB index is
+  // sized to its own space by Simulation, which knows the core's space.
   registry_.reserve_units(area_.num_units());
-  for (CoreId c = 0; c < machine_.num_cores(); ++c)
-    machine_.tlb(c).reserve_units(area_.num_units());
   scan_flush_.reserve(machine_.cost().scanner_flush_batch);
   next_tick_ = machine_.cost().scan_period;
   if (config.preload) {
@@ -90,7 +84,7 @@ void AddressSpace::preload_all() {
   for (UnitIdx unit = 0; unit < area_.num_units(); ++unit) {
     const Pfn pfn = allocator_.allocate(asid_, unit);
     CMCP_CHECK(pfn != kInvalidPfn);
-    registry_.insert(unit, pfn, 0);
+    registry_.insert(unit, pfn);
   }
 }
 
@@ -197,7 +191,7 @@ Cycles AddressSpace::access(CoreId core, Vpn vpn, bool write, Cycles now) {
     pcie_wait += xfer.done - ready;
     ctr.pcie_bytes_in += unit_bytes(area_.page_size());
 
-    mm::ResidentPage& fresh = registry_.insert(unit, pfn, now);
+    mm::ResidentPage& fresh = registry_.insert(unit, pfn);
     page_table_->map(core, unit);
     fault_cycles += cost.map_cost(area_.page_size()) + cost.policy_op;
     policy_->on_insert(fresh);
@@ -257,7 +251,7 @@ Cycles AddressSpace::prefetch_after(CoreId core, UnitIdx unit, Cycles now) {
     const sim::PcieTransferOutcome xfer = machine_.pcie_transfer(
         core, sim::PcieDir::kHostToDevice, now, unit_bytes(area_.page_size()),
         next, asid_);
-    mm::ResidentPage& pg = registry_.insert(next, pfn, now);
+    mm::ResidentPage& pg = registry_.insert(next, pfn);
     pg.ready_at = xfer.done;
     policy_->on_insert(pg);
     ctr.pcie_bytes_in += unit_bytes(area_.page_size());

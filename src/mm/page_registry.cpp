@@ -4,20 +4,21 @@
 
 namespace cmcp::mm {
 
-ResidentPage& PageRegistry::insert(UnitIdx unit, Pfn pfn, Cycles now) {
+ResidentPage& PageRegistry::insert(UnitIdx unit, Pfn pfn) {
   ResidentPage* page;
   if (!free_.empty()) {
     page = free_.back();
     free_.pop_back();
   } else {
-    pool_.push_back(std::make_unique<ResidentPage>());
-    page = pool_.back().get();
+    if (chunk_used_ == kChunkPages) {
+      chunks_.push_back(std::make_unique<ResidentPage[]>(kChunkPages));
+      chunk_used_ = 0;
+    }
+    page = &chunks_.back()[chunk_used_++];
   }
   *page = ResidentPage{};  // reset all metadata and policy state
   page->unit = unit;
   page->pfn = pfn;
-  page->seq = next_seq_++;
-  page->inserted_at = now;
   if (unit >= by_unit_.size()) {
     CMCP_CHECK_MSG(unit != kInvalidUnit, "insert of kInvalidUnit");
     reserve_units(unit + 1);

@@ -1,13 +1,14 @@
 // Registry of device-resident pages plus the per-page metadata replacement
 // policies hang their bookkeeping on.
 //
-// ResidentPage objects are pool-allocated and pointer-stable for their
-// residency lifetime, so policies can keep them on intrusive lists without
-// extra allocation on the fault path. The unit -> page index is a dense
-// direct-indexed vector (docs/performance.md): find() is one load, and
-// for_each — the scanner's and SimCheck's view of the resident set —
-// iterates in ascending unit order, which makes every downstream
-// tie-break independent of hash-table layout (docs/invariants.md).
+// ResidentPage objects live in fixed-size contiguous chunks and are
+// pointer-stable for their residency lifetime, so policies can keep them on
+// intrusive lists without extra allocation on the fault path. The unit ->
+// page index is a dense direct-indexed vector (docs/performance.md): find()
+// is one load, and for_each — the scanner's and SimCheck's view of the
+// resident set — iterates in ascending unit order, which makes every
+// downstream tie-break independent of hash-table layout
+// (docs/invariants.md).
 #pragma once
 
 #include <cstdint>
@@ -24,9 +25,6 @@ struct ResidentPage {
   /// The device frame backing the unit: its only copy (the page tables keep
   /// none; the coremap entry names the unit back).
   Pfn pfn = kInvalidPfn;
-  /// Monotonic insertion sequence number (FIFO arbitration, test oracles).
-  std::uint64_t seq = 0;
-  Cycles inserted_at = 0;
   /// For prefetched pages: when the PCIe transfer lands. A touch before
   /// this time stalls until the data arrives. 0 for demand-fetched pages.
   Cycles ready_at = 0;
@@ -45,8 +43,9 @@ class PageRegistry {
  public:
   PageRegistry() = default;
 
-  /// Create metadata for a unit becoming resident in frame pfn.
-  ResidentPage& insert(UnitIdx unit, Pfn pfn, Cycles now);
+  /// Create metadata for a unit becoming resident in frame pfn. Reuses the
+  /// most recently erased page (LIFO) before carving a new one.
+  ResidentPage& insert(UnitIdx unit, Pfn pfn);
 
   /// Remove metadata on eviction. The page must already be unlinked from
   /// every policy list.
@@ -83,11 +82,16 @@ class PageRegistry {
   }
 
  private:
+  static constexpr std::size_t kChunkPages = 1024;  ///< 80 KiB per chunk
+
   std::vector<ResidentPage*> by_unit_;  ///< [unit] -> resident page or null
   std::size_t size_ = 0;
-  std::vector<std::unique_ptr<ResidentPage>> pool_;
-  std::vector<ResidentPage*> free_;
-  std::uint64_t next_seq_ = 0;
+  /// Page storage: chunks never move or shrink, so a page's address is
+  /// stable for the registry's lifetime. Only the last chunk has unused
+  /// pages, from `chunk_used_` on.
+  std::vector<std::unique_ptr<ResidentPage[]>> chunks_;
+  std::size_t chunk_used_ = kChunkPages;
+  std::vector<ResidentPage*> free_;  ///< erased pages, reused LIFO
 };
 
 }  // namespace cmcp::mm

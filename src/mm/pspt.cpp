@@ -14,7 +14,8 @@ void Pspt::reserve_units(UnitIdx n) {
   if (n <= directory_.size()) return;
   directory_.resize(n);
   masks_.resize(static_cast<std::size_t>(n) * mask_words_, 0);
-  for (auto& table : tables_) table.resize(n, 0);
+  for (auto& table : tables_)
+    if (!table.empty()) table.resize(n, 0);
 }
 
 void Pspt::ensure_unit(UnitIdx unit) {
@@ -26,8 +27,7 @@ void Pspt::ensure_unit(UnitIdx unit) {
 
 bool Pspt::has_mapping(CoreId core, UnitIdx unit) const {
   CMCP_CHECK(core < num_cores_);
-  const auto& table = tables_[core];
-  return unit < table.size() && (table[unit] & kValid) != 0;
+  return (flags(core, unit) & kValid) != 0;
 }
 
 bool Pspt::any_mapping(UnitIdx unit) const {
@@ -37,7 +37,9 @@ bool Pspt::any_mapping(UnitIdx unit) const {
 void Pspt::map(CoreId core, UnitIdx unit) {
   CMCP_CHECK(core < num_cores_);
   ensure_unit(unit);
-  std::uint8_t& pte = tables_[core][unit];
+  auto& table = tables_[core];
+  if (table.empty()) table.resize(directory_.size(), 0);  // first map
+  std::uint8_t& pte = table[unit];
   CMCP_CHECK_MSG((pte & kValid) == 0, "core already maps this unit");
   UnitInfo& info = directory_[unit];
   if (!info.present) {
@@ -57,9 +59,8 @@ CoreMask Pspt::unmap_all(UnitIdx unit) {
   CMCP_CHECK_MSG(unit < directory_.size() && directory_[unit].present,
                  "unmap of an unmapped unit");
   for_each_mapping(unit, [&](CoreId core) {
-    std::uint8_t& pte = tables_[core][unit];
-    CMCP_CHECK((pte & kValid) != 0);
-    pte = 0;
+    CMCP_CHECK((flags(core, unit) & kValid) != 0);
+    tables_[core][unit] = 0;
     --mapped_of_core_[core];
   });
   std::uint64_t* w = mask_of(unit);
@@ -102,7 +103,7 @@ bool Pspt::test_accessed(UnitIdx unit, unsigned* pte_reads) const {
   bool accessed = false;
   for_each_mapping(unit, [&](CoreId core) {
     ++reads;
-    const std::uint8_t pte = tables_[core][unit];
+    const std::uint8_t pte = flags(core, unit);
     CMCP_CHECK((pte & kValid) != 0);
     if ((pte & kAccessed) != 0) accessed = true;
   });
@@ -114,10 +115,10 @@ bool Pspt::clear_accessed(UnitIdx unit) {
   if (unit >= directory_.size() || !directory_[unit].present) return false;
   bool was = false;
   for_each_mapping(unit, [&](CoreId core) {
-    std::uint8_t& pte = tables_[core][unit];
+    const std::uint8_t pte = flags(core, unit);
     CMCP_CHECK((pte & kValid) != 0);
     was = was || (pte & kAccessed) != 0;
-    pte &= static_cast<std::uint8_t>(~kAccessed);
+    tables_[core][unit] = static_cast<std::uint8_t>(pte & ~kAccessed);
   });
   return was;
 }
@@ -126,15 +127,18 @@ bool Pspt::test_dirty(UnitIdx unit) const {
   if (unit >= directory_.size() || !directory_[unit].present) return false;
   bool dirty = false;
   for_each_mapping(unit, [&](CoreId core) {
-    if ((tables_[core][unit] & kDirty) != 0) dirty = true;
+    if ((flags(core, unit) & kDirty) != 0) dirty = true;
   });
   return dirty;
 }
 
 void Pspt::clear_dirty(UnitIdx unit) {
   if (unit >= directory_.size() || !directory_[unit].present) return;
+  // A core named by the mask but holding no table (only a corrupted mask
+  // can) has nothing to clear.
   for_each_mapping(unit, [&](CoreId core) {
-    tables_[core][unit] &= static_cast<std::uint8_t>(~kDirty);
+    if ((flags(core, unit) & kDirty) != 0)
+      tables_[core][unit] &= static_cast<std::uint8_t>(~kDirty);
   });
 }
 

@@ -1,7 +1,9 @@
 // Per-core Partially Separated Page Tables (paper section 2.3, CCGrid'13).
 //
 // Each core owns a private set of PTEs for the computation area; a core maps
-// a unit only when it actually touches it. A per-unit directory records the
+// a unit only when it actually touches it, and a core that never maps a unit
+// of this space owns no table at all (a tenant's space is never touched by
+// the other tenants' cores). A per-unit directory records the
 // mapping-core mask, giving O(1) answers to the two questions regular tables
 // cannot answer: "whose TLB can hold this translation?" (shootdown targeting)
 // and "how many cores map this page?" (CMCP's priority signal).
@@ -50,6 +52,10 @@ class Pspt final : public PageTable {
     return mapped_of_core_[core];
   }
 
+  /// Whether `core` has a private table here, i.e. has ever mapped a unit
+  /// of this space (tests pin that foreign cores cost no memory).
+  bool has_table(CoreId core) const { return !tables_[core].empty(); }
+
   // --- test-only fault injection ------------------------------------------
   // SimCheck's checker-detects-the-bug coverage needs a way to corrupt the
   // directory the way a real accounting bug would (count drifting from the
@@ -60,7 +66,8 @@ class Pspt final : public PageTable {
  private:
   /// Private-PTE flag byte. kValid doubles as "entry exists" — a zero byte
   /// is exactly "this core does not map this unit", so freshly grown
-  /// storage is correct without initialization beyond zeroing.
+  /// storage is correct without initialization beyond zeroing, and a core
+  /// with no table reads as all-zero bytes.
   enum PteFlags : std::uint8_t {
     kValid = 1u << 0,
     kAccessed = 1u << 1,
@@ -95,6 +102,15 @@ class Pspt final : public PageTable {
     return m;
   }
 
+  /// `core`'s flag byte for `unit`; 0 when the core has no table. Readers
+  /// go through this rather than `tables_` so a mask naming a table-less
+  /// core (only a corrupted one can) reads as "no PTE" instead of out of
+  /// bounds.
+  std::uint8_t flags(CoreId core, UnitIdx unit) const {
+    const auto& table = tables_[core];
+    return unit < table.size() ? table[unit] : 0;
+  }
+
   /// Invoke fn(CoreId) for every mapping core of `unit`, ascending.
   template <typename Fn>
   void for_each_mapping(UnitIdx unit, Fn&& fn) const {
@@ -114,7 +130,10 @@ class Pspt final : public PageTable {
 
   CoreId num_cores_;
   unsigned mask_words_;                            ///< ceil(num_cores/64)
-  std::vector<std::vector<std::uint8_t>> tables_;  ///< [core][unit] flag byte
+  /// [core][unit] flag byte. A core's table is allocated by its first
+  /// map(); after that it always spans the directory (reserve_units grows
+  /// only existing tables), so a table is either empty or full-size.
+  std::vector<std::vector<std::uint8_t>> tables_;
   std::vector<UnitInfo> directory_;                ///< [unit]
   std::vector<std::uint64_t> masks_;  ///< [unit * mask_words_] mapping mask
   std::vector<std::uint64_t> mapped_of_core_;      ///< [core] valid PTE count

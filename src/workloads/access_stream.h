@@ -24,40 +24,43 @@ enum class OpKind : std::uint8_t {
   kEnd,      ///< stream exhausted (returned forever afterwards)
 };
 
+/// Fields run widest first so the op packs into 32 bytes: workloads keep
+/// their whole per-core schedules as vectors of these (docs/performance.md).
 struct Op {
-  OpKind kind = OpKind::kEnd;
   Vpn vpn = 0;               ///< kAccess: first base page
-  std::uint32_t count = 1;   ///< kAccess: number of consecutive base pages
-  std::uint32_t stride = 1;  ///< kAccess: base-page stride between references
-  std::uint16_t repeat = 1;  ///< kAccess: references per touched page
-  bool write = false;        ///< kAccess: read or write
   Cycles cycles = 0;         ///< kCompute; for kAccess: compute per page
                              ///< (the engine advances the clock by `cycles`
                              ///< after each page's references, modelling the
                              ///< arithmetic done on that page's data)
+  std::uint32_t count = 1;   ///< kAccess: number of consecutive base pages
+  std::uint32_t stride = 1;  ///< kAccess: base-page stride between references
+  std::uint16_t repeat = 1;  ///< kAccess: references per touched page
+  OpKind kind = OpKind::kEnd;
+  bool write = false;        ///< kAccess: read or write
 
   static Op access(Vpn vpn, bool write = false, std::uint32_t count = 1,
                    std::uint16_t repeat = 1, Cycles compute_per_page = 0,
                    std::uint32_t stride = 1) {
-    return Op{.kind = OpKind::kAccess,
-              .vpn = vpn,
+    return Op{.vpn = vpn,
+              .cycles = compute_per_page,
               .count = count,
               .stride = stride,
               .repeat = repeat,
-              .write = write,
-              .cycles = compute_per_page};
+              .kind = OpKind::kAccess,
+              .write = write};
   }
   static Op compute(Cycles cycles) {
-    return Op{.kind = OpKind::kCompute, .cycles = cycles};
+    return Op{.cycles = cycles, .kind = OpKind::kCompute};
   }
   static Op barrier() { return Op{.kind = OpKind::kBarrier}; }
   static Op syscall(Cycles host_service_cycles, std::uint32_t payload_bytes = 0) {
-    return Op{.kind = OpKind::kSyscall,
+    return Op{.cycles = host_service_cycles,
               .count = payload_bytes,
-              .cycles = host_service_cycles};
+              .kind = OpKind::kSyscall};
   }
   static Op end() { return Op{.kind = OpKind::kEnd}; }
 };
+static_assert(sizeof(Op) == 32, "wl::Op grew past 32 bytes");
 
 class AccessStream {
  public:

@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/simulation.h"
+#include "mm/pspt.h"
 #include "sim/trace.h"
 #include "workloads/access_stream.h"
 #include "workloads/workload_factory.h"
@@ -265,6 +266,34 @@ TEST(MultiTenant, TenantsFinishIndependently) {
   EXPECT_GT(result.tenants[0].makespan, 0u);
   EXPECT_LT(result.tenants[0].makespan, result.tenants[1].makespan);
   EXPECT_EQ(result.makespan, result.tenants[1].makespan);
+}
+
+TEST(MultiTenant, PsptAllocatesNoTableForAnotherTenantsCores) {
+  // PSPT tables are per core and per space; a tenant's cores never touch
+  // another tenant's space, so that space holds no table for them.
+  wl::MultiTenantSpec spec;
+  spec.add(std::make_unique<ScriptedWorkload>(
+      2, 8, std::vector<std::vector<wl::Op>>{thrash_script(8),
+                                             thrash_script(8)}));
+  spec.add(std::make_unique<ScriptedWorkload>(
+      3, 16, std::vector<std::vector<wl::Op>>{
+                 thrash_script(16), thrash_script(16), thrash_script(16)}));
+  MultiTenantConfig config;
+  config.memory_fraction = 1.0;
+  Simulation sim(config, spec, std::vector<TenantRunConfig>(2));
+  const MultiTenantResult result = sim.run_tenants();
+  ASSERT_EQ(result.tenants.size(), 2u);
+  for (Asid t = 0; t < 2; ++t) {
+    const auto* pspt = dynamic_cast<const mm::Pspt*>(
+        &sim.memory_manager().space(t).page_table());
+    ASSERT_NE(pspt, nullptr);
+    for (CoreId c = 0; c < 5; ++c) {
+      const bool own = c >= result.tenants[t].first_core &&
+                       c < result.tenants[t].first_core +
+                               result.tenants[t].num_cores;
+      EXPECT_EQ(pspt->has_table(c), own) << "space " << t << " core " << c;
+    }
+  }
 }
 
 TEST(MultiTenant, StaticReserveProtectsQuietTenant) {

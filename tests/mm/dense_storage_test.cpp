@@ -76,29 +76,44 @@ TEST(DenseRegularPageTable, UnitZeroLastUnitAndRemap) {
 TEST(DensePageRegistry, UnitZeroLastUnitAndReinsertAfterErase) {
   PageRegistry registry;
   registry.reserve_units(8);
-  ResidentPage& first = registry.insert(0, 0, 1);
-  ResidentPage& last = registry.insert(7, 112, 2);
+  ResidentPage& first = registry.insert(0, 0);
+  ResidentPage& last = registry.insert(7, 112);
   EXPECT_EQ(registry.find(0), &first);
   EXPECT_EQ(registry.find(7), &last);
   EXPECT_EQ(registry.find(3), nullptr);
   EXPECT_EQ(registry.find(9000), nullptr);  // past the reserved range
   EXPECT_EQ(registry.size(), 2u);
 
+  first.ready_at = 99;
+  first.where = 2;
+  first.bucket = 5;
+  first.age_stamp = 11;
+  first.slot = 4;
+  first.referenced = true;
   registry.erase(first);
   EXPECT_EQ(registry.find(0), nullptr);
-  ResidentPage& again = registry.insert(0, 64, 3);
+  ResidentPage& again = registry.insert(0, 64);
   EXPECT_EQ(registry.find(0), &again);
+  // The recycled page comes back fully reset: only what insert names.
+  EXPECT_EQ(again.unit, 0u);
   EXPECT_EQ(again.pfn, 64u);
-  EXPECT_GT(again.seq, last.seq);  // sequence numbers never recycle
+  EXPECT_EQ(again.ready_at, 0u);
+  EXPECT_FALSE(again.main_node.linked());
+  EXPECT_FALSE(again.aux_node.linked());
+  EXPECT_EQ(again.where, 0);
+  EXPECT_EQ(again.bucket, 0u);
+  EXPECT_EQ(again.age_stamp, 0u);
+  EXPECT_EQ(again.slot, 0u);
+  EXPECT_FALSE(again.referenced);
   EXPECT_EQ(registry.size(), 2u);
 }
 
 TEST(DensePageRegistry, ForEachVisitsAscendingUnitOrder) {
   PageRegistry registry;
   // Insertion order deliberately scrambled relative to unit order.
-  registry.insert(9, 1, 1);
-  registry.insert(0, 2, 2);
-  registry.insert(4, 3, 3);
+  registry.insert(9, 1);
+  registry.insert(0, 2);
+  registry.insert(4, 3);
   std::vector<UnitIdx> seen;
   registry.for_each([&](const ResidentPage& page) { seen.push_back(page.unit); });
   EXPECT_EQ(seen, (std::vector<UnitIdx>{0, 4, 9}));
@@ -151,7 +166,7 @@ TEST(DenseStorageDeath, SentinelIndicesAbortInsteadOfWrapping) {
        [] { FrameAllocator(2, PageSizeClass::k4K).allocate(kInvalidAsid, 0); },
        "kInvalidAsid"},
       {"PageRegistry::insert",
-       [] { PageRegistry().insert(kInvalidUnit, 0, 0); }, "kInvalidUnit"},
+       [] { PageRegistry().insert(kInvalidUnit, 0); }, "kInvalidUnit"},
       {"Pspt::map", [] { Pspt(2).map(0, kInvalidUnit); }, "kInvalidUnit"},
       {"RegularPageTable::map",
        [] { RegularPageTable(2).map(0, kInvalidUnit); }, "kInvalidUnit"},

@@ -177,5 +177,59 @@ TEST(Pspt, PerCoreMappedUnits) {
   EXPECT_EQ(pt.mapped_units(), 2u);
 }
 
+TEST(Pspt, CoreThatNeverMapsOwnsNoTable) {
+  // The paper's 56-core machine with one tenant's space touched by two of
+  // its cores: the other 54 hold no private table, every query from them
+  // answers "no PTE" or does nothing, and none of it allocates one.
+  constexpr CoreId kMachineCores = 56;
+  Pspt pt(kMachineCores);
+  pt.reserve_units(16);
+  pt.map(3, 5);
+  pt.map(40, 5);
+  pt.map(40, 9);
+  pt.mark_accessed(3, 5);
+  pt.mark_dirty(40, 9);
+  EXPECT_TRUE(pt.has_table(3));
+  EXPECT_TRUE(pt.has_table(40));
+  for (CoreId c = 0; c < kMachineCores; ++c) {
+    if (c == 3 || c == 40) continue;
+    EXPECT_FALSE(pt.has_mapping(c, 5)) << "core " << c;
+    EXPECT_FALSE(pt.has_mapping(c, 9)) << "core " << c;
+    EXPECT_FALSE(pt.has_mapping(c, 1000)) << "core " << c;
+    EXPECT_EQ(pt.mapped_units_of_core(c), 0u) << "core " << c;
+    EXPECT_FALSE(pt.has_table(c)) << "core " << c;
+  }
+  unsigned reads = 0;
+  EXPECT_TRUE(pt.test_accessed(5, &reads));
+  EXPECT_EQ(reads, 2u);
+  EXPECT_TRUE(pt.test_dirty(9));
+  pt.clear_dirty(9);
+  EXPECT_FALSE(pt.test_dirty(9));
+  EXPECT_TRUE(pt.clear_accessed(5));
+  CoreMask both;
+  both.set(3);
+  both.set(40);
+  EXPECT_EQ(pt.unmap_all(5), both);
+
+  // Growing the space grows the two existing tables only.
+  pt.reserve_units(64);
+  for (CoreId c = 0; c < kMachineCores; ++c)
+    EXPECT_EQ(pt.has_table(c), c == 3 || c == 40) << "core " << c;
+  pt.map(3, 63);
+  pt.map(40, 63);
+  EXPECT_EQ(pt.core_map_count(63), 2u);
+  EXPECT_FALSE(pt.has_mapping(4, 63));
+  EXPECT_FALSE(pt.has_table(4));
+
+  // A first map past the reserved range allocates the core's table at the
+  // directory's new size.
+  pt.map(7, 100);
+  EXPECT_TRUE(pt.has_table(7));
+  EXPECT_TRUE(pt.has_mapping(7, 100));
+  EXPECT_FALSE(pt.has_mapping(7, 63));
+  pt.map(7, 63);
+  EXPECT_EQ(pt.core_map_count(63), 3u);
+}
+
 }  // namespace
 }  // namespace cmcp::mm

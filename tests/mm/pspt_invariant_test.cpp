@@ -127,6 +127,28 @@ TEST(PsptInvariant, MaskGainingCoreWithoutPteIsReported) {
   EXPECT_TRUE(found);
 }
 
+TEST(PsptInvariant, MaskNamingATableLessCoreIsReportedWithoutReadingPastIt) {
+  // Only cores that map own a private table. A corrupted mask naming a core
+  // that never mapped must read that core's PTE as absent (the asan-ubsan
+  // preset turns any read past the missing table into a failure).
+  Fixture f(/*capacity=*/16, /*cores=*/56);
+  f.touch(0, 2);
+  ASSERT_FALSE(f.pspt().has_table(40));
+  f.pspt().corrupt_mask_add_core_for_test(2, /*core=*/40);
+  f.registry.run_now(CheckPoint::kEndOfRun);
+  bool found = false;
+  for (const CheckViolation& v : f.from("pspt-consistency")) {
+    if (v.invariant != "mask-without-pte") continue;
+    found = true;
+    EXPECT_EQ(v.unit, 2u);
+    EXPECT_EQ(v.core, 40u);
+  }
+  EXPECT_TRUE(found);
+  EXPECT_FALSE(f.pspt().test_dirty(2));
+  f.pspt().clear_dirty(2);
+  EXPECT_FALSE(f.pspt().has_table(40));
+}
+
 TEST(PsptInvariant, CheckpointSweepFiresDuringFaults) {
   // The memory manager itself must invoke the registry on its fault path
   // (stride 1 so the very first fault sweeps).

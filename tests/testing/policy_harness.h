@@ -70,7 +70,7 @@ class PageFactory {
 
   mm::ResidentPage& make(UnitIdx unit, unsigned core_map_count = 1) {
     host_.set_core_map_count(unit, core_map_count);
-    return registry_.insert(unit, next_pfn_++, /*now=*/0);
+    return registry_.insert(unit, next_pfn_++);
   }
 
   mm::PageRegistry& registry() { return registry_; }

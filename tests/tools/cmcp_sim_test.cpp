@@ -1,5 +1,7 @@
-// cmcp_sim's flag contract: a core count the machine cannot hold is a usage
-// error (exit 2, "--cores: ..."), not an assertion abort deep in setup.
+// cmcp_sim's flag contract: a core count the machine cannot hold, or a
+// memory fraction that is not a positive size the host can back, is a usage
+// error (exit 2, "--cores: ..." / "--fraction: ..."), not an assertion
+// abort deep in setup or a silent fall-back to the paper's default.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -26,6 +28,21 @@ TEST(CmcpSimCliDeath, CoresPastTheMaskWidthExitTwo) {
   // 1088 app cores leave no mask bit for the scanner pseudo-core.
   EXPECT_EXIT(exit_like_cmcp_sim("--cores 1088"), ::testing::ExitedWithCode(2),
               "--cores: '1088' is out of range \\[1, 1087\\]");
+}
+
+TEST(CmcpSimCliDeath, ZeroFractionExitsTwoInsteadOfRunningAtTheDefault) {
+  EXPECT_EXIT(exit_like_cmcp_sim("--fraction 0"), ::testing::ExitedWithCode(2),
+              "--fraction: '0' is out of range \\(0, 16\\]");
+}
+
+TEST(CmcpSimCliDeath, NegativeFractionExitsTwoInsteadOfRunningAtTheDefault) {
+  EXPECT_EXIT(exit_like_cmcp_sim("--fraction -1"), ::testing::ExitedWithCode(2),
+              "--fraction: '-1' is out of range \\(0, 16\\]");
+}
+
+TEST(CmcpSimCliDeath, HugeFractionExitsTwoInsteadOfBadAlloc) {
+  EXPECT_EXIT(exit_like_cmcp_sim("--fraction 1e9"), ::testing::ExitedWithCode(2),
+              "--fraction: '1e9' is out of range \\(0, 16\\]");
 }
 
 }  // namespace

@@ -2,13 +2,61 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <tuple>
 
+#include "workloads/access_stream.h"
 #include "workloads/partition_util.h"
 #include "workloads/synthetic.h"
 #include "workloads/workload_factory.h"
 
 namespace cmcp::wl {
 namespace {
+
+/// Op's fields, in declaration order, as one comparable tuple.
+auto fields(const Op& op) {
+  return std::make_tuple(op.vpn, op.cycles, op.count, op.stride, op.repeat,
+                         op.kind, op.write);
+}
+
+TEST(OpFactory, EachFactorySetsExactlyTheFieldsItNames) {
+  // Designated initializers must follow declaration order, so reordering
+  // Op's fields (it packs into 32 bytes) rewrites every factory: pin each
+  // one field by field against a default Op.
+  const Op base;
+  EXPECT_EQ(fields(base), fields(Op::end()));
+  EXPECT_EQ(base.kind, OpKind::kEnd);
+
+  Op access = base;
+  access.vpn = 0x1234567890;
+  access.cycles = 77;
+  access.count = 0x80000001u;
+  access.stride = 0x80000003u;
+  access.repeat = 0x8005;
+  access.kind = OpKind::kAccess;
+  access.write = true;
+  EXPECT_EQ(fields(Op::access(0x1234567890, true, 0x80000001u, 0x8005, 77,
+                              0x80000003u)),
+            fields(access));
+  Op plain_access = base;
+  plain_access.vpn = 9;
+  plain_access.kind = OpKind::kAccess;
+  EXPECT_EQ(fields(Op::access(9)), fields(plain_access));
+
+  Op compute = base;
+  compute.cycles = 0xfedcba9876;
+  compute.kind = OpKind::kCompute;
+  EXPECT_EQ(fields(Op::compute(0xfedcba9876)), fields(compute));
+
+  Op syscall = base;
+  syscall.cycles = 5000;
+  syscall.count = 4096;
+  syscall.kind = OpKind::kSyscall;
+  EXPECT_EQ(fields(Op::syscall(5000, 4096)), fields(syscall));
+
+  Op barrier = base;
+  barrier.kind = OpKind::kBarrier;
+  EXPECT_EQ(fields(Op::barrier()), fields(barrier));
+}
 
 TEST(BlockPartition, CoversRangeWithoutOverlap) {
   for (const std::uint64_t total : {100ull, 97ull, 8ull, 1000ull}) {

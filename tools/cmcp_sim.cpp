@@ -35,7 +35,8 @@ using namespace cmcp;
       "  --policy fifo|lru|cmcp|clock|lfu|random|cmcp-dyn|arc (default cmcp)\n"
       "  --p X                       CMCP prioritized ratio (default per workload)\n"
       "  --pt pspt|regular           page tables (default pspt)\n"
-      "  --fraction X                memory provided / footprint (default paper)\n"
+      "  --fraction X                memory provided / footprint, 0 < X <= 16\n"
+      "                              (default paper)\n"
       "  --page-size 4k|64k|2m       (default 4k)\n"
       "  --prefetch N                sequential readahead degree (default 0)\n"
       "  --scan-ms X                 LRU scan period in ms (default 10)\n"
@@ -64,7 +65,7 @@ int main(int argc, char** argv) {
   core::SimulationConfig config;
   config.machine.num_cores = 56;
   config.policy.kind = PolicyKind::kCmcp;
-  double fraction = -1.0;
+  std::optional<double> fraction;
   double p = -1.0;
   std::uint64_t seed = 1234;
   std::optional<std::string> csv_path;
@@ -121,7 +122,17 @@ int main(int argc, char** argv) {
       else if (v == "regular") config.pt_kind = PageTableKind::kRegular;
       else usage(argv[0]);
     } else if (arg == "--fraction") {
-      fraction = common::parse_flag<double>(arg, need_value(i));
+      // Any fraction above 1 already holds the whole footprint; the cap keeps
+      // a value such as 1e9 from dying in bad_alloc while the frame table is
+      // sized.
+      const std::string_view text = need_value(i);
+      const double value = common::parse_flag<double>(arg, text);
+      if (!(value > 0 && value <= 16)) {
+        std::fprintf(stderr, "--fraction: '%.*s' is out of range (0, 16]\n",
+                     static_cast<int>(text.size()), text.data());
+        std::exit(2);
+      }
+      fraction = value;
     } else if (arg == "--page-size") {
       const std::string_view v = need_value(i);
       if (v == "4k") config.machine.page_size = PageSizeClass::k4K;
@@ -167,7 +178,7 @@ int main(int argc, char** argv) {
   }
 
   config.memory_fraction =
-      fraction > 0 ? fraction : wl::paper_memory_fraction(workload_kind);
+      fraction.value_or(wl::paper_memory_fraction(workload_kind));
   config.policy.cmcp.p = p >= 0 ? p : wl::paper_best_p(workload_kind);
   config.policy.dynamic_p.cmcp.p = config.policy.cmcp.p;
 
