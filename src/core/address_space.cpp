@@ -65,6 +65,11 @@ AddressSpace::AddressSpace(MemoryManager& mm, Asid asid,
   // sized to its own space by Simulation, which knows the core's space.
   registry_.reserve_units(area_.num_units());
   scan_flush_.reserve(machine_.cost().scanner_flush_batch);
+  // A zero period would spin run_periodic forever; past 2^53 cycles (the
+  // engine's virtual-time bound) the tick overflows.
+  CMCP_CHECK_MSG(machine_.cost().scan_period > 0 &&
+                     machine_.cost().scan_period <= Cycles{1} << 53,
+                 "cost.scan_period must be in [1, 2^53] cycles");
   next_tick_ = machine_.cost().scan_period;
   if (config.preload) {
     CMCP_CHECK_MSG(config.capacity_units >= area_.num_units(),

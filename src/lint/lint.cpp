@@ -359,12 +359,13 @@ void rule_check_side_effect(const Ctx& c) {
   }
 }
 
-/// raw-mutex: std synchronization primitives outside the annotated wrapper.
-/// common::Mutex carries the clang thread-safety capability and the
-/// documented lock hierarchy; a raw std::mutex is invisible to both.
+/// raw-mutex: std synchronization primitives anywhere. The tree holds no
+/// host lock: a simulation runs on one host thread, and each parallel-runner
+/// job owns its result and error slot. The paper's one lock, the
+/// invalidation-request slot, is modelled in virtual time by
+/// sim::Interconnect.
 void rule_raw_mutex(const Ctx& c) {
   if (!in_src_tools_bench(c.path)) return;
-  if (c.path == "src/common/mutex.h") return;  // the wrapper itself
   constexpr std::array<std::string_view, 14> kSync = {
       "mutex",         "timed_mutex",   "recursive_mutex",
       "recursive_timed_mutex",          "shared_mutex",
@@ -377,9 +378,8 @@ void rule_raw_mutex(const Ctx& c) {
         is_ident(c.ts, i - 2, "std")) {
       c.report(c.ts[i].line, "raw-mutex",
                "std::" + c.ts[i].text +
-                   " outside common/mutex.h: use the annotated common::Mutex "
-                   "/ common::LockGuard (thread-safety analysis + lock "
-                   "hierarchy)");
+                   ": the tree holds no host lock; give each thread its own "
+                   "slot instead of sharing guarded state");
     }
   }
 }
@@ -388,9 +388,7 @@ void rule_raw_mutex(const Ctx& c) {
 /// parallelism entry point, metrics/parallel_runner (independent runs in
 /// parallel). Everything else in the simulation core is single-threaded by
 /// contract; keeping thread creation in one audited file is what makes that
-/// contract checkable. common::Mutex / common::LockGuard fire too (outside
-/// their own header): with one host thread there is nothing to lock, so a
-/// lock in the core is either dead weight or a thread that slipped in.
+/// contract checkable.
 void rule_stray_thread(const Ctx& c) {
   if (!in_src(c.path)) return;
   if (c.path == "src/metrics/parallel_runner.cpp" ||
@@ -403,34 +401,26 @@ void rule_stray_thread(const Ctx& c) {
       "atomic_bool",  "barrier",       "latch",
       "counting_semaphore",            "binary_semaphore",
       "stop_source",  "stop_token"};
-  constexpr std::array<std::string_view, 2> kLocks = {"Mutex", "LockGuard"};
-  const bool locks_banned = c.path != "src/common/mutex.h";
   for (std::size_t i = 2; i < c.ts.size(); ++i) {
-    if (!is_punct(c.ts, i - 1, "::")) continue;
-    if (ident_in(c.ts, i, kThreading) && is_ident(c.ts, i - 2, "std")) {
+    if (ident_in(c.ts, i, kThreading) && is_punct(c.ts, i - 1, "::") &&
+        is_ident(c.ts, i - 2, "std")) {
       c.report(c.ts[i].line, "stray-thread",
                "std::" + c.ts[i].text +
                    " outside metrics/parallel_runner: "
                    "the simulation core is single-threaded by contract");
-    } else if (locks_banned && ident_in(c.ts, i, kLocks) &&
-               is_ident(c.ts, i - 2, "common")) {
-      c.report(c.ts[i].line, "stray-thread",
-               "common::" + c.ts[i].text +
-                   " outside metrics/parallel_runner: a simulation runs on "
-                   "one host thread and needs no lock");
     }
   }
 }
 
 /// volatile-qualifier: volatile is neither atomicity nor ordering; in this
-/// codebase it can only hide a missing common::Mutex.
+/// codebase it can only hide host state shared between threads.
 void rule_volatile(const Ctx& c) {
   if (!in_src_tools_bench(c.path)) return;
   for (std::size_t i = 0; i < c.ts.size(); ++i) {
     if (is_ident(c.ts, i, "volatile")) {
       c.report(c.ts[i].line, "volatile-qualifier",
-               "volatile is not a synchronization mechanism; use "
-               "common::Mutex or redesign");
+               "volatile is not a synchronization mechanism; give each "
+               "thread its own state or redesign");
     }
   }
 }
@@ -538,9 +528,8 @@ const std::vector<RuleInfo>& rule_catalog() {
       {"unseeded-entropy", "raw entropy source outside common::Rng"},
       {"float-virtual-time", "floating-point values holding virtual time"},
       {"check-side-effect", "mutation inside CMCP_CHECK/SIMCHECK arguments"},
-      {"raw-mutex", "std synchronization primitive outside common/mutex.h"},
-      {"stray-thread",
-       "threading primitive or lock outside metrics/parallel_runner"},
+      {"raw-mutex", "std synchronization primitive (the tree holds no lock)"},
+      {"stray-thread", "threading primitive outside metrics/parallel_runner"},
       {"volatile-qualifier", "volatile used as a synchronization tool"},
       {"unordered-iteration", "iteration over an unordered container"},
   };

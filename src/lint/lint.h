@@ -4,8 +4,8 @@
 // codebase's contracts: virtual time is integral `Cycles`, hot state is
 // dense unit-indexed (docs/performance.md), traces must be byte-identical
 // across runs and SimCheck modes (docs/invariants.md), and the one
-// host-threaded path (metrics/parallel_runner) synchronizes through the
-// annotated `common::Mutex` wrapper (common/mutex.h). Each rule here
+// host-threaded path (metrics/parallel_runner) shares no guarded state, so
+// the tree holds no lock. Each rule here
 // mechanizes one of those contracts as a reviewable, CI-gated check over
 // the token stream of every translation unit in compile_commands.json plus
 // every header under the source tree.
@@ -34,11 +34,10 @@
 //                          CMCP_CHECK_MSG / CMCP_SIMCHECK_POINT arguments:
 //                          checks must be observation-only (SimCheck ON vs
 //                          OFF must produce byte-identical traces).
-//   raw-mutex              std::mutex / lock types outside common/mutex.h:
-//                          the wrapper carries the thread-safety
-//                          annotations and the documented lock hierarchy.
-//   stray-thread           std::thread/async/atomic, or common::Mutex /
-//                          LockGuard outside common/mutex.h, outside
+//   raw-mutex              std::mutex / lock types anywhere: the tree holds
+//                          no host lock (the runner's jobs own their result
+//                          and error slots).
+//   stray-thread           std::thread/async/atomic outside
 //                          metrics/parallel_runner: one sanctioned
 //                          parallelism entry point keeps determinism
 //                          auditable.

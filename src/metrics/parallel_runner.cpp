@@ -1,29 +1,11 @@
 #include "metrics/parallel_runner.h"
 
+#include <algorithm>
 #include <atomic>
 #include <exception>
 #include <thread>
 
-#include "common/assert.h"
-#include "common/mutex.h"
-#include "common/thread_annotations.h"
-
 namespace cmcp::metrics {
-
-namespace {
-
-/// State shared by the worker pool. The claim cursor is lock-free; the
-/// error slot is the annotated-mutex path (a job that throws must surface
-/// its exception on the calling thread, not std::terminate the process —
-/// which is what an exception escaping a std::thread body does).
-struct SharedState {
-  std::atomic<std::size_t> next{0};
-  std::atomic<bool> failed{false};
-  common::Mutex mu;
-  std::exception_ptr first_error CMCP_GUARDED_BY(mu);
-};
-
-}  // namespace
 
 std::vector<core::SimulationResult> run_jobs_parallel(
     const std::vector<std::function<core::SimulationResult()>>& jobs,
@@ -33,28 +15,31 @@ std::vector<core::SimulationResult> run_jobs_parallel(
   if (threads == 0) threads = std::max(1u, std::thread::hardware_concurrency());
   threads = std::min<unsigned>(threads, jobs.size());
 
-  if (threads == 1) {
-    for (std::size_t i = 0; i < jobs.size(); ++i) results[i] = jobs[i]();
-    return results;
-  }
-
   // Work stealing via a shared atomic cursor: jobs have wildly different
   // durations (56-core runs dwarf 8-core ones), so static partitioning
-  // would leave workers idle. Each worker writes only its claimed slot of
-  // `results`, so the result vector needs no lock.
-  SharedState shared;
+  // would leave workers idle. Only the worker that claimed job i writes
+  // results[i] and errors[i], so neither vector needs a lock. A job that
+  // throws must surface its exception on the calling thread, not
+  // std::terminate the process (what an exception escaping a std::thread
+  // body does).
+  //
+  // The reported error is the lowest-index one, as the serial loop would
+  // throw, at every thread count: claims go out in index order, so every
+  // job below the lowest failing index was claimed before any job failed,
+  // and `failed` only stops workers from claiming more. The lowest failing
+  // job therefore always runs to its throw.
+  std::vector<std::exception_ptr> errors(jobs.size());
+  std::atomic<std::size_t> next{0};
+  std::atomic<bool> failed{false};
   const auto worker = [&] {
-    for (;;) {
-      if (shared.failed.load(std::memory_order_relaxed)) return;
-      const std::size_t i = shared.next.fetch_add(1, std::memory_order_relaxed);
+    while (!failed.load(std::memory_order_relaxed)) {
+      const std::size_t i = next.fetch_add(1, std::memory_order_relaxed);
       if (i >= jobs.size()) return;
       try {
         results[i] = jobs[i]();
       } catch (...) {
-        common::LockGuard lock(shared.mu);
-        if (shared.first_error == nullptr)
-          shared.first_error = std::current_exception();
-        shared.failed.store(true, std::memory_order_relaxed);
+        errors[i] = std::current_exception();
+        failed.store(true, std::memory_order_relaxed);
       }
     }
   };
@@ -63,10 +48,8 @@ std::vector<core::SimulationResult> run_jobs_parallel(
   for (unsigned t = 0; t < threads; ++t) pool.emplace_back(worker);
   for (auto& t : pool) t.join();
 
-  {
-    common::LockGuard lock(shared.mu);
-    if (shared.first_error != nullptr) std::rethrow_exception(shared.first_error);
-  }
+  for (const std::exception_ptr& error : errors)
+    if (error != nullptr) std::rethrow_exception(error);
   return results;
 }
 

@@ -17,9 +17,10 @@ std::vector<core::SimulationResult> run_specs_parallel(
     const std::vector<RunSpec>& specs, unsigned threads = 0);
 
 /// Generic variant: evaluate `jobs[i]()` concurrently into slot i. Each job
-/// must be independent of the others. If any job throws, the first exception
-/// (in completion order) is rethrown on the calling thread after all workers
-/// have drained, and the remaining unclaimed jobs are skipped.
+/// must be independent of the others. If any job throws, the lowest-index
+/// exception (the one a serial loop would throw) is rethrown on the calling
+/// thread after all workers have drained, and the remaining unclaimed jobs
+/// are skipped.
 std::vector<core::SimulationResult> run_jobs_parallel(
     const std::vector<std::function<core::SimulationResult()>>& jobs,
     unsigned threads = 0);

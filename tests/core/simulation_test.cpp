@@ -151,6 +151,15 @@ TEST(SimulationDeath, RunIsSingleUse) {
   EXPECT_DEATH(sim.run(), "single-use");
 }
 
+TEST(SimulationDeath, ZeroScanPeriodAbortsInsteadOfHanging) {
+  // A zero period would leave the scanner's next tick where it is, so the
+  // periodic loop would never catch up with the watermark.
+  ScriptedWorkload w(1, 8, {{wl::Op::compute(1)}});
+  SimulationConfig config = basic_config(1);
+  config.machine.cost.scan_period = 0;
+  EXPECT_DEATH(run_simulation(config, w), "scan_period must be in");
+}
+
 TEST(Simulation, UniformWorkloadRunsEndToEnd) {
   wl::UniformParams params;
   params.base.cores = 4;

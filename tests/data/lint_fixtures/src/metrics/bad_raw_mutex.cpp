@@ -1,5 +1,5 @@
-// Fixture: raw-mutex fires twice — a std::mutex member and a
-// std::lock_guard, both bypassing the annotated common::Mutex wrapper.
+// Fixture: raw-mutex fires three times — a std::lock_guard<std::mutex> and
+// a std::mutex member, host locks in a tree that holds none.
 #include <mutex>
 
 namespace cmcp::metrics {

@@ -139,8 +139,6 @@ TEST(CmcpLint, PathScopingExemptsTestsAndDocs) {
 TEST(CmcpLint, SanctionedOwnersAreExempt) {
   // The wrapper files themselves may use the primitives they encapsulate.
   EXPECT_TRUE(
-      lint_source("src/common/mutex.h", "std::mutex mu_;").empty());
-  EXPECT_TRUE(
       lint_source("src/common/rng.cpp", "std::mt19937_64 engine_;").empty());
   EXPECT_TRUE(
       lint_source("bench/wallclock.cpp",
@@ -149,6 +147,13 @@ TEST(CmcpLint, SanctionedOwnersAreExempt) {
   // ...but only those exact files.
   EXPECT_FALSE(
       lint_source("src/common/other.h", "std::mutex mu_;").empty());
+  // No file may hold a lock, not even the parallel runner, the one file
+  // allowed to create threads.
+  for (const char* path :
+       {"src/common/mutex.h", "src/metrics/parallel_runner.cpp"})
+    EXPECT_EQ(count_by_rule(lint_source(path, "std::mutex mu_;"))["raw-mutex"],
+              1)
+        << path;
 }
 
 TEST(CmcpLint, StrayThreadSanctionsOnlyTheParallelRunner) {
@@ -164,15 +169,6 @@ TEST(CmcpLint, StrayThreadSanctionsOnlyTheParallelRunner) {
   EXPECT_EQ(count_by_rule(lint_source("src/common/thread_pool.cpp",
                                       src))["stray-thread"],
             2);
-  // The annotated lock is the runner's too: a simulation runs on one host
-  // thread, so a common::Mutex anywhere else in the core fires.
-  const std::string lock =
-      "common::Mutex mu_; void f() { common::LockGuard g(mu_); }";
-  EXPECT_TRUE(lint_source("src/metrics/parallel_runner.cpp", lock).empty());
-  EXPECT_TRUE(lint_source("src/common/mutex.h", lock).empty());
-  EXPECT_EQ(
-      count_by_rule(lint_source("src/sim/machine.h", lock))["stray-thread"],
-      2);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 namespace cmcp::metrics {
@@ -67,6 +71,66 @@ TEST(ParallelRunner, JobsVariantPreservesOrder) {
   ASSERT_EQ(results.size(), 6u);
   for (int i = 0; i < 6; ++i)
     EXPECT_EQ(results[i].makespan, static_cast<Cycles>((i + 1) * 100));
+}
+
+/// The message of the exception run_jobs_parallel rethrows, or "" if none.
+std::string rethrown_message(
+    const std::vector<std::function<core::SimulationResult()>>& jobs,
+    unsigned threads) {
+  try {
+    run_jobs_parallel(jobs, threads);
+  } catch (const std::runtime_error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Thread counts under test; 0 picks the hardware concurrency.
+constexpr unsigned kThreadCounts[] = {1, 2, 3, 8, 0};
+
+TEST(ParallelRunner, TwoFailuresRethrowTheLowestIndex) {
+  // Jobs 3 and 6 of 8 throw. With a pool, job 3 throws only after job 6 has
+  // thrown, so a runner that reports the first failure in completion order
+  // would surface job 6. The serial loop throws job 3; so must every pool.
+  for (const unsigned threads : kThreadCounts) {
+    std::atomic<bool> six_thrown{false};
+    const bool pooled = threads != 1;
+    std::vector<std::function<core::SimulationResult()>> jobs;
+    for (int i = 0; i < 8; ++i) {
+      jobs.emplace_back([i, pooled, &six_thrown]() -> core::SimulationResult {
+        if (i == 6) {
+          six_thrown.store(true);
+          throw std::runtime_error("job 6");
+        }
+        if (i == 3) {
+          // Bounded wait: a single hardware thread or a runner that never
+          // claims job 6 must not deadlock the test.
+          const auto deadline =
+              std::chrono::steady_clock::now() + std::chrono::seconds(5);
+          while (pooled && !six_thrown.load() &&
+                 std::chrono::steady_clock::now() < deadline)
+            std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          throw std::runtime_error("job 3");
+        }
+        return {};
+      });
+    }
+    EXPECT_EQ(rethrown_message(jobs, threads), "job 3")
+        << threads << " threads";
+  }
+}
+
+TEST(ParallelRunner, SingleFailureSurfacesAtEveryThreadCount) {
+  std::vector<std::function<core::SimulationResult()>> jobs;
+  for (int i = 0; i < 8; ++i) {
+    jobs.emplace_back([i]() -> core::SimulationResult {
+      if (i == 3) throw std::runtime_error("job 3");
+      return {};
+    });
+  }
+  for (const unsigned threads : kThreadCounts)
+    EXPECT_EQ(rethrown_message(jobs, threads), "job 3")
+        << threads << " threads";
 }
 
 std::string serialize_summary(const core::SimulationResult& result) {

@@ -1,7 +1,8 @@
-// cmcp_sim's flag contract: a core count the machine cannot hold, or a
-// memory fraction that is not a positive size the host can back, is a usage
-// error (exit 2, "--cores: ..." / "--fraction: ..."), not an assertion
-// abort deep in setup or a silent fall-back to the paper's default.
+// cmcp_sim's flag contract: a core count the machine cannot hold, a memory
+// fraction that is not a positive size the host can back, a CMCP ratio
+// outside [0, 1] or a scan period the engine cannot tick is a usage error
+// (exit 2, "--cores: ..." / "--fraction: ..."), not an assertion abort deep
+// in setup, a hang or a silent fall-back to the paper's default.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -43,6 +44,26 @@ TEST(CmcpSimCliDeath, NegativeFractionExitsTwoInsteadOfRunningAtTheDefault) {
 TEST(CmcpSimCliDeath, HugeFractionExitsTwoInsteadOfBadAlloc) {
   EXPECT_EXIT(exit_like_cmcp_sim("--fraction 1e9"), ::testing::ExitedWithCode(2),
               "--fraction: '1e9' is out of range \\(0, 16\\]");
+}
+
+TEST(CmcpSimCliDeath, OutOfRangePAndScanPeriodExitTwo) {
+  // A zero scan period never advances the scanner's tick, a negative one has
+  // no Cycles value and 1e30 ms lies past the engine's 2^53-cycle bound; a
+  // negative p must not fall back to the paper's p, nor p > 1 abort.
+  const struct {
+    const char* args;
+    const char* message;
+  } kCases[] = {
+      {"--scan-ms 0", "--scan-ms: '0' is out of range"},
+      {"--scan-ms -1", "--scan-ms: '-1' is out of range"},
+      {"--scan-ms 1e30", "--scan-ms: '1e30' is out of range"},
+      {"--p -0.5", "--p: '-0.5' is out of range \\[0\\.0+, 1\\.0+\\]"},
+      {"--p 5", "--p: '5' is out of range \\[0\\.0+, 1\\.0+\\]"},
+  };
+  for (const auto& c : kCases)
+    EXPECT_EXIT(exit_like_cmcp_sim(c.args), ::testing::ExitedWithCode(2),
+                c.message)
+        << c.args;
 }
 
 }  // namespace

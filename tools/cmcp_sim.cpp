@@ -33,13 +33,14 @@ using namespace cmcp;
       "  --size small|big            footprint class (default small)\n"
       "  --cores N                   simulated cores, 1..1087 (default 56)\n"
       "  --policy fifo|lru|cmcp|clock|lfu|random|cmcp-dyn|arc (default cmcp)\n"
-      "  --p X                       CMCP prioritized ratio (default per workload)\n"
+      "  --p X                       CMCP prioritized ratio, 0 <= X <= 1\n"
+      "                              (default per workload)\n"
       "  --pt pspt|regular           page tables (default pspt)\n"
       "  --fraction X                memory provided / footprint, 0 < X <= 16\n"
       "                              (default paper)\n"
       "  --page-size 4k|64k|2m       (default 4k)\n"
       "  --prefetch N                sequential readahead degree (default 0)\n"
-      "  --scan-ms X                 LRU scan period in ms (default 10)\n"
+      "  --scan-ms X                 LRU scan period in ms, > 0 (default 10)\n"
       "  --hw-tlb                    hypothetical TLB directory hardware\n"
       "  --preload                   no-data-movement baseline\n"
       "  --seed N                    workload seed (default 1234)\n"
@@ -66,7 +67,7 @@ int main(int argc, char** argv) {
   config.machine.num_cores = 56;
   config.policy.kind = PolicyKind::kCmcp;
   std::optional<double> fraction;
-  double p = -1.0;
+  std::optional<double> p;
   std::uint64_t seed = 1234;
   std::optional<std::string> csv_path;
   std::optional<std::string> json_path;
@@ -115,7 +116,7 @@ int main(int argc, char** argv) {
       else if (v == "arc") config.policy.kind = PolicyKind::kArc;
       else usage(argv[0]);
     } else if (arg == "--p") {
-      p = common::parse_flag<double>(arg, need_value(i));
+      p = common::parse_flag<double>(arg, need_value(i), 0.0, 1.0);
     } else if (arg == "--pt") {
       const std::string_view v = need_value(i);
       if (v == "pspt") config.pt_kind = PageTableKind::kPspt;
@@ -142,9 +143,19 @@ int main(int argc, char** argv) {
     } else if (arg == "--prefetch") {
       config.prefetch_degree = common::parse_flag<unsigned>(arg, need_value(i));
     } else if (arg == "--scan-ms") {
-      config.machine.cost.scan_period = static_cast<Cycles>(
-          common::parse_flag<double>(arg, need_value(i)) * 1e6 *
-          config.machine.cost.clock_ghz);
+      // A period of 0 cycles would never advance the scanner's tick, and one
+      // past 2^53 cycles (the engine's virtual-time bound) overflows it.
+      const std::string_view text = need_value(i);
+      const double period = common::parse_flag<double>(arg, text) * 1e6 *
+                            config.machine.cost.clock_ghz;
+      if (!(period >= 1 && period <= 0x1p53)) {
+        std::fprintf(stderr,
+                     "--scan-ms: '%.*s' is out of range (a period of 1 to "
+                     "2^53 cycles)\n",
+                     static_cast<int>(text.size()), text.data());
+        std::exit(2);
+      }
+      config.machine.cost.scan_period = static_cast<Cycles>(period);
     } else if (arg == "--hw-tlb") {
       config.machine.tlb_coherence = sim::TlbCoherence::kHardwareDirectory;
     } else if (arg == "--preload") {
@@ -179,7 +190,7 @@ int main(int argc, char** argv) {
 
   config.memory_fraction =
       fraction.value_or(wl::paper_memory_fraction(workload_kind));
-  config.policy.cmcp.p = p >= 0 ? p : wl::paper_best_p(workload_kind);
+  config.policy.cmcp.p = p.value_or(wl::paper_best_p(workload_kind));
   config.policy.dynamic_p.cmcp.p = config.policy.cmcp.p;
 
   std::unique_ptr<wl::Workload> workload;
