@@ -5,7 +5,7 @@
 //   * policy/*               — replacement policies (CMCP, FIFO, LRU, ...)
 //   * mm/*                   — page tables (regular / PSPT), frames, pages
 //   * sim/*                  — the many-core machine model and cost model
-//   * workloads/*            — the paper's four workloads + synthetics
+//   * workloads/*            — the paper's four workloads + the A4 adversary
 //   * metrics/*              — counters, tables, results, experiment runner
 //   * sim/trace.h            — structured event tracing + exporters
 #pragma once
@@ -18,7 +18,6 @@
 #include "metrics/stats.h"
 #include "metrics/table.h"
 #include "sim/trace.h"
-#include "mm/phi64k.h"
 #include "policy/cmcp.h"
 #include "policy/policy_factory.h"
 #include "workloads/bt.h"

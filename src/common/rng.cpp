@@ -1,7 +1,5 @@
 #include "common/rng.h"
 
-#include <cmath>
-
 #include "common/assert.h"
 
 namespace cmcp {
@@ -55,13 +53,6 @@ double Rng::next_double() {
 std::uint64_t Rng::next_range(std::uint64_t lo, std::uint64_t hi) {
   CMCP_CHECK(lo <= hi);
   return lo + next_below(hi - lo + 1);
-}
-
-std::uint64_t Rng::next_geometric(double mean) {
-  CMCP_CHECK(mean > 0.0);
-  const double u = next_double();
-  // Inverse CDF of the exponential distribution, floored.
-  return static_cast<std::uint64_t>(-mean * std::log1p(-u));
 }
 
 }  // namespace cmcp

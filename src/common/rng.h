@@ -26,9 +26,6 @@ class Rng {
   /// Uniform value in [lo, hi] inclusive.
   std::uint64_t next_range(std::uint64_t lo, std::uint64_t hi);
 
-  /// Geometric-ish small offset with parameter mean; used for banded sparsity.
-  std::uint64_t next_geometric(double mean);
-
  private:
   std::uint64_t s_[4];
 };

@@ -55,8 +55,7 @@ AddressSpace::AddressSpace(MemoryManager& mm, Asid asid,
       page_table_(
           make_page_table(config.pt_kind, machine_.num_cores(), area.num_units())),
       policy_capacity_units_(policy_capacity_units),
-      prefetch_degree_(config.prefetch_degree),
-      async_writeback_(config.async_writeback) {
+      prefetch_degree_(config.prefetch_degree) {
   CMCP_CHECK(policy_capacity_units_ > 0);
   policy_ = config.custom_policy ? config.custom_policy(*this)
                                  : policy::make_policy(*this, config.policy);
@@ -354,21 +353,16 @@ Cycles AddressSpace::evict_one(CoreId faulting_core, Cycles now) {
   // (Prefetched-but-never-touched units have no mappings to tear down.)
 
   if (dirty) {
-    // Write-back of the evicted unit to host memory. Synchronous by
-    // default (the paper's kernel); with async_writeback the core only
-    // queues the transfer — the link still carries the bytes.
+    // Synchronous write-back of the evicted unit to host memory, as the
+    // paper's kernel does: the evicting core waits for the transfer.
     const Cycles ready = now + cycles;
     const sim::PcieTransferOutcome xfer = machine_.pcie_transfer(
         faulting_core, sim::PcieDir::kDeviceToHost, ready,
         unit_bytes(area_.page_size()), unit, asid_);
     ctr.pcie_bytes_out += unit_bytes(area_.page_size());
     ++ctr.writebacks;
-    if (async_writeback_) {
-      cycles += cost.policy_op;  // staging/queueing only
-    } else {
-      ctr.cycles_pcie_wait += xfer.done - ready;
-      cycles += xfer.done - ready;
-    }
+    ctr.cycles_pcie_wait += xfer.done - ready;
+    cycles += xfer.done - ready;
   }
 
   policy_->on_evict(*victim);

@@ -6,8 +6,7 @@
 // one sim::Machine (shared PCIe link, shared invalidation slot).
 //
 // An AddressSpace is the PolicyHost of its policy: policies see only their
-// own space's resident set — no cross-tenant leakage — and can read their
-// tenant identity via asid().
+// own space's resident set — no cross-tenant leakage.
 #pragma once
 
 #include <memory>
@@ -60,7 +59,6 @@ class AddressSpace final : public policy::PolicyHost {
   // --- PolicyHost ----------------------------------------------------------
   std::uint64_t capacity_units() const override { return policy_capacity_units_; }
   unsigned num_cores() const override;
-  Asid asid() const override { return asid_; }
   unsigned core_map_count(const mm::ResidentPage& page) const override {
     return page_table_->core_map_count(page.unit);
   }
@@ -121,7 +119,6 @@ class AddressSpace final : public policy::PolicyHost {
   std::unique_ptr<policy::ReplacementPolicy> policy_;
   std::uint64_t policy_capacity_units_;
   unsigned prefetch_degree_;
-  bool async_writeback_;
 
   /// Address-space-wide page-table lock (regular tables only).
   Cycles pt_lock_busy_until_ = 0;

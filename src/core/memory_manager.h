@@ -49,11 +49,6 @@ struct MemoryManagerConfig {
   /// never evicts). 0 disables. Extension feature; see
   /// bench/ablation_prefetch.
   unsigned prefetch_degree = 0;
-  /// Asynchronous dirty write-back: the evicting core queues the transfer
-  /// and continues (the frame's old contents are staged in a bounce
-  /// buffer); the write still occupies the PCIe link. Default off — the
-  /// paper's kernel writes back synchronously.
-  bool async_writeback = false;
   /// "No data movement" baseline: all units start resident (and pinned —
   /// capacity must cover the footprint). First touches become cheap PTE
   /// faults with no PCIe traffic, matching data that was allocated on the

@@ -35,7 +35,6 @@ struct TenantRunConfig {
   /// When set, overrides `policy` with a user-supplied implementation.
   PolicyFactory custom_policy;
   unsigned prefetch_degree = 0;
-  bool async_writeback = false;
   /// Nominal capacity this tenant's policy reasons about (CMCP p ratio);
   /// 0 = use the partition target.
   std::uint64_t capacity_units = 0;

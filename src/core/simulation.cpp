@@ -73,7 +73,6 @@ struct Simulation::Setup {
     mmc.custom_policy = config.custom_policy;
     mmc.preload = config.preload;
     mmc.prefetch_degree = config.prefetch_degree;
-    mmc.async_writeback = config.async_writeback;
     add_tenant(workload, placement, mmc, mm::TenantShare{});
 
     capacity_units =
@@ -103,7 +102,6 @@ struct Simulation::Setup {
       mmc.policy = tc.policy;
       mmc.custom_policy = tc.custom_policy;
       mmc.prefetch_degree = tc.prefetch_degree;
-      mmc.async_writeback = tc.async_writeback;
       mmc.capacity_units = tc.capacity_units;
       add_tenant(spec.tenant(t), spec.placement(t), mmc, tc.share);
     }

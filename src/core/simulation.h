@@ -57,9 +57,6 @@ struct SimulationConfig {
   /// Sequential readahead degree on major faults (0 = off).
   unsigned prefetch_degree = 0;
 
-  /// Queue dirty write-backs instead of blocking the evicting core.
-  bool async_writeback = false;
-
   /// Ignored by the library; remains only so bench/suite compiles, and goes
   /// away when a benchmark change retires bt56_cmcp_local_t4.
   unsigned threads = 1;

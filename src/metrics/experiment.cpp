@@ -5,15 +5,6 @@
 
 namespace cmcp::metrics {
 
-std::string RunSpec::label() const {
-  std::ostringstream ss;
-  ss << to_string(workload) << '.' << size_suffix(size) << ' '
-     << to_string(pt_kind) << '+' << to_string(policy.kind) << ' ' << cores
-     << "c " << to_string(page_size);
-  if (preload) ss << " (no data movement)";
-  return ss.str();
-}
-
 core::SimulationConfig RunSpec::to_config() const {
   core::SimulationConfig config;
   config.machine.num_cores = cores;
@@ -27,10 +18,6 @@ core::SimulationConfig RunSpec::to_config() const {
   config.faults = faults;
   config.simcheck = simcheck;
   return config;
-}
-
-core::SimulationConfig to_config(const RunSpec& spec) {
-  return spec.to_config();
 }
 
 namespace {

@@ -44,9 +44,6 @@ struct RunSpec {
   /// are pure observers, so describe() omits it.
   bool simcheck = true;
 
-  /// Human-oriented one-line summary (lossy; legends, progress lines).
-  std::string label() const;
-
   /// The full simulation configuration this spec denotes. Together with
   /// describe(), a RunSpec round-trips: to_config() is the executable form,
   /// describe() the serialized one.
@@ -57,8 +54,6 @@ struct RunSpec {
   /// figure produced it.
   sim::trace::Metadata describe() const;
 };
-
-core::SimulationConfig to_config(const RunSpec& spec);
 
 /// Build the workload and run the full simulation for one spec. When
 /// spec.trace_path is set, also records and exports the event trace.

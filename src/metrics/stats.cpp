@@ -1,27 +1,6 @@
 #include "metrics/stats.h"
 
-#include <algorithm>
-#include <cmath>
-
 namespace cmcp::metrics {
-
-Summary summarize(std::span<const double> values) {
-  Summary s;
-  if (values.empty()) return s;
-  s.min = values[0];
-  s.max = values[0];
-  double sum = 0.0;
-  for (double v : values) {
-    sum += v;
-    s.min = std::min(s.min, v);
-    s.max = std::max(s.max, v);
-  }
-  s.mean = sum / static_cast<double>(values.size());
-  double var = 0.0;
-  for (double v : values) var += (v - s.mean) * (v - s.mean);
-  s.stddev = std::sqrt(var / static_cast<double>(values.size()));
-  return s;
-}
 
 double cycles_to_seconds(Cycles cycles, const sim::CostModel& cost) {
   return static_cast<double>(cycles) / (cost.clock_ghz * 1e9);

@@ -1,21 +1,10 @@
 // Small statistics helpers for reporting.
 #pragma once
 
-#include <span>
-
 #include "common/types.h"
 #include "sim/cost_model.h"
 
 namespace cmcp::metrics {
-
-struct Summary {
-  double mean = 0.0;
-  double min = 0.0;
-  double max = 0.0;
-  double stddev = 0.0;
-};
-
-Summary summarize(std::span<const double> values);
 
 /// Convert virtual cycles to wall seconds at the modelled clock.
 double cycles_to_seconds(Cycles cycles, const sim::CostModel& cost);

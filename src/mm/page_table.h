@@ -62,7 +62,6 @@ class PageTable {
   virtual bool clear_accessed(UnitIdx unit) = 0;
 
   virtual bool test_dirty(UnitIdx unit) const = 0;
-  virtual void clear_dirty(UnitIdx unit) = 0;
 
   /// Resident units currently mapped (for scanner iteration).
   virtual std::uint64_t mapped_units() const = 0;

@@ -132,16 +132,6 @@ bool Pspt::test_dirty(UnitIdx unit) const {
   return dirty;
 }
 
-void Pspt::clear_dirty(UnitIdx unit) {
-  if (unit >= directory_.size() || !directory_[unit].present) return;
-  // A core named by the mask but holding no table (only a corrupted mask
-  // can) has nothing to clear.
-  for_each_mapping(unit, [&](CoreId core) {
-    if ((flags(core, unit) & kDirty) != 0)
-      tables_[core][unit] &= static_cast<std::uint8_t>(~kDirty);
-  });
-}
-
 void Pspt::corrupt_count_for_test(UnitIdx unit, unsigned count) {
   CMCP_CHECK_MSG(unit < directory_.size() && directory_[unit].present,
                  "corrupting an unmapped unit");

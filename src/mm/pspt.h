@@ -42,7 +42,6 @@ class Pspt final : public PageTable {
   bool test_accessed(UnitIdx unit, unsigned* pte_reads) const override;
   bool clear_accessed(UnitIdx unit) override;
   bool test_dirty(UnitIdx unit) const override;
-  void clear_dirty(UnitIdx unit) override;
   std::uint64_t mapped_units() const override { return mapped_units_; }
 
   void reserve_units(UnitIdx n) override;

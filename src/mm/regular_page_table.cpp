@@ -80,9 +80,4 @@ bool RegularPageTable::test_dirty(UnitIdx unit) const {
   return e != nullptr && (*e & kDirty) != 0;
 }
 
-void RegularPageTable::clear_dirty(UnitIdx unit) {
-  std::uint8_t* e = entry(unit);
-  if (e != nullptr) *e &= static_cast<std::uint8_t>(~kDirty);
-}
-
 }  // namespace cmcp::mm

@@ -31,11 +31,6 @@ class PolicyHost {
 
   virtual unsigned num_cores() const = 0;
 
-  /// Tenant identity of the address space this policy instance serves.
-  /// Single-tenant hosts keep the default asid 0; policies may use it to
-  /// label statistics or trace output but never see other spaces' pages.
-  virtual Asid asid() const { return 0; }
-
   /// Number of cores mapping `page` — CMCP's priority signal. Exact under
   /// PSPT, the full core count under regular tables (the information is
   /// unobtainable there), 0 while no core maps a resident page (prefetched

@@ -32,10 +32,4 @@ ShootdownTiming Interconnect::shootdown(Cycles now, unsigned num_targets,
   return t;
 }
 
-void Interconnect::reset() {
-  slot_busy_until_ = 0;
-  total_shootdowns_ = 0;
-  total_lock_wait_ = 0;
-}
-
 }  // namespace cmcp::sim

@@ -39,8 +39,6 @@ class Interconnect {
   std::uint64_t total_shootdowns() const { return total_shootdowns_; }
   Cycles total_lock_wait() const { return total_lock_wait_; }
 
-  void reset();
-
  private:
   const CostModel* cost_;
   Cycles slot_busy_until_ = 0;

@@ -75,19 +75,4 @@ bool Tlb::invalidate(UnitIdx unit) {
   return true;
 }
 
-void Tlb::flush() {
-  // Walk the LRU chain instead of clearing the whole unit index: the chain
-  // holds at most `capacity_` entries while the index spans every unit.
-  for (std::uint32_t s = mru_; s != kNil;) {
-    const std::uint32_t next = slots_[s].next;
-    slot_of_[slots_[s].unit] = kNotCached;
-    slots_[s] = Slot{};
-    s = next;
-  }
-  free_.clear();
-  for (std::uint32_t i = capacity_; i-- > 0;) free_.push_back(i);
-  mru_ = lru_ = kNil;
-  occupancy_ = 0;
-}
-
 }  // namespace cmcp::sim

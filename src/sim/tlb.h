@@ -65,9 +65,6 @@ class Tlb {
   /// entries but always pay the interrupt cost.
   bool invalidate(UnitIdx unit);
 
-  /// Drop everything (full flush).
-  void flush();
-
   /// Size the unit index for units [0, n) so steady-state insert() never
   /// grows it (the memory manager calls this with the area's num_units()).
   void reserve_units(UnitIdx n) {

@@ -21,18 +21,6 @@ Asid MultiTenantSpec::add(std::unique_ptr<Workload> workload) {
   return static_cast<Asid>(tenants_.size() - 1);
 }
 
-CoreId MultiTenantSpec::total_cores() const {
-  CoreId total = 0;
-  for (const auto& t : tenants_) total += t->num_cores();
-  return total;
-}
-
-std::uint64_t MultiTenantSpec::total_footprint_base_pages() const {
-  std::uint64_t total = 0;
-  for (const auto& t : tenants_) total += t->footprint_base_pages();
-  return total;
-}
-
 TenantPlacement MultiTenantSpec::placement(Asid asid) const {
   CMCP_CHECK(asid < tenants_.size());
   TenantPlacement p;
@@ -45,15 +33,6 @@ TenantPlacement MultiTenantSpec::placement(Asid asid) const {
   p.num_cores = tenants_[asid]->num_cores();
   p.footprint_base_pages = tenants_[asid]->footprint_base_pages();
   return p;
-}
-
-std::string MultiTenantSpec::name() const {
-  std::string out;
-  for (const auto& t : tenants_) {
-    if (!out.empty()) out += '+';
-    out += t->name();
-  }
-  return out;
 }
 
 }  // namespace cmcp::wl

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "common/types.h"
@@ -35,16 +34,7 @@ class MultiTenantSpec {
   std::size_t num_tenants() const { return tenants_.size(); }
   const Workload& tenant(Asid asid) const { return *tenants_[asid]; }
 
-  /// Total app cores across tenants (core blocks are contiguous, in order).
-  CoreId total_cores() const;
-
-  /// Combined footprint in base pages (sum of per-tenant footprints).
-  std::uint64_t total_footprint_base_pages() const;
-
   TenantPlacement placement(Asid asid) const;
-
-  /// "cg+bt" style composed name for reports.
-  std::string name() const;
 
  private:
   std::vector<std::unique_ptr<Workload>> tenants_;

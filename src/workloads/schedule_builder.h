@@ -45,11 +45,6 @@ class ScheduleBuilder {
         compute_per_page_ * repeat));
   }
 
-  /// Single-page touch with no attached compute.
-  void touch_page(CoreId core, Vpn vpn, bool write, std::uint16_t repeat = 1) {
-    schedules_[core].push_back(Op::access(vpn, write, 1, repeat));
-  }
-
   /// Single-page touch with the standard compute interval.
   void touch_page_compute(CoreId core, Vpn vpn, bool write,
                           std::uint16_t repeat = 1) {
@@ -83,23 +78,5 @@ class ScheduleBuilder {
   Cycles compute_per_page_;
   std::vector<std::vector<Op>> schedules_;
 };
-
-/// Contiguous block partition of `total` items over `cores`; returns
-/// [begin, end) of `core`'s share. Remainders spread over the low cores.
-struct BlockRange {
-  std::uint64_t begin = 0;
-  std::uint64_t end = 0;
-  std::uint64_t size() const { return end - begin; }
-};
-
-inline BlockRange block_partition(std::uint64_t total, CoreId cores, CoreId core) {
-  CMCP_CHECK(core < cores);
-  const std::uint64_t base = total / cores;
-  const std::uint64_t extra = total % cores;
-  const std::uint64_t begin =
-      core * base + std::min<std::uint64_t>(core, extra);
-  const std::uint64_t len = base + (core < extra ? 1 : 0);
-  return BlockRange{begin, begin + len};
-}
 
 }  // namespace cmcp::wl

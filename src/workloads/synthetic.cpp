@@ -1,60 +1,6 @@
 #include "workloads/synthetic.h"
 
-#include "workloads/partition_util.h"
-
 namespace cmcp::wl {
-
-UniformWorkload::UniformWorkload(const UniformParams& params) : params_(params) {
-  const CoreId n = params_.base.cores;
-  ScheduleBuilder sb(n, params_.base.compute_per_page);
-  Rng rng(params_.base.seed);
-  for (CoreId c = 0; c < n; ++c) {
-    Rng core_rng(rng.next());
-    for (std::uint64_t t = 0; t < params_.touches_per_core; ++t) {
-      sb.touch_page(c, core_rng.next_below(params_.pages),
-                    /*write=*/(core_rng.next() & 1) != 0);
-    }
-  }
-  schedules_ = sb.finish();
-}
-
-std::unique_ptr<AccessStream> UniformWorkload::make_stream(CoreId core) const {
-  CMCP_CHECK(core < schedules_.size());
-  return std::make_unique<VectorStream>(schedules_[core]);
-}
-
-HotColdWorkload::HotColdWorkload(const HotColdParams& params) : params_(params) {
-  const CoreId n = params_.base.cores;
-  ScheduleBuilder sb(n, params_.base.compute_per_page);
-  const Vpn hot_base = 0;
-  const Vpn cold_base = params_.hot_pages;
-  const std::uint64_t shared_hot = static_cast<std::uint64_t>(
-      params_.shared_hot_fraction * static_cast<double>(params_.hot_pages));
-
-  for (std::uint32_t round = 0; round < params_.rounds; ++round) {
-    for (CoreId c = 0; c < n; ++c) {
-      // Globally shared slice of the hot region.
-      if (shared_hot > 0)
-        sb.touch(c, hot_base, shared_hot, /*write=*/false, params_.hot_repeat);
-      // Private hot block.
-      const auto hot = block_partition(params_.hot_pages - shared_hot, n, c);
-      if (hot.size() > 0)
-        sb.touch(c, hot_base + shared_hot + hot.begin, hot.size(),
-                 /*write=*/true, params_.hot_repeat);
-      // Cold private stream.
-      const auto cold = block_partition(params_.cold_pages, n, c);
-      if (cold.size() > 0)
-        sb.touch(c, cold_base + cold.begin, cold.size(), /*write=*/false, 1);
-    }
-    sb.barrier_all();
-  }
-  schedules_ = sb.finish();
-}
-
-std::unique_ptr<AccessStream> HotColdWorkload::make_stream(CoreId core) const {
-  CMCP_CHECK(core < schedules_.size());
-  return std::make_unique<VectorStream>(schedules_[core]);
-}
 
 AdversarialWorkload::AdversarialWorkload(const AdversarialParams& params)
     : params_(params) {

@@ -1,62 +1,11 @@
-// Synthetic workloads for unit tests, calibration and the adversarial
-// ablation (the paper concedes in section 3 that access patterns exist for
-// which the core-map-count heuristic misfires — A4 constructs one).
+// The adversarial synthetic workload of ablation A4: the paper concedes in
+// section 3 that access patterns exist for which the core-map-count
+// heuristic misfires, and this one constructs such a pattern.
 #pragma once
 
-#include "common/rng.h"
 #include "workloads/schedule_builder.h"
 
 namespace cmcp::wl {
-
-/// Every core touches pages uniformly at random over the footprint.
-struct UniformParams {
-  WorkloadParams base;
-  std::uint64_t pages = 4096;
-  std::uint64_t touches_per_core = 20000;
-};
-
-class UniformWorkload final : public Workload {
- public:
-  explicit UniformWorkload(const UniformParams& params);
-
-  std::string_view name() const override { return "uniform"; }
-  CoreId num_cores() const override { return params_.base.cores; }
-  std::uint64_t footprint_base_pages() const override { return params_.pages; }
-  std::unique_ptr<AccessStream> make_stream(CoreId core) const override;
-
- private:
-  UniformParams params_;
-  std::vector<std::shared_ptr<const std::vector<Op>>> schedules_;
-};
-
-/// A hot region re-read every round by its owner plus a cold region streamed
-/// once per round. Owner blocks are private; an optional shared fraction of
-/// the hot region is read by all cores.
-struct HotColdParams {
-  WorkloadParams base;
-  std::uint64_t hot_pages = 1024;
-  std::uint64_t cold_pages = 8192;
-  std::uint32_t rounds = 10;
-  std::uint16_t hot_repeat = 4;
-  /// Leading fraction of the hot region read by every core each round.
-  double shared_hot_fraction = 0.25;
-};
-
-class HotColdWorkload final : public Workload {
- public:
-  explicit HotColdWorkload(const HotColdParams& params);
-
-  std::string_view name() const override { return "hotcold"; }
-  CoreId num_cores() const override { return params_.base.cores; }
-  std::uint64_t footprint_base_pages() const override {
-    return params_.hot_pages + params_.cold_pages;
-  }
-  std::unique_ptr<AccessStream> make_stream(CoreId core) const override;
-
- private:
-  HotColdParams params_;
-  std::vector<std::shared_ptr<const std::vector<Op>>> schedules_;
-};
 
 /// Adversarial anti-CMCP pattern: a widely shared region is touched by every
 /// core exactly once up front (inflating its core-map count) and never

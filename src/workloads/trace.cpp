@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/assert.h"
+#include "common/core_mask.h"
 
 namespace cmcp::wl {
 
@@ -45,77 +46,98 @@ void save_trace(const Workload& workload, const std::string& path) {
   write_trace(workload, out);
 }
 
-std::unique_ptr<TraceWorkload> TraceWorkload::parse(std::istream& is) {
-  auto trace = std::unique_ptr<TraceWorkload>(new TraceWorkload());
+TraceParseResult TraceWorkload::parse(std::istream& is,
+                                      std::string_view source) {
+  std::uint64_t line_no = 0;
   std::string line;
+  const auto fail = [&](std::string_view reason) {
+    std::ostringstream msg;
+    msg << source << ':' << line_no << ": " << reason;
+    return TraceParseResult{nullptr, msg.str()};
+  };
 
-  CMCP_CHECK_MSG(std::getline(is, line) && line == "cmcp-trace v1",
-                 "not a cmcp trace (missing header)");
+  ++line_no;
+  if (!std::getline(is, line) || line != "cmcp-trace v1")
+    return fail("not a cmcp trace (missing header)");
 
+  auto trace = std::unique_ptr<TraceWorkload>(new TraceWorkload());
   std::vector<std::vector<Op>> schedules;
   std::vector<Op>* current = nullptr;
-  std::uint64_t cores = 0;
 
   while (std::getline(is, line)) {
+    ++line_no;
     if (line.empty() || line[0] == '#') continue;
     std::istringstream ss(line);
     std::string tag;
     ss >> tag;
     if (tag == "cores") {
-      CMCP_CHECK_MSG(ss >> cores && cores > 0, "bad cores line");
+      // The scanner pseudo-core rides above the app cores (sim/machine.h).
+      std::uint64_t cores = 0;
+      if (!(ss >> cores) || cores < 1 || cores >= CoreMask::kMaxCores)
+        return fail("cores must be in [1, " +
+                    std::to_string(CoreMask::kMaxCores - 1) + "]");
       schedules.resize(cores);
     } else if (tag == "pages") {
-      CMCP_CHECK_MSG(static_cast<bool>(ss >> trace->pages_), "bad pages line");
+      if (!(ss >> trace->pages_) || trace->pages_ == 0)
+        return fail("bad pages line");
     } else if (tag == "core") {
       std::uint64_t id = 0;
-      CMCP_CHECK_MSG(ss >> id && id < schedules.size(), "bad core line");
+      if (!(ss >> id) || id >= schedules.size()) return fail("bad core line");
       current = &schedules[id];
     } else if (tag == "a") {
-      CMCP_CHECK_MSG(current != nullptr, "op before core line");
+      if (current == nullptr) return fail("op before core line");
+      if (trace->pages_ == 0) return fail("access before pages line");
       Op op;
       op.kind = OpKind::kAccess;
-      unsigned repeat = 1;
+      std::uint64_t repeat = 0;
       char rw = 'r';
-      CMCP_CHECK_MSG(static_cast<bool>(ss >> op.vpn >> op.count >> op.stride >>
-                                       repeat >> rw >> op.cycles),
-                     "bad access line");
-      CMCP_CHECK_MSG(op.count > 0 && repeat > 0 && (rw == 'r' || rw == 'w'),
-                     "bad access fields");
+      if (!(ss >> op.vpn >> op.count >> op.stride >> repeat >> rw >> op.cycles))
+        return fail("bad access line");
+      if (op.count == 0 || (rw != 'r' && rw != 'w'))
+        return fail("bad access fields");
+      if (repeat < 1 || repeat > 65535)
+        return fail("repeat must be in [1, 65535]");
+      // The last page touched is vpn + (count - 1) * stride; both factors
+      // are 32-bit, so the product cannot wrap.
+      const std::uint64_t span = std::uint64_t{op.count - 1} * op.stride;
+      if (op.vpn >= trace->pages_ || span >= trace->pages_ - op.vpn)
+        return fail("access range lies outside the declared pages");
       op.repeat = static_cast<std::uint16_t>(repeat);
       op.write = rw == 'w';
       current->push_back(op);
     } else if (tag == "c") {
-      CMCP_CHECK_MSG(current != nullptr, "op before core line");
+      if (current == nullptr) return fail("op before core line");
       Cycles cycles = 0;
-      CMCP_CHECK_MSG(static_cast<bool>(ss >> cycles), "bad compute line");
+      if (!(ss >> cycles)) return fail("bad compute line");
       current->push_back(Op::compute(cycles));
     } else if (tag == "b") {
-      CMCP_CHECK_MSG(current != nullptr, "op before core line");
+      if (current == nullptr) return fail("op before core line");
       current->push_back(Op::barrier());
     } else if (tag == "s") {
-      CMCP_CHECK_MSG(current != nullptr, "op before core line");
+      if (current == nullptr) return fail("op before core line");
       Cycles host = 0;
       std::uint32_t bytes = 0;
-      CMCP_CHECK_MSG(static_cast<bool>(ss >> host >> bytes), "bad syscall line");
+      if (!(ss >> host >> bytes)) return fail("bad syscall line");
       current->push_back(Op::syscall(host, bytes));
     } else {
-      CMCP_CHECK_MSG(false, "unknown trace tag");
+      return fail("unknown trace tag '" + tag + "'");
     }
   }
-  CMCP_CHECK_MSG(cores > 0, "trace declares no cores");
-  CMCP_CHECK_MSG(trace->pages_ > 0, "trace declares no pages");
+  if (schedules.empty()) return fail("trace declares no cores");
+  if (trace->pages_ == 0) return fail("trace declares no pages");
 
-  trace->schedules_.reserve(cores);
+  trace->schedules_.reserve(schedules.size());
   for (auto& ops : schedules)
     trace->schedules_.push_back(
         std::make_shared<const std::vector<Op>>(std::move(ops)));
-  return trace;
+  return TraceParseResult{std::move(trace), {}};
 }
 
-std::unique_ptr<TraceWorkload> TraceWorkload::load(const std::string& path) {
+TraceParseResult TraceWorkload::load(const std::string& path) {
   std::ifstream in(path);
-  CMCP_CHECK_MSG(in.good(), "cannot open trace file");
-  return parse(in);
+  if (!in.good())
+    return TraceParseResult{nullptr, path + ": cannot open trace file"};
+  return parse(in, path);
 }
 
 std::unique_ptr<AccessStream> TraceWorkload::make_stream(CoreId core) const {

@@ -14,6 +14,10 @@
 //   c <cycles>                                          # compute
 //   b                                                   # barrier
 //   s <host-cycles> <payload-bytes>                     # offloaded syscall
+//
+// `cores` lies in [1, CoreMask::kMaxCores - 1] (the range cmcp_sim --cores
+// accepts), `repeat` in [1, 65535], and `pages` must precede the first
+// access, every access range lying inside it.
 #pragma once
 
 #include <iosfwd>
@@ -29,12 +33,17 @@ namespace cmcp::wl {
 void write_trace(const Workload& workload, std::ostream& os);
 void save_trace(const Workload& workload, const std::string& path);
 
+struct TraceParseResult;
+
 /// A workload replayed from a trace.
 class TraceWorkload final : public Workload {
  public:
-  /// Parse from a stream; aborts (CMCP_CHECK) on malformed input.
-  static std::unique_ptr<TraceWorkload> parse(std::istream& is);
-  static std::unique_ptr<TraceWorkload> load(const std::string& path);
+  /// Parse from a stream. Malformed input yields no workload and a
+  /// diagnostic "<source>:<line>: <reason>" instead of an abort.
+  static TraceParseResult parse(std::istream& is,
+                                std::string_view source = "<trace>");
+  /// parse() of the file at `path`, which also names it in diagnostics.
+  static TraceParseResult load(const std::string& path);
 
   std::string_view name() const override { return "trace"; }
   CoreId num_cores() const override { return static_cast<CoreId>(schedules_.size()); }
@@ -46,6 +55,11 @@ class TraceWorkload final : public Workload {
 
   std::uint64_t pages_ = 0;
   std::vector<std::shared_ptr<const std::vector<Op>>> schedules_;
+};
+
+struct TraceParseResult {
+  std::unique_ptr<TraceWorkload> trace;  ///< null when the input is malformed
+  std::string error;                     ///< set exactly when trace is null
 };
 
 }  // namespace cmcp::wl

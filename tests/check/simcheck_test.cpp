@@ -14,7 +14,6 @@
 
 #include "core/simulation.h"
 #include "sim/checker.h"
-#include "workloads/synthetic.h"
 
 namespace cmcp::check {
 namespace {

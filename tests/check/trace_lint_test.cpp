@@ -18,7 +18,6 @@
 #include "mm/frame_partition.h"
 #include "sim/trace.h"
 #include "workloads/multi_tenant.h"
-#include "workloads/synthetic.h"
 
 #ifndef CMCP_TEST_DATA_DIR
 #define CMCP_TEST_DATA_DIR "tests/data"

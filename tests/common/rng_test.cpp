@@ -74,18 +74,6 @@ TEST(Rng, UniformityCoarse) {
   }
 }
 
-TEST(Rng, GeometricMeanApproximatelyCorrect) {
-  Rng rng(17);
-  const double mean = 8.0;
-  double sum = 0;
-  const int kSamples = 50000;
-  for (int i = 0; i < kSamples; ++i)
-    sum += static_cast<double>(rng.next_geometric(mean));
-  const double measured = sum / kSamples;
-  // Floored exponential has mean ~ mean - 0.5.
-  EXPECT_NEAR(measured, mean - 0.5, 0.5);
-}
-
 TEST(Rng, NoShortCycle) {
   Rng rng(21);
   std::set<std::uint64_t> seen;

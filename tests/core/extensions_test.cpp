@@ -185,26 +185,6 @@ TEST(Prefetch, EndToEndHelpsSequentialWorkload) {
   EXPECT_GT(on.app_total.prefetch_hits, 0u);
 }
 
-// --- asynchronous write-back ---------------------------------------------------
-
-TEST(AsyncWriteback, SameBytesLessBlocking) {
-  wl::WorkloadParams params;
-  params.cores = 8;
-  params.scale = 0.2;
-  const auto w = wl::make_paper_workload(wl::PaperWorkload::kScale, params);
-  SimulationConfig config;
-  config.machine.num_cores = 8;
-  config.memory_fraction = 0.5;
-
-  const auto sync = run_simulation(config, *w);
-  config.async_writeback = true;
-  const auto async = run_simulation(config, *w);
-
-  EXPECT_EQ(async.app_total.writebacks, sync.app_total.writebacks);
-  EXPECT_EQ(async.app_total.pcie_bytes_out, sync.app_total.pcie_bytes_out);
-  EXPECT_LT(async.makespan, sync.makespan);
-}
-
 // --- syscall offload -----------------------------------------------------------
 
 class SyscallWorkload final : public wl::Workload {

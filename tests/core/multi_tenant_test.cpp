@@ -61,7 +61,6 @@ struct EquivalenceCase {
   double memory_fraction;
   std::uint64_t capacity_units_override;
   unsigned prefetch_degree;
-  bool async_writeback;
   const char* faults;  ///< FaultPlanConfig spec; "" = no explicit plan
   /// True when the run actually drove the path the row names, so the
   /// equivalence proves what it claims.
@@ -70,27 +69,26 @@ struct EquivalenceCase {
 
 const EquivalenceCase kEquivalenceCases[] = {
     {"pspt_cmcp_constrained", PageTableKind::kPspt, PolicyKind::kCmcp, 0.5, 0,
-     0, false, "",
+     0, "",
      [](const SimulationResult& r) { return r.app_total.evictions > 0; }},
-    {"pspt_lru_scanner", PageTableKind::kPspt, PolicyKind::kLru, 0.5, 0, 0,
-     false, "", [](const SimulationResult& r) { return r.scans > 0; }},
+    {"pspt_lru_scanner", PageTableKind::kPspt, PolicyKind::kLru, 0.5, 0, 0, "",
+     [](const SimulationResult& r) { return r.scans > 0; }},
     {"regular_fifo", PageTableKind::kRegular, PolicyKind::kFifo, 0.37, 0, 0,
-     false, "",
+     "",
      [](const SimulationResult& r) {
        return r.app_total.remote_invalidations_received > 0;
      }},
-    {"fault_plan", PageTableKind::kPspt, PolicyKind::kCmcp, 0.5, 0, 0, false,
+    {"fault_plan", PageTableKind::kPspt, PolicyKind::kCmcp, 0.5, 0, 0,
      "seed=5,pcie=0.02,sticky=0.005,ack=0.05,poison=2,straggler=0.1",
      [](const SimulationResult& r) {
        return r.fault_stats.total_injected() > 0;
      }},
-    {"prefetch_async_writeback", PageTableKind::kPspt, PolicyKind::kFifo, 0.5,
-     0, 4, true, "",
+    {"prefetch", PageTableKind::kPspt, PolicyKind::kFifo, 0.5, 0, 4, "",
      [](const SimulationResult& r) {
        return r.app_total.prefetches > 0 && r.app_total.writebacks > 0;
      }},
     {"capacity_override", PageTableKind::kPspt, PolicyKind::kCmcp, 1.0, 20, 0,
-     false, "",
+     "",
      [](const SimulationResult& r) { return r.capacity_units == 20; }},
 };
 
@@ -125,7 +123,6 @@ TEST(MultiTenant, SingleTenantMatchesSimulation) {
     sconfig.memory_fraction = c.memory_fraction;
     sconfig.capacity_units_override = c.capacity_units_override;
     sconfig.prefetch_degree = c.prefetch_degree;
-    sconfig.async_writeback = c.async_writeback;
     sconfig.faults = faults;
     sim::trace::EventSink solo_sink;
     sconfig.trace = &solo_sink;
@@ -145,7 +142,6 @@ TEST(MultiTenant, SingleTenantMatchesSimulation) {
     tenants[0].pt_kind = c.pt;
     tenants[0].policy.kind = c.policy;
     tenants[0].prefetch_degree = c.prefetch_degree;
-    tenants[0].async_writeback = c.async_writeback;
     Simulation sim(mconfig, spec, tenants);
     const MultiTenantResult actual = sim.run_tenants();
 

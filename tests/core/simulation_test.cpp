@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include "workloads/synthetic.h"
 
 namespace cmcp::core {
 namespace {
@@ -158,20 +157,6 @@ TEST(SimulationDeath, ZeroScanPeriodAbortsInsteadOfHanging) {
   SimulationConfig config = basic_config(1);
   config.machine.cost.scan_period = 0;
   EXPECT_DEATH(run_simulation(config, w), "scan_period must be in");
-}
-
-TEST(Simulation, UniformWorkloadRunsEndToEnd) {
-  wl::UniformParams params;
-  params.base.cores = 4;
-  params.pages = 256;
-  params.touches_per_core = 2000;
-  wl::UniformWorkload w(params);
-  SimulationConfig config = basic_config(4);
-  config.memory_fraction = 0.5;
-  auto result = run_simulation(config, w);
-  EXPECT_EQ(result.app_total.accesses, 4u * 2000);
-  EXPECT_GT(result.app_total.major_faults, 0u);
-  EXPECT_GT(result.makespan, 0u);
 }
 
 }  // namespace

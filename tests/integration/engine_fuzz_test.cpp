@@ -152,7 +152,8 @@ TEST(EngineDeathTest, VirtualTimePast2To53Aborts) {
       "core 1\n"
       "a 8 4 1 1 r 100\n"
       "a 12 4 1 1 r 100\n");
-  const auto workload = wl::TraceWorkload::parse(trace);
+  const auto workload = wl::TraceWorkload::parse(trace).trace;
+  ASSERT_NE(workload, nullptr);
   SimulationConfig config;
   config.machine.num_cores = workload->num_cores();
   EXPECT_DEATH(run_simulation(config, *workload), "2\\^53 cycles");

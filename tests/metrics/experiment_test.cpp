@@ -11,46 +11,25 @@
 namespace cmcp::metrics {
 namespace {
 
-TEST(RunSpec, LabelMentionsEveryDimension) {
-  RunSpec spec;
-  spec.workload = wl::PaperWorkload::kLu;
-  spec.cores = 24;
-  spec.pt_kind = PageTableKind::kPspt;
-  spec.policy.kind = PolicyKind::kCmcp;
-  spec.page_size = PageSizeClass::k64K;
-  const std::string label = spec.label();
-  EXPECT_NE(label.find("lu.B"), std::string::npos);
-  EXPECT_NE(label.find("PSPT"), std::string::npos);
-  EXPECT_NE(label.find("CMCP"), std::string::npos);
-  EXPECT_NE(label.find("24c"), std::string::npos);
-  EXPECT_NE(label.find("64kB"), std::string::npos);
-}
-
-TEST(RunSpec, LabelFlagsPreload) {
-  RunSpec spec;
-  spec.preload = true;
-  EXPECT_NE(spec.label().find("no data movement"), std::string::npos);
-}
-
 TEST(ToConfig, UsesPaperFractionWhenUnset) {
   RunSpec spec;
   spec.workload = wl::PaperWorkload::kCg;
   spec.memory_fraction = -1.0;
-  const auto config = to_config(spec);
+  const auto config = spec.to_config();
   EXPECT_DOUBLE_EQ(config.memory_fraction, 0.37);
 }
 
 TEST(ToConfig, ExplicitFractionWins) {
   RunSpec spec;
   spec.memory_fraction = 0.8;
-  EXPECT_DOUBLE_EQ(to_config(spec).memory_fraction, 0.8);
+  EXPECT_DOUBLE_EQ(spec.to_config().memory_fraction, 0.8);
 }
 
 TEST(ToConfig, CopiesMachineKnobs) {
   RunSpec spec;
   spec.cores = 12;
   spec.page_size = PageSizeClass::k2M;
-  const auto config = to_config(spec);
+  const auto config = spec.to_config();
   EXPECT_EQ(config.machine.num_cores, 12u);
   EXPECT_EQ(config.machine.page_size, PageSizeClass::k2M);
 }

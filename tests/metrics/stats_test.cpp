@@ -2,36 +2,10 @@
 
 #include <gtest/gtest.h>
 
-#include <array>
-
 #include "metrics/counters.h"
 
 namespace cmcp::metrics {
 namespace {
-
-TEST(Summary, EmptyIsZero) {
-  const Summary s = summarize({});
-  EXPECT_EQ(s.mean, 0.0);
-  EXPECT_EQ(s.stddev, 0.0);
-}
-
-TEST(Summary, SingleValue) {
-  const std::array<double, 1> v = {7.0};
-  const Summary s = summarize(v);
-  EXPECT_DOUBLE_EQ(s.mean, 7.0);
-  EXPECT_DOUBLE_EQ(s.min, 7.0);
-  EXPECT_DOUBLE_EQ(s.max, 7.0);
-  EXPECT_DOUBLE_EQ(s.stddev, 0.0);
-}
-
-TEST(Summary, KnownDistribution) {
-  const std::array<double, 4> v = {2.0, 4.0, 4.0, 6.0};
-  const Summary s = summarize(v);
-  EXPECT_DOUBLE_EQ(s.mean, 4.0);
-  EXPECT_DOUBLE_EQ(s.min, 2.0);
-  EXPECT_DOUBLE_EQ(s.max, 6.0);
-  EXPECT_NEAR(s.stddev, 1.4142, 1e-3);
-}
 
 TEST(CyclesToSeconds, UsesModelClock) {
   sim::CostModel cost;

@@ -61,11 +61,15 @@ TEST_P(PageTableContractTest, AccessedBitLifecycle) {
 }
 
 TEST_P(PageTableContractTest, DirtyBitLifecycle) {
+  // A unit starts clean, a write makes it dirty, and only eviction
+  // (unmap_all) cleans it: a remapped unit starts clean again.
   pt_->map(0, 4);
   EXPECT_FALSE(pt_->test_dirty(4));
   pt_->mark_dirty(0, 4);
   EXPECT_TRUE(pt_->test_dirty(4));
-  pt_->clear_dirty(4);
+  pt_->unmap_all(4);
+  EXPECT_FALSE(pt_->test_dirty(4));
+  pt_->map(0, 4);
   EXPECT_FALSE(pt_->test_dirty(4));
 }
 
@@ -203,8 +207,6 @@ TEST(Pspt, CoreThatNeverMapsOwnsNoTable) {
   EXPECT_TRUE(pt.test_accessed(5, &reads));
   EXPECT_EQ(reads, 2u);
   EXPECT_TRUE(pt.test_dirty(9));
-  pt.clear_dirty(9);
-  EXPECT_FALSE(pt.test_dirty(9));
   EXPECT_TRUE(pt.clear_accessed(5));
   CoreMask both;
   both.set(3);

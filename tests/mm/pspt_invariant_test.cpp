@@ -145,7 +145,6 @@ TEST(PsptInvariant, MaskNamingATableLessCoreIsReportedWithoutReadingPastIt) {
   }
   EXPECT_TRUE(found);
   EXPECT_FALSE(f.pspt().test_dirty(2));
-  f.pspt().clear_dirty(2);
   EXPECT_FALSE(f.pspt().has_table(40));
 }
 

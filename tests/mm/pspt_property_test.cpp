@@ -33,7 +33,7 @@ TEST_P(PsptPropertyTest, AgreesWithReferenceModelUnderRandomOps) {
   for (int step = 0; step < 8000; ++step) {
     const UnitIdx unit = rng.next_below(kUnits);
     const CoreId core = static_cast<CoreId>(rng.next_below(kCores));
-    switch (rng.next_below(6)) {
+    switch (rng.next_below(5)) {
       case 0: {  // map (if this core doesn't already)
         auto it = ref.units.find(unit);
         if (it == ref.units.end() || !it->second.cores.contains(core)) {
@@ -73,12 +73,6 @@ TEST_P(PsptPropertyTest, AgreesWithReferenceModelUnderRandomOps) {
           pt.mark_dirty(core, unit);
           it->second.dirty.insert(core);
         }
-        break;
-      }
-      case 5: {  // clear dirty
-        pt.clear_dirty(unit);
-        auto it = ref.units.find(unit);
-        if (it != ref.units.end()) it->second.dirty.clear();
         break;
       }
     }

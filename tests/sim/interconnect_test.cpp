@@ -71,14 +71,6 @@ TEST_F(InterconnectTest, CountsShootdowns) {
   EXPECT_EQ(net.total_shootdowns(), 2u);
 }
 
-TEST_F(InterconnectTest, ResetRestoresInitialState) {
-  net.shootdown(0, 4, 1);
-  net.reset();
-  EXPECT_EQ(net.slot_busy_until(), 0u);
-  EXPECT_EQ(net.total_shootdowns(), 0u);
-  EXPECT_EQ(net.total_lock_wait(), 0u);
-}
-
 TEST_F(InterconnectTest, BacklogAccumulatesUnderBurst) {
   // N simultaneous shootdowns: the k-th waits ~k slot holds. This is the
   // queueing behaviour that produced the paper's 8x lock-cycle growth.

@@ -2,12 +2,14 @@
 // fraction that is not a positive size the host can back, a CMCP ratio
 // outside [0, 1] or a scan period the engine cannot tick is a usage error
 // (exit 2, "--cores: ..." / "--fraction: ..."), not an assertion abort deep
-// in setup, a hang or a silent fall-back to the paper's default.
+// in setup, a hang or a silent fall-back to the paper's default. A
+// malformed --replay-trace file is one too, reported as "<file>:<line>: ...".
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
 #include <cstdlib>
+#include <fstream>
 #include <string>
 
 namespace {
@@ -64,6 +66,41 @@ TEST(CmcpSimCliDeath, OutOfRangePAndScanPeriodExitTwo) {
     EXPECT_EXIT(exit_like_cmcp_sim(c.args), ::testing::ExitedWithCode(2),
                 c.message)
         << c.args;
+}
+
+TEST(CmcpSimCliDeath, MalformedReplayTraceExitsTwoWithALocatedDiagnostic) {
+  // Each body follows "cmcp-trace v1\ncores 1\npages 10\ncore 0\n" unless it
+  // replaces the cores line, so line 5 holds the first op.
+  const struct {
+    const char* name;
+    const char* body;
+    const char* message;
+  } kCases[] = {
+      // Used to abort with "unknown trace tag" and no location.
+      {"tag", "core 0\nz 1\n", ":5: unknown trace tag 'z'"},
+      // Used to die in an uncaught std::bad_alloc.
+      {"cores", nullptr, ":2: cores must be in \\[1, 1087\\]"},
+      // Used to abort deep in the run, in ComputationArea::contains.
+      {"range", "core 0\na 5 20 1 1 r 1\n",
+       ":5: access range lies outside the declared pages"},
+      // Used to run silently as repeat 1 (truncated to 16 bits).
+      {"repeat", "core 0\na 0 1 1 65537 r 1\n",
+       ":5: repeat must be in \\[1, 65535\\]"},
+  };
+  for (const auto& c : kCases) {
+    const std::string path =
+        ::testing::TempDir() + "cmcp_sim_bad_" + c.name + ".trace";
+    {
+      std::ofstream out(path);
+      if (c.body != nullptr)
+        out << "cmcp-trace v1\ncores 1\npages 10\n" << c.body;
+      else
+        out << "cmcp-trace v1\ncores 999999999999\npages 10\n";
+    }
+    EXPECT_EXIT(exit_like_cmcp_sim("--replay-trace " + path),
+                ::testing::ExitedWithCode(2), path + c.message)
+        << c.name;
+  }
 }
 
 }  // namespace

@@ -37,12 +37,16 @@ TEST(ScheduleBuilder, ZeroCountTouchIsDropped) {
 
 TEST(ScheduleBuilder, TouchPageVariants) {
   ScheduleBuilder sb(1, 700);
-  sb.touch_page(0, 5, false);          // no compute
-  sb.touch_page_compute(0, 6, false);  // standard compute
+  sb.touch_page_compute(0, 5, false);                // standard compute
+  sb.touch_page_compute(0, 6, true, /*repeat=*/3);  // scales with repeat
   const auto ops = drain(sb.finish()[0]);
   ASSERT_EQ(ops.size(), 2u);
-  EXPECT_EQ(ops[0].cycles, 0u);
-  EXPECT_EQ(ops[1].cycles, 700u);
+  EXPECT_EQ(ops[0].count, 1u);
+  EXPECT_EQ(ops[0].cycles, 700u);
+  EXPECT_FALSE(ops[0].write);
+  EXPECT_EQ(ops[1].repeat, 3);
+  EXPECT_EQ(ops[1].cycles, 3u * 700);
+  EXPECT_TRUE(ops[1].write);
 }
 
 TEST(ScheduleBuilder, ComputeAndPushOp) {
@@ -61,7 +65,7 @@ TEST(ScheduleBuilder, ComputeAndPushOp) {
 
 TEST(ScheduleBuilder, BarrierAllReachesEveryCore) {
   ScheduleBuilder sb(3, 0);
-  sb.touch_page(1, 0, false);
+  sb.touch_page_compute(1, 0, false);
   sb.barrier_all();
   auto schedules = sb.finish();
   for (CoreId c = 0; c < 3; ++c) {
@@ -73,9 +77,9 @@ TEST(ScheduleBuilder, BarrierAllReachesEveryCore) {
 
 TEST(ScheduleBuilder, PerCoreSchedulesIndependent) {
   ScheduleBuilder sb(2, 0);
-  sb.touch_page(0, 1, false);
-  sb.touch_page(0, 2, false);
-  sb.touch_page(1, 3, false);
+  sb.touch_page_compute(0, 1, false);
+  sb.touch_page_compute(0, 2, false);
+  sb.touch_page_compute(1, 3, false);
   auto schedules = sb.finish();
   EXPECT_EQ(drain(schedules[0]).size(), 2u);
   EXPECT_EQ(drain(schedules[1]).size(), 1u);
@@ -87,21 +91,6 @@ TEST(VectorStream, ExhaustionIsSticky) {
   VectorStream stream(ops);
   EXPECT_EQ(stream.next().kind, OpKind::kCompute);
   for (int i = 0; i < 5; ++i) EXPECT_EQ(stream.next().kind, OpKind::kEnd);
-}
-
-TEST(BlockPartition, SingleCoreTakesAll) {
-  const BlockRange r = block_partition(42, 1, 0);
-  EXPECT_EQ(r.begin, 0u);
-  EXPECT_EQ(r.end, 42u);
-}
-
-TEST(BlockPartition, MoreCoresThanItems) {
-  // 3 items over 8 cores: first three cores get one each, rest empty.
-  std::uint64_t total = 0;
-  for (CoreId c = 0; c < 8; ++c) total += block_partition(3, 8, c).size();
-  EXPECT_EQ(total, 3u);
-  EXPECT_EQ(block_partition(3, 8, 0).size(), 1u);
-  EXPECT_EQ(block_partition(3, 8, 7).size(), 0u);
 }
 
 }  // namespace

@@ -11,6 +11,13 @@
 namespace cmcp::wl {
 namespace {
 
+/// parse() of input that must be well-formed.
+std::unique_ptr<TraceWorkload> parse_ok(std::istream& in) {
+  TraceParseResult parsed = TraceWorkload::parse(in);
+  EXPECT_EQ(parsed.error, "");
+  return std::move(parsed.trace);
+}
+
 std::unique_ptr<Workload> small_workload() {
   WorkloadParams params;
   params.cores = 4;
@@ -22,7 +29,7 @@ TEST(Trace, RoundTripPreservesEveryOp) {
   const auto original = small_workload();
   std::stringstream buffer;
   write_trace(*original, buffer);
-  const auto replay = TraceWorkload::parse(buffer);
+  const auto replay = parse_ok(buffer);
 
   ASSERT_EQ(replay->num_cores(), original->num_cores());
   EXPECT_EQ(replay->footprint_base_pages(), original->footprint_base_pages());
@@ -48,7 +55,7 @@ TEST(Trace, ReplayedSimulationBitIdentical) {
   const auto original = small_workload();
   std::stringstream buffer;
   write_trace(*original, buffer);
-  const auto replay = TraceWorkload::parse(buffer);
+  const auto replay = parse_ok(buffer);
 
   core::SimulationConfig config;
   config.machine.num_cores = 4;
@@ -69,7 +76,7 @@ TEST(Trace, SyscallsSurviveRoundTrip) {
   StencilWorkload original(params);
   std::stringstream buffer;
   write_trace(original, buffer);
-  const auto replay = TraceWorkload::parse(buffer);
+  const auto replay = parse_ok(buffer);
   auto stream = replay->make_stream(0);
   bool saw_syscall = false;
   for (;;) {
@@ -93,7 +100,7 @@ TEST(Trace, CommentsAndBlankLinesIgnored) {
       "core 0\n"
       "a 3 2 1 1 w 100\n"
       "b\n");
-  const auto trace = TraceWorkload::parse(in);
+  const auto trace = parse_ok(in);
   auto stream = trace->make_stream(0);
   EXPECT_EQ(stream->next().kind, OpKind::kAccess);
   EXPECT_EQ(stream->next().kind, OpKind::kBarrier);
@@ -101,15 +108,45 @@ TEST(Trace, CommentsAndBlankLinesIgnored) {
 }
 
 TEST(TraceDeath, RejectsGarbage) {
-  std::stringstream bad_header("not a trace\n");
-  EXPECT_DEATH(TraceWorkload::parse(bad_header), "header");
-  std::stringstream no_cores("cmcp-trace v1\npages 10\n");
-  EXPECT_DEATH(TraceWorkload::parse(no_cores), "cores");
-  std::stringstream op_first("cmcp-trace v1\ncores 1\npages 5\na 1 1 1 1 r 0\n");
-  EXPECT_DEATH(TraceWorkload::parse(op_first), "before core");
-  std::stringstream bad_tag(
-      "cmcp-trace v1\ncores 1\npages 5\ncore 0\nz nonsense\n");
-  EXPECT_DEATH(TraceWorkload::parse(bad_tag), "unknown");
+  // Malformed input is a located diagnostic and no workload, not an abort.
+  const struct {
+    const char* text;
+    const char* error;
+  } kCases[] = {
+      {"not a trace\n", "t:1: not a cmcp trace (missing header)"},
+      {"cmcp-trace v1\npages 10\n", "t:2: trace declares no cores"},
+      {"cmcp-trace v1\ncores 1\npages 5\na 1 1 1 1 r 0\n",
+       "t:4: op before core line"},
+      {"cmcp-trace v1\ncores 1\npages 5\ncore 0\nz nonsense\n",
+       "t:5: unknown trace tag 'z'"},
+      {"cmcp-trace v1\ncores 0\n", "t:2: cores must be in [1, 1087]"},
+      {"cmcp-trace v1\ncores 1088\n", "t:2: cores must be in [1, 1087]"},
+      {"cmcp-trace v1\ncores 1\ncore 0\na 0 1 1 1 r 0\n",
+       "t:4: access before pages line"},
+      {"cmcp-trace v1\ncores 1\npages 10\ncore 0\na 5 5 1 1 r 1\n"
+       "a 5 6 1 1 r 1\n",
+       "t:6: access range lies outside the declared pages"},
+      {"cmcp-trace v1\ncores 1\npages 10\ncore 0\na 0 2 9 1 r 1\n"
+       "a 0 2 10 1 r 1\n",
+       "t:6: access range lies outside the declared pages"},
+      {"cmcp-trace v1\ncores 1\npages 10\ncore 0\na 0 1 1 65535 r 1\n"
+       "a 0 1 1 65536 r 1\n",
+       "t:6: repeat must be in [1, 65535]"},
+      {"cmcp-trace v1\ncores 1\npages 10\ncore 0\na 0 1 1 0 r 1\n",
+       "t:5: repeat must be in [1, 65535]"},
+  };
+  for (const auto& c : kCases) {
+    std::stringstream in(c.text);
+    const TraceParseResult parsed = TraceWorkload::parse(in, "t");
+    EXPECT_EQ(parsed.trace, nullptr) << c.text;
+    EXPECT_EQ(parsed.error, c.error) << c.text;
+  }
+}
+
+TEST(Trace, LoadNamesAMissingFile) {
+  const TraceParseResult parsed = TraceWorkload::load("/nonexistent/t.trace");
+  EXPECT_EQ(parsed.trace, nullptr);
+  EXPECT_EQ(parsed.error, "/nonexistent/t.trace: cannot open trace file");
 }
 
 }  // namespace

@@ -195,7 +195,12 @@ int main(int argc, char** argv) {
 
   std::unique_ptr<wl::Workload> workload;
   if (replay_trace) {
-    workload = wl::TraceWorkload::load(*replay_trace);
+    wl::TraceParseResult parsed = wl::TraceWorkload::load(*replay_trace);
+    if (parsed.trace == nullptr) {
+      std::fprintf(stderr, "%s\n", parsed.error.c_str());
+      return 2;
+    }
+    workload = std::move(parsed.trace);
     config.machine.num_cores = workload->num_cores();
   } else {
     wl::WorkloadParams params;
