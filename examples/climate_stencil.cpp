@@ -15,11 +15,12 @@ int main() {
 
   const CoreId cores = 56;
 
-  // Build the stencil workload: 8 prognostic fields, depth-2 halos.
-  wl::StencilParams stencil;
-  stencil.base.cores = cores;
-  stencil.base.scale = 1.0;
-  const wl::StencilWorkload workload(stencil);
+  // Build the SCALE stencil workload: 8 prognostic fields, depth-2 halos.
+  wl::WorkloadParams params;
+  params.cores = cores;
+  const auto stencil =
+      wl::make_paper_workload(wl::PaperWorkload::kScale, params);
+  const wl::Workload& workload = *stencil;
   std::printf("domain: %llu pages (%.1f MB equivalent), %u cores\n\n",
               static_cast<unsigned long long>(workload.footprint_base_pages()),
               workload.footprint_base_pages() * 4096.0 / 1e6, cores);

@@ -228,7 +228,7 @@ class Linter {
     } else if (*kind == "pcie_transfer") {
       const auto dir = find_uint(args, "dir");
       if (!dir) return issue(number, "parse-error", "pcie_transfer without dir");
-      if (!unit) return;  // syscall round-trips move no page data
+      if (!unit) return;  // not a page transfer: nothing to track
       if (*dir == 0) {    // host->device: a fetch
         UnitState& st = units_[unit_key(asid, *unit)];
         if (st.residency == Residency::kResident)

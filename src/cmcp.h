@@ -20,10 +20,6 @@
 #include "sim/trace.h"
 #include "policy/cmcp.h"
 #include "policy/policy_factory.h"
-#include "workloads/bt.h"
-#include "workloads/cg.h"
-#include "workloads/lu.h"
-#include "workloads/stencil.h"
 #include "workloads/synthetic.h"
 #include "workloads/trace.h"
 #include "workloads/workload_factory.h"

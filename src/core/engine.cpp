@@ -132,28 +132,6 @@ class Engine {
         machine_.advance(core, op.cycles);
         return true;
       }
-      case wl::OpKind::kSyscall: {
-        // IHK offload: request over IKC/PCIe, host service, response back.
-        // The calling core blocks for the whole round trip (paper section
-        // 2.1: "heavy system calls are shipped to and executed on the
-        // host"). The shared link makes a syscall-heavy tenant queue behind
-        // (and delay) its neighbors' page traffic.
-        const sim::CostModel& cost = machine_.cost();
-        metrics::CoreCounters& ctr = machine_.counters(core);
-        const Cycles start = machine_.clock(core) + cost.syscall_local;
-        const sim::PcieTransferOutcome req = machine_.pcie_transfer(
-            core, sim::PcieDir::kDeviceToHost, start,
-            cost.syscall_message_bytes + op.count, kInvalidUnit, pc.tenant);
-        const Cycles host_done =
-            req.done + cost.syscall_host_dispatch + op.cycles;
-        const sim::PcieTransferOutcome resp = machine_.pcie_transfer(
-            core, sim::PcieDir::kHostToDevice, host_done,
-            cost.syscall_message_bytes, kInvalidUnit, pc.tenant);
-        ++ctr.syscalls;
-        ctr.cycles_syscall += resp.done - machine_.clock(core);
-        machine_.set_clock(core, resp.done);
-        return true;
-      }
       case wl::OpKind::kBarrier: {
         pc.state = CoreState::kAtBarrier;
         ++groups_[pc.group].at_barrier;

@@ -21,8 +21,9 @@ sim::FaultPlanConfig effective_faults(const sim::FaultPlanConfig& configured) {
   if (!fc.enabled()) {
     if (const char* env = std::getenv("CMCP_CHAOS_FAULTS");
         env != nullptr && *env != '\0') {
-      CMCP_CHECK_MSG(sim::FaultPlanConfig::parse(env, &fc),
-                     "malformed CMCP_CHAOS_FAULTS spec");
+      const std::string error = sim::FaultPlanConfig::parse(env, &fc);
+      CMCP_CHECK_MSG(error.empty(),
+                     ("malformed CMCP_CHAOS_FAULTS spec: " + error).c_str());
     }
   }
   return fc;

@@ -23,7 +23,6 @@ struct CoreCounters {
   std::uint64_t writebacks = 0;
   std::uint64_t prefetches = 0;     ///< readahead transfers issued
   std::uint64_t prefetch_hits = 0;  ///< first touches served by readahead
-  std::uint64_t syscalls = 0;       ///< system calls offloaded to the host
 
   // Data movement.
   std::uint64_t pcie_bytes_in = 0;   ///< host -> device (page fetch)
@@ -43,7 +42,10 @@ struct CoreCounters {
   Cycles cycles_interrupt = 0;   ///< servicing remote invalidation IPIs
   Cycles cycles_lock_wait = 0;   ///< page-table and invalidation-slot locks
   Cycles cycles_barrier = 0;     ///< idle at workload barriers
-  Cycles cycles_syscall = 0;     ///< blocked on host-offloaded system calls
+  /// Never charged: no op offloads a system call. Remains only so
+  /// bench/suite compiles, and goes away when a benchmark change drops its
+  /// syscall cycle share.
+  Cycles cycles_syscall = 0;
   Cycles cycles_recovery = 0;    ///< retry/backoff/quarantine recovery cost
   Cycles cycles_straggler = 0;   ///< extra cycles from straggler inflation
 
@@ -59,7 +61,6 @@ struct CoreCounters {
     writebacks += o.writebacks;
     prefetches += o.prefetches;
     prefetch_hits += o.prefetch_hits;
-    syscalls += o.syscalls;
     pcie_bytes_in += o.pcie_bytes_in;
     pcie_bytes_out += o.pcie_bytes_out;
     faults_injected += o.faults_injected;

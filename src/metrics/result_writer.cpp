@@ -79,9 +79,6 @@ ResultWriter::Row& ResultWriter::Row::set(std::string name, const char* value) {
 ResultWriter::Row& ResultWriter::Row::set(std::string name, double value) {
   return set_raw(std::move(name), fmt_double_shortest(value), false);
 }
-ResultWriter::Row& ResultWriter::Row::set(std::string name, bool value) {
-  return set_raw(std::move(name), value ? "true" : "false", false);
-}
 ResultWriter::Row& ResultWriter::Row::set(std::string name, std::uint64_t value) {
   return set_raw(std::move(name), std::to_string(value), false);
 }
@@ -92,10 +89,6 @@ ResultWriter::Row& ResultWriter::Row::set(std::string name, std::int64_t value) 
 ResultWriter::Row& ResultWriter::add_row() {
   rows_.emplace_back();
   return rows_.back();
-}
-
-std::size_t ResultWriter::rows() const {
-  return rows_.size();
 }
 
 ResultWriter& ResultWriter::meta(std::string name, std::string value) {
@@ -148,12 +141,6 @@ void ResultWriter::to_csv(std::ostream& os) const {
   const auto cols = columns();
   write_csv_row(os, cols);
   write_rows_csv(os, cols);
-}
-
-std::string ResultWriter::csv() const {
-  std::ostringstream ss;
-  to_csv(ss);
-  return ss.str();
 }
 
 void ResultWriter::save_csv(const std::string& path) const {
@@ -214,12 +201,6 @@ void ResultWriter::to_json(std::ostream& os) const {
     os << '\n';
   }
   os << "]}\n";
-}
-
-std::string ResultWriter::json() const {
-  std::ostringstream ss;
-  to_json(ss);
-  return ss.str();
 }
 
 void ResultWriter::save_json(const std::string& path) const {

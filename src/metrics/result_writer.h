@@ -33,7 +33,6 @@ class ResultWriter {
     Row& set(std::string name, std::string_view value);
     Row& set(std::string name, const char* value);
     Row& set(std::string name, double value);
-    Row& set(std::string name, bool value);
     Row& set(std::string name, std::uint64_t value);
     Row& set(std::string name, std::int64_t value);
     Row& set(std::string name, int value) {
@@ -57,14 +56,12 @@ class ResultWriter {
   /// Append an empty row; fill it through the returned reference, which
   /// stays valid as later rows are appended.
   Row& add_row();
-  std::size_t rows() const;
 
   /// Run metadata, emitted as the JSON "meta" object (CSV ignores it).
   ResultWriter& meta(std::string name, std::string value);
 
   // --- CSV -----------------------------------------------------------------
   void to_csv(std::ostream& os) const;
-  std::string csv() const;
   /// Truncate-write `path` (parent directories created).
   void save_csv(const std::string& path) const;
   /// Append rows to `path`; writes the header only when creating the file
@@ -78,7 +75,6 @@ class ResultWriter {
 
   // --- JSON ----------------------------------------------------------------
   void to_json(std::ostream& os) const;
-  std::string json() const;
   void save_json(const std::string& path) const;
 
   /// Column names (union over rows, first-seen order).

@@ -61,12 +61,6 @@ std::string Table::markdown() const {
   return ss.str();
 }
 
-std::string Table::csv() const {
-  std::ostringstream ss;
-  to_csv(ss);
-  return ss.str();
-}
-
 void Table::save_csv(const std::string& path) const {
   const std::filesystem::path p(path);
   if (p.has_parent_path()) std::filesystem::create_directories(p.parent_path());

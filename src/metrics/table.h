@@ -24,7 +24,6 @@ class Table {
   void to_markdown(std::ostream& os) const;
   void to_csv(std::ostream& os) const;
   std::string markdown() const;
-  std::string csv() const;
 
   /// Write CSV to `path`, creating parent directories if needed.
   void save_csv(const std::string& path) const;

@@ -76,13 +76,6 @@ struct CostModel {
   double pcie_gb_per_s = 6.0;         ///< paper's measured bandwidth
   Cycles pcie_setup = 1600;           ///< per-transfer DMA setup (~1.5 us)
 
-  // --- syscall offload (IHK/IKC, paper section 2) ----------------------------
-  /// "heavy system calls are shipped to and executed on the host": the
-  /// request/response ride the IKC channel over PCIe and the caller blocks.
-  Cycles syscall_local = 900;          ///< trap + IKC marshalling on the card
-  Cycles syscall_host_dispatch = 2500; ///< host-side delegate wakeup/dispatch
-  std::uint64_t syscall_message_bytes = 256;  ///< IKC request+response size
-
   // --- LRU scanning -----------------------------------------------------------
   /// Virtual-time period of the access-bit scanner (paper: 10 ms timer).
   Cycles scan_period = 10'000'000;    ///< 10 ms at ~1 GHz

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
 #include <optional>
+#include <type_traits>
 
 #include "common/assert.h"
 #include "common/parse_number.h"
@@ -38,17 +40,23 @@ std::string fmt_double(double value) {
   return buf;
 }
 
-/// Stores `text` as a T in `*out`; false unless all of it is an in-range T.
+/// Stores `text` in `*out` if all of it is a T in [lo, hi]; otherwise
+/// returns "<key> must be in [lo, hi]".
 template <typename T>
-bool parse_value(std::string_view text, T* out) {
+std::string parse_field(std::string_view key, std::string_view text, T* out,
+                        T lo = std::numeric_limits<T>::lowest(),
+                        T hi = std::numeric_limits<T>::max()) {
   const std::optional<T> value = common::parse_number<T>(text);
-  if (value) *out = *value;
-  return value.has_value();
-}
-
-/// A rate is a probability in [0, 1].
-bool parse_rate(std::string_view text, double* out) {
-  return parse_value(text, out) && *out >= 0.0 && *out <= 1.0;
+  if (value && *value >= lo && *value <= hi) {
+    *out = *value;
+    return {};
+  }
+  std::string range;
+  if constexpr (std::is_floating_point_v<T>)
+    range = fmt_double(lo) + ", " + fmt_double(hi);
+  else
+    range = std::to_string(lo) + ", " + std::to_string(hi);
+  return std::string(key) + " must be in [" + range + "]";
 }
 
 }  // namespace
@@ -98,58 +106,57 @@ std::string FaultPlanConfig::to_spec() const {
   return spec;
 }
 
-bool FaultPlanConfig::parse(std::string_view spec, FaultPlanConfig* out) {
+std::string FaultPlanConfig::parse(std::string_view spec,
+                                   FaultPlanConfig* out) {
   *out = FaultPlanConfig{};
+  if (spec.empty()) return {};  // the default (disabled) plan
   std::size_t pos = 0;
-  while (pos <= spec.size()) {
+  for (;;) {
     const std::size_t comma = std::min(spec.find(',', pos), spec.size());
     const std::string_view token = spec.substr(pos, comma - pos);
-    pos = comma + 1;
-    if (token.empty()) {
-      if (spec.empty()) break;  // an empty spec is the default (disabled) plan
-      return false;
-    }
     const std::size_t eq = token.find('=');
-    if (eq == std::string_view::npos) return false;
     const std::string_view key = token.substr(0, eq);
-    const std::string_view value = token.substr(eq + 1);
-    if (key == "seed") {
-      if (!parse_value(value, &out->seed)) return false;
+    const std::string_view value = eq == std::string_view::npos
+                                       ? std::string_view()
+                                       : token.substr(eq + 1);
+    std::string error;
+    if (eq == std::string_view::npos) {
+      error = "expected key=value";
+    } else if (key == "seed") {
+      error = parse_field(key, value, &out->seed);
     } else if (key == "pcie") {
-      if (!parse_rate(value, &out->pcie_transient_rate)) return false;
+      error = parse_field(key, value, &out->pcie_transient_rate, 0.0, 1.0);
     } else if (key == "sticky") {
-      if (!parse_rate(value, &out->pcie_sticky_rate)) return false;
+      error = parse_field(key, value, &out->pcie_sticky_rate, 0.0, 1.0);
     } else if (key == "ack") {
-      if (!parse_rate(value, &out->shootdown_ack_rate)) return false;
+      error = parse_field(key, value, &out->shootdown_ack_rate, 0.0, 1.0);
     } else if (key == "poison") {
-      if (!parse_value(value, &out->poison_frames)) return false;
+      error = parse_field(key, value, &out->poison_frames);
     } else if (key == "straggler") {
-      if (!parse_rate(value, &out->straggler_rate)) return false;
+      error = parse_field(key, value, &out->straggler_rate, 0.0, 1.0);
     } else if (key == "retries") {
-      if (!parse_value(value, &out->max_retries) || out->max_retries == 0)
-        return false;
+      error = parse_field(key, value, &out->max_retries, 1u);
     } else if (key == "backoff") {
-      if (!parse_value(value, &out->backoff_base)) return false;
+      error = parse_field(key, value, &out->backoff_base);
     } else if (key == "cap") {
-      if (!parse_value(value, &out->backoff_cap)) return false;
+      error = parse_field(key, value, &out->backoff_cap);
     } else if (key == "reset") {
-      if (!parse_value(value, &out->link_reset_cycles)) return false;
+      error = parse_field(key, value, &out->link_reset_cycles);
     } else if (key == "ecc") {
-      if (!parse_value(value, &out->ecc_detect_cycles)) return false;
+      error = parse_field(key, value, &out->ecc_detect_cycles);
     } else if (key == "mult") {
-      if (!parse_value(value, &out->straggler_mult) ||
-          out->straggler_mult == 0)
-        return false;
+      error = parse_field(key, value, &out->straggler_mult, 1u);
     } else if (key == "window") {
-      if (!parse_value(value, &out->straggler_window) ||
-          out->straggler_window == 0)
-        return false;
+      error = parse_field(key, value, &out->straggler_window, Cycles{1});
     } else {
-      return false;
+      error = "unknown key (seed, pcie, sticky, ack, poison, straggler, "
+              "retries, backoff, cap, reset, ecc, mult, window)";
     }
-    if (comma == spec.size()) break;
+    if (!error.empty())
+      return std::string("'").append(token).append("': ").append(error);
+    if (comma == spec.size()) return {};
+    pos = comma + 1;
   }
-  return true;
 }
 
 FaultPlan::FaultPlan(const FaultPlanConfig& config)

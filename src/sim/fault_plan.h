@@ -94,9 +94,11 @@ struct FaultPlanConfig {
   /// specs stay short and parse(to_spec()) is the identity.
   std::string to_spec() const;
 
-  /// Parse a spec string (comma-separated key=value). Returns false on an
-  /// unknown key or malformed value; `out` is default-initialized first.
-  static bool parse(std::string_view spec, FaultPlanConfig* out);
+  /// Parse a spec string (comma-separated key=value) into `out`, which is
+  /// default-initialized first. Returns the empty string on success, else
+  /// the offending entry and what is wrong with it, e.g.
+  /// "'pcie=2': pcie must be in [0, 1]".
+  static std::string parse(std::string_view spec, FaultPlanConfig* out);
 };
 
 /// Aggregate fault/recovery accounting for the resilience report.

@@ -26,9 +26,6 @@ ShootdownTiming Interconnect::shootdown(Cycles now, unsigned num_targets,
   // IPI loop "becoming extremely expensive when frequent page faults occur
   // simultaneously on a large number of CPU cores" (paper section 2.3).
   slot_busy_until_ = acquired + cost_->inval_slot_hold + t.initiate;
-
-  ++total_shootdowns_;
-  total_lock_wait_ += t.lock_wait;
   return t;
 }
 

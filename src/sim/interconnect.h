@@ -36,14 +36,10 @@ class Interconnect {
   ShootdownTiming shootdown(Cycles now, unsigned num_targets, unsigned num_units);
 
   Cycles slot_busy_until() const { return slot_busy_until_; }
-  std::uint64_t total_shootdowns() const { return total_shootdowns_; }
-  Cycles total_lock_wait() const { return total_lock_wait_; }
 
  private:
   const CostModel* cost_;
   Cycles slot_busy_until_ = 0;
-  std::uint64_t total_shootdowns_ = 0;
-  Cycles total_lock_wait_ = 0;
 };
 
 }  // namespace cmcp::sim

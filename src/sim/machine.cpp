@@ -263,10 +263,4 @@ PcieTransferOutcome Machine::pcie_transfer(CoreId core, PcieDir dir,
   return out;
 }
 
-metrics::CoreCounters Machine::aggregate_app_counters() const {
-  metrics::CoreCounters sum;
-  for (CoreId i = 0; i < config_.num_cores; ++i) sum += counters_[i];
-  return sum;
-}
-
 }  // namespace cmcp::sim

@@ -124,9 +124,6 @@ class Machine {
   Cycles shootdown_batch(CoreId initiator, Cycles now,
                          std::span<const BatchItem> items);
 
-  /// Aggregate counters over application cores (excludes the scanner).
-  metrics::CoreCounters aggregate_app_counters() const;
-
  private:
   /// Space owning the cores in `targets` (the shot-down unit's space: only
   /// its own cores can map it). Falls back to 0 for an empty mask.

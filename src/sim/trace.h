@@ -90,7 +90,6 @@ class EventSink {
   const std::vector<Event>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
   bool empty() const { return events_.empty(); }
-  void clear() { events_.clear(); }
 
   /// Number of application cores, set by the simulation when the sink is
   /// attached; fixes the track layout (scanner/PCIe/slot tracks follow).

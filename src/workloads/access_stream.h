@@ -18,9 +18,6 @@ enum class OpKind : std::uint8_t {
   kAccess,   ///< reference `count` consecutive base pages starting at vpn
   kCompute,  ///< advance the core clock by `cycles`
   kBarrier,  ///< wait for all cores
-  kSyscall,  ///< offload a system call to the host (IHK model): the core
-             ///< blocks for the IKC round trip + `cycles` of host service
-             ///< + a `count`-byte payload transfer
   kEnd,      ///< stream exhausted (returned forever afterwards)
 };
 
@@ -53,11 +50,6 @@ struct Op {
     return Op{.cycles = cycles, .kind = OpKind::kCompute};
   }
   static Op barrier() { return Op{.kind = OpKind::kBarrier}; }
-  static Op syscall(Cycles host_service_cycles, std::uint32_t payload_bytes = 0) {
-    return Op{.cycles = host_service_cycles,
-              .count = payload_bytes,
-              .kind = OpKind::kSyscall};
-  }
   static Op end() { return Op{.kind = OpKind::kEnd}; }
 };
 static_assert(sizeof(Op) == 32, "wl::Op grew past 32 bytes");

@@ -1,37 +1,46 @@
-#include "workloads/bt.h"
-
+// NPB BT analogue: block-tridiagonal solves along the x, y and z directions
+// each iteration.
+//
+// The three directional solves decompose the same arrays along three
+// different axes, so with row-major storage a page is owned by a different
+// core in each phase — BT's sharing distribution is the flattest of the
+// four workloads (paper Fig. 6c: pages spread up to ~8 cores, majority
+// still <= 3).
 #include <algorithm>
 #include <utility>
 
+#include "workloads/generators.h"
 #include "workloads/partition_util.h"
 
-namespace cmcp::wl {
+namespace cmcp::wl::detail {
 
 namespace {
-constexpr std::uint32_t kDefaultIterations = 5;
-constexpr Cycles kDefaultComputePerPage = 34000;
+constexpr std::uint32_t kIterations = 5;
+constexpr Cycles kComputePerPage = 34000;
 constexpr std::uint64_t kInterleaveChunk = 8;  // pages per region per step
+
+constexpr std::uint64_t kUPages = 9000;    ///< solution (at scale 1)
+constexpr std::uint64_t kRhsPages = 9000;  ///< right-hand side
+constexpr std::uint64_t kLhsPages = 7000;  ///< factored block systems
+constexpr double kBoundaryJitter = 0.08;
+constexpr double kHaloFraction = 0.12;
+/// Fraction of each block's segments processed by a displaced core in the
+/// y/z-direction solves (see partition_util.h, ExchangeConfig).
+constexpr double kExchangeFraction = 0.30;
 }  // namespace
 
-BtWorkload::BtWorkload(const BtParams& params) : params_(params) {
-  const WorkloadParams& base = params_.base;
+PaperSchedule build_bt(const WorkloadParams& base) {
   const CoreId n = base.cores;
-  const std::uint64_t u_pages = detail::scaled(params_.u_pages, base.scale);
-  const std::uint64_t rhs_pages = detail::scaled(params_.rhs_pages, base.scale);
-  const std::uint64_t lhs_pages = detail::scaled(params_.lhs_pages, base.scale);
+  const std::uint64_t u_pages = scaled(kUPages, base.scale);
+  const std::uint64_t rhs_pages = scaled(kRhsPages, base.scale);
+  const std::uint64_t lhs_pages = scaled(kLhsPages, base.scale);
 
   const Vpn u_base = 0;
   const Vpn rhs_base = u_base + u_pages;
   const Vpn lhs_base = rhs_base + rhs_pages;
-  footprint_ = lhs_base + lhs_pages;
-
-  const std::uint32_t iterations =
-      base.iterations != 0 ? base.iterations : kDefaultIterations;
-  const Cycles cpp =
-      base.compute_per_page != 0 ? base.compute_per_page : kDefaultComputePerPage;
 
   Rng rng(base.seed);
-  ScheduleBuilder sb(n, cpp);
+  ScheduleBuilder sb(n, kComputePerPage);
 
   struct Region {
     Vpn vbase;
@@ -53,8 +62,7 @@ BtWorkload::BtWorkload(const BtParams& params) : params_(params) {
     // Nominal bounds (for halo placement) are jittered per call.
     std::vector<std::vector<std::uint64_t>> nominal;
     for (const Region& r : regions)
-      nominal.push_back(
-          detail::jittered_bounds(r.pages, n, params_.boundary_jitter, rng));
+      nominal.push_back(jittered_bounds(r.pages, n, kBoundaryJitter, rng));
 
     for (CoreId c = 0; c < n; ++c) {
       struct Cursor {
@@ -72,16 +80,16 @@ BtWorkload::BtWorkload(const BtParams& params) : params_(params) {
         cur.region = r;
         const auto& bounds = nominal[ri++];
         const std::uint64_t block = std::max<std::uint64_t>(r.pages / n, 1);
-        cur.halo = static_cast<std::uint64_t>(
-            params_.halo_fraction * static_cast<double>(block));
+        cur.halo = static_cast<std::uint64_t>(kHaloFraction *
+                                              static_cast<double>(block));
         cur.halo_base = bounds[c + 1];
         if (phase_seed == 0) {
           cur.runs.emplace_back(bounds[c], bounds[c + 1] - bounds[c]);
         } else {
-          detail::ExchangeConfig cfg;
-          cfg.exchange_fraction = params_.exchange_fraction;
+          ExchangeConfig cfg;
+          cfg.exchange_fraction = kExchangeFraction;
           cfg.phase_seed = phase_seed * 0x9e3779b97f4a7c15ULL + base.seed;
-          cur.runs = detail::exchange_runs(r.pages, n, c, cfg);
+          cur.runs = exchange_runs(r.pages, n, c, cfg);
         }
         // Halo reads ahead of the sweep: boundary strips of the
         // neighbouring nominal blocks.
@@ -133,7 +141,7 @@ BtWorkload::BtWorkload(const BtParams& params) : params_(params) {
     sb.barrier_all();
   };
 
-  for (std::uint32_t iter = 0; iter < iterations; ++iter) {
+  for (std::uint32_t iter = 0; iter < kIterations; ++iter) {
     // compute_rhs: u -> rhs along the memory layout.
     solve_phase(
         {Region{u_base, u_pages, false}, Region{rhs_base, rhs_pages, true}}, 0);
@@ -151,12 +159,7 @@ BtWorkload::BtWorkload(const BtParams& params) : params_(params) {
         {Region{u_base, u_pages, true}, Region{rhs_base, rhs_pages, false}}, 0);
   }
 
-  schedules_ = sb.finish();
+  return {lhs_base + lhs_pages, sb.finish()};
 }
 
-std::unique_ptr<AccessStream> BtWorkload::make_stream(CoreId core) const {
-  CMCP_CHECK(core < schedules_.size());
-  return std::make_unique<VectorStream>(schedules_[core]);
-}
-
-}  // namespace cmcp::wl
+}  // namespace cmcp::wl::detail

@@ -1,15 +1,42 @@
-#include "workloads/cg.h"
-
+// NPB CG analogue: conjugate-gradient iterations over a banded sparse
+// matrix in CSR layout.
+//
+// What matters to the memory manager is the per-core page footprint and its
+// reuse structure, not the arithmetic:
+//  * the matrix region dominates the footprint and is streamed once per
+//    iteration by (mostly) one core — row blocks are re-balanced slightly
+//    between iterations, which is what spreads boundary pages over two
+//    cores and produces CG's measured sharing profile (paper Fig. 6a:
+//    >50% of pages private, the rest almost all 2-core);
+//  * the vector regions are hot: re-read every iteration by their owner and
+//    by band neighbours (halo);
+//  * small reduction pages are touched by every core each iteration.
 #include <algorithm>
 
+#include "workloads/generators.h"
 #include "workloads/partition_util.h"
 
-namespace cmcp::wl {
+namespace cmcp::wl::detail {
 
 namespace {
-constexpr std::uint32_t kDefaultIterations = 8;
-constexpr Cycles kDefaultComputePerPage = 20000;  // sparse SpMV: slow on
-                                                  // in-order cores
+constexpr std::uint32_t kIterations = 8;
+constexpr Cycles kComputePerPage = 20000;  // sparse SpMV: slow on in-order
+                                           // cores
+
+/// Region sizes in base pages at scale 1.
+constexpr std::uint64_t kMatrixPages = 25700;
+constexpr std::uint64_t kXPages = 2600;
+constexpr std::uint64_t kYPages = 2600;
+constexpr std::uint64_t kReductionPages = 64;
+/// Fraction of matrix pages an iteration actually visits. The sparse
+/// representation leaves much of the allocation untouched per pass, which
+/// is why CG tolerates memory constraint down to ~35-40% (paper Fig. 8).
+constexpr double kMatrixTouchedFraction = 0.42;
+/// Fraction of a block by which row-partition boundaries wander between
+/// iterations (models dynamic re-balancing of rows onto threads).
+constexpr double kBoundaryJitter = 0.22;
+/// Fraction of a vector block read from each band neighbour.
+constexpr double kHaloFraction = 0.15;
 
 // Deterministic membership for the sparse touched subset of the matrix.
 // Sparsity is clustered (bands of populated rows, 32 pages = 128 kB), so a
@@ -24,43 +51,31 @@ bool page_touched(Vpn page, std::uint64_t seed, double fraction) {
 }
 }  // namespace
 
-CgWorkload::CgWorkload(const CgParams& params) : params_(params) {
-  const WorkloadParams& base = params_.base;
+PaperSchedule build_cg(const WorkloadParams& base) {
   const CoreId n = base.cores;
-  const std::uint64_t a_pages = detail::scaled(params_.matrix_pages, base.scale);
-  const std::uint64_t x_pages = detail::scaled(params_.x_pages, base.scale);
-  const std::uint64_t y_pages = detail::scaled(params_.y_pages, base.scale);
-  const std::uint64_t red_pages = params_.reduction_pages;
+  const std::uint64_t a_pages = scaled(kMatrixPages, base.scale);
+  const std::uint64_t x_pages = scaled(kXPages, base.scale);
+  const std::uint64_t y_pages = scaled(kYPages, base.scale);
 
   const Vpn a_base = 0;
   const Vpn x_base = a_base + a_pages;
   const Vpn y_base = x_base + x_pages;
   const Vpn red_base = y_base + y_pages;
-  footprint_ = red_base + red_pages;
-
-  const std::uint32_t iterations =
-      base.iterations != 0 ? base.iterations : kDefaultIterations;
-  const Cycles cpp =
-      base.compute_per_page != 0 ? base.compute_per_page : kDefaultComputePerPage;
 
   Rng rng(base.seed);
-  ScheduleBuilder sb(n, cpp);
+  ScheduleBuilder sb(n, kComputePerPage);
 
   const std::uint64_t x_block = std::max<std::uint64_t>(x_pages / n, 1);
   const std::uint64_t x_halo = std::max<std::uint64_t>(
-      static_cast<std::uint64_t>(params_.halo_fraction *
-                                 static_cast<double>(x_block)),
+      static_cast<std::uint64_t>(kHaloFraction * static_cast<double>(x_block)),
       1);
 
-  for (std::uint32_t iter = 0; iter < iterations; ++iter) {
+  for (std::uint32_t iter = 0; iter < kIterations; ++iter) {
     // Row blocks re-balance slightly every iteration: the pages around each
     // boundary end up mapped by two cores (Fig. 6a's 2-core population).
-    const auto a_bounds =
-        detail::jittered_bounds(a_pages, n, params_.boundary_jitter, rng);
-    const auto x_bounds =
-        detail::jittered_bounds(x_pages, n, params_.boundary_jitter, rng);
-    const auto y_bounds =
-        detail::jittered_bounds(y_pages, n, params_.boundary_jitter, rng);
+    const auto a_bounds = jittered_bounds(a_pages, n, kBoundaryJitter, rng);
+    const auto x_bounds = jittered_bounds(x_pages, n, kBoundaryJitter, rng);
+    const auto y_bounds = jittered_bounds(y_pages, n, kBoundaryJitter, rng);
 
     // SpMV q = A p: stream the touched rows of the own block in order,
     // gathering from the hot x vector (own segment + band halo) as we go.
@@ -79,7 +94,7 @@ CgWorkload::CgWorkload(const CgParams& params) : params_(params) {
       // CG's tolerance of memory constraint to exactly this sparsity).
       std::vector<Vpn> a_list;
       for (std::uint64_t p = a_bounds[c]; p < a_bounds[c + 1]; ++p)
-        if (page_touched(p, base.seed, params_.matrix_touched_fraction))
+        if (page_touched(p, base.seed, kMatrixTouchedFraction))
           a_list.push_back(a_base + p);
 
       // Interleave: cycle the x gather list roughly twice per SpMV.
@@ -104,7 +119,7 @@ CgWorkload::CgWorkload(const CgParams& params) : params_(params) {
     for (CoreId c = 0; c < n; ++c) {
       sb.touch(c, y_base + y_bounds[c], y_bounds[c + 1] - y_bounds[c],
                /*write=*/false, /*repeat=*/1);
-      sb.touch(c, red_base, red_pages, /*write=*/true, /*repeat=*/1);
+      sb.touch(c, red_base, kReductionPages, /*write=*/true, /*repeat=*/1);
     }
     sb.barrier_all();
 
@@ -116,12 +131,7 @@ CgWorkload::CgWorkload(const CgParams& params) : params_(params) {
     sb.barrier_all();
   }
 
-  schedules_ = sb.finish();
+  return {red_base + kReductionPages, sb.finish()};
 }
 
-std::unique_ptr<AccessStream> CgWorkload::make_stream(CoreId core) const {
-  CMCP_CHECK(core < schedules_.size());
-  return std::make_unique<VectorStream>(schedules_[core]);
-}
-
-}  // namespace cmcp::wl
+}  // namespace cmcp::wl::detail

@@ -17,13 +17,7 @@ struct WorkloadParams {
   /// Footprint multiplier: 1.0 approximates the paper's "small" setups
   /// (NPB class B / SCALE 512 MB); ~2.5 the "big" ones (class C / 1.2 GB).
   double scale = 1.0;
-  /// 0 = workload default.
-  std::uint32_t iterations = 0;
   std::uint64_t seed = 1234;
-  /// Compute cycles charged per referenced page; 0 = workload default.
-  /// Calibrated so the PCIe link saturates around the paper's constraint
-  /// levels at 56 cores (see DESIGN.md section 4).
-  Cycles compute_per_page = 0;
 };
 
 class ScheduleBuilder {
@@ -51,13 +45,6 @@ class ScheduleBuilder {
     schedules_[core].push_back(
         Op::access(vpn, write, 1, repeat, compute_per_page_ * repeat));
   }
-
-  void compute(CoreId core, Cycles cycles) {
-    if (cycles > 0) schedules_[core].push_back(Op::compute(cycles));
-  }
-
-  /// Append an arbitrary op (syscalls, custom patterns).
-  void push_op(CoreId core, const Op& op) { schedules_[core].push_back(op); }
 
   /// Barrier across every core.
   void barrier_all() {

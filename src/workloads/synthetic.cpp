@@ -5,7 +5,7 @@ namespace cmcp::wl {
 AdversarialWorkload::AdversarialWorkload(const AdversarialParams& params)
     : params_(params) {
   const CoreId n = params_.base.cores;
-  ScheduleBuilder sb(n, params_.base.compute_per_page);
+  ScheduleBuilder sb(n, /*compute_per_page=*/0);
   const Vpn shared_base = 0;
   const Vpn private_base = params_.dead_shared_pages;
 

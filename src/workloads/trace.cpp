@@ -8,6 +8,24 @@
 
 namespace cmcp::wl {
 
+namespace {
+
+/// Bytes of dense per-unit storage one declared page costs a replay on
+/// `cores` app cores, at 4 kB pages (one unit per page): a TLB index byte
+/// and a PSPT flag byte per app core, the PSPT directory entry and mapping
+/// mask, and the page-registry slot.
+std::uint64_t table_bytes_per_page(std::uint64_t cores) {
+  return 2 * cores + 8 + 8 * ((cores + 63) / 64) + 8;
+}
+
+/// The most pages a trace on `cores` app cores may declare: those tables
+/// must fit in 4 GiB.
+std::uint64_t max_trace_pages(std::uint64_t cores) {
+  return (std::uint64_t{1} << 32) / table_bytes_per_page(cores);
+}
+
+}  // namespace
+
 void write_trace(const Workload& workload, std::ostream& os) {
   os << "cmcp-trace v1\n";
   os << "cores " << workload.num_cores() << '\n';
@@ -29,9 +47,6 @@ void write_trace(const Workload& workload, std::ostream& os) {
           break;
         case OpKind::kBarrier:
           os << "b\n";
-          break;
-        case OpKind::kSyscall:
-          os << "s " << op.cycles << ' ' << op.count << '\n';
           break;
         case OpKind::kEnd:
           break;
@@ -63,6 +78,14 @@ TraceParseResult TraceWorkload::parse(std::istream& is,
   auto trace = std::unique_ptr<TraceWorkload>(new TraceWorkload());
   std::vector<std::vector<Op>> schedules;
   std::vector<Op>* current = nullptr;
+  // `pages` is bounded once both it and `cores` are known (trace.h); the
+  // empty string means in bound.
+  const auto pages_error = [&]() -> std::string {
+    const std::size_t cores = schedules.size();
+    if (cores == 0 || trace->pages_ <= max_trace_pages(cores)) return {};
+    return "pages must be in [1, " + std::to_string(max_trace_pages(cores)) +
+           "] on " + std::to_string(cores) + (cores == 1 ? " core" : " cores");
+  };
 
   while (std::getline(is, line)) {
     ++line_no;
@@ -77,9 +100,11 @@ TraceParseResult TraceWorkload::parse(std::istream& is,
         return fail("cores must be in [1, " +
                     std::to_string(CoreMask::kMaxCores - 1) + "]");
       schedules.resize(cores);
+      if (const std::string e = pages_error(); !e.empty()) return fail(e);
     } else if (tag == "pages") {
       if (!(ss >> trace->pages_) || trace->pages_ == 0)
         return fail("bad pages line");
+      if (const std::string e = pages_error(); !e.empty()) return fail(e);
     } else if (tag == "core") {
       std::uint64_t id = 0;
       if (!(ss >> id) || id >= schedules.size()) return fail("bad core line");
@@ -113,12 +138,6 @@ TraceParseResult TraceWorkload::parse(std::istream& is,
     } else if (tag == "b") {
       if (current == nullptr) return fail("op before core line");
       current->push_back(Op::barrier());
-    } else if (tag == "s") {
-      if (current == nullptr) return fail("op before core line");
-      Cycles host = 0;
-      std::uint32_t bytes = 0;
-      if (!(ss >> host >> bytes)) return fail("bad syscall line");
-      current->push_back(Op::syscall(host, bytes));
     } else {
       return fail("unknown trace tag '" + tag + "'");
     }

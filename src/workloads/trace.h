@@ -13,11 +13,16 @@
 //   a <vpn> <count> <stride> <repeat> <w|r> <compute>   # access
 //   c <cycles>                                          # compute
 //   b                                                   # barrier
-//   s <host-cycles> <payload-bytes>                     # offloaded syscall
 //
 // `cores` lies in [1, CoreMask::kMaxCores - 1] (the range cmcp_sim --cores
 // accepts), `repeat` in [1, 65535], and `pages` must precede the first
-// access, every access range lying inside it.
+// access, every access range lying inside it. The replay sizes dense
+// per-unit tables from `pages`: at 4 kB pages each page costs a TLB index
+// byte and a PSPT flag byte on every app core, an 8-byte PSPT directory
+// entry, 8 bytes of PSPT mapping mask per 64 cores and an 8-byte
+// page-registry slot. `pages` is bounded so these fit in 4 GiB:
+//   pages <= 2^32 / (2 * cores + 16 + 8 * ceil(cores / 64))
+// (165191049 pages on 1 core, 31580641 on 56, 1846503 on 1087).
 #pragma once
 
 #include <iosfwd>

@@ -1,12 +1,46 @@
 #include "workloads/workload_factory.h"
 
 #include "common/assert.h"
-#include "workloads/bt.h"
-#include "workloads/cg.h"
-#include "workloads/lu.h"
-#include "workloads/stencil.h"
+#include "workloads/generators.h"
 
 namespace cmcp::wl {
+
+namespace {
+
+detail::PaperSchedule build(PaperWorkload which, const WorkloadParams& params) {
+  switch (which) {
+    case PaperWorkload::kCg: return detail::build_cg(params);
+    case PaperWorkload::kLu: return detail::build_lu(params);
+    case PaperWorkload::kBt: return detail::build_bt(params);
+    case PaperWorkload::kScale: return detail::build_scale(params);
+  }
+  CMCP_CHECK_MSG(false, "unknown workload");
+  return {};
+}
+
+/// One of the paper's workloads, replaying its generated schedule.
+class PaperWorkloadModel final : public Workload {
+ public:
+  PaperWorkloadModel(PaperWorkload which, const WorkloadParams& params)
+      : which_(which), cores_(params.cores), schedule_(build(which, params)) {}
+
+  std::string_view name() const override { return to_string(which_); }
+  CoreId num_cores() const override { return cores_; }
+  std::uint64_t footprint_base_pages() const override {
+    return schedule_.footprint_base_pages;
+  }
+  std::unique_ptr<AccessStream> make_stream(CoreId core) const override {
+    CMCP_CHECK(core < schedule_.per_core.size());
+    return std::make_unique<VectorStream>(schedule_.per_core[core]);
+  }
+
+ private:
+  PaperWorkload which_;
+  CoreId cores_;
+  detail::PaperSchedule schedule_;
+};
+
+}  // namespace
 
 double paper_memory_fraction(PaperWorkload w) {
   switch (w) {
@@ -39,31 +73,7 @@ std::unique_ptr<Workload> make_paper_workload(PaperWorkload which,
   // class C footprints are roughly 4x class B; SCALE big is 1.2 GB vs 512 MB.
   if (size == WorkloadSize::kBig && params.scale == 1.0)
     params.scale = which == PaperWorkload::kScale ? 2.4 : 4.0;
-
-  switch (which) {
-    case PaperWorkload::kCg: {
-      CgParams p;
-      p.base = params;
-      return std::make_unique<CgWorkload>(p);
-    }
-    case PaperWorkload::kLu: {
-      LuParams p;
-      p.base = params;
-      return std::make_unique<LuWorkload>(p);
-    }
-    case PaperWorkload::kBt: {
-      BtParams p;
-      p.base = params;
-      return std::make_unique<BtWorkload>(p);
-    }
-    case PaperWorkload::kScale: {
-      StencilParams p;
-      p.base = params;
-      return std::make_unique<StencilWorkload>(p);
-    }
-  }
-  CMCP_CHECK_MSG(false, "unknown workload");
-  return nullptr;
+  return std::make_unique<PaperWorkloadModel>(which, params);
 }
 
 }  // namespace cmcp::wl

@@ -1,6 +1,7 @@
 // Construction of the paper's four evaluation workloads by name, in the two
 // sizes the paper uses (small: NPB class B / SCALE 512 MB; big: class C /
-// SCALE 1.2 GB).
+// SCALE 1.2 GB). The workloads are fixed models (generators.h); only the
+// core count, footprint scale and seed vary.
 #pragma once
 
 #include <memory>
@@ -47,6 +48,8 @@ double paper_memory_fraction(PaperWorkload w);
 /// and SCALE favour high ones (section 5.6).
 double paper_best_p(PaperWorkload w);
 
+/// The one way to build a paper workload. `kBig` raises a scale of 1.0 to
+/// the class C / SCALE 1.2 GB footprint; any other scale is kept as given.
 std::unique_ptr<Workload> make_paper_workload(PaperWorkload which,
                                               const WorkloadParams& base,
                                               WorkloadSize size = WorkloadSize::kSmall);

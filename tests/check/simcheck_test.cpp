@@ -340,9 +340,10 @@ TEST(SimCheck, HealthyFaultInjectedRunReportsNoViolations) {
   config.machine.num_cores = 2;
   config.policy.kind = PolicyKind::kCmcp;
   config.memory_fraction = 0.5;
-  ASSERT_TRUE(sim::FaultPlanConfig::parse(
-      "seed=5,pcie=0.05,sticky=0.02,ack=0.05,poison=2,straggler=0.1",
-      &config.faults));
+  ASSERT_EQ(sim::FaultPlanConfig::parse(
+                "seed=5,pcie=0.05,sticky=0.02,ack=0.05,poison=2,straggler=0.1",
+                &config.faults),
+            "");
   core::Simulation sim(config, w);
   std::vector<CheckViolation> captured;
   sim.check_registry()->set_handler(

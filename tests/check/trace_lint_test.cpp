@@ -415,7 +415,7 @@ std::string traced_fault_run(const std::string& spec) {
   config.policy.kind = PolicyKind::kCmcp;
   config.memory_fraction = 0.5;
   config.trace = &sink;
-  EXPECT_TRUE(sim::FaultPlanConfig::parse(spec, &config.faults));
+  EXPECT_EQ(sim::FaultPlanConfig::parse(spec, &config.faults), "");
   core::Simulation sim(config, w);
   const auto result = sim.run();
   std::ostringstream os;

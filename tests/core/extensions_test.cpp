@@ -1,10 +1,9 @@
 // Extension features: hardware TLB-coherence directory, sequential
-// prefetch, syscall offload, custom policy injection.
+// prefetch, custom policy injection.
 #include <gtest/gtest.h>
 
 #include "core/simulation.h"
 #include "policy/fifo.h"
-#include "workloads/stencil.h"
 #include "workloads/workload_factory.h"
 
 namespace cmcp::core {
@@ -49,7 +48,7 @@ TEST(HardwareDirectory, NoInterruptsNoSlot) {
   EXPECT_EQ(f.machine.counters(1).ipis_received, 0u);
   EXPECT_EQ(f.machine.counters(0).cycles_interrupt, 0u);
   EXPECT_GE(f.machine.counters(0).remote_invalidations_received, 1u);
-  EXPECT_EQ(f.machine.interconnect().total_shootdowns(), 0u);
+  EXPECT_EQ(f.machine.interconnect().slot_busy_until(), 0u);
   // The stale translation really is gone: core 0 re-faults.
   const auto faults_before = f.machine.counters(0).major_faults;
   f.touch(0, 0);
@@ -183,48 +182,6 @@ TEST(Prefetch, EndToEndHelpsSequentialWorkload) {
   const auto on = run_simulation(config, *w);
   EXPECT_LT(on.app_total.major_faults, off.app_total.major_faults);
   EXPECT_GT(on.app_total.prefetch_hits, 0u);
-}
-
-// --- syscall offload -----------------------------------------------------------
-
-class SyscallWorkload final : public wl::Workload {
- public:
-  std::string_view name() const override { return "syscall"; }
-  CoreId num_cores() const override { return 2; }
-  std::uint64_t footprint_base_pages() const override { return 8; }
-  std::unique_ptr<wl::AccessStream> make_stream(CoreId) const override {
-    auto ops = std::make_shared<const std::vector<wl::Op>>(std::vector<wl::Op>{
-        wl::Op::compute(100), wl::Op::syscall(5000, 4096), wl::Op::compute(50)});
-    return std::make_unique<wl::VectorStream>(ops);
-  }
-};
-
-TEST(SyscallOffload, BlocksCallerForRoundTrip) {
-  SyscallWorkload w;
-  SimulationConfig config;
-  config.machine.num_cores = 2;
-  const auto result = run_simulation(config, w);
-  EXPECT_EQ(result.app_total.syscalls, 2u);
-  const auto& cost = sim::CostModel::knc();
-  // At least local trap + dispatch + service per call.
-  EXPECT_GT(result.app_total.cycles_syscall,
-            2 * (cost.syscall_local + cost.syscall_host_dispatch + 5000));
-  EXPECT_GT(result.makespan, 150u + cost.syscall_local + 5000);
-}
-
-TEST(SyscallOffload, StencilHistoryOutput) {
-  wl::StencilParams params;
-  params.base.cores = 4;
-  params.base.scale = 0.1;
-  params.io_bytes_per_step = 1 << 16;
-  wl::StencilWorkload w(params);
-  SimulationConfig config;
-  config.machine.num_cores = 4;
-  config.preload = true;
-  const auto result = run_simulation(config, w);
-  // One call per core per step (6 steps default).
-  EXPECT_EQ(result.app_total.syscalls, 4u * 6);
-  EXPECT_GT(result.app_total.cycles_syscall, 0u);
 }
 
 // --- custom policy injection ---------------------------------------------------

@@ -110,7 +110,8 @@ TEST_P(MmPropertyTest, BookkeepingInvariantsUnderRandomTrace) {
   }
 
   // Global counter consistency: evictions == majors - resident-at-end.
-  metrics::CoreCounters total = machine.aggregate_app_counters();
+  metrics::CoreCounters total;
+  for (CoreId c = 0; c < machine.num_cores(); ++c) total += machine.counters(c);
   ASSERT_EQ(total.evictions, total.major_faults - mm.space(0).registry().size());
   // Every writeback corresponds to a dirty eviction; bytes match counts.
   ASSERT_EQ(total.pcie_bytes_out, total.writebacks * unit_bytes(p.size));

@@ -115,7 +115,7 @@ TEST(MultiTenant, SingleTenantMatchesSimulation) {
   for (const EquivalenceCase& c : kEquivalenceCases) {
     SCOPED_TRACE(c.name);
     sim::FaultPlanConfig faults;
-    ASSERT_TRUE(sim::FaultPlanConfig::parse(c.faults, &faults));
+    ASSERT_EQ(sim::FaultPlanConfig::parse(c.faults, &faults), "");
 
     SimulationConfig sconfig;
     sconfig.pt_kind = c.pt;
@@ -223,7 +223,7 @@ sim::FaultPlanConfig multi_tenant_plan(const sim::FaultPlanConfig& explicit_plan
 TEST(ChaosHook, EnvPlanRunsWhenFaultsOff) {
   const ScopedChaosEnv env(kEnvSpec);
   sim::FaultPlanConfig env_plan;
-  ASSERT_TRUE(sim::FaultPlanConfig::parse(kEnvSpec, &env_plan));
+  ASSERT_EQ(sim::FaultPlanConfig::parse(kEnvSpec, &env_plan), "");
   EXPECT_EQ(simulation_plan({}).to_spec(), env_plan.to_spec());
   EXPECT_EQ(multi_tenant_plan({}).to_spec(), env_plan.to_spec());
 }
@@ -231,7 +231,7 @@ TEST(ChaosHook, EnvPlanRunsWhenFaultsOff) {
 TEST(ChaosHook, ExplicitPlanWinsOverEnv) {
   const ScopedChaosEnv env(kEnvSpec);
   sim::FaultPlanConfig explicit_plan;
-  ASSERT_TRUE(sim::FaultPlanConfig::parse("seed=9,ack=0.1", &explicit_plan));
+  ASSERT_EQ(sim::FaultPlanConfig::parse("seed=9,ack=0.1", &explicit_plan), "");
   EXPECT_EQ(simulation_plan(explicit_plan).to_spec(), explicit_plan.to_spec());
   EXPECT_EQ(multi_tenant_plan(explicit_plan).to_spec(),
             explicit_plan.to_spec());
@@ -239,8 +239,12 @@ TEST(ChaosHook, ExplicitPlanWinsOverEnv) {
 
 TEST(ChaosHookDeath, MalformedSpecDies) {
   const ScopedChaosEnv env("pcie=notanumber");
-  EXPECT_DEATH(simulation_plan({}), "malformed CMCP_CHAOS_FAULTS spec");
-  EXPECT_DEATH(multi_tenant_plan({}), "malformed CMCP_CHAOS_FAULTS spec");
+  // The abort names the entry and its allowed range, as --faults does.
+  const char* kMessage =
+      "malformed CMCP_CHAOS_FAULTS spec: 'pcie=notanumber': pcie must be in "
+      "\\[0, 1\\]";
+  EXPECT_DEATH(simulation_plan({}), kMessage);
+  EXPECT_DEATH(multi_tenant_plan({}), kMessage);
 }
 
 TEST(MultiTenant, TenantsFinishIndependently) {

@@ -1,5 +1,5 @@
 // Engine robustness: randomized op mixes (accesses, compute, barriers,
-// syscalls, skewed per-core loads) must always terminate with monotone,
+// skewed per-core loads) must always terminate with monotone,
 // consistent accounting — across page sizes, policies and coherence modes.
 #include <gtest/gtest.h>
 
@@ -25,7 +25,7 @@ class FuzzWorkload final : public wl::Workload {
       for (CoreId c = 0; c < cores; ++c) {
         const unsigned ops = static_cast<unsigned>(rng.next_below(40));
         for (unsigned i = 0; i < ops; ++i) {
-          switch (rng.next_below(4)) {
+          switch (rng.next_below(3)) {
             case 0:
             case 1: {
               const Vpn vpn = rng.next_below(pages);
@@ -40,11 +40,6 @@ class FuzzWorkload final : public wl::Workload {
             }
             case 2:
               schedules[c].push_back(wl::Op::compute(rng.next_below(10000)));
-              break;
-            case 3:
-              schedules[c].push_back(
-                  wl::Op::syscall(rng.next_below(20000),
-                                  static_cast<std::uint32_t>(rng.next_below(8192))));
               break;
           }
         }
@@ -113,8 +108,7 @@ TEST_P(EngineFuzzTest, TerminatesWithConsistentAccounting) {
   for (const auto& ctr : result.per_core) {
     const Cycles sum = ctr.cycles_compute + ctr.cycles_mem + ctr.cycles_fault +
                        ctr.cycles_pcie_wait + ctr.cycles_shootdown +
-                       ctr.cycles_lock_wait + ctr.cycles_barrier +
-                       ctr.cycles_syscall;
+                       ctr.cycles_lock_wait + ctr.cycles_barrier;
     max_sum = std::max(max_sum, sum);
   }
   // The breakdown may undercount (interrupt service overlaps categories)

@@ -33,7 +33,7 @@ core::SimulationResult run_faulted(const char* faults,
   config.policy.kind = PolicyKind::kCmcp;
   config.trace = sink;
   if (faults != nullptr) {
-    EXPECT_TRUE(sim::FaultPlanConfig::parse(faults, &config.faults));
+    EXPECT_EQ(sim::FaultPlanConfig::parse(faults, &config.faults), "");
   }
   return core::run_simulation(config, *w);
 }
@@ -110,7 +110,7 @@ TEST(ParallelRunner, FaultedSpecsMatchSerialExecution) {
       spec.cores = 4;
       spec.scale = 0.05;
       spec.policy.kind = policy;
-      ASSERT_TRUE(sim::FaultPlanConfig::parse(kFaultMix, &spec.faults));
+      ASSERT_EQ(sim::FaultPlanConfig::parse(kFaultMix, &spec.faults), "");
       spec.faults.seed = seed;
       specs.push_back(spec);
     }

@@ -62,7 +62,7 @@ core::SimulationConfig cell_config(const ChaosCell& cell) {
   config.machine.num_cores = 8;
   config.memory_fraction = 0.37;  // cg's paper constraint: heavy eviction
   config.policy.kind = cell.policy;
-  EXPECT_TRUE(sim::FaultPlanConfig::parse(cell.faults, &config.faults));
+  EXPECT_EQ(sim::FaultPlanConfig::parse(cell.faults, &config.faults), "");
   return config;
 }
 
@@ -87,7 +87,7 @@ std::string cell_report(const ChaosCell& cell) {
       << "fault_retries       " << result.app_total.fault_retries << "\n"
       << "fault_give_ups      " << result.app_total.fault_give_ups << "\n";
   sim::FaultPlanConfig fc;
-  EXPECT_TRUE(sim::FaultPlanConfig::parse(cell.faults, &fc));
+  EXPECT_EQ(sim::FaultPlanConfig::parse(cell.faults, &fc), "");
   out << metrics::format_resilience_report(fc, result.fault_stats,
                                            result.capacity_units);
   return out.str();
@@ -153,8 +153,9 @@ TEST(GoldenChaos, Fig8StyleRowCompletesWithZeroViolations) {
   config.machine.num_cores = 8;
   config.memory_fraction = 0.37;
   config.policy.kind = PolicyKind::kCmcp;
-  ASSERT_TRUE(
-      sim::FaultPlanConfig::parse("seed=8,pcie=0.01,poison=2", &config.faults));
+  ASSERT_EQ(
+      sim::FaultPlanConfig::parse("seed=8,pcie=0.01,poison=2", &config.faults),
+      "");
   core::Simulation sim(config, *w);
   ASSERT_NE(sim.check_registry(), nullptr);
   std::vector<sim::CheckViolation> captured;

@@ -108,7 +108,9 @@ std::string report_json(const core::MultiTenantResult& result,
                         const metrics::TenantReportOptions& options = {}) {
   metrics::ResultWriter writer;
   metrics::write_tenant_report(result, writer, options);
-  return writer.json();
+  std::ostringstream json;
+  writer.to_json(json);
+  return json.str();
 }
 
 TEST(GoldenMultiTenant, PolicyAndPartitionMatrixMatchesCommittedGolden) {

@@ -19,6 +19,12 @@ std::string slurp(const fs::path& p) {
   return ss.str();
 }
 
+std::string csv_of(const ResultWriter& w) {
+  std::ostringstream ss;
+  w.to_csv(ss);
+  return ss.str();
+}
+
 // Per-test scratch directory: ctest may run tests as parallel processes, so
 // each test cleans and owns its own directory.
 fs::path fresh_dir(const char* test) {
@@ -33,7 +39,7 @@ TEST(ResultWriter, ColumnsAreUnionInFirstSeenOrder) {
   w.add_row().set("a", 1).set("b", 2);
   w.add_row().set("b", 3).set("c", 4);
   EXPECT_EQ(w.columns(), (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(w.csv(), "a,b,c\n1,2,\n,3,4\n");
+  EXPECT_EQ(csv_of(w), "a,b,c\n1,2,\n,3,4\n");
 }
 
 TEST(ResultWriter, SetOverwritesExistingField) {
@@ -41,7 +47,7 @@ TEST(ResultWriter, SetOverwritesExistingField) {
   auto& row = w.add_row();
   row.set("x", 1);
   row.set("x", 2);
-  EXPECT_EQ(w.csv(), "x\n2\n");
+  EXPECT_EQ(csv_of(w), "x\n2\n");
 }
 
 TEST(ResultWriter, CsvQuotesOnlyWhenNeeded) {
@@ -51,7 +57,7 @@ TEST(ResultWriter, CsvQuotesOnlyWhenNeeded) {
       .set("comma", "a,b")
       .set("quote", "a\"b")
       .set("newline", "a\nb");
-  EXPECT_EQ(w.csv(),
+  EXPECT_EQ(csv_of(w),
             "plain,comma,quote,newline\n"
             "abc,\"a,b\",\"a\"\"b\",\"a\nb\"\n");
 }
@@ -59,7 +65,7 @@ TEST(ResultWriter, CsvQuotesOnlyWhenNeeded) {
 TEST(ResultWriter, DoublesUseShortestRoundTrip) {
   ResultWriter w;
   w.add_row().set("v", 0.9).set("w", 0.1).set("i", std::uint64_t{7});
-  EXPECT_EQ(w.csv(), "v,w,i\n0.9,0.1,7\n");
+  EXPECT_EQ(csv_of(w), "v,w,i\n0.9,0.1,7\n");
 }
 
 TEST(ResultWriter, JsonSchemaVersionMetaAndTypedValues) {
@@ -69,12 +75,14 @@ TEST(ResultWriter, JsonSchemaVersionMetaAndTypedValues) {
       .set("name", "x\"y")
       .set("count", std::uint64_t{5})
       .set("ratio", 0.5)
-      .set("flag", true);
-  EXPECT_EQ(w.json(),
+      .set("delta", std::int64_t{-3});
+  std::ostringstream json;
+  w.to_json(json);
+  EXPECT_EQ(json.str(),
             "{\"schema_version\":1,\n"
             "\"meta\":{\"workload\":\"cg\"},\n"
             "\"rows\":[\n"
-            "{\"name\":\"x\\\"y\",\"count\":5,\"ratio\":0.5,\"flag\":true}\n"
+            "{\"name\":\"x\\\"y\",\"count\":5,\"ratio\":0.5,\"delta\":-3}\n"
             "]}\n");
 }
 

@@ -10,6 +10,12 @@
 namespace cmcp::metrics {
 namespace {
 
+std::string csv_of(const Table& t) {
+  std::ostringstream ss;
+  t.to_csv(ss);
+  return ss.str();
+}
+
 TEST(Table, MarkdownHasHeaderSeparatorAndRows) {
   Table t({"app", "rel"});
   t.add_row({"bt", "0.49"});
@@ -31,14 +37,14 @@ TEST(Table, MarkdownPadsToWidestCell) {
 TEST(Table, CsvPlain) {
   Table t({"a", "b"});
   t.add_row({"1", "2"});
-  EXPECT_EQ(t.csv(), "a,b\n1,2\n");
+  EXPECT_EQ(csv_of(t), "a,b\n1,2\n");
 }
 
 TEST(Table, CsvQuotesSpecials) {
   Table t({"a"});
   t.add_row({"has,comma"});
   t.add_row({"has\"quote"});
-  EXPECT_EQ(t.csv(), "a\n\"has,comma\"\n\"has\"\"quote\"\n");
+  EXPECT_EQ(csv_of(t), "a\n\"has,comma\"\n\"has\"\"quote\"\n");
 }
 
 TEST(Table, SaveCsvCreatesDirectories) {

@@ -43,7 +43,7 @@ TEST(FaultPlanConfig, SpecRoundTripsThroughParse) {
   config.straggler_window = 500'000;
   const std::string spec = config.to_spec();
   FaultPlanConfig parsed;
-  ASSERT_TRUE(FaultPlanConfig::parse(spec, &parsed));
+  ASSERT_EQ(FaultPlanConfig::parse(spec, &parsed), "");
   EXPECT_EQ(parsed.to_spec(), spec);
   EXPECT_EQ(parsed.seed, 42u);
   EXPECT_EQ(parsed.pcie_transient_rate, 0.01);
@@ -72,9 +72,9 @@ TEST(FaultPlanConfig, SpecRoundTripsThroughParse) {
   };
   for (const char* text : kSpecs) {
     FaultPlanConfig first;
-    if (!FaultPlanConfig::parse(text, &first)) continue;
+    if (!FaultPlanConfig::parse(text, &first).empty()) continue;
     FaultPlanConfig second;
-    ASSERT_TRUE(FaultPlanConfig::parse(first.to_spec(), &second)) << text;
+    ASSERT_EQ(FaultPlanConfig::parse(first.to_spec(), &second), "") << text;
     EXPECT_EQ(second.to_spec(), first.to_spec()) << text;
   }
 }
@@ -88,24 +88,46 @@ TEST(FaultPlanConfig, DefaultKnobsAreOmittedFromSpec) {
 }
 
 TEST(FaultPlanConfig, ParseRejectsGarbage) {
-  FaultPlanConfig out;
-  EXPECT_FALSE(FaultPlanConfig::parse("bogus=1", &out));
-  EXPECT_FALSE(FaultPlanConfig::parse("pcie=notanumber", &out));
-  EXPECT_FALSE(FaultPlanConfig::parse("pcie=1.5", &out));  // rate > 1
-  EXPECT_FALSE(FaultPlanConfig::parse("seed=", &out));
-  EXPECT_FALSE(FaultPlanConfig::parse("retries=0", &out));
-  EXPECT_FALSE(FaultPlanConfig::parse(",,", &out));
-  // Out-of-range integers must not wrap (mult=0 and retries=0 are invalid;
-  // a wrapped seed or poison count silently changes the schedule).
-  EXPECT_FALSE(FaultPlanConfig::parse("mult=4294967296", &out));
-  EXPECT_FALSE(FaultPlanConfig::parse("retries=4294967296", &out));
-  EXPECT_FALSE(FaultPlanConfig::parse("seed=18446744073709551617", &out));
-  EXPECT_FALSE(FaultPlanConfig::parse("poison=18446744073709551616", &out));
-  // Rates are finite numbers with nothing around them.
-  EXPECT_FALSE(FaultPlanConfig::parse("pcie=nan", &out));
-  EXPECT_FALSE(FaultPlanConfig::parse("ack= 0.5", &out));
+  // Each rejection names the offending entry and, for a known key, its
+  // allowed range.
+  const struct {
+    const char* spec;
+    const char* error;
+  } kCases[] = {
+      {"bogus=1",
+       "'bogus=1': unknown key (seed, pcie, sticky, ack, poison, straggler, "
+       "retries, backoff, cap, reset, ecc, mult, window)"},
+      {"pcie=notanumber", "'pcie=notanumber': pcie must be in [0, 1]"},
+      {"pcie=1.5", "'pcie=1.5': pcie must be in [0, 1]"},  // rate > 1
+      {"seed=", "'seed=': seed must be in [0, 18446744073709551615]"},
+      {"retries=0", "'retries=0': retries must be in [1, 4294967295]"},
+      {",,", "'': expected key=value"},
+      {"seed=1,pcie", "'pcie': expected key=value"},
+      // Out-of-range integers must not wrap (mult=0 and retries=0 are
+      // invalid; a wrapped seed or poison count silently changes the
+      // schedule).
+      {"mult=4294967296", "'mult=4294967296': mult must be in [1, 4294967295]"},
+      {"retries=4294967296",
+       "'retries=4294967296': retries must be in [1, 4294967295]"},
+      {"seed=18446744073709551617",
+       "'seed=18446744073709551617': seed must be in [0, "
+       "18446744073709551615]"},
+      {"poison=18446744073709551616",
+       "'poison=18446744073709551616': poison must be in [0, "
+       "18446744073709551615]"},
+      {"window=0", "'window=0': window must be in [1, 18446744073709551615]"},
+      // Rates are finite numbers with nothing around them.
+      {"pcie=nan", "'pcie=nan': pcie must be in [0, 1]"},
+      {"ack= 0.5", "'ack= 0.5': ack must be in [0, 1]"},
+      {"sticky=-0.1", "'sticky=-0.1': sticky must be in [0, 1]"},
+  };
+  for (const auto& c : kCases) {
+    FaultPlanConfig out;
+    EXPECT_EQ(FaultPlanConfig::parse(c.spec, &out), c.error) << c.spec;
+  }
   // The empty spec is the default (disabled) plan.
-  EXPECT_TRUE(FaultPlanConfig::parse("", &out));
+  FaultPlanConfig out;
+  EXPECT_EQ(FaultPlanConfig::parse("", &out), "");
   EXPECT_FALSE(out.enabled());
 }
 

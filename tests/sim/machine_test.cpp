@@ -7,6 +7,9 @@
 #include <initializer_list>
 #include <utility>
 
+#include "core/simulation.h"
+#include "workloads/workload_factory.h"
+
 namespace cmcp::sim {
 namespace {
 
@@ -181,11 +184,24 @@ TEST(Machine, WideMachineBatchStraddlingWordsChargesEachTargetOnce) {
 }
 
 TEST(Machine, AggregateExcludesScanner) {
-  Machine m(small_config(2));
-  m.counters(0).major_faults = 5;
-  m.counters(1).major_faults = 7;
-  m.counters(m.scanner_core()).major_faults = 100;
-  EXPECT_EQ(m.aggregate_app_counters().major_faults, 12u);
+  // A run's app_total sums the app cores' counters; the LRU scanner's
+  // pseudo-core, which also evicts and shoots down, reports separately.
+  wl::WorkloadParams params;
+  params.cores = 2;
+  params.scale = 0.05;
+  const auto w = wl::make_paper_workload(wl::PaperWorkload::kBt, params);
+  core::SimulationConfig config;
+  config.machine.num_cores = 2;
+  config.policy.kind = PolicyKind::kLru;
+  config.memory_fraction = 0.5;
+  const core::SimulationResult result = core::run_simulation(config, *w);
+  ASSERT_GT(result.scanner.shootdowns_initiated, 0u);
+  metrics::CoreCounters sum;
+  for (const metrics::CoreCounters& c : result.per_core) sum += c;
+  EXPECT_EQ(result.app_total.shootdowns_initiated, sum.shootdowns_initiated);
+  EXPECT_EQ(result.app_total.evictions, sum.evictions);
+  EXPECT_EQ(result.app_total.major_faults, sum.major_faults);
+  EXPECT_EQ(result.app_total.accesses, sum.accesses);
 }
 
 TEST(Machine, TlbSizedForConfiguredPageSize) {

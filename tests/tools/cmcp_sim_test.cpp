@@ -2,8 +2,9 @@
 // fraction that is not a positive size the host can back, a CMCP ratio
 // outside [0, 1] or a scan period the engine cannot tick is a usage error
 // (exit 2, "--cores: ..." / "--fraction: ..."), not an assertion abort deep
-// in setup, a hang or a silent fall-back to the paper's default. A
-// malformed --replay-trace file is one too, reported as "<file>:<line>: ...".
+// in setup, a hang or a silent fall-back to the paper's default. So is a
+// --faults entry out of its range ("--faults: 'pcie=2': ..."). A malformed
+// --replay-trace file is one too, reported as "<file>:<line>: ...".
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
@@ -68,6 +69,13 @@ TEST(CmcpSimCliDeath, OutOfRangePAndScanPeriodExitTwo) {
         << c.args;
 }
 
+TEST(CmcpSimCliDeath, OutOfRangeFaultRateNamesTheKeyAndExitsTwo) {
+  // Used to print only "malformed --faults spec" and the usage text.
+  EXPECT_EXIT(exit_like_cmcp_sim("--faults pcie=2 --cores 8"),
+              ::testing::ExitedWithCode(2),
+              "--faults: 'pcie=2': pcie must be in \\[0, 1\\]");
+}
+
 TEST(CmcpSimCliDeath, MalformedReplayTraceExitsTwoWithALocatedDiagnostic) {
   // Each body follows "cmcp-trace v1\ncores 1\npages 10\ncore 0\n" unless it
   // replaces the cores line, so line 5 holds the first op.
@@ -86,6 +94,10 @@ TEST(CmcpSimCliDeath, MalformedReplayTraceExitsTwoWithALocatedDiagnostic) {
       // Used to run silently as repeat 1 (truncated to 16 bits).
       {"repeat", "core 0\na 0 1 1 65537 r 1\n",
        ":5: repeat must be in \\[1, 65535\\]"},
+      // Used to die in an uncaught std::bad_alloc while the per-unit tables
+      // were sized (a later pages line redeclares the footprint).
+      {"pages", "pages 999999999999999\ncore 0\na 0 1 1 1 r 0\n",
+       ":4: pages must be in \\[1, 165191049\\] on 1 core"},
   };
   for (const auto& c : kCases) {
     const std::string path =

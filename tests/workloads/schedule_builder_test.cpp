@@ -49,20 +49,6 @@ TEST(ScheduleBuilder, TouchPageVariants) {
   EXPECT_TRUE(ops[1].write);
 }
 
-TEST(ScheduleBuilder, ComputeAndPushOp) {
-  ScheduleBuilder sb(1, 0);
-  sb.compute(0, 0);  // dropped
-  sb.compute(0, 123);
-  sb.push_op(0, Op::syscall(999, 64));
-  const auto ops = drain(sb.finish()[0]);
-  ASSERT_EQ(ops.size(), 2u);
-  EXPECT_EQ(ops[0].kind, OpKind::kCompute);
-  EXPECT_EQ(ops[0].cycles, 123u);
-  EXPECT_EQ(ops[1].kind, OpKind::kSyscall);
-  EXPECT_EQ(ops[1].cycles, 999u);
-  EXPECT_EQ(ops[1].count, 64u);
-}
-
 TEST(ScheduleBuilder, BarrierAllReachesEveryCore) {
   ScheduleBuilder sb(3, 0);
   sb.touch_page_compute(1, 0, false);

@@ -5,7 +5,6 @@
 #include <sstream>
 
 #include "core/simulation.h"
-#include "workloads/stencil.h"
 #include "workloads/workload_factory.h"
 
 namespace cmcp::wl {
@@ -68,28 +67,6 @@ TEST(Trace, ReplayedSimulationBitIdentical) {
             b.app_total.remote_invalidations_received);
 }
 
-TEST(Trace, SyscallsSurviveRoundTrip) {
-  StencilParams params;
-  params.base.cores = 2;
-  params.base.scale = 0.05;
-  params.io_bytes_per_step = 4096;
-  StencilWorkload original(params);
-  std::stringstream buffer;
-  write_trace(original, buffer);
-  const auto replay = parse_ok(buffer);
-  auto stream = replay->make_stream(0);
-  bool saw_syscall = false;
-  for (;;) {
-    const Op op = stream->next();
-    if (op.kind == OpKind::kEnd) break;
-    if (op.kind == OpKind::kSyscall) {
-      saw_syscall = true;
-      EXPECT_EQ(op.count, 4096u);
-    }
-  }
-  EXPECT_TRUE(saw_syscall);
-}
-
 TEST(Trace, CommentsAndBlankLinesIgnored) {
   std::stringstream in(
       "cmcp-trace v1\n"
@@ -134,6 +111,15 @@ TEST(TraceDeath, RejectsGarbage) {
        "t:6: repeat must be in [1, 65535]"},
       {"cmcp-trace v1\ncores 1\npages 10\ncore 0\na 0 1 1 0 r 1\n",
        "t:5: repeat must be in [1, 65535]"},
+      // The dense per-unit tables are sized from pages (trace.h).
+      {"cmcp-trace v1\ncores 1\npages 999999999999999\ncore 0\n"
+       "a 0 1 1 1 r 0\n",
+       "t:3: pages must be in [1, 165191049] on 1 core"},
+      {"cmcp-trace v1\ncores 1\npages 165191050\n",
+       "t:3: pages must be in [1, 165191049] on 1 core"},
+      // Either order of the cores and pages lines is checked.
+      {"cmcp-trace v1\npages 31580642\ncores 56\n",
+       "t:3: pages must be in [1, 31580641] on 56 cores"},
   };
   for (const auto& c : kCases) {
     std::stringstream in(c.text);

@@ -2,11 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <sstream>
 #include <tuple>
 
 #include "workloads/access_stream.h"
 #include "workloads/partition_util.h"
 #include "workloads/synthetic.h"
+#include "workloads/trace.h"
 #include "workloads/workload_factory.h"
 
 namespace cmcp::wl {
@@ -46,12 +48,6 @@ TEST(OpFactory, EachFactorySetsExactlyTheFieldsItNames) {
   compute.cycles = 0xfedcba9876;
   compute.kind = OpKind::kCompute;
   EXPECT_EQ(fields(Op::compute(0xfedcba9876)), fields(compute));
-
-  Op syscall = base;
-  syscall.cycles = 5000;
-  syscall.count = 4096;
-  syscall.kind = OpKind::kSyscall;
-  EXPECT_EQ(fields(Op::syscall(5000, 4096)), fields(syscall));
 
   Op barrier = base;
   barrier.kind = OpKind::kBarrier;
@@ -193,6 +189,44 @@ TEST_P(PaperWorkloadTest, BigSizeHasLargerFootprint) {
   const auto small = make_paper_workload(GetParam(), params, WorkloadSize::kSmall);
   const auto big = make_paper_workload(GetParam(), params, WorkloadSize::kBig);
   EXPECT_GT(big->footprint_base_pages(), 2 * small->footprint_base_pages());
+}
+
+TEST_P(PaperWorkloadTest, ScheduleMatchesPinnedTraceHash) {
+  // Byte-for-byte pin of each model's schedule at 8 cores and seed 1234:
+  // the FNV-1a 64 hash of its write_trace text, in both sizes. A change to a
+  // generator's shape or to its RNG draw order shows up here first.
+  struct Pin {
+    PaperWorkload workload;
+    std::uint64_t small;
+    std::uint64_t big;
+  };
+  constexpr Pin kPins[] = {
+      {PaperWorkload::kBt, 0x1a966db447a25041ULL, 0x8677020dde1cbb6eULL},
+      {PaperWorkload::kLu, 0x9d6415b93e404eebULL, 0x377d1b0e3b666f99ULL},
+      {PaperWorkload::kCg, 0x1ea8c16006678054ULL, 0x936dddac644b218eULL},
+      {PaperWorkload::kScale, 0x642354cef84f03e7ULL, 0x79a2717a5bbbc13dULL},
+  };
+  const auto fnv1a64 = [](const std::string& text) {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const char ch : text) {
+      h ^= static_cast<unsigned char>(ch);
+      h *= 0x100000001b3ULL;
+    }
+    return h;
+  };
+  WorkloadParams params;
+  params.cores = 8;
+  params.seed = 1234;
+  for (const Pin& pin : kPins) {
+    if (pin.workload != GetParam()) continue;
+    for (const WorkloadSize size : {WorkloadSize::kSmall, WorkloadSize::kBig}) {
+      std::ostringstream trace;
+      write_trace(*make_paper_workload(pin.workload, params, size), trace);
+      EXPECT_EQ(fnv1a64(trace.str()),
+                size == WorkloadSize::kSmall ? pin.small : pin.big)
+          << size_suffix(size);
+    }
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(AllPaperWorkloads, PaperWorkloadTest,

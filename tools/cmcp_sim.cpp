@@ -163,9 +163,11 @@ int main(int argc, char** argv) {
     } else if (arg == "--seed") {
       seed = common::parse_flag<std::uint64_t>(arg, need_value(i));
     } else if (arg == "--faults") {
-      if (!sim::FaultPlanConfig::parse(need_value(i), &config.faults)) {
-        std::fprintf(stderr, "malformed --faults spec\n");
-        usage(argv[0]);
+      const std::string error =
+          sim::FaultPlanConfig::parse(need_value(i), &config.faults);
+      if (!error.empty()) {
+        std::fprintf(stderr, "--faults: %s\n", error.c_str());
+        std::exit(2);
       }
     } else if (arg == "--csv") {
       csv_path = need_value(i);
