@@ -123,7 +123,7 @@ class TlbConsistencyChecker final : public sim::Checker {
 /// bijection: no frame is aliased, mis-owned, leaked or quarantined while
 /// resident. The partition must also have seen the current usable capacity
 /// (the MemoryManager::on_frames_quarantined hook fired). The partition's
-/// floors and targets are computed from these counters, and a frame
+/// victim choice is computed from these counters, and a frame
 /// leaking out of quarantine re-exposes the ECC poison it contains.
 class FrameTableChecker final : public sim::Checker {
  public:

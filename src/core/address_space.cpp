@@ -45,8 +45,7 @@ std::unique_ptr<mm::PageTable> make_page_table(PageTableKind kind, CoreId cores,
 
 AddressSpace::AddressSpace(MemoryManager& mm, Asid asid,
                            const mm::ComputationArea& area,
-                           const MemoryManagerConfig& config,
-                           std::uint64_t policy_capacity_units)
+                           const MemoryManagerConfig& config)
     : mm_(mm),
       machine_(mm.machine_),
       allocator_(mm.allocator_),
@@ -54,7 +53,7 @@ AddressSpace::AddressSpace(MemoryManager& mm, Asid asid,
       area_(area),
       page_table_(
           make_page_table(config.pt_kind, machine_.num_cores(), area.num_units())),
-      policy_capacity_units_(policy_capacity_units),
+      policy_capacity_units_(mm.partition().target_of(asid)),
       prefetch_degree_(config.prefetch_degree) {
   CMCP_CHECK(policy_capacity_units_ > 0);
   policy_ = config.custom_policy ? config.custom_policy(*this)
@@ -71,7 +70,7 @@ AddressSpace::AddressSpace(MemoryManager& mm, Asid asid,
                  "cost.scan_period must be in [1, 2^53] cycles");
   next_tick_ = machine_.cost().scan_period;
   if (config.preload) {
-    CMCP_CHECK_MSG(config.capacity_units >= area_.num_units(),
+    CMCP_CHECK_MSG(policy_capacity_units_ >= area_.num_units(),
                    "preload requires capacity covering the footprint");
     pinned_ = true;
     preload_all();
@@ -169,22 +168,21 @@ Cycles AddressSpace::access(CoreId core, Vpn vpn, bool write, Cycles now) {
     ++ctr.major_faults;
     was_major = true;
 
-    // The partition decides whether this tenant may take a free frame; when
-    // it may not (pool exhausted or frames earmarked for under-floor
-    // neighbors), the partition also picks which space must evict. Under
-    // PartitionKind::kNone this reduces exactly to "allocate; if full,
-    // evict from yourself" — the pre-refactor behavior. With a fault plan
-    // attached, ECC-poisoned frames surfacing at allocation (and latent
-    // poison swallowing the frame an eviction was meant to free) re-enter
-    // the loop; each quarantine consumes its poison, so it terminates.
+    // Any tenant may take a free frame; when the pool is exhausted, the
+    // partition picks which space must evict. Under PartitionKind::kNone
+    // this reduces exactly to "allocate; if full, evict from yourself" —
+    // the pre-refactor behavior. With a fault plan attached, ECC-poisoned
+    // frames surfacing at allocation (and latent poison swallowing the
+    // frame an eviction was meant to free) re-enter the loop; each
+    // quarantine consumes its poison, so it terminates.
     Pfn pfn = allocate_frame(core, unit, now + mem_cycles + lock_wait,
-                             &fault_cycles, /*honor_partition=*/true);
+                             &fault_cycles);
     while (pfn == kInvalidPfn) {
       fault_cycles +=
           mm_.evict_for(asid_, core, now + mem_cycles + fault_cycles + lock_wait);
       trace_evicted = 1;
       pfn = allocate_frame(core, unit, now + mem_cycles + lock_wait,
-                           &fault_cycles, /*honor_partition=*/false);
+                           &fault_cycles);
     }
 
     // Fetch the unit's data from the host.
@@ -236,21 +234,19 @@ Cycles AddressSpace::access(CoreId core, Vpn vpn, bool write, Cycles now) {
 
 Cycles AddressSpace::prefetch_after(CoreId core, UnitIdx unit, Cycles now) {
   // Sequential readahead into free frames only: prefetch must never evict
-  // (a wrong guess would then cost a real page its residency), and under a
-  // static reserve it must not raid frames earmarked for under-floor
-  // neighbors either. The transfers queue on the PCIe link asynchronously;
-  // the issuing core only pays the per-request setup.
+  // (a wrong guess would then cost a real page its residency). The
+  // transfers queue on the PCIe link asynchronously; the issuing core only
+  // pays the per-request setup.
   const sim::CostModel& cost = machine_.cost();
   metrics::CoreCounters& ctr = machine_.counters(core);
   Cycles issue_cycles = 0;
   UnitIdx next = unit + 1;
   for (unsigned i = 0; i < prefetch_degree_; ++i, ++next) {
     if (next >= area_.num_units()) break;
-    if (!mm_.partition().may_allocate(asid_, allocator_)) break;
+    if (allocator_.full()) break;
     if (registry_.find(next) != nullptr) continue;
     if (page_table_->any_mapping(next)) continue;
-    const Pfn pfn = allocate_frame(core, next, now, &issue_cycles,
-                                   /*honor_partition=*/true);
+    const Pfn pfn = allocate_frame(core, next, now, &issue_cycles);
     if (pfn == kInvalidPfn) break;  // quarantines may have drained the pool
     const sim::PcieTransferOutcome xfer = machine_.pcie_transfer(
         core, sim::PcieDir::kHostToDevice, now, unit_bytes(area_.page_size()),
@@ -266,19 +262,15 @@ Cycles AddressSpace::prefetch_after(CoreId core, UnitIdx unit, Cycles now) {
 }
 
 Pfn AddressSpace::allocate_frame(CoreId core, UnitIdx unit, Cycles base,
-                                 Cycles* cycles, bool honor_partition) {
+                                 Cycles* cycles) {
   sim::FaultPlan* const plan = machine_.fault_plan();
   for (;;) {
-    if (honor_partition && !mm_.partition().may_allocate(asid_, allocator_))
-      return kInvalidPfn;
     const Pfn pfn = allocator_.allocate(asid_, unit);
     if (pfn == kInvalidPfn) return pfn;
     if (plan == nullptr || !plan->surfaces_at_alloc(pfn)) return pfn;
     // ECC poison surfaced while the kernel scrubbed the fresh frame:
-    // quarantine it and try the next free frame. Capacity just shrank, so
-    // the partition is consulted again before the retry.
+    // quarantine it and try the next free frame.
     *cycles += quarantine_frame(core, base + *cycles, pfn, kInvalidUnit);
-    honor_partition = true;
   }
 }
 

@@ -28,12 +28,13 @@ struct MemoryManagerConfig;
 
 class AddressSpace final : public policy::PolicyHost {
  public:
-  /// `policy_capacity_units` is the device capacity this space's policy
-  /// reasons about (CMCP's p ratio): the full allocator capacity for single
-  /// tenant, the partition target/nominal share for multi-tenant.
+  /// The device capacity this space's policy reasons about (CMCP's p
+  /// ratio) is the space's partition target: the whole device for a single
+  /// tenant, an equal share for multi-tenant. Under kNone allocation stays
+  /// free-for-all, but each policy still gets that share as its denominator
+  /// instead of believing it owns the whole device.
   AddressSpace(MemoryManager& mm, Asid asid, const mm::ComputationArea& area,
-               const MemoryManagerConfig& config,
-               std::uint64_t policy_capacity_units);
+               const MemoryManagerConfig& config);
   ~AddressSpace() override;
 
   /// One reference by `core` to base page `vpn` at virtual time `now`.
@@ -90,12 +91,9 @@ class AddressSpace final : public policy::PolicyHost {
   /// against the fault plan's ECC poison set: poisoned frames are
   /// quarantined (cost added to `*cycles`, events stamped at
   /// `base + *cycles`) and the next free frame is tried. With no plan
-  /// attached this is exactly the pre-fault may_allocate + allocate
-  /// sequence. `honor_partition` is false on the retry directly after an
-  /// eviction this tenant ordered (the pre-fault contract: it paid for the
-  /// frame and takes it).
-  Pfn allocate_frame(CoreId core, UnitIdx unit, Cycles base, Cycles* cycles,
-                     bool honor_partition);
+  /// attached this is exactly one FrameAllocator::allocate. Returns
+  /// kInvalidPfn when no free frame is left.
+  Pfn allocate_frame(CoreId core, UnitIdx unit, Cycles base, Cycles* cycles);
 
   /// Retire `pfn` (ECC poison surfaced): quarantine it in the shared
   /// allocator, shrink the partition, emit trace events and account the

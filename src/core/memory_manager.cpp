@@ -5,24 +5,14 @@
 
 namespace cmcp::core {
 
-namespace {
-
-std::vector<mm::TenantShare> shares_of(const std::vector<AddressSpaceSpec>& specs) {
-  std::vector<mm::TenantShare> out;
-  out.reserve(specs.size());
-  for (const AddressSpaceSpec& s : specs) out.push_back(s.share);
-  return out;
-}
-
-}  // namespace
-
 MemoryManager::MemoryManager(sim::Machine& machine,
                              const std::vector<AddressSpaceSpec>& specs,
                              std::uint64_t shared_capacity_units,
                              mm::PartitionKind partition)
     : machine_(machine),
       allocator_(shared_capacity_units, specs.at(0).area.page_size()),
-      partition_(partition, shared_capacity_units, shares_of(specs)),
+      partition_(partition, shared_capacity_units,
+                 static_cast<Asid>(specs.size())),
       interference_(specs.size() * specs.size(), 0) {
   CMCP_CHECK(shared_capacity_units > 0);
   CMCP_CHECK_MSG(machine.num_address_spaces() == specs.size(),
@@ -31,16 +21,8 @@ MemoryManager::MemoryManager(sim::Machine& machine,
     const AddressSpaceSpec& spec = specs[asid];
     CMCP_CHECK_MSG(spec.area.page_size() == specs[0].area.page_size(),
                    "all tenants must share one mapping-unit size");
-    // The nominal capacity this space's policy reasons about (CMCP's p
-    // ratio): an explicit per-tenant value wins, otherwise the partition
-    // target. Under kNone the targets still apportion the capacity by
-    // weight — allocation stays free-for-all, but each policy gets a
-    // sensible denominator instead of believing it owns the whole device.
-    const std::uint64_t nominal = spec.config.capacity_units != 0
-                                      ? spec.config.capacity_units
-                                      : partition_.target_of(asid);
     spaces_.push_back(
-        std::make_unique<AddressSpace>(*this, asid, spec.area, spec.config, nominal));
+        std::make_unique<AddressSpace>(*this, asid, spec.area, spec.config));
   }
 }
 

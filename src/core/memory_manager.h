@@ -40,19 +40,15 @@ struct MemoryManagerConfig {
   policy::PolicyParams policy;
   /// When set, overrides `policy` with a user-supplied implementation.
   PolicyFactory custom_policy;
-  /// The nominal device capacity, in mapping units, this space's policy
-  /// reasons about (0 = derive from the partition target). A preloaded
-  /// space needs it to cover the footprint.
-  std::uint64_t capacity_units = 0;
   /// Sequential prefetch: on a major fault, also fetch up to this many
   /// following non-resident units — but only into FREE frames (prefetch
   /// never evicts). 0 disables. Extension feature; see
   /// bench/ablation_prefetch.
   unsigned prefetch_degree = 0;
   /// "No data movement" baseline: all units start resident (and pinned —
-  /// capacity must cover the footprint). First touches become cheap PTE
-  /// faults with no PCIe traffic, matching data that was allocated on the
-  /// device to begin with.
+  /// the space's partition target must cover the footprint). First touches
+  /// become cheap PTE faults with no PCIe traffic, matching data that was
+  /// allocated on the device to begin with.
   bool preload = false;
 };
 
@@ -60,8 +56,6 @@ struct MemoryManagerConfig {
 struct AddressSpaceSpec {
   mm::ComputationArea area;
   MemoryManagerConfig config;
-  /// QoS parameters consumed by the frame partition.
-  mm::TenantShare share;
 };
 
 class MemoryManager final {
@@ -107,8 +101,8 @@ class MemoryManager final {
   Cycles evict_for(Asid requester, CoreId core, Cycles now);
 
   /// Called by a space right after it quarantines a frame: recompute the
-  /// partition's floors and targets against the shrunk usable capacity so
-  /// tenants degrade proportionally instead of crashing.
+  /// partition's targets against the shrunk usable capacity so tenants
+  /// degrade proportionally instead of crashing.
   void on_frames_quarantined() {
     partition_.set_capacity(allocator_.usable_capacity());
   }

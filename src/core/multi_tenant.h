@@ -34,12 +34,6 @@ struct TenantRunConfig {
   policy::PolicyParams policy;
   /// When set, overrides `policy` with a user-supplied implementation.
   PolicyFactory custom_policy;
-  unsigned prefetch_degree = 0;
-  /// Nominal capacity this tenant's policy reasons about (CMCP p ratio);
-  /// 0 = use the partition target.
-  std::uint64_t capacity_units = 0;
-  /// QoS parameters consumed by the frame partition.
-  mm::TenantShare share;
 };
 
 struct MultiTenantConfig {
@@ -47,9 +41,8 @@ struct MultiTenantConfig {
   mm::PartitionKind partition = mm::PartitionKind::kNone;
 
   /// Shared device capacity as a fraction of the COMBINED footprint (>= 1
-  /// means unconstrained). Ignored when capacity_units_override != 0.
+  /// means unconstrained).
   double memory_fraction = 1.0;
-  std::uint64_t capacity_units_override = 0;
 
   /// Structured event tracing (non-owning; null = disabled). Events carry
   /// each tenant's asid and the exporters serialize it (spaces > 1).
@@ -76,7 +69,6 @@ struct TenantResult {
   std::vector<std::pair<std::string, std::uint64_t>> policy_stats;
   std::uint64_t footprint_units = 0;
   std::uint64_t capacity_target_units = 0;  ///< partition target
-  std::uint64_t reserve_units = 0;          ///< static-reserve floor
   std::uint64_t resident_units_end = 0;     ///< frames held at end of run
   std::uint64_t scans = 0;
 };

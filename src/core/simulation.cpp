@@ -74,15 +74,11 @@ struct Simulation::Setup {
     mmc.custom_policy = config.custom_policy;
     mmc.preload = config.preload;
     mmc.prefetch_degree = config.prefetch_degree;
-    add_tenant(workload, placement, mmc, mm::TenantShare{});
+    add_tenant(workload, placement, mmc);
 
-    capacity_units =
-        shared_capacity(config.memory_fraction, config.capacity_units_override);
+    capacity_units = shared_capacity(config.memory_fraction);
     if (config.preload)
       capacity_units = std::max(capacity_units, specs[0].area.num_units());
-    // The one tenant's policy reasons about the whole device, as the paper's
-    // single memory manager does (and preload checks it covers the area).
-    specs[0].config.capacity_units = capacity_units;
   }
 
   Setup(const MultiTenantConfig& config, const wl::MultiTenantSpec& spec,
@@ -102,12 +98,9 @@ struct Simulation::Setup {
       mmc.pt_kind = tc.pt_kind;
       mmc.policy = tc.policy;
       mmc.custom_policy = tc.custom_policy;
-      mmc.prefetch_degree = tc.prefetch_degree;
-      mmc.capacity_units = tc.capacity_units;
-      add_tenant(spec.tenant(t), spec.placement(t), mmc, tc.share);
+      add_tenant(spec.tenant(t), spec.placement(t), mmc);
     }
-    capacity_units =
-        shared_capacity(config.memory_fraction, config.capacity_units_override);
+    capacity_units = shared_capacity(config.memory_fraction);
   }
 
   /// The configured machine; add_tenant grows it by one core block and one
@@ -125,22 +118,18 @@ struct Simulation::Setup {
   /// Tenants arrive in asid order with contiguous core blocks.
   void add_tenant(const wl::Workload& workload,
                   const wl::TenantPlacement& placement,
-                  const MemoryManagerConfig& config,
-                  const mm::TenantShare& share) {
+                  const MemoryManagerConfig& config) {
     tenants.push_back({&workload, placement});
     specs.push_back({mm::ComputationArea(placement.area_base_vpn,
                                          placement.footprint_base_pages,
                                          machine.page_size),
-                     config, share});
+                     config});
     machine.num_cores = placement.first_core + placement.num_cores;
     machine.num_address_spaces = static_cast<unsigned>(tenants.size());
   }
 
-  /// `override_units` if set, else `fraction` of the combined footprint
-  /// (at least one unit).
-  std::uint64_t shared_capacity(double fraction,
-                                std::uint64_t override_units) const {
-    if (override_units != 0) return override_units;
+  /// `fraction` of the combined footprint (at least one unit).
+  std::uint64_t shared_capacity(double fraction) const {
     std::uint64_t total_units = 0;
     for (const AddressSpaceSpec& s : specs) total_units += s.area.num_units();
     const auto cap = static_cast<std::uint64_t>(
@@ -236,7 +225,6 @@ TenantResult Simulation::collect_tenant(Asid asid) const {
   });
   tr.footprint_units = space.area().num_units();
   tr.capacity_target_units = mm_.partition().target_of(asid);
-  tr.reserve_units = mm_.partition().reserve_of(asid);
   tr.resident_units_end = mm_.allocator().in_use_by(asid);
   tr.scans = space.scans_completed();
   return tr;

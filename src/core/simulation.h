@@ -46,9 +46,8 @@ struct SimulationConfig {
 
   /// Device memory granted to the computation area, as a fraction of its
   /// footprint — the paper's "% of memory provided" axis. Values >= 1 mean
-  /// no constraint. Ignored when capacity_units_override != 0.
+  /// no constraint.
   double memory_fraction = 1.0;
-  std::uint64_t capacity_units_override = 0;
 
   /// "No data movement" baseline: preload everything into device RAM
   /// (forces effective capacity >= footprint).

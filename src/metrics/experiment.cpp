@@ -3,6 +3,8 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "policy/random_policy.h"
+
 namespace cmcp::metrics {
 
 core::SimulationConfig RunSpec::to_config() const {
@@ -60,7 +62,8 @@ sim::trace::Metadata RunSpec::describe() const {
                         std::to_string(policy.dynamic_p.window_ticks));
       break;
     case PolicyKind::kRandom:
-      meta.emplace_back("random_seed", std::to_string(policy.random_seed));
+      meta.emplace_back("random_seed",
+                        std::to_string(policy::RandomPolicy::kSeed));
       break;
     default:
       break;

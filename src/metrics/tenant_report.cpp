@@ -2,7 +2,6 @@
 
 #include <string>
 
-#include "common/assert.h"
 #include "core/multi_tenant.h"
 
 namespace cmcp::metrics {
@@ -20,16 +19,9 @@ double jain_fairness(const std::vector<double>& xs) {
 }
 
 void write_tenant_report(const core::MultiTenantResult& result,
-                         ResultWriter& out,
-                         const TenantReportOptions& options) {
+                         ResultWriter& out) {
   const std::size_t n = result.tenants.size();
-  const bool have_solo = !options.solo_makespans.empty();
-  if (have_solo)
-    CMCP_CHECK_MSG(options.solo_makespans.size() == n,
-                   "one solo makespan per tenant, in asid order");
-
   std::vector<double> progress_rates;
-  std::vector<double> speedups;  // 1/slowdown, for the fairness-of-slowdown view
   progress_rates.reserve(n);
   for (std::size_t t = 0; t < n; ++t) {
     const core::TenantResult& tr = result.tenants[t];
@@ -41,7 +33,6 @@ void write_tenant_report(const core::MultiTenantResult& result,
         .set("num_cores", static_cast<std::uint64_t>(tr.num_cores))
         .set("footprint_units", tr.footprint_units)
         .set("capacity_target_units", tr.capacity_target_units)
-        .set("reserve_units", tr.reserve_units)
         .set("resident_units_end", tr.resident_units_end)
         .set("accesses", tr.total.accesses)
         .set("major_faults", tr.total.major_faults)
@@ -76,15 +67,6 @@ void write_tenant_report(const core::MultiTenantResult& result,
                         : 0.0;
     row.set("progress_rate_kcyc", rate);
     progress_rates.push_back(rate);
-
-    if (have_solo) {
-      const double solo = static_cast<double>(options.solo_makespans[t]);
-      const double slowdown =
-          solo > 0.0 ? static_cast<double>(tr.makespan) / solo : 0.0;
-      row.set("solo_makespan", options.solo_makespans[t]);
-      row.set("slowdown", slowdown);
-      speedups.push_back(slowdown > 0.0 ? 1.0 / slowdown : 0.0);
-    }
   }
 
   out.meta("partition", result.partition_kind);
@@ -94,8 +76,6 @@ void write_tenant_report(const core::MultiTenantResult& result,
   out.meta("makespan", std::to_string(result.makespan));
   out.meta("jain_fairness_progress",
            std::to_string(jain_fairness(progress_rates)));
-  if (have_solo)
-    out.meta("jain_fairness_slowdown", std::to_string(jain_fairness(speedups)));
 }
 
 }  // namespace cmcp::metrics

@@ -2,8 +2,8 @@
 // rows (one per tenant) plus run-level fairness metadata.
 //
 // Columns per tenant: identity (asid, workload, policy, core placement),
-// capacity accounting (footprint / partition target / reserve floor /
-// frames held at end), fault behaviour (accesses, major/minor faults,
+// capacity accounting (footprint / partition target / frames held at end),
+// fault behaviour (accesses, major/minor faults,
 // fault rate per million accesses, evictions), shootdown interference
 // (initiated, remote invalidations received, and one `invals_from_<j>`
 // column per tenant j giving the remote TLB entries j's shootdowns
@@ -13,12 +13,8 @@
 // Run-level meta: shared capacity, partition kind, overall makespan, and
 // the Jain fairness index over per-tenant progress rates
 // (J = (Σx)² / (n·Σx²); 1.0 = perfectly fair, 1/n = one tenant starved).
-// When solo-run makespans are provided, per-tenant `slowdown` columns
-// (co-run makespan / solo makespan) and the fairness index over
-// 1/slowdown are added — the classic co-run degradation view.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "metrics/result_writer.h"
@@ -33,15 +29,8 @@ namespace cmcp::metrics {
 /// all-zero input (nothing to be unfair about).
 double jain_fairness(const std::vector<double>& xs);
 
-struct TenantReportOptions {
-  /// Solo-run makespans (one per tenant, asid order) for slowdown columns;
-  /// empty = skip slowdown reporting.
-  std::vector<std::uint64_t> solo_makespans;
-};
-
 /// Append one row per tenant (plus run meta) to `out`.
 void write_tenant_report(const core::MultiTenantResult& result,
-                         ResultWriter& out,
-                         const TenantReportOptions& options = {});
+                         ResultWriter& out);
 
 }  // namespace cmcp::metrics

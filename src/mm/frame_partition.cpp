@@ -1,153 +1,26 @@
 #include "mm/frame_partition.h"
 
-#include <algorithm>
 #include <limits>
-#include <utility>
 
 #include "common/assert.h"
 
 namespace cmcp::mm {
 
 FramePartition::FramePartition(PartitionKind kind, std::uint64_t capacity,
-                               std::vector<TenantShare> shares)
-    : kind_(kind), capacity_(capacity), shares_(std::move(shares)) {
+                               Asid num_tenants)
+    : kind_(kind), capacity_(capacity), num_tenants_(num_tenants) {
   CMCP_CHECK(capacity_ > 0);
-  if (shares_.empty()) shares_.push_back(TenantShare{});
-  rebuild();
+  CMCP_CHECK(num_tenants_ > 0);
 }
 
 void FramePartition::set_capacity(std::uint64_t capacity) {
   CMCP_CHECK(capacity > 0);
-  if (capacity == capacity_) return;
   capacity_ = capacity;
-  // Floors were already clamped against the old capacity; re-clamping
-  // against a smaller one only shrinks them further, so repeated shrinks
-  // compose and nothing can underflow.
-  rebuild();
-}
-
-void FramePartition::rebuild() {
-  // Clamp floors so they can always be honored: trim excess from the
-  // highest asids first (deterministic, and earlier tenants are treated as
-  // higher priority by convention).
-  std::uint64_t total_reserve = 0;
-  for (auto& s : shares_) {
-    s.reserve_units = std::min(s.reserve_units, capacity_);
-    total_reserve += s.reserve_units;
-  }
-  for (std::size_t i = shares_.size(); total_reserve > capacity_ && i-- > 0;) {
-    const std::uint64_t trim =
-        std::min(shares_[i].reserve_units, total_reserve - capacity_);
-    shares_[i].reserve_units -= trim;
-    total_reserve -= trim;
-  }
-
-  // Largest-remainder apportionment of the capacity by weight. A zero total
-  // weight degenerates to equal shares. Remainder frames go to the largest
-  // fractional parts, ties to the lowest asid.
-  targets_.assign(shares_.size(), 0);
-  std::uint64_t total_weight = 0;
-  for (const auto& s : shares_) total_weight += s.weight;
-  const std::size_t n = shares_.size();
-  std::uint64_t assigned = 0;
-  std::vector<std::pair<std::uint64_t, std::size_t>> rem;  // (remainder, asid)
-  rem.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::uint64_t w = total_weight == 0 ? 1 : shares_[i].weight;
-    const std::uint64_t tw = total_weight == 0 ? n : total_weight;
-    targets_[i] = capacity_ * w / tw;
-    assigned += targets_[i];
-    rem.emplace_back(capacity_ * w % tw, i);
-  }
-  std::sort(rem.begin(), rem.end(), [](const auto& a, const auto& b) {
-    if (a.first != b.first) return a.first > b.first;  // larger remainder first
-    return a.second < b.second;                        // then lower asid
-  });
-  for (std::size_t k = 0; assigned < capacity_ && k < rem.size(); ++k) {
-    // Tenants with zero weight get no remainder frame unless every weight
-    // is zero (the equal-share degenerate case).
-    if (total_weight != 0 && shares_[rem[k].second].weight == 0) continue;
-    ++targets_[rem[k].second];
-    ++assigned;
-  }
-  // Weighted-zero corner: all remainder frames skipped. Hand them to the
-  // lowest asid with nonzero weight so the targets still sum to capacity.
-  for (std::size_t i = 0; assigned < capacity_ && i < n; ++i) {
-    if (total_weight == 0 || shares_[i].weight != 0) {
-      targets_[i] += capacity_ - assigned;
-      assigned = capacity_;
-    }
-  }
-}
-
-std::uint64_t FramePartition::reserve_of(Asid asid) const {
-  if (kind_ != PartitionKind::kStaticReserve) return 0;
-  return asid < shares_.size() ? shares_[asid].reserve_units : 0;
-}
-
-std::uint64_t FramePartition::target_of(Asid asid) const {
-  if (shares_.size() <= 1) return capacity_;
-  return asid < targets_.size() ? targets_[asid] : 0;
-}
-
-bool FramePartition::may_allocate(Asid asid, const FrameAllocator& alloc) const {
-  if (alloc.full()) return false;
-  switch (kind_) {
-    case PartitionKind::kNone:
-    case PartitionKind::kProportionalShare:
-      // Work-conserving: any free frame may be used by anyone.
-      return true;
-    case PartitionKind::kStaticReserve: {
-      // A tenant under its own floor always may allocate. Otherwise the
-      // free pool must keep enough frames to cover every *other* tenant's
-      // unmet reserve.
-      if (alloc.in_use_by(asid) < reserve_of(asid)) return true;
-      std::uint64_t earmarked = 0;
-      for (Asid j = 0; j < shares_.size(); ++j) {
-        if (j == asid) continue;
-        const std::uint64_t used = alloc.in_use_by(j);
-        const std::uint64_t floor = shares_[j].reserve_units;
-        if (used < floor) earmarked += floor - used;
-      }
-      return alloc.free_count() > earmarked;
-    }
-  }
-  return !alloc.full();
 }
 
 Asid FramePartition::choose_victim_space(Asid asid,
                                          const FrameAllocator& alloc) const {
-  const auto n = static_cast<Asid>(shares_.size());
-  if (kind_ == PartitionKind::kNone || n <= 1) return asid;
-
-  if (kind_ == PartitionKind::kStaticReserve) {
-    // Self-evict while over your own floor; otherwise reclaim from the
-    // neighbor with the largest overage (ties: lowest asid).
-    if (alloc.in_use_by(asid) > reserve_of(asid) && alloc.in_use_by(asid) > 0)
-      return asid;
-    Asid best = kInvalidAsid;
-    std::uint64_t best_over = 0;
-    for (Asid j = 0; j < n; ++j) {
-      const std::uint64_t used = alloc.in_use_by(j);
-      const std::uint64_t floor = shares_[j].reserve_units;
-      if (used > floor && used - floor > best_over) {
-        best = j;
-        best_over = used - floor;
-      }
-    }
-    if (best != kInvalidAsid) return best;
-    // Everyone exactly at floor: evict from the heaviest user (lowest asid
-    // on ties), falling back to self.
-    Asid heaviest = asid;
-    std::uint64_t heaviest_used = alloc.in_use_by(asid);
-    for (Asid j = 0; j < n; ++j) {
-      if (alloc.in_use_by(j) > heaviest_used) {
-        heaviest = j;
-        heaviest_used = alloc.in_use_by(j);
-      }
-    }
-    return heaviest;
-  }
+  if (kind_ == PartitionKind::kNone || num_tenants_ <= 1) return asid;
 
   // Proportional share: priority-evict the noisiest neighbor — the tenant
   // furthest over its target. Prefer the faulting tenant on ties so a tenant
@@ -158,7 +31,7 @@ Asid FramePartition::choose_victim_space(Asid asid,
     best_over = static_cast<std::int64_t>(alloc.in_use_by(asid)) -
                 static_cast<std::int64_t>(target_of(asid));
   }
-  for (Asid j = 0; j < n; ++j) {
+  for (Asid j = 0; j < num_tenants_; ++j) {
     if (j == asid || alloc.in_use_by(j) == 0) continue;
     const std::int64_t over = static_cast<std::int64_t>(alloc.in_use_by(j)) -
                               static_cast<std::int64_t>(target_of(j));

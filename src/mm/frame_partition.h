@@ -1,13 +1,9 @@
-// Frame-partitioning / QoS policies for multi-tenant runs.
+// Frame partitioning for multi-tenant runs.
 //
-// When several address spaces contend for one FrameAllocator the coordinator
-// asks this policy two questions on every capacity miss:
-//
-//   1. may_allocate(asid): may this tenant take a free frame right now?
-//      (A static reserve can say "no" even when free frames exist, because
-//      they are earmarked for tenants still under their floor.)
-//   2. choose_victim_space(asid): when no frame may be taken, which address
-//      space must evict one of its own resident units?
+// When several address spaces contend for one FrameAllocator, any tenant
+// may take a free frame (allocation is work-conserving), and on a capacity
+// miss the coordinator asks this policy which address space must evict one
+// of its own resident units (choose_victim_space).
 //
 // PartitionKind::kNone reduces exactly to the pre-refactor single-tenant
 // behavior: allocate while frames remain, evict from yourself when full.
@@ -17,7 +13,6 @@
 
 #include <cstdint>
 #include <string_view>
-#include <vector>
 
 #include "common/types.h"
 #include "mm/frame_allocator.h"
@@ -25,57 +20,38 @@
 namespace cmcp::mm {
 
 enum class PartitionKind : std::uint8_t {
-  kNone = 0,              ///< free-for-all; each tenant evicts from itself
-  kStaticReserve = 1,     ///< per-tenant guaranteed floors (coremap-style split)
-  kProportionalShare = 2, ///< weighted targets; evict the noisiest neighbor
+  kNone,              ///< free-for-all; each tenant evicts from itself
+  kProportionalShare, ///< equal targets; evict the noisiest neighbor
 };
 
 constexpr std::string_view to_string(PartitionKind k) {
   switch (k) {
     case PartitionKind::kNone: return "none";
-    case PartitionKind::kStaticReserve: return "static-reserve";
     case PartitionKind::kProportionalShare: return "proportional-share";
   }
   return "?";
 }
 
-/// Per-tenant QoS parameters. `reserve_units` is the guaranteed floor under
-/// kStaticReserve; `weight` drives kProportionalShare targets.
-struct TenantShare {
-  std::uint64_t reserve_units = 0;
-  std::uint64_t weight = 1;
-};
-
 class FramePartition {
  public:
-  FramePartition() = default;
-
-  /// `shares[i]` parameterizes asid i. Floors are clamped so their sum never
-  /// exceeds the allocator capacity (excess is trimmed from the highest
-  /// asids, deterministically).
-  FramePartition(PartitionKind kind, std::uint64_t capacity,
-                 std::vector<TenantShare> shares);
+  /// `num_tenants` address spaces (asids 0..num_tenants-1) share `capacity`
+  /// frames.
+  FramePartition(PartitionKind kind, std::uint64_t capacity, Asid num_tenants);
 
   PartitionKind kind() const { return kind_; }
-  std::uint64_t num_tenants() const { return shares_.size(); }
   std::uint64_t capacity() const { return capacity_; }
 
-  /// Recompute floors and targets against a changed capacity — the
-  /// degradation path when quarantined frames shrink the allocator's usable
-  /// pool mid-run. Floors re-clamp against the new capacity (trimmed from
-  /// the highest asids; they never underflow) and proportional targets are
-  /// re-apportioned, so tenants shrink instead of crashing.
+  /// Re-apportion the targets against a changed capacity — the degradation
+  /// path when quarantined frames shrink the allocator's usable pool
+  /// mid-run, so tenants shrink instead of crashing.
   void set_capacity(std::uint64_t capacity);
 
-  /// Guaranteed floor for `asid` (0 unless kStaticReserve).
-  std::uint64_t reserve_of(Asid asid) const;
-
-  /// Proportional-share target for `asid` (largest-remainder apportionment
-  /// of the capacity by weight; equals capacity for single tenant / kNone).
-  std::uint64_t target_of(Asid asid) const;
-
-  /// Whether `asid` may take a free frame from `alloc` right now.
-  bool may_allocate(Asid asid, const FrameAllocator& alloc) const;
+  /// Equal-share target for `asid`: capacity / n frames, and the lowest
+  /// capacity % n asids one more, so the targets sum to the capacity. A
+  /// single tenant's target is the whole capacity.
+  std::uint64_t target_of(Asid asid) const {
+    return capacity_ / num_tenants_ + (asid < capacity_ % num_tenants_ ? 1 : 0);
+  }
 
   /// Which address space must evict so `asid` can make progress. Always
   /// returns a space with at least one resident frame; returns `asid` itself
@@ -83,13 +59,9 @@ class FramePartition {
   Asid choose_victim_space(Asid asid, const FrameAllocator& alloc) const;
 
  private:
-  /// Clamp floors and apportion targets for the current capacity_.
-  void rebuild();
-
-  PartitionKind kind_ = PartitionKind::kNone;
-  std::uint64_t capacity_ = 0;
-  std::vector<TenantShare> shares_;
-  std::vector<std::uint64_t> targets_;  ///< precomputed proportional targets
+  PartitionKind kind_;
+  std::uint64_t capacity_;
+  Asid num_tenants_;
 };
 
 }  // namespace cmcp::mm

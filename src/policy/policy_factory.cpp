@@ -24,7 +24,7 @@ std::unique_ptr<ReplacementPolicy> make_policy(PolicyHost& host,
     case PolicyKind::kLfu:
       return std::make_unique<LfuPolicy>();
     case PolicyKind::kRandom:
-      return std::make_unique<RandomPolicy>(params.random_seed);
+      return std::make_unique<RandomPolicy>(RandomPolicy::kSeed);
     case PolicyKind::kCmcpDynamicP:
       return std::make_unique<DynamicPCmcpPolicy>(host, params.dynamic_p);
     case PolicyKind::kArc:

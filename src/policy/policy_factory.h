@@ -13,7 +13,6 @@ struct PolicyParams {
   PolicyKind kind = PolicyKind::kFifo;
   CmcpConfig cmcp;          ///< used by kCmcp
   DynamicPConfig dynamic_p; ///< used by kCmcpDynamicP
-  std::uint64_t random_seed = 0x5eedULL;  ///< used by kRandom
 };
 
 std::unique_ptr<ReplacementPolicy> make_policy(PolicyHost& host,

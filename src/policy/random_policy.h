@@ -12,6 +12,10 @@ namespace cmcp::policy {
 
 class RandomPolicy final : public ReplacementPolicy {
  public:
+  /// The seed make_policy builds every RANDOM policy with, so a run
+  /// replays bit-identically.
+  static constexpr std::uint64_t kSeed = 0x5eedULL;
+
   explicit RandomPolicy(std::uint64_t seed) : rng_(seed) {}
 
   std::string_view name() const override { return "RANDOM"; }

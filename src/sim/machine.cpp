@@ -13,13 +13,13 @@ Machine::Machine(const MachineConfig& config)
   CMCP_CHECK(config_.num_address_spaces > 0);
   CMCP_CHECK(config_.num_cores + config_.num_address_spaces - 1 <
              CoreMask::kMaxCores);
-  const std::uint32_t tlb_entries = config_.tlb.entries_for(config_.page_size);
   // One scanner pseudo-core per address space (id == num_cores + asid).
   const CoreId total = config_.num_cores + config_.num_address_spaces;
   clocks_.assign(total, 0);
   counters_.assign(total, metrics::CoreCounters{});
   tlbs_.reserve(total);
-  for (CoreId i = 0; i < total; ++i) tlbs_.emplace_back(tlb_entries);
+  for (CoreId i = 0; i < total; ++i)
+    tlbs_.emplace_back(tlb_entries(config_.page_size));
   core_space_.assign(total, 0);
   for (unsigned s = 0; s < config_.num_address_spaces; ++s)
     core_space_[config_.num_cores + s] = s;

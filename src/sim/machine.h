@@ -41,7 +41,6 @@ struct MachineConfig {
   CoreId num_cores = 56;
   PageSizeClass page_size = PageSizeClass::k4K;
   TlbCoherence tlb_coherence = TlbCoherence::kIpiShootdown;
-  TlbConfig tlb;
   CostModel cost = CostModel::knc();
   /// Address spaces sharing the machine. Each space owns one scanner
   /// pseudo-core (id == num_cores + asid); the default of 1 is the paper's

@@ -23,20 +23,16 @@
 
 namespace cmcp::sim {
 
-struct TlbConfig {
-  std::uint32_t entries_4k = 64;
-  std::uint32_t entries_64k = 32;
-  std::uint32_t entries_2m = 8;
-
-  std::uint32_t entries_for(PageSizeClass c) const {
-    switch (c) {
-      case PageSizeClass::k4K: return entries_4k;
-      case PageSizeClass::k64K: return entries_64k;
-      case PageSizeClass::k2M: return entries_2m;
-    }
-    return entries_4k;
+/// dTLB entries for the active page-size class: the Knights Corner dTLB's
+/// 64 x 4 kB, 32 x 64 kB and 8 x 2 MB entries.
+constexpr std::uint32_t tlb_entries(PageSizeClass c) {
+  switch (c) {
+    case PageSizeClass::k4K: return 64;
+    case PageSizeClass::k64K: return 32;
+    case PageSizeClass::k2M: return 8;
   }
-};
+  return 64;
+}
 
 class Tlb {
  public:

@@ -20,12 +20,8 @@ struct HwFixture {
           return mc;
         }()),
         area(0, 64, PageSizeClass::k4K),
-        mm(machine, {{area, [] {
-                        MemoryManagerConfig config;
-                        config.capacity_units = 2;
-                        return config;
-                      }(), {}}},
-           2, mm::PartitionKind::kNone) {}
+        mm(machine, {{area, MemoryManagerConfig{}}}, 2,
+           mm::PartitionKind::kNone) {}
 
   void touch(CoreId core, Vpn vpn) {
     machine.advance(core, mm.access(core, vpn, false, machine.clock(core)));
@@ -101,10 +97,9 @@ struct PrefetchFixture {
         area(0, 64, PageSizeClass::k4K),
         mm(machine, {{area, [&] {
                         MemoryManagerConfig config;
-                        config.capacity_units = capacity;
                         config.prefetch_degree = degree;
                         return config;
-                      }(), {}}},
+                      }()}},
            capacity, mm::PartitionKind::kNone) {}
 
   void touch(CoreId core, Vpn vpn) {

@@ -22,10 +22,9 @@ struct Fixture {
                         MemoryManagerConfig config;
                         config.pt_kind = pt;
                         config.policy.kind = policy;
-                        config.capacity_units = capacity;
                         config.preload = preload;
                         return config;
-                      }(), {}}},
+                      }()}},
            capacity, mm::PartitionKind::kNone) {}
 
   Cycles touch(CoreId core, Vpn vpn, bool write = false) {
@@ -217,9 +216,8 @@ TEST(MemoryManagerDeath, PreloadRequiresFullCapacity) {
   sim::Machine machine(mc);
   mm::ComputationArea area(0, 64, PageSizeClass::k4K);
   MemoryManagerConfig config;
-  config.capacity_units = 32;
   config.preload = true;
-  EXPECT_DEATH(MemoryManager(machine, {{area, config, {}}}, config.capacity_units,
+  EXPECT_DEATH(MemoryManager(machine, {{area, config}}, 32,
                              mm::PartitionKind::kNone),
                "preload");
 }

@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "common/rng.h"
 #include "core/memory_manager.h"
@@ -41,8 +43,7 @@ TEST_P(MmPropertyTest, BookkeepingInvariantsUnderRandomTrace) {
   MemoryManagerConfig config;
   config.pt_kind = p.pt;
   config.policy.kind = p.policy;
-  config.capacity_units = capacity;
-  MemoryManager mm(machine, {{area, config, {}}}, capacity,
+  MemoryManager mm(machine, {{area, config}}, capacity,
                    mm::PartitionKind::kNone);
 
   // Reference: which units are resident, and who mapped them since load.
@@ -118,15 +119,25 @@ TEST_P(MmPropertyTest, BookkeepingInvariantsUnderRandomTrace) {
   ASSERT_EQ(total.pcie_bytes_in, total.major_faults * unit_bytes(p.size));
 }
 
-std::string param_name(const ::testing::TestParamInfo<Params>& info) {
-  std::string name = std::string(to_string(info.param.pt)) + "_" +
-                     std::string(to_string(info.param.policy)) + "_" +
-                     std::string(to_string(info.param.size)) + "_s" +
-                     std::to_string(info.param.seed);
+/// The case's fields as an identifier, e.g. PSPT_ARC_f_4kB_s14.
+std::string label(const Params& p) {
+  std::string name = std::string(to_string(p.pt)) + "_" +
+                     std::string(to_string(p.policy)) + "_" +
+                     std::string(to_string(p.size)) + "_s" +
+                     std::to_string(p.seed);
   for (char& c : name)
     if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
   return name;
 }
+
+std::string param_name(const ::testing::TestParamInfo<Params>& info) {
+  return label(info.param);
+}
+
+// gtest would print the struct as raw bytes, padding included, and CTest
+// names each case from that printout; printing the fields keeps the
+// registered names the same from build to build.
+void PrintTo(const Params& p, std::ostream* os) { *os << label(p); }
 
 INSTANTIATE_TEST_SUITE_P(
     Matrix, MmPropertyTest,

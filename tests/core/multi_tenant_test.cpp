@@ -1,9 +1,9 @@
 // Multi-tenant runner semantics: a 1-tenant run through the tenant-list
 // entry point is the same simulation as core::Simulation(SimulationConfig);
 // both entry points honour the CMCP_CHAOS_FAULTS hook the same way; tenants
-// with disjoint barriers finish independently; partition floors actually
-// protect a tenant under a noisy neighbor; frame ownership accounting
-// survives the full engine.
+// with disjoint barriers finish independently; proportional share evicts
+// the noisy neighbor instead of a tenant inside its target; frame ownership
+// accounting survives the full engine.
 #include "core/multi_tenant.h"
 
 #include <gtest/gtest.h>
@@ -59,8 +59,6 @@ struct EquivalenceCase {
   PageTableKind pt;
   PolicyKind policy;
   double memory_fraction;
-  std::uint64_t capacity_units_override;
-  unsigned prefetch_degree;
   const char* faults;  ///< FaultPlanConfig spec; "" = no explicit plan
   /// True when the run actually drove the path the row names, so the
   /// equivalence proves what it claims.
@@ -68,28 +66,19 @@ struct EquivalenceCase {
 };
 
 const EquivalenceCase kEquivalenceCases[] = {
-    {"pspt_cmcp_constrained", PageTableKind::kPspt, PolicyKind::kCmcp, 0.5, 0,
-     0, "",
+    {"pspt_cmcp_constrained", PageTableKind::kPspt, PolicyKind::kCmcp, 0.5, "",
      [](const SimulationResult& r) { return r.app_total.evictions > 0; }},
-    {"pspt_lru_scanner", PageTableKind::kPspt, PolicyKind::kLru, 0.5, 0, 0, "",
+    {"pspt_lru_scanner", PageTableKind::kPspt, PolicyKind::kLru, 0.5, "",
      [](const SimulationResult& r) { return r.scans > 0; }},
-    {"regular_fifo", PageTableKind::kRegular, PolicyKind::kFifo, 0.37, 0, 0,
-     "",
+    {"regular_fifo", PageTableKind::kRegular, PolicyKind::kFifo, 0.37, "",
      [](const SimulationResult& r) {
        return r.app_total.remote_invalidations_received > 0;
      }},
-    {"fault_plan", PageTableKind::kPspt, PolicyKind::kCmcp, 0.5, 0, 0,
+    {"fault_plan", PageTableKind::kPspt, PolicyKind::kCmcp, 0.5,
      "seed=5,pcie=0.02,sticky=0.005,ack=0.05,poison=2,straggler=0.1",
      [](const SimulationResult& r) {
        return r.fault_stats.total_injected() > 0;
      }},
-    {"prefetch", PageTableKind::kPspt, PolicyKind::kFifo, 0.5, 0, 4, "",
-     [](const SimulationResult& r) {
-       return r.app_total.prefetches > 0 && r.app_total.writebacks > 0;
-     }},
-    {"capacity_override", PageTableKind::kPspt, PolicyKind::kCmcp, 1.0, 20, 0,
-     "",
-     [](const SimulationResult& r) { return r.capacity_units == 20; }},
 };
 
 std::unique_ptr<wl::Workload> small_bt() {
@@ -111,7 +100,8 @@ TEST(MultiTenant, SingleTenantMatchesSimulation) {
   // same virtual-time interleaving, same counters on every core, same policy
   // and fault accounting, same trace bytes. This guards Simulation's
   // SimulationConfig -> one-tenant translation. TenantRunConfig has no
-  // preload knob; Simulation.PreloadForcesFullCapacity pins that row.
+  // preload or prefetch knob; Simulation.PreloadForcesFullCapacity and
+  // Prefetch.EndToEndHelpsSequentialWorkload pin those rows.
   for (const EquivalenceCase& c : kEquivalenceCases) {
     SCOPED_TRACE(c.name);
     sim::FaultPlanConfig faults;
@@ -121,8 +111,6 @@ TEST(MultiTenant, SingleTenantMatchesSimulation) {
     sconfig.pt_kind = c.pt;
     sconfig.policy.kind = c.policy;
     sconfig.memory_fraction = c.memory_fraction;
-    sconfig.capacity_units_override = c.capacity_units_override;
-    sconfig.prefetch_degree = c.prefetch_degree;
     sconfig.faults = faults;
     sim::trace::EventSink solo_sink;
     sconfig.trace = &solo_sink;
@@ -134,14 +122,12 @@ TEST(MultiTenant, SingleTenantMatchesSimulation) {
     spec.add(small_bt());
     MultiTenantConfig mconfig;
     mconfig.memory_fraction = c.memory_fraction;
-    mconfig.capacity_units_override = c.capacity_units_override;
     mconfig.faults = faults;
     sim::trace::EventSink tenant_sink;
     mconfig.trace = &tenant_sink;
     std::vector<TenantRunConfig> tenants(1);
     tenants[0].pt_kind = c.pt;
     tenants[0].policy.kind = c.policy;
-    tenants[0].prefetch_degree = c.prefetch_degree;
     Simulation sim(mconfig, spec, tenants);
     const MultiTenantResult actual = sim.run_tenants();
 
@@ -296,44 +282,8 @@ TEST(MultiTenant, PsptAllocatesNoTableForAnotherTenantsCores) {
   }
 }
 
-TEST(MultiTenant, StaticReserveProtectsQuietTenant) {
-  // A small quiet tenant with a floor covering its whole footprint vs a
-  // thrashing hog: the quiet tenant's pages can never be stolen, so after
-  // its first pass it faults no more — its major faults equal exactly its
-  // footprint (cold misses), regardless of the hog.
-  constexpr std::uint64_t kQuietPages = 8;
-  constexpr std::uint64_t kHogPages = 96;
-  wl::MultiTenantSpec spec;
-  spec.add(std::make_unique<ScriptedWorkload>(
-      1, kQuietPages,
-      std::vector<std::vector<wl::Op>>{
-          {wl::Op::access(0, false, kQuietPages),
-           wl::Op::access(0, false, kQuietPages),
-           wl::Op::access(0, false, kQuietPages)}}));
-  spec.add(std::make_unique<ScriptedWorkload>(
-      1, kHogPages,
-      std::vector<std::vector<wl::Op>>{
-          {wl::Op::access(0, true, kHogPages),
-           wl::Op::access(0, true, kHogPages)}}));
-
-  MultiTenantConfig config;
-  config.partition = mm::PartitionKind::kStaticReserve;
-  config.capacity_units_override = 32;  // hog alone overflows this
-  std::vector<TenantRunConfig> tenants(2);
-  tenants[0].policy.kind = PolicyKind::kFifo;
-  tenants[1].policy.kind = PolicyKind::kFifo;
-  tenants[0].share.reserve_units = kQuietPages;
-  const MultiTenantResult result = run_multi_tenant(config, spec, tenants);
-
-  EXPECT_EQ(result.tenants[0].total.major_faults, kQuietPages);
-  // The hog thrashes: more major faults than its footprint.
-  EXPECT_GT(result.tenants[1].total.major_faults, kHogPages);
-  // And the quiet tenant still holds its full floor at the end.
-  EXPECT_EQ(result.tenants[0].resident_units_end, kQuietPages);
-}
-
 TEST(MultiTenant, ProportionalShareEvictsNoisyNeighbor) {
-  // Equal weights, one tenant twice the footprint: under contention the
+  // Equal shares, one tenant four times the footprint: under contention the
   // small tenant must keep at least its target's worth of progress — the
   // noisy neighbor is the preferred victim once it exceeds its target.
   wl::MultiTenantSpec spec;
@@ -347,12 +297,14 @@ TEST(MultiTenant, ProportionalShareEvictsNoisyNeighbor) {
                                         wl::Op::access(0, true, 64)}}));
   MultiTenantConfig config;
   config.partition = mm::PartitionKind::kProportionalShare;
-  config.capacity_units_override = 32;  // targets: 16/16
+  config.memory_fraction = 0.4;  // 32 of the 80 units: targets 16/16
   std::vector<TenantRunConfig> tenants(2);
   tenants[0].policy.kind = PolicyKind::kFifo;
   tenants[1].policy.kind = PolicyKind::kFifo;
   const MultiTenantResult result = run_multi_tenant(config, spec, tenants);
 
+  ASSERT_EQ(result.shared_capacity_units, 32u);
+  EXPECT_EQ(result.tenants[0].capacity_target_units, 16u);
   // The small tenant fits inside its target: only cold misses.
   EXPECT_EQ(result.tenants[0].total.major_faults, 16u);
   EXPECT_GT(result.tenants[1].total.major_faults, 64u);

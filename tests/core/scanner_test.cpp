@@ -23,9 +23,8 @@ struct ScannerFixture {
                         MemoryManagerConfig config;
                         config.pt_kind = PageTableKind::kPspt;
                         config.policy.kind = policy;
-                        config.capacity_units = capacity;
                         return config;
-                      }(), {}}},
+                      }()}},
            capacity, mm::PartitionKind::kNone) {}
 
   void touch(CoreId core, Vpn vpn) {

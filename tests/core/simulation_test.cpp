@@ -112,15 +112,6 @@ TEST(Simulation, CapacityFromMemoryFraction) {
   EXPECT_EQ(result.app_total.evictions, 50u);
 }
 
-TEST(Simulation, CapacityOverrideWins) {
-  SimulationConfig config = basic_config(1);
-  config.memory_fraction = 0.5;
-  config.capacity_units_override = 7;
-  ScriptedWorkload w(1, 100, {{wl::Op::access(0, false, 10)}});
-  auto result = run_simulation(config, w);
-  EXPECT_EQ(result.capacity_units, 7u);
-}
-
 TEST(Simulation, PreloadForcesFullCapacity) {
   SimulationConfig config = basic_config(2);
   config.preload = true;

@@ -3,6 +3,7 @@
 // consistent accounting — across page sizes, policies and coherence modes.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <sstream>
 
 #include "common/rng.h"
@@ -75,6 +76,15 @@ struct FuzzParams {
   bool hw_tlb;
   double fraction;
 };
+
+// gtest would print the struct as raw bytes, padding included, and CTest
+// names each case from that printout; printing the fields keeps the
+// registered names the same from build to build (seed1-FIFO-4kB-sw-0.4).
+void PrintTo(const FuzzParams& p, std::ostream* os) {
+  *os << "seed" << p.seed << '-' << to_string(p.policy) << '-'
+      << to_string(p.size) << '-' << (p.hw_tlb ? "hw" : "sw") << '-'
+      << p.fraction;
+}
 
 class EngineFuzzTest : public ::testing::TestWithParam<FuzzParams> {};
 

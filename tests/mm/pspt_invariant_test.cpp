@@ -31,9 +31,8 @@ struct Fixture {
                         core::MemoryManagerConfig config;
                         config.pt_kind = PageTableKind::kPspt;
                         config.policy.kind = PolicyKind::kCmcp;
-                        config.capacity_units = capacity;
                         return config;
-                      }(), {}}},
+                      }()}},
            capacity, PartitionKind::kNone) {
     check::register_default_checkers(registry, mm, machine);
     registry.set_handler(

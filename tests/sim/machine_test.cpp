@@ -208,7 +208,7 @@ TEST(Machine, TlbSizedForConfiguredPageSize) {
   MachineConfig config = small_config(1);
   config.page_size = PageSizeClass::k2M;
   Machine m(config);
-  EXPECT_EQ(m.tlb(0).capacity(), config.tlb.entries_2m);
+  EXPECT_EQ(m.tlb(0).capacity(), tlb_entries(PageSizeClass::k2M));
 }
 
 }  // namespace

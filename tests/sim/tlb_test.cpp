@@ -186,8 +186,7 @@ static_assert(sizeof(TlbConfigCase) == 8, "case name is the 8 raw bytes");
 class TlbConfigTest : public ::testing::TestWithParam<TlbConfigCase> {};
 
 TEST_P(TlbConfigTest, EntriesPerSizeClass) {
-  const TlbConfig config;
-  EXPECT_EQ(config.entries_for(GetParam().size), GetParam().expected);
+  EXPECT_EQ(tlb_entries(GetParam().size), GetParam().expected);
 }
 
 INSTANTIATE_TEST_SUITE_P(

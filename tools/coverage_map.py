@@ -23,7 +23,9 @@ Steps:
      A function counts as reached when any build's copy of it ran.
   4. Exits 1 if an unreached src/ function is missing from
      tools/coverage_allowlist.json, where every entry carries its reason
-     (the chaos job, a `cmcp_sim --policy` value, SimCheck in dev builds...).
+     (the chaos job, a `cmcp_sim --policy` value, SimCheck in dev builds...),
+     or if an allowlist entry names no compiled function (the code it
+     explained was deleted or renamed, so the entry must go or follow it).
      Exits 2 when a build or a run fails, 0 otherwise.
 
 Blind spot: gcov sees only functions that were compiled to code. An inline
@@ -219,7 +221,7 @@ def main():
     print(f"coverage_map: {len(counts) - len(unreached)} of {len(counts)} src/ "
           f"functions reached; {len(unreached)} unreached, "
           f"{len(missing)} of them not allowlisted", file=sys.stderr)
-    return 1 if missing else 0
+    return 1 if missing or stale else 0
 
 
 if __name__ == "__main__":
