@@ -42,7 +42,7 @@ int main() {
     core::SimulationConfig config;
     config.machine.num_cores = cores;
     config.policy.kind = PolicyKind::kCmcpDynamicP;
-    config.policy.dynamic_p.cmcp.p = 0.5;  // neutral start
+    config.policy.dynamic_p_start = 0.5;  // neutral start
     config.memory_fraction = fraction;
     wl::WorkloadParams wp;
     wp.cores = cores;

@@ -37,7 +37,7 @@ int main() {
     core::SimulationConfig config = fifo_config;
     config.policy.kind = PolicyKind::kLru;
     config.machine.cost.scan_period =
-        static_cast<Cycles>(period_ms * 1e6 * config.machine.cost.clock_ghz);
+        static_cast<Cycles>(period_ms * 1e6 * sim::CostModel::clock_ghz);
     const auto result = core::run_simulation(config, *workload);
     table.add_row(
         {metrics::fmt_double(period_ms, 0),

@@ -295,8 +295,7 @@ PhaseResult micro_fault_recovery(std::uint64_t iters) {
   // arithmetic of a fault-planned PcieLink::transfer, with a straggler hash
   // query per iteration. The rates keep ~6% of transfers on the recovery
   // path, so both the healthy branch and the episode math are timed.
-  const sim::CostModel cost = sim::CostModel::knc();
-  sim::PcieLink link(cost);
+  sim::PcieLink link;
   sim::FaultPlanConfig fc;
   fc.seed = 9;
   fc.pcie_transient_rate = 0.05;

@@ -30,8 +30,7 @@ int main() {
   config.machine.num_cores = cores;
   config.preload = true;
   const auto ideal = core::run_simulation(config, workload);
-  const double step_ms =
-      metrics::cycles_to_seconds(ideal.makespan, config.machine.cost) * 1e3 / 6;
+  const double step_ms = metrics::cycles_to_seconds(ideal.makespan) * 1e3 / 6;
   std::printf("all-resident ideal : %.2f ms per time step\n\n", step_ms);
 
   // Device memory holds only half the domain.
@@ -46,12 +45,10 @@ int main() {
     for (const PageSizeClass size : {PageSizeClass::k4K, PageSizeClass::k64K}) {
       config.policy.kind = policy;
       config.policy.cmcp.p = 0.7;
-      config.policy.dynamic_p.cmcp.p = 0.5;
+      config.policy.dynamic_p_start = 0.5;
       config.machine.page_size = size;
       const auto result = core::run_simulation(config, workload);
-      const double ms =
-          metrics::cycles_to_seconds(result.makespan, config.machine.cost) *
-          1e3 / 6;
+      const double ms = metrics::cycles_to_seconds(result.makespan) * 1e3 / 6;
       const double gb = (result.app_total.pcie_bytes_in +
                          result.app_total.pcie_bytes_out) /
                         1e9;

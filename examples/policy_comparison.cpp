@@ -43,7 +43,7 @@ int main(int argc, char** argv) {
         PolicyKind::kCmcpDynamicP}) {
     config.policy.kind = kind;
     config.policy.cmcp.p = wl::paper_best_p(which);
-    config.policy.dynamic_p.cmcp.p = 0.5;
+    config.policy.dynamic_p_start = 0.5;
     const auto r = core::run_simulation(config, *workload);
     table.add_row(
         {std::string(to_string(kind)),

@@ -62,8 +62,8 @@ class MemoryManager final {
  public:
   /// One address space per spec (asid == index), all contending for
   /// `shared_capacity_units` frames under `partition`.
-  /// The machine must have been built with
-  /// MachineConfig::num_address_spaces == specs.size(); core -> space
+  /// The machine must have been built with num_address_spaces ==
+  /// specs.size(); core -> space
   /// assignment is the caller's job via Machine::set_core_space.
   MemoryManager(sim::Machine& machine, const std::vector<AddressSpaceSpec>& specs,
                 std::uint64_t shared_capacity_units, mm::PartitionKind partition);

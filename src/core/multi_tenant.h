@@ -37,7 +37,9 @@ struct TenantRunConfig {
 };
 
 struct MultiTenantConfig {
-  sim::MachineConfig machine;  ///< num_cores / num_address_spaces are derived
+  /// num_cores is derived from the tenant placements, and the machine gets
+  /// one address space per tenant.
+  sim::MachineConfig machine;
   mm::PartitionKind partition = mm::PartitionKind::kNone;
 
   /// Shared device capacity as a fraction of the COMBINED footprint (>= 1

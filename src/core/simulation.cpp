@@ -103,8 +103,8 @@ struct Simulation::Setup {
     capacity_units = shared_capacity(config.memory_fraction);
   }
 
-  /// The configured machine; add_tenant grows it by one core block and one
-  /// scanner pseudo-core per tenant.
+  /// The configured machine; add_tenant grows it by one core block per
+  /// tenant (the Machine adds one scanner pseudo-core per tenant).
   sim::MachineConfig machine;
   std::vector<Tenant> tenants;
   std::vector<AddressSpaceSpec> specs;  ///< parallel to `tenants`
@@ -125,7 +125,6 @@ struct Simulation::Setup {
                                          machine.page_size),
                      config});
     machine.num_cores = placement.first_core + placement.num_cores;
-    machine.num_address_spaces = static_cast<unsigned>(tenants.size());
   }
 
   /// `fraction` of the combined footprint (at least one unit).
@@ -149,7 +148,7 @@ Simulation::Simulation(const MultiTenantConfig& config,
 
 Simulation::Simulation(Setup setup)
     : tenants_(std::move(setup.tenants)),
-      machine_(setup.machine),
+      machine_(setup.machine, static_cast<unsigned>(tenants_.size())),
       mm_(machine_, setup.specs, setup.capacity_units, setup.partition) {
   // Each app core only ever caches its own space's units, so its TLB index
   // is sized to that space once here and the per-access path never grows

@@ -37,6 +37,7 @@
 namespace cmcp::core {
 
 struct SimulationConfig {
+  /// machine.num_cores is replaced by the workload's core count.
   sim::MachineConfig machine;
   PageTableKind pt_kind = PageTableKind::kPspt;
   policy::PolicyParams policy;

@@ -3,6 +3,7 @@
 #include <cstdlib>
 #include <sstream>
 
+#include "policy/dynamic_p.h"
 #include "policy/random_policy.h"
 
 namespace cmcp::metrics {
@@ -56,10 +57,12 @@ sim::trace::Metadata RunSpec::describe() const {
                         policy.cmcp.aging_enabled ? "true" : "false");
       break;
     case PolicyKind::kCmcpDynamicP:
-      meta.emplace_back("cmcp_p", fmt_double_meta(policy.dynamic_p.cmcp.p));
-      meta.emplace_back("dyn_step", fmt_double_meta(policy.dynamic_p.step));
-      meta.emplace_back("dyn_window_ticks",
-                        std::to_string(policy.dynamic_p.window_ticks));
+      meta.emplace_back("cmcp_p", fmt_double_meta(policy.dynamic_p_start));
+      meta.emplace_back(
+          "dyn_step", fmt_double_meta(policy::DynamicPCmcpPolicy::kStep));
+      meta.emplace_back(
+          "dyn_window_ticks",
+          std::to_string(policy::DynamicPCmcpPolicy::kWindowTicks));
       break;
     case PolicyKind::kRandom:
       meta.emplace_back("random_seed",
@@ -85,16 +88,7 @@ core::SimulationResult run_spec(const RunSpec& spec) {
   base.seed = spec.seed;
   if (spec.scale > 0.0) base.scale = spec.scale;
   const auto workload = wl::make_paper_workload(spec.workload, base, spec.size);
-  if (spec.trace_path.empty())
-    return core::run_simulation(spec.to_config(), *workload);
-
-  sim::trace::EventSink sink;
-  core::SimulationConfig config = spec.to_config();
-  config.trace = &sink;
-  const auto result = core::run_simulation(config, *workload);
-  sim::trace::write_trace_file(sink, spec.describe(), result_summary(result),
-                               spec.trace_format, spec.trace_path);
-  return result;
+  return core::run_simulation(spec.to_config(), *workload);
 }
 
 sim::trace::Summary result_summary(const core::SimulationResult& result) {

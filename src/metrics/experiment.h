@@ -3,7 +3,6 @@
 // and returns the observables.
 #pragma once
 
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -28,11 +27,6 @@ struct RunSpec {
   /// Footprint multiplier override (0 = workload-size default).
   double scale = 0.0;
 
-  /// When non-empty, run_spec() records a structured event trace of the run
-  /// and exports it here in `trace_format` (see sim/trace.h).
-  std::string trace_path;
-  sim::trace::Format trace_format = sim::trace::Format::kPerfetto;
-
   /// Deterministic fault injection (docs/robustness.md). Default-disabled:
   /// the run then takes the exact pre-fault code paths and emits
   /// byte-identical artifacts. Serialized in describe() only when enabled,
@@ -55,8 +49,7 @@ struct RunSpec {
   sim::trace::Metadata describe() const;
 };
 
-/// Build the workload and run the full simulation for one spec. When
-/// spec.trace_path is set, also records and exports the event trace.
+/// Build the workload and run the full simulation for one spec.
 core::SimulationResult run_spec(const RunSpec& spec);
 
 /// Headline counters of a result as ordered (name, value) pairs, policy

@@ -7,6 +7,8 @@
 namespace cmcp::metrics {
 
 /// Convert virtual cycles to wall seconds at the modelled clock.
-double cycles_to_seconds(Cycles cycles, const sim::CostModel& cost);
+inline double cycles_to_seconds(Cycles cycles) {
+  return static_cast<double>(cycles) / (sim::CostModel::clock_ghz * 1e9);
+}
 
 }  // namespace cmcp::metrics

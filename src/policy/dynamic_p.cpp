@@ -6,7 +6,7 @@ namespace cmcp::policy {
 
 void DynamicPCmcpPolicy::on_tick(Cycles now) {
   inner_.on_tick(now);
-  if (++ticks_in_window_ < config_.window_ticks) return;
+  if (++ticks_in_window_ < kWindowTicks) return;
   ticks_in_window_ = 0;
 
   if (!have_baseline_) {
@@ -19,8 +19,8 @@ void DynamicPCmcpPolicy::on_tick(Cycles now) {
   prev_window_evictions_ = window_evictions_;
   window_evictions_ = 0;
 
-  const double next_p = std::clamp(inner_.p() + direction_ * config_.step,
-                                   config_.min_p, config_.max_p);
+  const double next_p =
+      std::clamp(inner_.p() + direction_ * kStep, kMinP, kMaxP);
   if (next_p != inner_.p()) {
     inner_.set_p(next_p);
     ++adaptations_;

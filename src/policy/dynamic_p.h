@@ -11,18 +11,18 @@
 
 namespace cmcp::policy {
 
-struct DynamicPConfig {
-  CmcpConfig cmcp;               ///< cmcp.p is the starting point
-  double step = 0.1;             ///< p adjustment per window
-  std::uint32_t window_ticks = 4;  ///< ticks (scanner cadence) per window
-  double min_p = 0.0;
-  double max_p = 1.0;
-};
-
 class DynamicPCmcpPolicy final : public ReplacementPolicy {
  public:
-  DynamicPCmcpPolicy(PolicyHost& host, const DynamicPConfig& config)
-      : inner_(host, config.cmcp), config_(config) {}
+  static constexpr double kStep = 0.1;  ///< p adjustment per window
+  /// Ticks (scanner cadence) per adaptation window.
+  static constexpr std::uint32_t kWindowTicks = 4;
+  static constexpr double kMinP = 0.0;  ///< p is clamped to [kMinP, kMaxP]
+  static constexpr double kMaxP = 1.0;
+
+  /// The controller starts at p = `start_p`; aging keeps CmcpConfig's
+  /// defaults.
+  DynamicPCmcpPolicy(PolicyHost& host, double start_p)
+      : inner_(host, CmcpConfig{.p = start_p}) {}
 
   std::string_view name() const override { return "CMCP-dyn"; }
 
@@ -52,7 +52,6 @@ class DynamicPCmcpPolicy final : public ReplacementPolicy {
 
  private:
   CmcpPolicy inner_;
-  DynamicPConfig config_;
   std::uint32_t ticks_in_window_ = 0;
   std::uint64_t window_evictions_ = 0;
   std::uint64_t prev_window_evictions_ = 0;

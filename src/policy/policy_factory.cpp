@@ -3,6 +3,7 @@
 #include "common/assert.h"
 #include "policy/arc.h"
 #include "policy/clock_policy.h"
+#include "policy/dynamic_p.h"
 #include "policy/fifo.h"
 #include "policy/lfu.h"
 #include "policy/lru_approx.h"
@@ -26,7 +27,7 @@ std::unique_ptr<ReplacementPolicy> make_policy(PolicyHost& host,
     case PolicyKind::kRandom:
       return std::make_unique<RandomPolicy>(RandomPolicy::kSeed);
     case PolicyKind::kCmcpDynamicP:
-      return std::make_unique<DynamicPCmcpPolicy>(host, params.dynamic_p);
+      return std::make_unique<DynamicPCmcpPolicy>(host, params.dynamic_p_start);
     case PolicyKind::kArc:
       return std::make_unique<ArcPolicy>(host);
   }

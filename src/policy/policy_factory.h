@@ -4,15 +4,15 @@
 #include <memory>
 
 #include "policy/cmcp.h"
-#include "policy/dynamic_p.h"
 #include "policy/replacement_policy.h"
 
 namespace cmcp::policy {
 
 struct PolicyParams {
   PolicyKind kind = PolicyKind::kFifo;
-  CmcpConfig cmcp;          ///< used by kCmcp
-  DynamicPConfig dynamic_p; ///< used by kCmcpDynamicP
+  CmcpConfig cmcp;  ///< used by kCmcp
+  /// kCmcpDynamicP: the controller's starting p, independent of cmcp.p.
+  double dynamic_p_start = 0.3;
 };
 
 std::unique_ptr<ReplacementPolicy> make_policy(PolicyHost& host,

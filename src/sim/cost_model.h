@@ -2,10 +2,16 @@
 //
 // The paper does not claim absolute cycle counts; its results are driven by
 // *counts* of events (page faults, remote TLB invalidations, dTLB misses,
-// bytes moved over PCIe) multiplied by per-event costs. These defaults are
+// bytes moved over PCIe) multiplied by per-event costs. These costs are
 // calibrated to the 5110P: 1.053 GHz in-order cores, ~6 GB/s measured PCIe
 // bandwidth (paper section 3), slow 4-level page walks, and IPI round trips
 // in the microsecond range as reported for KNC-class interconnects.
+//
+// The model is one calibrated machine (docs/calibration.md). Only the costs
+// the paper's hardware-contingent ablations vary are settable: the five
+// shootdown costs (A3, bench/ablation_shootdown_cost) and the scan period
+// (A2, bench/ablation_lru_scan_period and `cmcp_sim --scan-ms`). Every other
+// cost is a constant of the type.
 #pragma once
 
 #include <cstdint>
@@ -16,7 +22,7 @@ namespace cmcp::sim {
 
 struct CostModel {
   // --- core-local memory system -------------------------------------------
-  Cycles tlb_hit = 1;  ///< translation found in the dTLB
+  static constexpr Cycles tlb_hit = 1;  ///< translation found in the dTLB
   /// Translation-stall cost charged per dTLB-missing page visit. One "visit"
   /// in the simulation stands for all the scattered references the real
   /// application makes to that page's cache lines, so this is the aggregate
@@ -24,18 +30,18 @@ struct CostModel {
   /// stall fully on walks; Table 1's dTLB-miss volumes make translation
   /// ~5-15% of runtime at 4 kB). Larger formats miss 16x / 512x less often
   /// per byte, which is the entire upside of Fig. 10's large pages.
-  Cycles tlb_walk_4k = 2500;
-  Cycles tlb_walk_64k = 2500;  ///< 64 kB groups walk the same 4 kB tree
-  Cycles tlb_walk_2m = 2000;   ///< 2 MB entries terminate one level early
-  Cycles memory_access = 6;    ///< cost of the data reference itself
+  static constexpr Cycles tlb_walk_4k = 2500;
+  static constexpr Cycles tlb_walk_64k = 2500;  ///< 64 kB: the same 4 kB tree
+  static constexpr Cycles tlb_walk_2m = 2000;   ///< 2 MB: one level less
+  static constexpr Cycles memory_access = 6;    ///< the data reference itself
 
   // --- fault handling -------------------------------------------------------
-  Cycles fault_entry = 600;      ///< trap + kernel entry/exit on a fault
-  Cycles pte_setup = 40;         ///< writing one 4 kB PTE
-  Cycles pte_copy_lookup = 250;  ///< PSPT: consulting other cores' tables
-  Cycles policy_op = 80;         ///< replacement-policy bookkeeping per fault
+  static constexpr Cycles fault_entry = 600;      ///< trap + kernel entry/exit
+  static constexpr Cycles pte_setup = 40;         ///< writing one 4 kB PTE
+  static constexpr Cycles pte_copy_lookup = 250;  ///< PSPT: other cores' PTEs
+  static constexpr Cycles policy_op = 80;         ///< policy bookkeeping
 
-  // --- TLB shootdown ---------------------------------------------------------
+  // --- TLB shootdown (settable: ablation A3 scales all five) ----------------
   Cycles ipi_initiate = 600;     ///< initiator-side setup of one shootdown
   Cycles ipi_per_target = 250;   ///< per-target cost of the IPI loop
   /// Interrupt handling at each receiver (invalidation requests are queued,
@@ -51,10 +57,10 @@ struct CostModel {
   /// "we dedicated some of the hyperthreads to the page usage statistics
   /// collection"). Scan work parallelizes across them; their shootdowns
   /// still serialize on the invalidation slot.
-  unsigned scanner_threads = 4;
+  static constexpr unsigned scanner_threads = 4;
   /// Cleared PTEs the scanner flushes per IPI round (invalidation requests
   /// are queued and batched; receivers INVLPG the whole run at once).
-  unsigned scanner_flush_batch = 16;
+  static constexpr unsigned scanner_flush_batch = 16;
 
   // --- hypothetical hardware TLB coherence -----------------------------------
   /// Costs of the directory-based remote invalidation hardware the paper's
@@ -62,32 +68,32 @@ struct CostModel {
   /// section 2.3 asks vendors for: the initiator writes one directory
   /// command per target core and the hardware drops the entry without
   /// interrupting the receiver.
-  Cycles hw_inval_lookup = 60;      ///< directory lookup per invalidation
-  Cycles hw_inval_per_target = 40;  ///< per-target directed invalidate
+  static constexpr Cycles hw_inval_lookup = 60;      ///< lookup per unit
+  static constexpr Cycles hw_inval_per_target = 40;  ///< per-target invalidate
 
   // --- page table locking ----------------------------------------------------
   /// Regular page tables serialize fault handling behind an address-space
   /// wide lock; PSPT uses per-core locks with a short critical section.
-  Cycles regular_pt_lock_hold = 900;
-  Cycles pspt_lock_hold = 150;
+  static constexpr Cycles regular_pt_lock_hold = 900;
+  static constexpr Cycles pspt_lock_hold = 150;
 
   // --- host <-> device data movement ----------------------------------------
-  double clock_ghz = 1.053;           ///< core clock, cycles per ns
-  double pcie_gb_per_s = 6.0;         ///< paper's measured bandwidth
-  Cycles pcie_setup = 1600;           ///< per-transfer DMA setup (~1.5 us)
+  static constexpr double clock_ghz = 1.053;    ///< core clock, cycles per ns
+  static constexpr double pcie_gb_per_s = 6.0;  ///< paper's measured bandwidth
+  static constexpr Cycles pcie_setup = 1600;    ///< DMA setup (~1.5 us)
 
-  // --- LRU scanning -----------------------------------------------------------
+  // --- LRU scanning (scan_period settable: ablation A2) ---------------------
   /// Virtual-time period of the access-bit scanner (paper: 10 ms timer).
   Cycles scan_period = 10'000'000;    ///< 10 ms at ~1 GHz
-  Cycles scan_pte_read = 25;          ///< reading/clearing one 4 kB sub-PTE
+  static constexpr Cycles scan_pte_read = 25;  ///< read/clear one 4 kB sub-PTE
 
   /// Cycles to transfer `bytes` over PCIe excluding queueing and setup.
-  Cycles pcie_transfer_cycles(std::uint64_t bytes) const {
+  static Cycles pcie_transfer_cycles(std::uint64_t bytes) {
     const double ns = static_cast<double>(bytes) / pcie_gb_per_s;  // GB/s == B/ns
     return static_cast<Cycles>(ns * clock_ghz);
   }
 
-  Cycles walk_cost(PageSizeClass c) const {
+  static Cycles walk_cost(PageSizeClass c) {
     switch (c) {
       case PageSizeClass::k4K: return tlb_walk_4k;
       case PageSizeClass::k64K: return tlb_walk_64k;
@@ -99,7 +105,7 @@ struct CostModel {
   /// Cost of writing the PTEs that define one mapping unit. 64 kB units
   /// require initializing all 16 grouped 4 kB entries (paper section 4);
   /// a 2 MB unit is a single PDE.
-  Cycles map_cost(PageSizeClass c) const {
+  static Cycles map_cost(PageSizeClass c) {
     switch (c) {
       case PageSizeClass::k4K: return pte_setup;
       case PageSizeClass::k64K: return pte_setup * 16;
@@ -107,9 +113,6 @@ struct CostModel {
     }
     return pte_setup;
   }
-
-  /// Default model of the evaluated 5110P card.
-  static CostModel knc();
 };
 
 }  // namespace cmcp::sim

@@ -7,21 +7,22 @@
 
 namespace cmcp::sim {
 
-Machine::Machine(const MachineConfig& config)
-    : config_(config), pcie_(config_.cost), interconnect_(config_.cost) {
+Machine::Machine(const MachineConfig& config, unsigned num_address_spaces)
+    : config_(config),
+      num_address_spaces_(num_address_spaces),
+      interconnect_(config_.cost) {
   CMCP_CHECK(config_.num_cores > 0);
-  CMCP_CHECK(config_.num_address_spaces > 0);
-  CMCP_CHECK(config_.num_cores + config_.num_address_spaces - 1 <
-             CoreMask::kMaxCores);
+  CMCP_CHECK(num_address_spaces_ > 0);
+  CMCP_CHECK(config_.num_cores + num_address_spaces_ - 1 < CoreMask::kMaxCores);
   // One scanner pseudo-core per address space (id == num_cores + asid).
-  const CoreId total = config_.num_cores + config_.num_address_spaces;
+  const CoreId total = total_cores();
   clocks_.assign(total, 0);
   counters_.assign(total, metrics::CoreCounters{});
   tlbs_.reserve(total);
   for (CoreId i = 0; i < total; ++i)
     tlbs_.emplace_back(tlb_entries(config_.page_size));
   core_space_.assign(total, 0);
-  for (unsigned s = 0; s < config_.num_address_spaces; ++s)
+  for (unsigned s = 0; s < num_address_spaces_; ++s)
     core_space_[config_.num_cores + s] = s;
 }
 
@@ -137,9 +138,9 @@ Cycles Machine::hw_invalidate(CoreId initiator, Cycles now,
   ++init_ctr.shootdowns_initiated;
   Cycles cycles = 0;
   for (const UnitIdx unit : units) {
-    cycles += config_.cost.hw_inval_lookup;
+    cycles += CostModel::hw_inval_lookup;
     targets.for_each([&](CoreId target) {
-      cycles += config_.cost.hw_inval_per_target;
+      cycles += CostModel::hw_inval_per_target;
       ++counters_[target].remote_invalidations_received;
       tlbs_[target].invalidate(unit);
     });

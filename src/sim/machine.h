@@ -41,16 +41,15 @@ struct MachineConfig {
   CoreId num_cores = 56;
   PageSizeClass page_size = PageSizeClass::k4K;
   TlbCoherence tlb_coherence = TlbCoherence::kIpiShootdown;
-  CostModel cost = CostModel::knc();
-  /// Address spaces sharing the machine. Each space owns one scanner
-  /// pseudo-core (id == num_cores + asid); the default of 1 is the paper's
-  /// single-tenant machine with its lone scanner at id == num_cores.
-  unsigned num_address_spaces = 1;
+  CostModel cost;
 };
 
 class Machine {
  public:
-  explicit Machine(const MachineConfig& config);
+  /// `num_address_spaces` address spaces share the machine. Each owns one
+  /// scanner pseudo-core (id == num_cores + asid); the default of 1 is the
+  /// paper's single-tenant machine with its lone scanner at id == num_cores.
+  explicit Machine(const MachineConfig& config, unsigned num_address_spaces = 1);
 
   const MachineConfig& config() const { return config_; }
   const CostModel& cost() const { return config_.cost; }
@@ -60,13 +59,11 @@ class Machine {
   /// `asid` (one dedicated hyperthread per tenant).
   CoreId scanner_core(Asid asid = 0) const { return config_.num_cores + asid; }
 
-  unsigned num_address_spaces() const { return config_.num_address_spaces; }
+  unsigned num_address_spaces() const { return num_address_spaces_; }
 
   /// App cores plus every scanner pseudo-core (valid core ids are
   /// [0, total_cores())).
-  CoreId total_cores() const {
-    return config_.num_cores + config_.num_address_spaces;
-  }
+  CoreId total_cores() const { return config_.num_cores + num_address_spaces_; }
 
   /// Which address space a core (app or scanner pseudo-core) belongs to.
   /// All-zero until set_core_space() assigns tenant core sets.
@@ -152,6 +149,7 @@ class Machine {
                            const CoreMask& targets, UnitIdx unit, Asid asid);
 
   MachineConfig config_;
+  unsigned num_address_spaces_;
   // Per-core state (clocks, TLBs, counters) is indexed by core id.
   // Shootdowns are the one path that mutates *other* cores' state; their
   // serialization on the kernel's invalidation-request slot (paper section

@@ -12,7 +12,8 @@ PcieTransferOutcome PcieLink::transfer(PcieDir dir, Cycles ready_at,
   PcieTransferOutcome out;
   out.start = std::max(ready_at, busy_until_[d]);
   out.queue_wait = out.start - ready_at;
-  out.attempt_cost = cost_->pcie_setup + cost_->pcie_transfer_cycles(bytes);
+  out.attempt_cost =
+      CostModel::pcie_setup + CostModel::pcie_transfer_cycles(bytes);
   Cycles t = out.start;
   if (plan != nullptr) {
     const FaultPlan::PcieDecision decision = plan->next_pcie();

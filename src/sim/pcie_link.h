@@ -4,7 +4,8 @@
 // each a busy-until timeline: a transfer occupies its channel for
 // setup + bytes/bandwidth, and concurrent faults queue behind each other.
 // This queueing — not raw latency — is what degrades throughput as the
-// memory constraint tightens (paper Fig. 8 / Fig. 10).
+// memory constraint tightens (paper Fig. 8 / Fig. 10). Setup and bandwidth
+// are the constants of sim::CostModel.
 #pragma once
 
 #include <cstdint>
@@ -35,8 +36,6 @@ struct PcieTransferOutcome {
 
 class PcieLink {
  public:
-  explicit PcieLink(const CostModel& cost) : cost_(&cost) {}
-
   /// Schedule a transfer that can start at `ready_at`. A non-null `plan`
   /// decides whether it fails: failed attempts and their backoff gaps occupy
   /// the channel (the descriptor holds its slot until the replay lands); a
@@ -54,7 +53,6 @@ class PcieLink {
   }
 
  private:
-  const CostModel* cost_;
   Cycles busy_until_[2] = {0, 0};
   std::uint64_t bytes_[2] = {0, 0};
   std::uint64_t transfers_[2] = {0, 0};

@@ -21,7 +21,7 @@ AdversarialWorkload::AdversarialWorkload(const AdversarialParams& params)
       const Vpn base =
           private_base + static_cast<Vpn>(c) * params_.private_pages_per_core;
       sb.touch(c, base, params_.private_pages_per_core, /*write=*/true,
-               params_.private_repeat);
+               kPrivateRepeat);
     }
     sb.barrier_all();
   }

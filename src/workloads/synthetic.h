@@ -16,11 +16,13 @@ struct AdversarialParams {
   std::uint64_t dead_shared_pages = 2048;
   std::uint64_t private_pages_per_core = 256;
   std::uint32_t rounds = 20;
-  std::uint16_t private_repeat = 3;
 };
 
 class AdversarialWorkload final : public Workload {
  public:
+  /// Visits of each private page per round.
+  static constexpr std::uint16_t kPrivateRepeat = 3;
+
   explicit AdversarialWorkload(const AdversarialParams& params);
 
   std::string_view name() const override { return "adversarial"; }

@@ -137,8 +137,8 @@ TEST(Scanner, SixtyFourKScanReadsAllSixteenSubEntries) {
     return f.machine.clock(scanner) - 2 * period;
   };
   const Cycles small = quiet_scan_cycles(PageSizeClass::k4K);
-  const sim::CostModel& cost = sim::CostModel::knc();
-  EXPECT_EQ(small, 4 * cost.scan_pte_read / cost.scanner_threads);
+  EXPECT_EQ(small, 4 * sim::CostModel::scan_pte_read /
+                       sim::CostModel::scanner_threads);
   EXPECT_EQ(quiet_scan_cycles(PageSizeClass::k64K), 16 * small);
 }
 

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
-#include <filesystem>
-#include <fstream>
 #include <string>
 #include <string_view>
 
@@ -66,6 +64,35 @@ TEST(Describe, SerializesEveryField) {
   EXPECT_EQ(lookup(meta, "cmcp_p"), "0.45");
 }
 
+/// The policy-specific pairs describe() appends after "scale".
+sim::trace::Metadata policy_pairs(const RunSpec& spec) {
+  const sim::trace::Metadata meta = spec.describe();
+  auto it = meta.begin();
+  while (it != meta.end() && it->first != "scale") ++it;
+  EXPECT_NE(it, meta.end());
+  return {it == meta.end() ? it : it + 1, meta.end()};
+}
+
+TEST(Describe, DynamicPRecordsStartPointAndControllerConstants) {
+  RunSpec spec;
+  spec.policy.kind = PolicyKind::kCmcpDynamicP;
+  spec.policy.cmcp.p = 0.6;  // not the controller's start point
+  const sim::trace::Metadata expected = {
+      {"cmcp_p", "0.3"}, {"dyn_step", "0.1"}, {"dyn_window_ticks", "4"}};
+  EXPECT_EQ(policy_pairs(spec), expected);
+  spec.policy.dynamic_p_start = 0.5;
+  const sim::trace::Metadata started = {
+      {"cmcp_p", "0.5"}, {"dyn_step", "0.1"}, {"dyn_window_ticks", "4"}};
+  EXPECT_EQ(policy_pairs(spec), started);
+}
+
+TEST(Describe, RandomRecordsItsFixedSeed) {
+  RunSpec spec;
+  spec.policy.kind = PolicyKind::kRandom;
+  const sim::trace::Metadata expected = {{"random_seed", "24301"}};
+  EXPECT_EQ(policy_pairs(spec), expected);
+}
+
 TEST(Describe, RecordsResolvedPaperFraction) {
   RunSpec spec;
   spec.workload = wl::PaperWorkload::kCg;
@@ -125,25 +152,6 @@ TEST(RunSpecEndToEnd, SmokeRun) {
   EXPECT_GT(result.makespan, 0u);
   EXPECT_GT(result.app_total.accesses, 0u);
   EXPECT_EQ(result.per_core.size(), 4u);
-}
-
-TEST(RunSpecEndToEnd, TracePathWritesTheTrace) {
-  const auto path = std::filesystem::path(::testing::TempDir()) /
-                    "experiment_test" / "run.jsonl";
-  std::filesystem::remove_all(path.parent_path());
-  RunSpec spec;
-  spec.workload = wl::PaperWorkload::kScale;
-  spec.cores = 4;
-  spec.scale = 0.05;
-  spec.policy.kind = PolicyKind::kCmcp;
-  spec.trace_path = path.string();
-  spec.trace_format = sim::trace::Format::kJsonl;
-  run_spec(spec);
-  std::ifstream in(path);
-  ASSERT_TRUE(in.good());
-  std::string first;
-  std::getline(in, first);
-  EXPECT_EQ(first.rfind("{\"type\":\"meta\"", 0), 0u) << first;
 }
 
 }  // namespace

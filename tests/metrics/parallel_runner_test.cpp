@@ -4,8 +4,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -147,19 +145,30 @@ std::string serialize_summary(const core::SimulationResult& result) {
   return os.str();
 }
 
-std::string slurp(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  EXPECT_TRUE(in) << "missing trace file " << path;
-  std::stringstream buf;
-  buf << in.rdbuf();
-  return buf.str();
+/// One run of `spec` with its own event sink; the JSONL trace lands in
+/// `trace`.
+core::SimulationResult run_traced(const RunSpec& spec, std::string& trace) {
+  wl::WorkloadParams base;
+  base.cores = spec.cores;
+  base.seed = spec.seed;
+  base.scale = spec.scale;
+  const auto workload = wl::make_paper_workload(spec.workload, base, spec.size);
+  sim::trace::EventSink sink;
+  core::SimulationConfig config = spec.to_config();
+  config.trace = &sink;
+  const auto result = core::run_simulation(config, *workload);
+  std::ostringstream os;
+  sim::trace::export_jsonl(sink, spec.describe(), result_summary(result), os);
+  trace = os.str();
+  return result;
 }
 
 TEST(ParallelRunner, RunSpecsParallelMatchesSerialExecution) {
   // Two specs executed (a) one by one via run_spec and (b) concurrently via
-  // run_specs_parallel: the trace files each run writes and the per-core
-  // counters must be byte-identical — concurrent runs share no state.
-  const std::string dir = ::testing::TempDir();
+  // run_specs_parallel: the per-core counters must be byte-identical —
+  // concurrent runs share no state. The same holds for traced runs: jobs on
+  // run_jobs_parallel that attach their own sinks write the JSONL traces a
+  // serial loop writes.
   std::vector<RunSpec> specs(2);
   for (int i = 0; i < 2; ++i) {
     specs[i].workload = wl::PaperWorkload::kBt;
@@ -169,25 +178,28 @@ TEST(ParallelRunner, RunSpecsParallelMatchesSerialExecution) {
     specs[i].policy.kind = i == 0 ? PolicyKind::kCmcp : PolicyKind::kFifo;
     specs[i].memory_fraction = 1.5;
     specs[i].simcheck = false;
-    specs[i].trace_format = sim::trace::Format::kJsonl;
   }
 
-  std::vector<std::string> serial_traces, serial_summaries;
+  std::vector<std::string> serial_summaries, serial_traces(2);
   for (int i = 0; i < 2; ++i) {
-    specs[i].trace_path = dir + "/tm_serial_" + std::to_string(i) + ".jsonl";
     serial_summaries.push_back(serialize_summary(run_spec(specs[i])));
-    serial_traces.push_back(slurp(specs[i].trace_path));
+    const auto traced = run_traced(specs[i], serial_traces[i]);
+    EXPECT_EQ(serialize_summary(traced), serial_summaries[i]) << i;
+    EXPECT_EQ(serial_traces[i].rfind("{\"type\":\"meta\"", 0), 0u) << i;
   }
 
-  for (int i = 0; i < 2; ++i)
-    specs[i].trace_path = dir + "/tm_par_" + std::to_string(i) + ".jsonl";
   const auto results = run_specs_parallel(specs, 2);
   ASSERT_EQ(results.size(), 2u);
+  std::vector<std::string> parallel_traces(2);
+  std::vector<std::function<core::SimulationResult()>> jobs;
+  for (int i = 0; i < 2; ++i)
+    jobs.push_back([&, i] { return run_traced(specs[i], parallel_traces[i]); });
+  const auto traced = run_jobs_parallel(jobs, 2);
+  ASSERT_EQ(traced.size(), 2u);
   for (int i = 0; i < 2; ++i) {
     EXPECT_EQ(serialize_summary(results[i]), serial_summaries[i]) << i;
-    EXPECT_EQ(slurp(specs[i].trace_path), serial_traces[i]) << i;
-    std::remove(specs[i].trace_path.c_str());
-    std::remove((dir + "/tm_serial_" + std::to_string(i) + ".jsonl").c_str());
+    EXPECT_EQ(serialize_summary(traced[i]), serial_summaries[i]) << i;
+    EXPECT_EQ(parallel_traces[i], serial_traces[i]) << i;
   }
 }
 

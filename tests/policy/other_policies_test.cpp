@@ -142,15 +142,12 @@ TEST(Random, SwapRemoveKeepsIndexConsistent) {
 
 TEST(DynamicP, AdjustsPOverWindows) {
   FakePolicyHost host(100, 8);
-  DynamicPConfig config;
-  config.cmcp.p = 0.5;
-  config.step = 0.1;
-  config.window_ticks = 2;
-  DynamicPCmcpPolicy policy(host, config);
+  DynamicPCmcpPolicy policy(host, /*start_p=*/0.5);
   const double initial = policy.current_p();
   PageFactory pages(host);
-  // Feed eviction activity and ticks; p must move.
+  // Feed eviction activity and one window of ticks at a time; p must move.
   UnitIdx next = 0;
+  Cycles now = 0;
   for (int w = 0; w < 6; ++w) {
     for (int i = 0; i < 10; ++i) {
       auto& pg = pages.make(next++, 1);
@@ -160,8 +157,8 @@ TEST(DynamicP, AdjustsPOverWindows) {
       policy.on_evict(*victim);
       pages.registry().erase(*victim);
     }
-    policy.on_tick(2 * w);
-    policy.on_tick(2 * w + 1);
+    for (std::uint32_t t = 0; t < DynamicPCmcpPolicy::kWindowTicks; ++t)
+      policy.on_tick(now++);
   }
   EXPECT_GT(testing::stat_of(policy, "adaptations"), 0u);
   EXPECT_NE(policy.current_p(), initial);
@@ -169,14 +166,15 @@ TEST(DynamicP, AdjustsPOverWindows) {
 
 TEST(DynamicP, StaysWithinBounds) {
   FakePolicyHost host(100, 8);
-  DynamicPConfig config;
-  config.cmcp.p = 0.9;
-  config.step = 0.3;
-  config.window_ticks = 1;
-  DynamicPCmcpPolicy policy(host, config);
+  DynamicPCmcpPolicy policy(host, /*start_p=*/0.9);
   PageFactory pages(host);
   UnitIdx next = 0;
-  for (int w = 0; w < 50; ++w) {
+  bool reached_max = false;
+  bool reached_min = false;
+  // 30 windows: up to the top clamp, back down across [0, 1] to the bottom
+  // clamp, and up again.
+  const int ticks = 30 * static_cast<int>(DynamicPCmcpPolicy::kWindowTicks);
+  for (int w = 0; w < ticks; ++w) {
     auto& pg = pages.make(next++, 1);
     policy.on_insert(pg);
     Cycles extra = 0;
@@ -184,9 +182,13 @@ TEST(DynamicP, StaysWithinBounds) {
     policy.on_evict(*victim);
     pages.registry().erase(*victim);
     policy.on_tick(w);
-    EXPECT_GE(policy.current_p(), 0.0);
-    EXPECT_LE(policy.current_p(), 1.0);
+    EXPECT_GE(policy.current_p(), DynamicPCmcpPolicy::kMinP);
+    EXPECT_LE(policy.current_p(), DynamicPCmcpPolicy::kMaxP);
+    reached_max |= policy.current_p() == DynamicPCmcpPolicy::kMaxP;
+    reached_min |= policy.current_p() == DynamicPCmcpPolicy::kMinP;
   }
+  EXPECT_TRUE(reached_max);
+  EXPECT_TRUE(reached_min);
 }
 
 class FactoryTest : public ::testing::TestWithParam<PolicyKind> {};

@@ -258,18 +258,13 @@ TEST(FaultPlan, StatsAggregateAcrossKindsAndTenants) {
   EXPECT_EQ(stats.per_asid_recovery[1], 5'000u);
 }
 
-class FaultyPcieTest : public ::testing::Test {
- protected:
-  CostModel cost = CostModel::knc();
-};
-
-TEST_F(FaultyPcieTest, ZeroFailureOutcomeMatchesPlainTransfer) {
+TEST(FaultyPcieTest, ZeroFailureOutcomeMatchesPlainTransfer) {
   // A disabled plan must be arithmetic-identical to a null plan: same
   // completion time, same queueing, same byte counters.
   FaultPlanConfig config;  // disabled; next_pcie always returns healthy
   FaultPlan plan(config);
-  PcieLink faulty(cost);
-  PcieLink plain(cost);
+  PcieLink faulty;
+  PcieLink plain;
   for (int i = 0; i < 5; ++i) {
     const PcieTransferOutcome expected =
         plain.transfer(PcieDir::kHostToDevice, 100 * i, 4096, nullptr);
@@ -287,14 +282,15 @@ TEST_F(FaultyPcieTest, ZeroFailureOutcomeMatchesPlainTransfer) {
             plain.transfers(PcieDir::kHostToDevice));
 }
 
-TEST_F(FaultyPcieTest, TransientFailurePaysOneAttemptAndBackoff) {
+TEST(FaultyPcieTest, TransientFailurePaysOneAttemptAndBackoff) {
   FaultPlanConfig config;
   config.pcie_transient_rate = 1.0;
   FaultPlan plan(config);
-  PcieLink link(cost);
+  PcieLink link;
   const PcieTransferOutcome out =
       link.transfer(PcieDir::kHostToDevice, 0, 4096, &plan);
-  const Cycles attempt = cost.pcie_setup + cost.pcie_transfer_cycles(4096);
+  const Cycles attempt =
+      CostModel::pcie_setup + CostModel::pcie_transfer_cycles(4096);
   EXPECT_EQ(out.failures, 1u);
   EXPECT_FALSE(out.gave_up);
   EXPECT_EQ(out.attempt_cost, attempt);
@@ -305,15 +301,16 @@ TEST_F(FaultyPcieTest, TransientFailurePaysOneAttemptAndBackoff) {
   EXPECT_EQ(link.transfers(PcieDir::kHostToDevice), 1u);
 }
 
-TEST_F(FaultyPcieTest, StickyFailureResetsLinkAndStillDelivers) {
+TEST(FaultyPcieTest, StickyFailureResetsLinkAndStillDelivers) {
   FaultPlanConfig config;
   config.pcie_sticky_rate = 1.0;
   config.max_retries = 3;
   FaultPlan plan(config);
-  PcieLink link(cost);
+  PcieLink link;
   const PcieTransferOutcome out =
       link.transfer(PcieDir::kDeviceToHost, 0, 4096, &plan);
-  const Cycles attempt = cost.pcie_setup + cost.pcie_transfer_cycles(4096);
+  const Cycles attempt =
+      CostModel::pcie_setup + CostModel::pcie_transfer_cycles(4096);
   EXPECT_EQ(out.failures, 3u);
   EXPECT_TRUE(out.gave_up);
   // 3 failed attempts: backoff after the first two, link reset after the

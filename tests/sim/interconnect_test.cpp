@@ -7,7 +7,7 @@ namespace {
 
 class InterconnectTest : public ::testing::Test {
  protected:
-  CostModel cost = CostModel::knc();
+  CostModel cost;
   Interconnect net{cost};
 };
 

@@ -2,27 +2,29 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace cmcp::sim {
 namespace {
 
-class PcieLinkTest : public ::testing::Test {
- protected:
-  CostModel cost = CostModel::knc();
-};
+/// Setup plus payload cycles of one clean transfer of `bytes`.
+Cycles attempt_cycles(std::uint64_t bytes) {
+  return CostModel::pcie_setup + CostModel::pcie_transfer_cycles(bytes);
+}
 
-TEST_F(PcieLinkTest, TransferTimeMatchesBandwidth) {
-  PcieLink link(cost);
+TEST(PcieLinkTest, TransferTimeMatchesBandwidth) {
+  PcieLink link;
   const PcieTransferOutcome out =
       link.transfer(PcieDir::kHostToDevice, 0, 4096, nullptr);
   EXPECT_EQ(out.queue_wait, 0u);
   // 4 kB at 6 GB/s = ~683 ns = ~719 cycles at 1.053 GHz, plus setup.
-  const Cycles expected = cost.pcie_setup + cost.pcie_transfer_cycles(4096);
-  EXPECT_EQ(out.done, expected);
-  EXPECT_NEAR(static_cast<double>(cost.pcie_transfer_cycles(4096)), 718.0, 2.0);
+  EXPECT_EQ(out.done, attempt_cycles(4096));
+  EXPECT_NEAR(static_cast<double>(CostModel::pcie_transfer_cycles(4096)), 718.0,
+              2.0);
 }
 
-TEST_F(PcieLinkTest, BackToBackTransfersQueue) {
-  PcieLink link(cost);
+TEST(PcieLinkTest, BackToBackTransfersQueue) {
+  PcieLink link;
   const Cycles first =
       link.transfer(PcieDir::kHostToDevice, 0, 4096, nullptr).done;
   const PcieTransferOutcome second =
@@ -31,29 +33,28 @@ TEST_F(PcieLinkTest, BackToBackTransfersQueue) {
   EXPECT_EQ(second.done, 2 * first);    // serialized occupancy
 }
 
-TEST_F(PcieLinkTest, DirectionsAreIndependent) {
-  PcieLink link(cost);
+TEST(PcieLinkTest, DirectionsAreIndependent) {
+  PcieLink link;
   link.transfer(PcieDir::kHostToDevice, 0, 1 << 20, nullptr);
   const PcieTransferOutcome up =
       link.transfer(PcieDir::kDeviceToHost, 0, 4096, nullptr);
   EXPECT_EQ(up.queue_wait, 0u);  // full duplex: no queueing across directions
-  EXPECT_EQ(up.done, cost.pcie_setup + cost.pcie_transfer_cycles(4096));
+  EXPECT_EQ(up.done, attempt_cycles(4096));
 }
 
-TEST_F(PcieLinkTest, LateArrivalDoesNotQueue) {
-  PcieLink link(cost);
+TEST(PcieLinkTest, LateArrivalDoesNotQueue) {
+  PcieLink link;
   const Cycles first =
       link.transfer(PcieDir::kHostToDevice, 0, 4096, nullptr).done;
   const Cycles start = first + 1000;
   const PcieTransferOutcome late =
       link.transfer(PcieDir::kHostToDevice, start, 4096, nullptr);
   EXPECT_EQ(late.queue_wait, 0u);
-  EXPECT_EQ(late.done,
-            start + cost.pcie_setup + cost.pcie_transfer_cycles(4096));
+  EXPECT_EQ(late.done, start + attempt_cycles(4096));
 }
 
-TEST_F(PcieLinkTest, CountsBytesAndTransfers) {
-  PcieLink link(cost);
+TEST(PcieLinkTest, CountsBytesAndTransfers) {
+  PcieLink link;
   link.transfer(PcieDir::kHostToDevice, 0, 4096, nullptr);
   link.transfer(PcieDir::kHostToDevice, 0, 65536, nullptr);
   link.transfer(PcieDir::kDeviceToHost, 0, 4096, nullptr);
@@ -63,12 +64,15 @@ TEST_F(PcieLinkTest, CountsBytesAndTransfers) {
   EXPECT_EQ(link.transfers(PcieDir::kDeviceToHost), 1u);
 }
 
-TEST_F(PcieLinkTest, LargerPagesMoveProportionallyMoreData) {
+TEST(PcieLinkTest, LargerPagesMoveProportionallyMoreData) {
   // 2 MB moves 512x the bytes of 4 kB: transfer time scales accordingly
   // (setup excluded) — the page-size tradeoff of Fig. 10.
-  const Cycles t4k = cost.pcie_transfer_cycles(unit_bytes(PageSizeClass::k4K));
-  const Cycles t64k = cost.pcie_transfer_cycles(unit_bytes(PageSizeClass::k64K));
-  const Cycles t2m = cost.pcie_transfer_cycles(unit_bytes(PageSizeClass::k2M));
+  auto payload = [](PageSizeClass c) {
+    return CostModel::pcie_transfer_cycles(unit_bytes(c));
+  };
+  const Cycles t4k = payload(PageSizeClass::k4K);
+  const Cycles t64k = payload(PageSizeClass::k64K);
+  const Cycles t2m = payload(PageSizeClass::k2M);
   EXPECT_NEAR(static_cast<double>(t64k) / t4k, 16.0, 0.1);
   EXPECT_NEAR(static_cast<double>(t2m) / t4k, 512.0, 1.0);
 }

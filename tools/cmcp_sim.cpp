@@ -147,7 +147,7 @@ int main(int argc, char** argv) {
       // past 2^53 cycles (the engine's virtual-time bound) overflows it.
       const std::string_view text = need_value(i);
       const double period = common::parse_flag<double>(arg, text) * 1e6 *
-                            config.machine.cost.clock_ghz;
+                            sim::CostModel::clock_ghz;
       if (!(period >= 1 && period <= 0x1p53)) {
         std::fprintf(stderr,
                      "--scan-ms: '%.*s' is out of range (a period of 1 to "
@@ -193,7 +193,7 @@ int main(int argc, char** argv) {
   config.memory_fraction =
       fraction.value_or(wl::paper_memory_fraction(workload_kind));
   config.policy.cmcp.p = p.value_or(wl::paper_best_p(workload_kind));
-  config.policy.dynamic_p.cmcp.p = config.policy.cmcp.p;
+  config.policy.dynamic_p_start = config.policy.cmcp.p;
 
   std::unique_ptr<wl::Workload> workload;
   if (replay_trace) {
@@ -243,8 +243,7 @@ int main(int argc, char** argv) {
                         : "shootdown");
   if (replay_trace) meta.emplace_back("replay_trace", *replay_trace);
 
-  const double seconds =
-      metrics::cycles_to_seconds(result.makespan, config.machine.cost);
+  const double seconds = metrics::cycles_to_seconds(result.makespan);
   std::printf("workload        : %s.%s, %u cores, seed %llu\n",
               std::string(to_string(workload_kind)).c_str(),
               std::string(size_suffix(size)).c_str(), config.machine.num_cores,
@@ -260,7 +259,7 @@ int main(int argc, char** argv) {
                   : "");
   std::printf("runtime         : %llu cycles (%.3f s at %.3f GHz)\n",
               static_cast<unsigned long long>(result.makespan), seconds,
-              config.machine.cost.clock_ghz);
+              sim::CostModel::clock_ghz);
   std::printf("major faults    : %llu (%.0f per core)\n",
               static_cast<unsigned long long>(result.app_total.major_faults),
               result.avg_major_faults_per_core());
