@@ -21,8 +21,9 @@ enum class OpKind : std::uint8_t {
   kEnd,      ///< stream exhausted (returned forever afterwards)
 };
 
-/// Fields run widest first so the op packs into 32 bytes: workloads keep
-/// their whole per-core schedules as vectors of these (docs/performance.md).
+/// Fields run widest first so the op packs into 32 bytes: a generated
+/// workload's stream buffers one phase of these at a time, and a replayed
+/// trace keeps every core's whole schedule of them (docs/performance.md).
 struct Op {
   Vpn vpn = 0;               ///< kAccess: first base page
   Cycles cycles = 0;         ///< kCompute; for kAccess: compute per page
@@ -74,11 +75,13 @@ class Workload {
   /// Computation-area footprint in 4 kB base pages (before unit rounding).
   virtual std::uint64_t footprint_base_pages() const = 0;
 
+  /// A new stream of core `core`'s ops, from the first one. Callable any
+  /// number of times and from any thread: each stream replays the same ops
+  /// from the start, independent of every other stream.
   virtual std::unique_ptr<AccessStream> make_stream(CoreId core) const = 0;
 };
 
-/// Replays a fixed per-core schedule. Workload generators precompute their
-/// (compact, op-level) schedules once; streams then replay them per core.
+/// Replays a fixed per-core schedule held in memory (trace replay).
 class VectorStream final : public AccessStream {
  public:
   explicit VectorStream(std::shared_ptr<const std::vector<Op>> ops)

@@ -12,6 +12,7 @@
 //    by band neighbours (halo);
 //  * small reduction pages are touched by every core each iteration.
 #include <algorithm>
+#include <vector>
 
 #include "workloads/generators.h"
 #include "workloads/partition_util.h"
@@ -49,89 +50,129 @@ bool page_touched(Vpn page, std::uint64_t seed, double fraction) {
   x ^= x >> 32;
   return static_cast<double>(x >> 11) * 0x1.0p-53 < fraction;
 }
-}  // namespace
 
-PaperSchedule build_cg(const WorkloadParams& base) {
+/// SpMV, dot products, axpy.
+constexpr std::uint32_t kPhasesPerIteration = 3;
+
+class CgPlan final : public PhasePlan {
+ public:
+  explicit CgPlan(const WorkloadParams& base);
+
+  std::uint32_t phases() const override {
+    return kIterations * kPhasesPerIteration;
+  }
+  std::uint64_t footprint_base_pages() const override {
+    return red_base_ + kReductionPages;
+  }
+  void emit(std::uint32_t phase, CoreId c, std::vector<Op>& out) const override;
+
+ private:
+  std::uint64_t x_pages_;
+  Vpn x_base_;
+  Vpn y_base_;
+  Vpn red_base_;
+  std::uint64_t x_halo_;
+  /// Touched matrix pages in ascending order: only the sparse subset of the
+  /// allocated matrix pages carries nonzeros an iteration visits (the paper
+  /// attributes CG's tolerance of memory constraint to exactly this
+  /// sparsity). The matrix starts at page 0, so these are its vpns.
+  std::vector<Vpn> touched_;
+  /// Per iteration, the a, x and y bounds.
+  BoundsTable bounds_;
+};
+
+CgPlan::CgPlan(const WorkloadParams& base) : bounds_(base.cores) {
   const CoreId n = base.cores;
   const std::uint64_t a_pages = scaled(kMatrixPages, base.scale);
-  const std::uint64_t x_pages = scaled(kXPages, base.scale);
+  x_pages_ = scaled(kXPages, base.scale);
   const std::uint64_t y_pages = scaled(kYPages, base.scale);
 
-  const Vpn a_base = 0;
-  const Vpn x_base = a_base + a_pages;
-  const Vpn y_base = x_base + x_pages;
-  const Vpn red_base = y_base + y_pages;
+  x_base_ = a_pages;
+  y_base_ = x_base_ + x_pages_;
+  red_base_ = y_base_ + y_pages;
 
-  Rng rng(base.seed);
-  ScheduleBuilder sb(n, kComputePerPage);
-
-  const std::uint64_t x_block = std::max<std::uint64_t>(x_pages / n, 1);
-  const std::uint64_t x_halo = std::max<std::uint64_t>(
+  const std::uint64_t x_block = std::max<std::uint64_t>(x_pages_ / n, 1);
+  x_halo_ = std::max<std::uint64_t>(
       static_cast<std::uint64_t>(kHaloFraction * static_cast<double>(x_block)),
       1);
 
-  for (std::uint32_t iter = 0; iter < kIterations; ++iter) {
-    // Row blocks re-balance slightly every iteration: the pages around each
-    // boundary end up mapped by two cores (Fig. 6a's 2-core population).
-    const auto a_bounds = jittered_bounds(a_pages, n, kBoundaryJitter, rng);
-    const auto x_bounds = jittered_bounds(x_pages, n, kBoundaryJitter, rng);
-    const auto y_bounds = jittered_bounds(y_pages, n, kBoundaryJitter, rng);
+  for (std::uint64_t p = 0; p < a_pages; ++p)
+    if (page_touched(p, base.seed, kMatrixTouchedFraction)) touched_.push_back(p);
 
-    // SpMV q = A p: stream the touched rows of the own block in order,
-    // gathering from the hot x vector (own segment + band halo) as we go.
-    for (CoreId c = 0; c < n; ++c) {
+  // Row blocks re-balance slightly every iteration: the pages around each
+  // boundary end up mapped by two cores (Fig. 6a's 2-core population).
+  Rng rng(base.seed);
+  for (std::uint32_t iter = 0; iter < kIterations; ++iter) {
+    bounds_.draw(a_pages, kBoundaryJitter, rng);
+    bounds_.draw(x_pages_, kBoundaryJitter, rng);
+    bounds_.draw(y_pages, kBoundaryJitter, rng);
+  }
+}
+
+void CgPlan::emit(std::uint32_t phase, CoreId c, std::vector<Op>& out) const {
+  const std::uint32_t iter = phase / kPhasesPerIteration;
+  const auto a_bounds = bounds_[3 * iter];
+  const auto x_bounds = bounds_[3 * iter + 1];
+  const auto y_bounds = bounds_[3 * iter + 2];
+  ScheduleBuilder sb(kComputePerPage, out);
+
+  switch (phase % kPhasesPerIteration) {
+    case 0: {
+      // SpMV q = A p: stream the touched rows of the own block in order,
+      // gathering from the hot x vector (own segment + band halo) as we go.
       // x gather list: own segment plus halo into both neighbours.
-      std::vector<Vpn> x_list;
       const std::uint64_t xb = x_bounds[c];
       const std::uint64_t xe = x_bounds[c + 1];
-      for (std::uint64_t p = xb > x_halo ? xb - x_halo : 0;
-           p < std::min(xe + x_halo, x_pages); ++p)
-        x_list.push_back(x_base + p);
-      CMCP_CHECK(!x_list.empty());
+      const std::uint64_t x_first = xb > x_halo_ ? xb - x_halo_ : 0;
+      const std::uint64_t x_end = std::min(xe + x_halo_, x_pages_);
+      CMCP_CHECK(x_end > x_first);
+      const std::uint64_t x_count = x_end - x_first;
 
-      // Touched matrix rows: only the sparse subset of the allocated matrix
-      // pages carries nonzeros an iteration visits (the paper attributes
-      // CG's tolerance of memory constraint to exactly this sparsity).
-      std::vector<Vpn> a_list;
-      for (std::uint64_t p = a_bounds[c]; p < a_bounds[c + 1]; ++p)
-        if (page_touched(p, base.seed, kMatrixTouchedFraction))
-          a_list.push_back(a_base + p);
+      const auto a_first =
+          std::lower_bound(touched_.begin(), touched_.end(), a_bounds[c]);
+      const auto a_end =
+          std::lower_bound(a_first, touched_.end(), a_bounds[c + 1]);
+      const auto a_count = static_cast<std::size_t>(a_end - a_first);
 
       // Interleave: cycle the x gather list roughly twice per SpMV.
-      const std::size_t x_every = std::max<std::size_t>(
-          a_list.size() / (2 * x_list.size() + 1), 1);
-      std::size_t xi = 0;
-      for (std::size_t i = 0; i < a_list.size(); ++i) {
-        sb.touch_page_compute(c, a_list[i], /*write=*/false);
-        if (i % x_every == 0) {
-          sb.touch_page_compute(c, x_list[xi % x_list.size()],
-                                /*write=*/false, /*repeat=*/2);
-          ++xi;
+      const std::size_t x_every =
+          std::max<std::size_t>(a_count / (2 * x_count + 1), 1);
+      std::uint64_t xi = 0;          // next x page, cycling over the list
+      std::size_t until_gather = 0;  // matrix pages before the next gather
+      for (auto a = a_first; a != a_end; ++a) {
+        sb.touch_page_compute(*a, /*write=*/false);
+        if (until_gather == 0) {
+          sb.touch_page_compute(x_base_ + x_first + xi, /*write=*/false,
+                                /*repeat=*/2);
+          if (++xi == x_count) xi = 0;
+          until_gather = x_every;
         }
+        --until_gather;
       }
       // Write the own slice of q.
-      sb.touch(c, y_base + y_bounds[c], y_bounds[c + 1] - y_bounds[c],
+      sb.touch(y_base_ + y_bounds[c], y_bounds[c + 1] - y_bounds[c],
                /*write=*/true, /*repeat=*/1);
+      break;
     }
-    sb.barrier_all();
-
-    // Dot products: re-read own q slice, reduce into the global pages.
-    for (CoreId c = 0; c < n; ++c) {
-      sb.touch(c, y_base + y_bounds[c], y_bounds[c + 1] - y_bounds[c],
+    case 1:
+      // Dot products: re-read own q slice, reduce into the global pages.
+      sb.touch(y_base_ + y_bounds[c], y_bounds[c + 1] - y_bounds[c],
                /*write=*/false, /*repeat=*/1);
-      sb.touch(c, red_base, kReductionPages, /*write=*/true, /*repeat=*/1);
-    }
-    sb.barrier_all();
-
-    // axpy updates of p/x: write own segment.
-    for (CoreId c = 0; c < n; ++c) {
-      sb.touch(c, x_base + x_bounds[c], x_bounds[c + 1] - x_bounds[c],
+      sb.touch(red_base_, kReductionPages, /*write=*/true, /*repeat=*/1);
+      break;
+    default:
+      // axpy updates of p/x: write own segment.
+      sb.touch(x_base_ + x_bounds[c], x_bounds[c + 1] - x_bounds[c],
                /*write=*/true, /*repeat=*/1);
-    }
-    sb.barrier_all();
+      break;
   }
+}
 
-  return {red_base + kReductionPages, sb.finish()};
+}  // namespace
+
+std::shared_ptr<const PhasePlan> plan_cg(const WorkloadParams& base) {
+  return std::make_shared<const CgPlan>(base);
 }
 
 }  // namespace cmcp::wl::detail
+

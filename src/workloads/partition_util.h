@@ -3,6 +3,8 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "common/assert.h"
@@ -37,25 +39,33 @@ inline std::vector<std::uint64_t> jittered_bounds(std::uint64_t total, CoreId co
   return bounds;
 }
 
-/// Same partition with every boundary shifted by `shift` pages (wrapping is
-/// clamped): used to model phases that decompose the same array along a
-/// different axis (LU's second sweep, BT's per-direction solves).
-inline std::vector<std::uint64_t> shifted_bounds(std::uint64_t total, CoreId cores,
-                                                 std::uint64_t shift, double jitter_frac,
-                                                 Rng& rng) {
-  std::vector<std::uint64_t> bounds = jittered_bounds(total, cores, jitter_frac, rng);
-  for (CoreId i = 1; i < cores; ++i)
-    bounds[i] = std::min(bounds[i] + shift, total - 1);
-  std::sort(bounds.begin(), bounds.end());
-  return bounds;
-}
+/// A workload's jittered_bounds draws, kept in draw order so the plan can
+/// replay them to any core in any order: draw i is cores + 1 boundaries.
+class BoundsTable {
+ public:
+  explicit BoundsTable(CoreId cores) : cores_(cores) {}
+
+  void draw(std::uint64_t total, double jitter_frac, Rng& rng) {
+    const auto bounds = jittered_bounds(total, cores_, jitter_frac, rng);
+    bounds_.insert(bounds_.end(), bounds.begin(), bounds.end());
+  }
+
+  std::span<const std::uint64_t> operator[](std::size_t i) const {
+    return std::span(bounds_).subspan(i * (cores_ + std::size_t{1}),
+                                      cores_ + std::size_t{1});
+  }
+
+ private:
+  CoreId cores_;
+  std::vector<std::uint64_t> bounds_;
+};
 
 /// Touch a core's block [bounds[core], bounds[core+1]) of a region rooted at
 /// `region_base`, plus `halo` pages into each neighbouring block. Halo pages
 /// carry their own repeat count: boundary data is typically consulted more
 /// than once per sweep.
 inline void touch_block_with_halo(ScheduleBuilder& sb, CoreId core,
-                                  const std::vector<std::uint64_t>& bounds,
+                                  std::span<const std::uint64_t> bounds,
                                   Vpn region_base, std::uint64_t halo, bool write,
                                   std::uint16_t repeat,
                                   std::uint16_t halo_repeat = 0) {
@@ -65,15 +75,15 @@ inline void touch_block_with_halo(ScheduleBuilder& sb, CoreId core,
   if (halo > 0 && begin > 0) {
     // Left halo (tail of the previous block) read before the sweep.
     const std::uint64_t h = std::min(halo, begin);
-    sb.touch(core, region_base + begin - h, h, /*write=*/false, halo_repeat);
+    sb.touch(region_base + begin - h, h, /*write=*/false, halo_repeat);
   }
-  if (end > begin) sb.touch(core, region_base + begin, end - begin, write, repeat);
+  if (end > begin) sb.touch(region_base + begin, end - begin, write, repeat);
   if (halo > 0) {
     // Right halo (head of the next block) read after reaching the boundary.
     const std::uint64_t total = bounds.back();
     if (end < total) {
       const std::uint64_t h = std::min(halo, total - end);
-      sb.touch(core, region_base + end, h, /*write=*/false, halo_repeat);
+      sb.touch(region_base + end, h, /*write=*/false, halo_repeat);
     }
   }
 }
@@ -114,25 +124,49 @@ inline CoreId exchange_owner(std::uint64_t seg, std::uint64_t total_segments,
   return static_cast<CoreId>((nominal + d) % cores);
 }
 
-/// Collect core `core`'s segments of a region under an exchange partition,
-/// as (first_page, num_pages) runs in sweep order.
-inline std::vector<std::pair<Vpn, std::uint64_t>> exchange_runs(
-    std::uint64_t region_pages, CoreId cores, CoreId core,
-    const ExchangeConfig& cfg) {
-  std::vector<std::pair<Vpn, std::uint64_t>> runs;
-  const std::uint64_t seg_pages = std::max<std::uint64_t>(cfg.segment_pages, 1);
-  const std::uint64_t total_segments = (region_pages + seg_pages - 1) / seg_pages;
-  for (std::uint64_t seg = 0; seg < total_segments; ++seg) {
-    if (exchange_owner(seg, total_segments, cores, cfg) != core) continue;
-    const Vpn first = seg * seg_pages;
-    const std::uint64_t len = std::min(seg_pages, region_pages - first);
-    if (!runs.empty() && runs.back().first + runs.back().second == first)
-      runs.back().second += len;  // merge adjacent segments
-    else
-      runs.emplace_back(first, len);
+/// One (first_page, num_pages) run of a region.
+using PageRun = std::pair<Vpn, std::uint64_t>;
+
+/// An exchange partition of a region for every core at once, with one
+/// exchange_owner call per segment: core c's segments as runs in sweep
+/// order, adjacent segments merged. It depends only on (region pages, cores, cfg), so a
+/// plan computes each one once and every phase that uses it reads it.
+class ExchangePartition {
+ public:
+  ExchangePartition(std::uint64_t region_pages, CoreId cores,
+                    const ExchangeConfig& cfg)
+      : first_run_(cores + std::size_t{1}, 0) {
+    const std::uint64_t seg_pages = std::max<std::uint64_t>(cfg.segment_pages, 1);
+    const std::uint64_t total_segments = (region_pages + seg_pages - 1) / seg_pages;
+    std::vector<CoreId> owner(total_segments);
+    for (std::uint64_t seg = 0; seg < total_segments; ++seg) {
+      owner[seg] = exchange_owner(seg, total_segments, cores, cfg);
+      // A segment extends its owner's last run when it follows it directly.
+      if (seg == 0 || owner[seg - 1] != owner[seg]) ++first_run_[owner[seg] + 1];
+    }
+    for (CoreId c = 0; c < cores; ++c) first_run_[c + 1] += first_run_[c];
+    runs_.resize(first_run_[cores]);
+    std::vector<std::size_t> next(first_run_.begin(), first_run_.end() - 1);
+    for (std::uint64_t seg = 0; seg < total_segments; ++seg) {
+      const Vpn first = seg * seg_pages;
+      const std::uint64_t len = std::min(seg_pages, region_pages - first);
+      if (seg == 0 || owner[seg - 1] != owner[seg])
+        runs_[next[owner[seg]]++] = {first, len};
+      else
+        runs_[next[owner[seg]] - 1].second += len;
+    }
   }
-  return runs;
-}
+
+  std::span<const PageRun> runs(CoreId core) const {
+    return std::span(runs_).subspan(first_run_[core],
+                                    first_run_[core + 1] - first_run_[core]);
+  }
+
+ private:
+  /// Core c's runs are runs_[first_run_[c], first_run_[c + 1]).
+  std::vector<std::size_t> first_run_;
+  std::vector<PageRun> runs_;
+};
 
 inline std::uint64_t scaled(std::uint64_t pages, double scale) {
   const auto v = static_cast<std::uint64_t>(static_cast<double>(pages) * scale);

@@ -7,6 +7,7 @@
 // exactly two neighbouring cores, with a handful of globally shared pages
 // (reductions, boundary conditions).
 #include <algorithm>
+#include <vector>
 
 #include "workloads/generators.h"
 #include "workloads/partition_util.h"
@@ -37,68 +38,100 @@ bool page_touched(Vpn page, std::uint64_t seed, double fraction) {
   x ^= x >> 32;
   return static_cast<double>(x >> 11) * 0x1.0p-53 < fraction;
 }
-}  // namespace
 
-PaperSchedule build_scale(const WorkloadParams& base) {
-  const CoreId n = base.cores;
-  const std::uint64_t field_pages = scaled(kFieldPages, base.scale);
-  const Vpn globals_base = static_cast<Vpn>(kFields) * field_pages;
+/// One dynamics phase per field, then the diagnostics.
+constexpr std::uint32_t kPhasesPerStep = kFields + 1;
 
-  Rng rng(base.seed);
-  ScheduleBuilder sb(n, kComputePerPage);
+class ScalePlan final : public PhasePlan {
+ public:
+  explicit ScalePlan(const WorkloadParams& base);
 
-  for (std::uint32_t step = 0; step < kIterations; ++step) {
-    // Dynamics: sweep the touched columns of every field, re-reading the
-    // neighbour halo strips throughout the sweep (depth-2 stencil).
-    for (std::uint32_t f = 0; f < kFields; ++f) {
-      const Vpn field_base = static_cast<Vpn>(f) * field_pages;
-      const auto bounds = jittered_bounds(field_pages, n, kBoundaryJitter, rng);
-      const std::uint64_t halo = std::max<std::uint64_t>(
+  std::uint32_t phases() const override { return kIterations * kPhasesPerStep; }
+  std::uint64_t footprint_base_pages() const override {
+    return globals_base_ + kGlobalPages;
+  }
+  void emit(std::uint32_t phase, CoreId c, std::vector<Op>& out) const override;
+
+ private:
+  std::uint64_t field_pages_;
+  Vpn globals_base_;
+  std::uint64_t halo_;
+  /// Touched field pages in ascending order. Field f starts at page
+  /// f * field_pages_, so these are their vpns.
+  std::vector<Vpn> touched_;
+  /// One draw per dynamics phase.
+  BoundsTable bounds_;
+};
+
+ScalePlan::ScalePlan(const WorkloadParams& base)
+    : field_pages_(scaled(kFieldPages, base.scale)),
+      globals_base_(static_cast<Vpn>(kFields) * field_pages_),
+      halo_(std::max<std::uint64_t>(
           static_cast<std::uint64_t>(kHaloFraction *
-                                     static_cast<double>(field_pages) / n),
-          1);
-      for (CoreId c = 0; c < n; ++c) {
-        // Halo page list: tails of both neighbouring strips.
-        std::vector<Vpn> halo_list;
-        const std::uint64_t bb = bounds[c];
-        const std::uint64_t be = bounds[c + 1];
-        for (std::uint64_t h = 0; h < std::min(halo, bb); ++h)
-          halo_list.push_back(field_base + bb - 1 - h);
-        for (std::uint64_t h = 0; h < std::min(halo, field_pages - be); ++h)
-          halo_list.push_back(field_base + be + h);
+                                     static_cast<double>(field_pages_) /
+                                     base.cores),
+          1)),
+      bounds_(base.cores) {
+  for (Vpn p = 0; p < globals_base_; ++p)
+    if (page_touched(p, base.seed, kFieldTouchedFraction)) touched_.push_back(p);
+  Rng rng(base.seed);
+  for (std::uint32_t draw = 0; draw < kIterations * kFields; ++draw)
+    bounds_.draw(field_pages_, kBoundaryJitter, rng);
+}
 
-        // Touched columns of the own strip, in sweep order.
-        std::vector<Vpn> own;
-        for (std::uint64_t p = bb; p < be; ++p)
-          if (page_touched(p + f * field_pages, base.seed,
-                           kFieldTouchedFraction))
-            own.push_back(field_base + p);
-
-        const std::size_t halo_every =
-            halo_list.empty()
-                ? own.size() + 1
-                : std::max<std::size_t>(own.size() / (2 * halo_list.size() + 1),
-                                        1);
-        std::size_t hi = 0;
-        for (std::size_t i = 0; i < own.size(); ++i) {
-          // Gather + update in place: read-modify-write of the column.
-          sb.touch_page_compute(c, own[i], /*write=*/true, /*repeat=*/2);
-          if (i % halo_every == 0 && !halo_list.empty()) {
-            sb.touch_page_compute(c, halo_list[hi % halo_list.size()],
-                                  /*write=*/false, /*repeat=*/2);
-            ++hi;
-          }
-        }
-      }
-      sb.barrier_all();  // halo exchange point
-    }
+void ScalePlan::emit(std::uint32_t phase, CoreId c, std::vector<Op>& out) const {
+  ScheduleBuilder sb(kComputePerPage, out);
+  const std::uint32_t step = phase / kPhasesPerStep;
+  const std::uint32_t f = phase % kPhasesPerStep;
+  if (f == kFields) {
     // Diagnostics: global reductions touch the shared pages on every core.
-    for (CoreId c = 0; c < n; ++c)
-      sb.touch(c, globals_base, kGlobalPages, /*write=*/true, /*repeat=*/1);
-    sb.barrier_all();
+    sb.touch(globals_base_, kGlobalPages, /*write=*/true, /*repeat=*/1);
+    return;
   }
 
-  return {globals_base + kGlobalPages, sb.finish()};
+  // Dynamics: sweep the touched columns of field f, re-reading the
+  // neighbour halo strips throughout the sweep (depth-2 stencil).
+  const Vpn field_base = static_cast<Vpn>(f) * field_pages_;
+  const auto bounds = bounds_[step * kFields + f];
+  const std::uint64_t bb = bounds[c];
+  const std::uint64_t be = bounds[c + 1];
+  // Halo pages: tails of both neighbouring strips, the left one walked
+  // away from the boundary.
+  const std::uint64_t left = std::min(halo_, bb);
+  const std::uint64_t halo_count = left + std::min(halo_, field_pages_ - be);
+  const auto halo_page = [&](std::uint64_t h) {
+    return h < left ? field_base + bb - 1 - h : field_base + be + (h - left);
+  };
+
+  // Touched columns of the own strip, in sweep order.
+  const auto own =
+      std::lower_bound(touched_.begin(), touched_.end(), field_base + bb);
+  const auto own_end = std::lower_bound(own, touched_.end(), field_base + be);
+  const auto own_count = static_cast<std::size_t>(own_end - own);
+
+  const std::size_t halo_every =
+      halo_count == 0
+          ? own_count + 1
+          : std::max<std::size_t>(own_count / (2 * halo_count + 1), 1);
+  std::uint64_t hi = 0;        // next halo page, cycling over the list
+  std::size_t until_halo = 0;  // own pages before the next halo read
+  for (auto page = own; page != own_end; ++page) {
+    // Gather + update in place: read-modify-write of the column.
+    sb.touch_page_compute(*page, /*write=*/true, /*repeat=*/2);
+    if (until_halo == 0 && halo_count != 0) {
+      sb.touch_page_compute(halo_page(hi), /*write=*/false, /*repeat=*/2);
+      if (++hi == halo_count) hi = 0;
+    }
+    if (until_halo == 0) until_halo = halo_every;
+    --until_halo;
+  }
+}
+
+}  // namespace
+
+std::shared_ptr<const PhasePlan> plan_scale(const WorkloadParams& base) {
+  return std::make_shared<const ScalePlan>(base);
 }
 
 }  // namespace cmcp::wl::detail
+

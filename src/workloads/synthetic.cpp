@@ -2,35 +2,47 @@
 
 namespace cmcp::wl {
 
-AdversarialWorkload::AdversarialWorkload(const AdversarialParams& params)
-    : params_(params) {
-  const CoreId n = params_.base.cores;
-  ScheduleBuilder sb(n, /*compute_per_page=*/0);
-  const Vpn shared_base = 0;
-  const Vpn private_base = params_.dead_shared_pages;
+namespace {
 
-  // Phase 1: every core reads the whole shared region once — every page
-  // ends up with a maximal core-map count and is then never used again.
-  for (CoreId c = 0; c < n; ++c)
-    sb.touch(c, shared_base, params_.dead_shared_pages, /*write=*/false, 1);
-  sb.barrier_all();
+/// Phase 0: every core reads the whole shared region once — every page ends
+/// up with a maximal core-map count and is then never used again. Phases
+/// 1..rounds: hot private working sets, repeatedly.
+class AdversarialPlan final : public PhasePlan {
+ public:
+  explicit AdversarialPlan(const AdversarialParams& params) : params_(params) {}
 
-  // Phase 2: hot private working sets, repeatedly.
-  for (std::uint32_t round = 0; round < params_.rounds; ++round) {
-    for (CoreId c = 0; c < n; ++c) {
-      const Vpn base =
-          private_base + static_cast<Vpn>(c) * params_.private_pages_per_core;
-      sb.touch(c, base, params_.private_pages_per_core, /*write=*/true,
-               kPrivateRepeat);
-    }
-    sb.barrier_all();
+  std::uint32_t phases() const override { return 1 + params_.rounds; }
+  std::uint64_t footprint_base_pages() const override {
+    return params_.dead_shared_pages +
+           static_cast<std::uint64_t>(params_.base.cores) *
+               params_.private_pages_per_core;
   }
-  schedules_ = sb.finish();
-}
+  void emit(std::uint32_t phase, CoreId c, std::vector<Op>& out) const override {
+    ScheduleBuilder sb(/*compute_per_page=*/0, out);
+    const Vpn shared_base = 0;
+    const Vpn private_base = params_.dead_shared_pages;
+    if (phase == 0) {
+      sb.touch(shared_base, params_.dead_shared_pages, /*write=*/false, 1);
+      return;
+    }
+    const Vpn base =
+        private_base + static_cast<Vpn>(c) * params_.private_pages_per_core;
+    sb.touch(base, params_.private_pages_per_core, /*write=*/true,
+             AdversarialWorkload::kPrivateRepeat);
+  }
+
+ private:
+  AdversarialParams params_;
+};
+
+}  // namespace
+
+AdversarialWorkload::AdversarialWorkload(const AdversarialParams& params)
+    : params_(params), plan_(std::make_shared<const AdversarialPlan>(params)) {}
 
 std::unique_ptr<AccessStream> AdversarialWorkload::make_stream(CoreId core) const {
-  CMCP_CHECK(core < schedules_.size());
-  return std::make_unique<VectorStream>(schedules_[core]);
+  CMCP_CHECK(core < params_.base.cores);
+  return std::make_unique<PhaseStream>(plan_, core);
 }
 
 }  // namespace cmcp::wl

@@ -28,15 +28,13 @@ class AdversarialWorkload final : public Workload {
   std::string_view name() const override { return "adversarial"; }
   CoreId num_cores() const override { return params_.base.cores; }
   std::uint64_t footprint_base_pages() const override {
-    return params_.dead_shared_pages +
-           static_cast<std::uint64_t>(params_.base.cores) *
-               params_.private_pages_per_core;
+    return plan_->footprint_base_pages();
   }
   std::unique_ptr<AccessStream> make_stream(CoreId core) const override;
 
  private:
   AdversarialParams params_;
-  std::vector<std::shared_ptr<const std::vector<Op>>> schedules_;
+  std::shared_ptr<const PhasePlan> plan_;
 };
 
 }  // namespace cmcp::wl

@@ -7,37 +7,38 @@ namespace cmcp::wl {
 
 namespace {
 
-detail::PaperSchedule build(PaperWorkload which, const WorkloadParams& params) {
+std::shared_ptr<const PhasePlan> plan(PaperWorkload which,
+                                      const WorkloadParams& params) {
   switch (which) {
-    case PaperWorkload::kCg: return detail::build_cg(params);
-    case PaperWorkload::kLu: return detail::build_lu(params);
-    case PaperWorkload::kBt: return detail::build_bt(params);
-    case PaperWorkload::kScale: return detail::build_scale(params);
+    case PaperWorkload::kCg: return detail::plan_cg(params);
+    case PaperWorkload::kLu: return detail::plan_lu(params);
+    case PaperWorkload::kBt: return detail::plan_bt(params);
+    case PaperWorkload::kScale: return detail::plan_scale(params);
   }
   CMCP_CHECK_MSG(false, "unknown workload");
   return {};
 }
 
-/// One of the paper's workloads, replaying its generated schedule.
+/// One of the paper's workloads, streaming its plan one phase at a time.
 class PaperWorkloadModel final : public Workload {
  public:
   PaperWorkloadModel(PaperWorkload which, const WorkloadParams& params)
-      : which_(which), cores_(params.cores), schedule_(build(which, params)) {}
+      : which_(which), cores_(params.cores), plan_(plan(which, params)) {}
 
   std::string_view name() const override { return to_string(which_); }
   CoreId num_cores() const override { return cores_; }
   std::uint64_t footprint_base_pages() const override {
-    return schedule_.footprint_base_pages;
+    return plan_->footprint_base_pages();
   }
   std::unique_ptr<AccessStream> make_stream(CoreId core) const override {
-    CMCP_CHECK(core < schedule_.per_core.size());
-    return std::make_unique<VectorStream>(schedule_.per_core[core]);
+    CMCP_CHECK(core < cores_);
+    return std::make_unique<PhaseStream>(plan_, core);
   }
 
  private:
   PaperWorkload which_;
   CoreId cores_;
-  detail::PaperSchedule schedule_;
+  std::shared_ptr<const PhasePlan> plan_;
 };
 
 }  // namespace
