@@ -85,9 +85,12 @@ class PsptConsistencyChecker final : public sim::Checker {
 /// use a translation the protocol believes it tore down — the exact failure
 /// shootdown targeting exists to prevent. The engine applies invalidations
 /// synchronously, so at every checkpoint no invalidation is in flight and
-/// the invariant is strict: cached => mapped. Each core's cached units are
-/// checked against its OWN address space's table (unit indices are
-/// space-local; the core -> space map disambiguates them).
+/// the invariant is strict: cached => mapped. A cached entry's core must
+/// also be among the table's tlb_holders() for the unit, since shootdowns
+/// only drop the holders' entries; a core outside them would keep its
+/// entry through the unmap. Each core's cached units are checked against
+/// its OWN address space's table (unit indices are space-local; the core
+/// -> space map disambiguates them).
 class TlbConsistencyChecker final : public sim::Checker {
  public:
   TlbConsistencyChecker(const core::MemoryManager& mm,
@@ -105,6 +108,11 @@ class TlbConsistencyChecker final : public sim::Checker {
           out.push_back({std::string(name()), "stale-tlb-entry",
                          "TLB caches a translation with no live PTE "
                          "(missed shootdown?)",
+                         unit, core});
+        if (!pt.tlb_holders(unit).test(core))
+          out.push_back({std::string(name()), "entry-outside-holders",
+                         "TLB caches a translation but the page table does "
+                         "not list the core among the unit's TLB holders",
                          unit, core});
       });
     }

@@ -3,7 +3,8 @@
 // on; docs/invariants.md catalogues them with their paper justification.
 //
 //   pspt-consistency   core-map count == mapping mask == per-core PTEs
-//   tlb-consistency    no cached translation without a live PTE
+//   tlb-consistency    no cached translation without a live PTE, and none
+//                      on a core outside the table's TLB holders
 //   frame-table        every resident page's coremap entry names its space
 //                      and unit; coremap tallies match the allocator's
 //                      counters and the registries; the partition saw the

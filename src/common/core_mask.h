@@ -2,9 +2,10 @@
 // which cores hold a private PTE; shootdown targeting and the CMCP core-map
 // count both derive from this mask.
 //
-// The capacity is 1088 cores (17 words), but a mask also tracks how many
-// leading words can be non-zero, and count()/any()/for_each() stop there:
-// on a 56-core machine every scan is one word, not seventeen.
+// The capacity is 1088 cores (17 words), but a mask holds only its leading
+// live words: making, copying, scanning and comparing a mask touch those
+// alone, so on a 56-core machine every mask operation is one word, not
+// seventeen.
 #pragma once
 
 #include <algorithm>
@@ -29,26 +30,35 @@ class CoreMask {
   /// Number of 64-bit words backing a full mask.
   static constexpr std::size_t kWords = kMaxCores / 64;
 
-  constexpr CoreMask() = default;
+  /// The empty mask. Words past live_ are never read, so they are left
+  /// unwritten here and copies carry only the live words.
+  CoreMask() {}
+  CoreMask(const CoreMask& o) : live_(o.live_) { copy_live(o); }
+  CoreMask& operator=(const CoreMask& o) {
+    live_ = o.live_;
+    copy_live(o);
+    return *this;
+  }
 
   void set(CoreId core) {
     CMCP_CHECK(core < kMaxCores);
     const unsigned wi = core >> 6;
+    grow(wi + 1);
     words_[wi] |= std::uint64_t{1} << (core & 63);
-    if (wi >= live_) live_ = wi + 1;
   }
 
   void clear(CoreId core) {
     CMCP_CHECK(core < kMaxCores);
-    words_[core >> 6] &= ~(std::uint64_t{1} << (core & 63));
+    const unsigned wi = core >> 6;
+    if (wi < live_) words_[wi] &= ~(std::uint64_t{1} << (core & 63));
   }
 
   bool test(CoreId core) const {
     CMCP_CHECK(core < kMaxCores);
-    return (words_[core >> 6] >> (core & 63)) & 1;
+    return (word(core >> 6) >> (core & 63)) & 1;
   }
 
-  void reset() { *this = CoreMask{}; }
+  void reset() { live_ = 0; }
 
   bool any() const {
     for (unsigned wi = 0; wi < live_; ++wi)
@@ -79,13 +89,24 @@ class CoreMask {
     }
   }
 
-  /// Raw word access, for dense per-unit mask storage (mm::Pspt keeps only
-  /// ceil(num_cores/64) words per unit and widens to a CoreMask at the
-  /// API boundary).
-  std::uint64_t word(std::size_t i) const { return words_[i]; }
+  /// Raw word access, for dense per-unit mask storage (mm::Pspt and
+  /// mm::RegularPageTable keep only ceil(num_cores/64) words per unit and
+  /// widen to a CoreMask at the API boundary).
+  std::uint64_t word(std::size_t i) const { return i < live_ ? words_[i] : 0; }
   void set_word(std::size_t i, std::uint64_t w) {
+    if (i >= live_) {
+      if (w == 0) return;
+      grow(static_cast<unsigned>(i + 1));
+    }
     words_[i] = w;
-    if (w != 0 && i >= live_) live_ = static_cast<unsigned>(i + 1);
+  }
+
+  /// A mask from `n` stored words (dense per-unit storage widened at the
+  /// API boundary).
+  static CoreMask from_words(const std::uint64_t* w, unsigned n) {
+    CoreMask m;
+    for (unsigned i = 0; i < n; ++i) m.set_word(i, w[i]);
+    return m;
   }
 
   /// All cores in [0, n).
@@ -100,13 +121,16 @@ class CoreMask {
 
   /// Equal bits, whatever the live bounds.
   friend bool operator==(const CoreMask& a, const CoreMask& b) {
-    return a.words_ == b.words_;
+    const unsigned n = std::max(a.live_, b.live_);
+    for (unsigned i = 0; i < n; ++i)
+      if (a.word(i) != b.word(i)) return false;
+    return true;
   }
 
   CoreMask operator|(const CoreMask& o) const {
     CoreMask r;
     r.live_ = std::max(live_, o.live_);
-    for (unsigned i = 0; i < r.live_; ++i) r.words_[i] = words_[i] | o.words_[i];
+    for (unsigned i = 0; i < r.live_; ++i) r.words_[i] = word(i) | o.word(i);
     return r;
   }
 
@@ -118,10 +142,21 @@ class CoreMask {
   }
 
  private:
-  std::array<std::uint64_t, kWords> words_{};
-  /// Live word count: every word at or past it is zero, so scans stop here
-  /// instead of walking all kWords. An upper bound, not exact — clear()
-  /// leaves it alone — which keeps every mutator branch-light.
+  /// Raise the live word count to `n`, zeroing the words it takes in.
+  void grow(unsigned n) {
+    while (live_ < n) words_[live_++] = 0;
+  }
+
+  void copy_live(const CoreMask& o) {
+    for (unsigned i = 0; i < live_; ++i) words_[i] = o.words_[i];
+  }
+
+  /// Words [0, live_) are the mask; the rest are not part of it, are
+  /// never read and stay unwritten.
+  std::array<std::uint64_t, kWords> words_;
+  /// Live word count: every bit at or past word live_ is clear, so scans
+  /// stop here instead of walking all kWords. An upper bound, not exact —
+  /// clear() leaves it alone — which keeps every mutator branch-light.
   unsigned live_ = 0;
 };
 

@@ -15,14 +15,17 @@ namespace cmcp::core {
 
 namespace {
 
-std::unique_ptr<mm::PageTable> make_page_table(PageTableKind kind, CoreId cores,
-                                               UnitIdx num_units) {
+/// A regular table spans the space's own core block: only those cores can
+/// cache its units, so only they are shootdown targets. PSPT tables index
+/// by machine core id and name exactly the mapping cores anyway.
+std::unique_ptr<mm::PageTable> make_page_table(const AddressSpaceSpec& spec,
+                                               CoreId machine_cores) {
   std::unique_ptr<mm::PageTable> pt;
-  if (kind == PageTableKind::kRegular)
-    pt = std::make_unique<mm::RegularPageTable>(cores);
+  if (spec.config.pt_kind == PageTableKind::kRegular)
+    pt = std::make_unique<mm::RegularPageTable>(spec.num_cores, spec.first_core);
   else
-    pt = std::make_unique<mm::Pspt>(cores);
-  pt->reserve_units(num_units);
+    pt = std::make_unique<mm::Pspt>(machine_cores);
+  pt->reserve_units(spec.area.num_units());
   return pt;
 }
 
@@ -44,24 +47,32 @@ std::unique_ptr<mm::PageTable> make_page_table(PageTableKind kind, CoreId cores,
 #endif
 
 AddressSpace::AddressSpace(MemoryManager& mm, Asid asid,
-                           const mm::ComputationArea& area,
-                           const MemoryManagerConfig& config)
+                           const AddressSpaceSpec& spec)
     : mm_(mm),
       machine_(mm.machine_),
       allocator_(mm.allocator_),
       asid_(asid),
-      area_(area),
-      page_table_(
-          make_page_table(config.pt_kind, machine_.num_cores(), area.num_units())),
+      area_(spec.area),
+      page_table_(make_page_table(spec, machine_.num_cores())),
       policy_capacity_units_(mm.partition().target_of(asid)),
-      prefetch_degree_(config.prefetch_degree) {
+      prefetch_degree_(spec.config.prefetch_degree) {
+  const MemoryManagerConfig& config = spec.config;
   CMCP_CHECK(policy_capacity_units_ > 0);
+  CMCP_CHECK_MSG(spec.num_cores > 0 &&
+                     spec.first_core + spec.num_cores <= machine_.num_cores(),
+                 "a space's core block must be a non-empty range of app cores");
   policy_ = config.custom_policy ? config.custom_policy(*this)
                                  : policy::make_policy(*this, config.policy);
   // Dense unit-indexed storage (docs/performance.md) is sized once here so
-  // the per-access path never grows a vector. Each app core's TLB index is
-  // sized to its own space by Simulation, which knows the core's space.
+  // the per-access path never grows a vector. Each app core only ever
+  // caches its own space's units, so its TLB index is sized to this space.
+  // The scanner pseudo-cores never cache a translation; their TLBs stay
+  // unsized.
   registry_.reserve_units(area_.num_units());
+  for (CoreId c = spec.first_core; c < spec.first_core + spec.num_cores; ++c) {
+    machine_.set_core_space(c, asid_);
+    machine_.tlb(c).reserve_units(area_.num_units());
+  }
   scan_flush_.reserve(machine_.cost().scanner_flush_batch);
   // A zero period would spin run_periodic forever; past 2^53 cycles (the
   // engine's virtual-time bound) the tick overflows.
@@ -301,24 +312,27 @@ Cycles AddressSpace::quarantine_frame(CoreId core, Cycles at, Pfn pfn,
 }
 
 Cycles AddressSpace::shootdown_unit(CoreId initiator, Cycles now,
-                                    const CoreMask& targets, UnitIdx unit) {
+                                    const mm::ShootdownSet& set, UnitIdx unit) {
   const sim::CostModel& cost = machine_.cost();
   const std::array<UnitIdx, 1> units = {unit};
-  const bool self = targets.test(initiator);
+  const bool self = set.targets.test(initiator);
   // Cross-tenant interference accounting: every remote invalidation lands
   // on THIS space's cores (only they can map this space's units); the cause
   // is whoever initiates — under QoS priority eviction that can be a
   // faulting core of another space.
   if (mm_.num_spaces() > 1)
     mm_.record_interference(machine_.space_of_core(initiator), asid_,
-                            targets.count() - (self ? 1u : 0u));
-  if (!self) return machine_.shootdown(initiator, now, targets, units);
-  // The initiator invalidates its own TLB directly (INVLPG, no IPI); only
-  // this path pays for a mask copy to drop the initiator bit.
-  machine_.tlb(initiator).invalidate(unit);
-  CoreMask remote = targets;
+                            set.targets.count() - (self ? 1u : 0u));
+  if (!self)
+    return machine_.shootdown(initiator, now, set.targets, set.holders, units);
+  // The initiator invalidates its own TLB directly (INVLPG, no IPI; its
+  // TLB can hold the unit only if it is a holder); only this path pays
+  // for a mask copy to drop the initiator bit.
+  if (set.holders.test(initiator)) machine_.tlb(initiator).invalidate(unit);
+  CoreMask remote = set.targets;
   remote.clear(initiator);
-  return cost.invlpg + machine_.shootdown(initiator, now, remote, units);
+  return cost.invlpg +
+         machine_.shootdown(initiator, now, remote, set.holders, units);
 }
 
 Cycles AddressSpace::evict_one(CoreId faulting_core, Cycles now) {
@@ -338,8 +352,8 @@ Cycles AddressSpace::evict_one(CoreId faulting_core, Cycles now) {
   const bool dirty = page_table_->test_dirty(unit);
   std::uint64_t trace_targets = 0;
   if (page_table_->any_mapping(unit)) {
-    const CoreMask affected = page_table_->unmap_all(unit);
-    if (tr != nullptr) trace_targets = affected.count();
+    const mm::ShootdownSet affected = page_table_->unmap_all(unit);
+    if (tr != nullptr) trace_targets = affected.targets.count();
     cycles += shootdown_unit(faulting_core, now + cycles, affected, unit);
   }
   // (Prefetched-but-never-touched units have no mappings to tear down.)
@@ -391,8 +405,10 @@ Cycles AddressSpace::clear_accessed_and_shootdown(mm::ResidentPage& page,
   if (!was_set) return 0;
   // Cached TLB copies are now stale; x86 requires invalidating them on
   // every core that may hold one.
-  const CoreMask targets = page_table_->mapping_cores(page.unit);
-  return shootdown_unit(initiator, now, targets, page.unit);
+  return shootdown_unit(initiator, now,
+                        {page_table_->mapping_cores(page.unit),
+                         page_table_->tlb_holders(page.unit)},
+                        page.unit);
 }
 
 void AddressSpace::run_periodic(Cycles watermark) {
@@ -445,9 +461,9 @@ void AddressSpace::run_periodic(Cycles watermark) {
         read_cycles += cost.scan_pte_read * std::max(1u, pte_reads) * sub_entries;
         if (referenced) {
           ++cleared;
-          const CoreMask targets = page_table_->mapping_cores(pg.unit);
+          flush.push_back({pg.unit, page_table_->mapping_cores(pg.unit),
+                           page_table_->tlb_holders(pg.unit)});
           page_table_->clear_accessed(pg.unit);
-          flush.push_back({pg.unit, targets});
           if (flush.size() >= cost.scanner_flush_batch) flush_batch();
         }
         policy_->on_scan(pg, referenced);

@@ -24,7 +24,7 @@
 namespace cmcp::core {
 
 class MemoryManager;
-struct MemoryManagerConfig;
+struct AddressSpaceSpec;
 
 class AddressSpace final : public policy::PolicyHost {
  public:
@@ -32,9 +32,9 @@ class AddressSpace final : public policy::PolicyHost {
   /// ratio) is the space's partition target: the whole device for a single
   /// tenant, an equal share for multi-tenant. Under kNone allocation stays
   /// free-for-all, but each policy still gets that share as its denominator
-  /// instead of believing it owns the whole device.
-  AddressSpace(MemoryManager& mm, Asid asid, const mm::ComputationArea& area,
-               const MemoryManagerConfig& config);
+  /// instead of believing it owns the whole device. The space binds the
+  /// spec's cores to `asid` and sizes their TLBs to its area.
+  AddressSpace(MemoryManager& mm, Asid asid, const AddressSpaceSpec& spec);
   ~AddressSpace() override;
 
   /// One reference by `core` to base page `vpn` at virtual time `now`.
@@ -100,10 +100,10 @@ class AddressSpace final : public policy::PolicyHost {
   /// recovery. Returns the detection cost in cycles.
   Cycles quarantine_frame(CoreId core, Cycles at, Pfn pfn, UnitIdx unit);
 
-  /// Shoot down `unit` on `targets`, handling the initiator's own TLB
+  /// Shoot down `unit` on `set.targets`, handling the initiator's own TLB
   /// locally. Returns initiator cycles.
-  Cycles shootdown_unit(CoreId initiator, Cycles now, const CoreMask& targets,
-                        UnitIdx unit);
+  Cycles shootdown_unit(CoreId initiator, Cycles now,
+                        const mm::ShootdownSet& set, UnitIdx unit);
 
   void preload_all();
 

@@ -21,8 +21,7 @@ MemoryManager::MemoryManager(sim::Machine& machine,
     const AddressSpaceSpec& spec = specs[asid];
     CMCP_CHECK_MSG(spec.area.page_size() == specs[0].area.page_size(),
                    "all tenants must share one mapping-unit size");
-    spaces_.push_back(
-        std::make_unique<AddressSpace>(*this, asid, spec.area, spec.config));
+    spaces_.push_back(std::make_unique<AddressSpace>(*this, asid, spec));
   }
 }
 

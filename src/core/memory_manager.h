@@ -56,15 +56,17 @@ struct MemoryManagerConfig {
 struct AddressSpaceSpec {
   mm::ComputationArea area;
   MemoryManagerConfig config;
+  /// The tenant's app cores: [first_core, first_core + num_cores).
+  CoreId first_core = 0;
+  CoreId num_cores = 0;
 };
 
 class MemoryManager final {
  public:
   /// One address space per spec (asid == index), all contending for
-  /// `shared_capacity_units` frames under `partition`.
-  /// The machine must have been built with num_address_spaces ==
-  /// specs.size(); core -> space
-  /// assignment is the caller's job via Machine::set_core_space.
+  /// `shared_capacity_units` frames under `partition`. The machine must
+  /// have been built with num_address_spaces == specs.size(); each space
+  /// binds its spec's core block to itself (Machine::set_core_space).
   MemoryManager(sim::Machine& machine, const std::vector<AddressSpaceSpec>& specs,
                 std::uint64_t shared_capacity_units, mm::PartitionKind partition);
 

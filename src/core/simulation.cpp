@@ -123,7 +123,7 @@ struct Simulation::Setup {
     specs.push_back({mm::ComputationArea(placement.area_base_vpn,
                                          placement.footprint_base_pages,
                                          machine.page_size),
-                     config});
+                     config, placement.first_core, placement.num_cores});
     machine.num_cores = placement.first_core + placement.num_cores;
   }
 
@@ -150,18 +150,6 @@ Simulation::Simulation(Setup setup)
     : tenants_(std::move(setup.tenants)),
       machine_(setup.machine, static_cast<unsigned>(tenants_.size())),
       mm_(machine_, setup.specs, setup.capacity_units, setup.partition) {
-  // Each app core only ever caches its own space's units, so its TLB index
-  // is sized to that space once here and the per-access path never grows
-  // it. The scanner pseudo-cores never cache a translation; their TLBs
-  // stay unsized.
-  for (Asid t = 0; t < tenants_.size(); ++t) {
-    const wl::TenantPlacement& p = tenants_[t].placement;
-    const UnitIdx units = mm_.space(t).area().num_units();
-    for (CoreId c = p.first_core; c < p.first_core + p.num_cores; ++c) {
-      machine_.set_core_space(c, t);
-      machine_.tlb(c).reserve_units(units);
-    }
-  }
   if (setup.trace != nullptr) {
     setup.trace->set_num_app_cores(machine_.num_cores());
     setup.trace->set_num_spaces(mm_.num_spaces());

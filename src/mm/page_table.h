@@ -3,7 +3,8 @@
 // Two concrete organizations (paper section 2.3):
 //  * RegularPageTable — one shared set of translations. The kernel cannot
 //    tell which cores cached a translation, so an unmap must shoot down
-//    every core, and the core-map count is unobtainable.
+//    every core of the address space, and the core-map count is
+//    unobtainable.
 //  * Pspt — per-core private PTEs for the computation area. Unmaps target
 //    exactly the mapping cores, and the number of mapping cores per unit is
 //    available as auxiliary knowledge — the input to CMCP.
@@ -16,6 +17,17 @@
 #include "common/types.h"
 
 namespace cmcp::mm {
+
+/// The cores one unit's shootdown reaches.
+struct ShootdownSet {
+  /// Cores the kernel must interrupt. Each one is charged the IPI, the
+  /// interrupt and INVLPG whether or not its TLB holds the unit.
+  CoreMask targets;
+  /// The cores whose TLB may cache the unit (PageTable::tlb_holders).
+  /// Host-side only: the simulator calls Tlb::invalidate on the targets in
+  /// this set and skips the rest, where it would find nothing.
+  CoreMask holders;
+};
 
 class PageTable {
  public:
@@ -34,20 +46,30 @@ class PageTable {
   /// (mm::ResidentPage::pfn); the table does not keep a copy.
   virtual void map(CoreId core, UnitIdx unit) = 0;
 
-  /// Remove the translation on every core; returns the set of cores whose
-  /// TLBs may cache it and therefore must be shot down.
-  virtual CoreMask unmap_all(UnitIdx unit) = 0;
+  /// Remove the translation on every core; returns the cores that must be
+  /// shot down (mapping_cores) and those whose TLB may hold it
+  /// (tlb_holders), both as they were before the unmap.
+  virtual ShootdownSet unmap_all(UnitIdx unit) = 0;
 
-  /// Cores whose TLB may hold `unit` (regular: every core; PSPT: the
-  /// mapping set).
+  /// Cores a shootdown of `unit` must target: the cores the kernel knows
+  /// may cache it (regular: every core of the space; PSPT: the mapping
+  /// set).
   virtual CoreMask mapping_cores(UnitIdx unit) const = 0;
 
+  /// Cores whose TLB may hold `unit`: a superset of the cores that do,
+  /// which SimCheck's tlb-consistency holds it to. A simulator-side fact
+  /// the modelled kernel does not have, so it changes no simulated cost.
+  /// PSPT: the mapping set (TLB ⊆ PTE). Regular: every core that filled its
+  /// TLB from the entry (mark_accessed) since the unit was mapped.
+  virtual CoreMask tlb_holders(UnitIdx unit) const = 0;
+
   /// Number of cores mapping `unit`. Only PSPT can answer precisely; the
-  /// regular table pessimistically reports the full core count (paper: the
-  /// information "cannot be obtained from regular page tables").
+  /// regular table pessimistically reports the space's core count (paper:
+  /// the information "cannot be obtained from regular page tables").
   virtual unsigned core_map_count(UnitIdx unit) const = 0;
 
   // --- hardware-set attribute bits ---------------------------------------
+  /// Set by `core`'s page walk; every TLB fill goes through it.
   virtual void mark_accessed(CoreId core, UnitIdx unit) = 0;
   virtual void mark_dirty(CoreId core, UnitIdx unit) = 0;
 

@@ -55,7 +55,7 @@ void Pspt::map(CoreId core, UnitIdx unit) {
   ++mapped_of_core_[core];
 }
 
-CoreMask Pspt::unmap_all(UnitIdx unit) {
+ShootdownSet Pspt::unmap_all(UnitIdx unit) {
   CMCP_CHECK_MSG(unit < directory_.size() && directory_[unit].present,
                  "unmap of an unmapped unit");
   for_each_mapping(unit, [&](CoreId core) {
@@ -64,15 +64,17 @@ CoreMask Pspt::unmap_all(UnitIdx unit) {
     --mapped_of_core_[core];
   });
   std::uint64_t* w = mask_of(unit);
-  const CoreMask affected = widen(w);
+  const CoreMask affected = CoreMask::from_words(w, mask_words_);
   for (unsigned i = 0; i < mask_words_; ++i) w[i] = 0;
   directory_[unit] = UnitInfo{};
   --mapped_units_;
-  return affected;
+  return {affected, affected};
 }
 
 CoreMask Pspt::mapping_cores(UnitIdx unit) const {
-  return unit < directory_.size() ? widen(mask_of(unit)) : CoreMask{};
+  return unit < directory_.size()
+             ? CoreMask::from_words(mask_of(unit), mask_words_)
+             : CoreMask{};
 }
 
 unsigned Pspt::core_map_count(UnitIdx unit) const {

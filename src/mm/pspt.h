@@ -33,8 +33,12 @@ class Pspt final : public PageTable {
   bool has_mapping(CoreId core, UnitIdx unit) const override;
   bool any_mapping(UnitIdx unit) const override;
   void map(CoreId core, UnitIdx unit) override;
-  CoreMask unmap_all(UnitIdx unit) override;
+  ShootdownSet unmap_all(UnitIdx unit) override;
   CoreMask mapping_cores(UnitIdx unit) const override;
+  /// The mapping set: a core's TLB fills only from its own PTE.
+  CoreMask tlb_holders(UnitIdx unit) const override {
+    return mapping_cores(unit);
+  }
   unsigned core_map_count(UnitIdx unit) const override;
 
   void mark_accessed(CoreId core, UnitIdx unit) override;
@@ -92,13 +96,6 @@ class Pspt final : public PageTable {
   }
   const std::uint64_t* mask_of(UnitIdx unit) const {
     return &masks_[static_cast<std::size_t>(unit) * mask_words_];
-  }
-
-  /// Widen a unit's stored mask words to a full CoreMask.
-  CoreMask widen(const std::uint64_t* w) const {
-    CoreMask m;
-    for (unsigned i = 0; i < mask_words_; ++i) m.set_word(i, w[i]);
-    return m;
   }
 
   /// `core`'s flag byte for `unit`; 0 when the core has no table. Readers

@@ -4,11 +4,17 @@
 
 namespace cmcp::mm {
 
-RegularPageTable::RegularPageTable(CoreId num_cores)
-    : num_cores_(num_cores), all_cores_(CoreMask::first_n(num_cores)) {}
+RegularPageTable::RegularPageTable(CoreId num_cores, CoreId first_core)
+    : num_cores_(num_cores), mask_words_((first_core + num_cores + 63u) / 64u) {
+  CMCP_CHECK(num_cores > 0);
+  for (CoreId c = first_core; c < first_core + num_cores; ++c)
+    space_cores_.set(c);
+}
 
 void RegularPageTable::reserve_units(UnitIdx n) {
-  if (n > entries_.size()) entries_.resize(n, 0);
+  if (n <= entries_.size()) return;
+  entries_.resize(n, 0);
+  fills_.resize(static_cast<std::size_t>(n) * mask_words_, 0);
 }
 
 bool RegularPageTable::has_mapping(CoreId /*core*/, UnitIdx unit) const {
@@ -31,17 +37,26 @@ void RegularPageTable::map(CoreId /*core*/, UnitIdx unit) {
   }
 }
 
-CoreMask RegularPageTable::unmap_all(UnitIdx unit) {
+ShootdownSet RegularPageTable::unmap_all(UnitIdx unit) {
   std::uint8_t* e = entry(unit);
   CMCP_CHECK_MSG(e != nullptr, "unmap of an unmapped unit");
+  // Centralized book-keeping: any core of the space may have cached this
+  // translation.
+  const ShootdownSet set{space_cores_, tlb_holders(unit)};
   *e = 0;
   --mapped_;
-  // Centralized book-keeping: any core may have cached this translation.
-  return all_cores_;
+  std::uint64_t* fill = fill_of(unit);
+  for (unsigned i = 0; i < mask_words_; ++i) fill[i] = 0;
+  return set;
 }
 
 CoreMask RegularPageTable::mapping_cores(UnitIdx unit) const {
-  return entry(unit) != nullptr ? all_cores_ : CoreMask{};
+  return entry(unit) != nullptr ? space_cores_ : CoreMask{};
+}
+
+CoreMask RegularPageTable::tlb_holders(UnitIdx unit) const {
+  return entry(unit) != nullptr ? CoreMask::from_words(fill_of(unit), mask_words_)
+                                : CoreMask{};
 }
 
 unsigned RegularPageTable::core_map_count(UnitIdx unit) const {
@@ -49,10 +64,12 @@ unsigned RegularPageTable::core_map_count(UnitIdx unit) const {
   return entry(unit) != nullptr ? num_cores_ : 0;
 }
 
-void RegularPageTable::mark_accessed(CoreId /*core*/, UnitIdx unit) {
+void RegularPageTable::mark_accessed(CoreId core, UnitIdx unit) {
   std::uint8_t* e = entry(unit);
   CMCP_CHECK(e != nullptr);
+  CMCP_CHECK(space_cores_.test(core));
   *e |= kAccessed;
+  fill_of(unit)[core >> 6] |= std::uint64_t{1} << (core & 63);
 }
 
 void RegularPageTable::mark_dirty(CoreId /*core*/, UnitIdx unit) {

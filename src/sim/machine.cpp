@@ -27,13 +27,14 @@ Machine::Machine(const MachineConfig& config, unsigned num_address_spaces)
 }
 
 Cycles Machine::shootdown(CoreId initiator, Cycles now, const CoreMask& targets,
+                          const CoreMask& holders,
                           std::span<const UnitIdx> units) {
   CMCP_CHECK(!targets.test(initiator));
   const unsigned num_targets = targets.count();
   if (num_targets == 0 || units.empty()) return 0;
 
   if (config_.tlb_coherence == TlbCoherence::kHardwareDirectory)
-    return hw_invalidate(initiator, now, targets, units);
+    return hw_invalidate(initiator, now, targets, holders, units);
 
   const ShootdownTiming t = interconnect_.shootdown(
       now, num_targets, static_cast<unsigned>(units.size()));
@@ -59,6 +60,7 @@ Cycles Machine::shootdown(CoreId initiator, Cycles now, const CoreMask& targets,
     ctr.remote_invalidations_received += units.size();
     ctr.cycles_interrupt += t.receiver_cost;
     advance(target, t.receiver_cost);
+    if (!holders.test(target)) return;
     Tlb& target_tlb = tlbs_[target];
     for (const UnitIdx unit : units) target_tlb.invalidate(unit);
   });
@@ -130,25 +132,26 @@ Cycles Machine::inject_ack_faults(CoreId initiator, Cycles ack_time,
 }
 
 Cycles Machine::hw_invalidate(CoreId initiator, Cycles now,
-                              const CoreMask& targets,
+                              const CoreMask& targets, const CoreMask& holders,
                               std::span<const UnitIdx> units) {
   // Directory hardware: the initiator issues one directed invalidation per
   // (unit, target); receivers lose the entry without being interrupted.
   metrics::CoreCounters& init_ctr = counters_[initiator];
   ++init_ctr.shootdowns_initiated;
-  Cycles cycles = 0;
-  for (const UnitIdx unit : units) {
-    cycles += CostModel::hw_inval_lookup;
-    targets.for_each([&](CoreId target) {
-      cycles += CostModel::hw_inval_per_target;
-      ++counters_[target].remote_invalidations_received;
-      tlbs_[target].invalidate(unit);
-    });
-  }
+  const unsigned num_targets = targets.count();
+  const Cycles cycles =
+      units.size() * (CostModel::hw_inval_lookup +
+                      CostModel::hw_inval_per_target * num_targets);
+  targets.for_each([&](CoreId target) {
+    counters_[target].remote_invalidations_received += units.size();
+    if (!holders.test(target)) return;
+    Tlb& target_tlb = tlbs_[target];
+    for (const UnitIdx unit : units) target_tlb.invalidate(unit);
+  });
   init_ctr.cycles_shootdown += cycles;
   if (trace_ != nullptr)
     trace_->emit({trace::EventKind::kShootdown, initiator, now, cycles,
-                  units[0], targets.count(), units.size(), 0,
+                  units[0], num_targets, units.size(), 0,
                   space_of_targets(targets)});
   return cycles;
 }
@@ -168,7 +171,7 @@ Cycles Machine::shootdown_batch(CoreId initiator, Cycles now,
       CoreMask targets = item.targets;
       targets.clear(initiator);
       const std::array<UnitIdx, 1> unit = {item.unit};
-      cycles += hw_invalidate(initiator, now, targets, unit);
+      cycles += hw_invalidate(initiator, now, targets, item.holders, unit);
     }
     return cycles;
   }
@@ -196,7 +199,7 @@ Cycles Machine::shootdown_batch(CoreId initiator, Cycles now,
     for (const BatchItem& item : items) {
       if (!item.targets.test(target)) continue;
       ++mine;
-      target_tlb.invalidate(item.unit);
+      if (item.holders.test(target)) target_tlb.invalidate(item.unit);
     }
     ctr.remote_invalidations_received += mine;
     const Cycles receiver_cost = config_.cost.ipi_receive + config_.cost.invlpg * mine;

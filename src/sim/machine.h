@@ -101,21 +101,26 @@ class Machine {
                                     Asid asid);
 
   /// Perform a remote TLB shootdown of `units` on all cores in `targets`
-  /// (the initiator must not be in the mask). Invalidates the receivers'
-  /// TLB entries, charges interrupt cost to the receivers, and returns the
-  /// cycles consumed at the initiator, which the caller adds to its clock.
-  /// Also fills the initiator's shootdown/lock-wait counters.
+  /// (the initiator must not be in the mask). Charges every target the
+  /// interrupt and INVLPG cost and its counters, and returns the cycles
+  /// consumed at the initiator, which the caller adds to its clock. Also
+  /// fills the initiator's shootdown/lock-wait counters. `holders` are the
+  /// cores whose TLB may cache the units (mm::PageTable::tlb_holders): only
+  /// targets among them have their TLB entries dropped, since on any other
+  /// target Tlb::invalidate would find nothing. The simulated cost does not
+  /// depend on `holders`.
   Cycles shootdown(CoreId initiator, Cycles now, const CoreMask& targets,
-                   std::span<const UnitIdx> units);
+                   const CoreMask& holders, std::span<const UnitIdx> units);
 
   /// Batched shootdown: one slot acquisition and one IPI round for several
-  /// (unit, mapping-cores) pairs — how the access-bit scanner flushes a run
-  /// of cleared PTEs. Each receiver pays one interrupt plus INVLPG for the
-  /// units it actually maps; remote-invalidation counters grow by that
-  /// per-receiver unit count.
+  /// units — how the access-bit scanner flushes a run of cleared PTEs.
+  /// Each receiver pays one interrupt plus INVLPG for every item that
+  /// targets it; remote-invalidation counters grow by that per-receiver
+  /// count. As in shootdown(), only an item's holders lose the entry.
   struct BatchItem {
     UnitIdx unit;
     CoreMask targets;
+    CoreMask holders;
   };
   Cycles shootdown_batch(CoreId initiator, Cycles now,
                          std::span<const BatchItem> items);
@@ -137,6 +142,7 @@ class Machine {
 
   /// Directed invalidation via the hypothetical TLB directory hardware.
   Cycles hw_invalidate(CoreId initiator, Cycles now, const CoreMask& targets,
+                       const CoreMask& holders,
                        std::span<const UnitIdx> units);
 
   /// Lost-acknowledgement injection for one completed IPI round. Each lost

@@ -56,9 +56,11 @@ class Tlb {
   /// Install a translation, evicting the LRU entry when full.
   void insert(UnitIdx unit);
 
-  /// Drop one translation (INVLPG). Returns true if it was present —
-  /// receivers of a shootdown IPI only pay the INVLPG cost for cached
-  /// entries but always pay the interrupt cost.
+  /// Drop one translation (INVLPG). Returns true if it was present. The
+  /// simulated cost is charged by the callers and does not depend on
+  /// presence: a shootdown charges every receiver the interrupt plus one
+  /// INVLPG per unit aimed at it (Interconnect::shootdown,
+  /// Machine::shootdown_batch), whether or not the entry is cached.
   bool invalidate(UnitIdx unit);
 
   /// Size the unit index for units [0, n) so steady-state insert() never

@@ -1,6 +1,7 @@
 // SimCheck framework tests: registry mechanics (strides, handlers,
-// diagnostics) and checker-catches-the-bug coverage for the TLB, frame
-// table, policy accounting and clock monotonicity invariants. The PSPT
+// diagnostics) and checker-catches-the-bug coverage for the TLB (stale
+// entries and entries outside a regular table's fill mask), frame table,
+// policy accounting and clock monotonicity invariants. The PSPT
 // corruption cases live in tests/mm/pspt_invariant_test.cpp.
 #include "check/invariant_checkers.h"
 
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "core/simulation.h"
+#include "mm/regular_page_table.h"
 #include "sim/checker.h"
 
 namespace cmcp::check {
@@ -187,6 +189,38 @@ TEST(SimCheck, TlbCheckerCatchesStaleEntry) {
   EXPECT_EQ(captured[0].checker, "tlb-consistency");
   EXPECT_EQ(captured[0].invariant, "stale-tlb-entry");
   EXPECT_EQ(captured[0].unit, 9999u);
+  EXPECT_EQ(captured[0].core, 0u);
+}
+
+TEST(SimCheck, TlbCheckerCatchesEntryOutsideHolders) {
+  // Shootdowns drop TLB entries only on the table's holders of the unit,
+  // so a cached entry on a core the regular table's fill mask lost would
+  // survive the next unmap. Drop core 0 from the fill of a unit it caches.
+  ScriptedWorkload w(2, 8, {{wl::Op::access(0, false, 8)},
+                            {wl::Op::access(0, false, 8)}});
+  core::SimulationConfig config;
+  config.machine.num_cores = 2;
+  config.pt_kind = PageTableKind::kRegular;
+  core::Simulation sim(config, w);
+  sim.run();
+  std::vector<CheckViolation> captured;
+  sim.check_registry()->set_handler(
+      [&](const CheckViolation& v) { captured.push_back(v); });
+  sim.check_registry()->run_now(CheckPoint::kEndOfRun);
+  ASSERT_TRUE(captured.empty()) << captured[0].invariant;
+
+  UnitIdx cached = kInvalidUnit;
+  sim.machine().tlb(0).for_each_entry([&](UnitIdx u) { cached = u; });
+  ASSERT_NE(cached, kInvalidUnit);
+  auto* regular = dynamic_cast<mm::RegularPageTable*>(
+      &sim.memory_manager().space(0).mutable_page_table_for_test());
+  ASSERT_NE(regular, nullptr);
+  regular->corrupt_fill_clear_core_for_test(cached, 0);
+  sim.check_registry()->run_now(CheckPoint::kEndOfRun);
+  ASSERT_EQ(captured.size(), 1u);
+  EXPECT_EQ(captured[0].checker, "tlb-consistency");
+  EXPECT_EQ(captured[0].invariant, "entry-outside-holders");
+  EXPECT_EQ(captured[0].unit, cached);
   EXPECT_EQ(captured[0].core, 0u);
 }
 

@@ -193,6 +193,20 @@ void expect_matches(const CoreMask& m, const Reference& ref, int step) {
   EXPECT_EQ(seen, bits_of(ref));
   EXPECT_TRUE(m == rebuilt(ref));
   EXPECT_EQ(m == CoreMask{}, ref.none());
+  // Point reads see every word, including those past the live bound,
+  // which a mask never writes: they must read as clear.
+  bool words_match = true;
+  for (std::size_t wi = 0; wi < CoreMask::kWords; ++wi) {
+    std::uint64_t want = 0;
+    for (CoreId b = 0; b < 64; ++b)
+      if (ref[wi * 64 + b]) want |= std::uint64_t{1} << b;
+    words_match = words_match && m.word(wi) == want;
+  }
+  EXPECT_TRUE(words_match);
+  bool tests_match = true;
+  for (CoreId c = 0; c < CoreMask::kMaxCores; ++c)
+    tests_match = tests_match && m.test(c) == ref[c];
+  EXPECT_TRUE(tests_match);
 }
 
 TEST(CoreMask, MatchesBitsetUnderRandomOperations) {

@@ -20,7 +20,7 @@ struct HwFixture {
           return mc;
         }()),
         area(0, 64, PageSizeClass::k4K),
-        mm(machine, {{area, MemoryManagerConfig{}}}, 2,
+        mm(machine, {{area, MemoryManagerConfig{}, 0, cores}}, 2,
            mm::PartitionKind::kNone) {}
 
   void touch(CoreId core, Vpn vpn) {
@@ -99,7 +99,8 @@ struct PrefetchFixture {
                         MemoryManagerConfig config;
                         config.prefetch_degree = degree;
                         return config;
-                      }()}},
+                      }(),
+                      0, 2}},
            capacity, mm::PartitionKind::kNone) {}
 
   void touch(CoreId core, Vpn vpn) {

@@ -24,7 +24,8 @@ struct Fixture {
                         config.policy.kind = policy;
                         config.preload = preload;
                         return config;
-                      }()}},
+                      }(),
+                      0, cores}},
            capacity, mm::PartitionKind::kNone) {}
 
   Cycles touch(CoreId core, Vpn vpn, bool write = false) {
@@ -217,7 +218,7 @@ TEST(MemoryManagerDeath, PreloadRequiresFullCapacity) {
   mm::ComputationArea area(0, 64, PageSizeClass::k4K);
   MemoryManagerConfig config;
   config.preload = true;
-  EXPECT_DEATH(MemoryManager(machine, {{area, config}}, 32,
+  EXPECT_DEATH(MemoryManager(machine, {{area, config, 0, 2}}, 32,
                              mm::PartitionKind::kNone),
                "preload");
 }

@@ -43,7 +43,7 @@ TEST_P(MmPropertyTest, BookkeepingInvariantsUnderRandomTrace) {
   MemoryManagerConfig config;
   config.pt_kind = p.pt;
   config.policy.kind = p.policy;
-  MemoryManager mm(machine, {{area, config}}, capacity,
+  MemoryManager mm(machine, {{area, config, 0, kCores}}, capacity,
                    mm::PartitionKind::kNone);
 
   // Reference: which units are resident, and who mapped them since load.

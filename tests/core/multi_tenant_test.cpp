@@ -282,6 +282,37 @@ TEST(MultiTenant, PsptAllocatesNoTableForAnotherTenantsCores) {
   }
 }
 
+TEST(MultiTenant, RegularTableShootsDownOnlyItsOwnCores) {
+  // A regular table cannot tell which of its cores cached a unit, but only
+  // its own tenant's cores can: its broadcast reaches that core block, not
+  // the machine. Under kNone each tenant evicts only from itself, so every
+  // remote invalidation a tenant's cores receive must come from its own
+  // shootdowns — the interference matrix's diagonal.
+  wl::MultiTenantSpec spec;
+  spec.add(small_bt());
+  spec.add(small_bt());
+  MultiTenantConfig config;
+  config.memory_fraction = 0.5;
+  std::vector<TenantRunConfig> tenants(2);
+  tenants[0].pt_kind = PageTableKind::kRegular;
+  tenants[0].policy.kind = PolicyKind::kFifo;
+  tenants[1].pt_kind = PageTableKind::kPspt;
+  tenants[1].policy.kind = PolicyKind::kCmcp;
+  const MultiTenantResult result = run_multi_tenant(config, spec, tenants);
+  ASSERT_EQ(result.tenants.size(), 2u);
+  ASSERT_GT(result.tenants[0].total.evictions, 0u);
+  for (Asid t = 0; t < 2; ++t) {
+    const TenantResult& tr = result.tenants[t];
+    EXPECT_EQ(result.interference[(1 - t) * 2 + t], 0u) << "tenant " << t;
+    EXPECT_EQ(tr.total.remote_invalidations_received,
+              result.interference[t * 2 + t])
+        << "tenant " << t;
+    // A shootdown interrupts at most the other three cores of the block.
+    EXPECT_LE(tr.total.ipis_received, 3 * tr.total.shootdowns_initiated)
+        << "tenant " << t;
+  }
+}
+
 TEST(MultiTenant, ProportionalShareEvictsNoisyNeighbor) {
   // Equal shares, one tenant four times the footprint: under contention the
   // small tenant must keep at least its target's worth of progress — the

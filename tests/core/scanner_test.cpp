@@ -24,7 +24,8 @@ struct ScannerFixture {
                         config.pt_kind = PageTableKind::kPspt;
                         config.policy.kind = policy;
                         return config;
-                      }()}},
+                      }(),
+                      0, cores}},
            capacity, mm::PartitionKind::kNone) {}
 
   void touch(CoreId core, Vpn vpn) {

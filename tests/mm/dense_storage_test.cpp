@@ -47,7 +47,7 @@ TEST(DensePspt, RemapAfterUnmapTakesANewFrame) {
   pt.map(0, 5);
   pt.map(1, 5);
   pt.mark_dirty(0, 5);
-  EXPECT_EQ(pt.unmap_all(5).count(), 2u);
+  EXPECT_EQ(pt.unmap_all(5).targets.count(), 2u);
   // Eviction recycled the slot: a later fault may install a different
   // frame, and the old accessed/dirty state must not leak into it.
   pt.map(1, 5);

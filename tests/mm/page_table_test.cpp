@@ -43,7 +43,7 @@ TEST_P(PageTableContractTest, MapMakesUnitVisible) {
 
 TEST_P(PageTableContractTest, UnmapAllRemovesEverything) {
   pt_->map(1, 3);
-  const CoreMask affected = pt_->unmap_all(3);
+  const CoreMask affected = pt_->unmap_all(3).targets;
   EXPECT_TRUE(affected.any());
   EXPECT_FALSE(pt_->any_mapping(3));
   EXPECT_FALSE(pt_->has_mapping(1, 3));
@@ -108,7 +108,55 @@ TEST(RegularPageTable, ShootdownMustTargetAllCores) {
   RegularPageTable pt(kCores);
   pt.map(3, 5);
   EXPECT_EQ(pt.mapping_cores(5), CoreMask::first_n(kCores));
-  EXPECT_EQ(pt.unmap_all(5), CoreMask::first_n(kCores));
+  EXPECT_EQ(pt.unmap_all(5).targets, CoreMask::first_n(kCores));
+}
+
+TEST(RegularPageTable, ShootdownTargetsOnlyTheSpacesCoreBlock) {
+  // A tenant on cores [4, 8) of the machine: its units are reachable only
+  // from those cores, so they are the targets and the pessimistic count.
+  RegularPageTable pt(4, 4);
+  pt.map(5, 2);
+  CoreMask block;
+  for (CoreId c = 4; c < 8; ++c) block.set(c);
+  EXPECT_EQ(pt.mapping_cores(2), block);
+  EXPECT_EQ(pt.core_map_count(2), 4u);
+  EXPECT_EQ(pt.unmap_all(2).targets, block);
+}
+
+TEST(RegularPageTable, MarkAccessedRecordsTheFillAndUnmapClearsIt) {
+  // Every TLB fill goes through mark_accessed, so its cores are the
+  // only ones whose TLB may hold the unit; unmap_all hands them back and
+  // starts the next mapping with none. Core 70 puts the bit in a
+  // second mask word.
+  RegularPageTable pt(100);
+  pt.map(0, 5);
+  EXPECT_TRUE(pt.tlb_holders(5).none());
+  pt.mark_accessed(3, 5);
+  pt.mark_accessed(70, 5);
+  pt.mark_accessed(3, 5);
+  pt.map(1, 6);
+  pt.mark_accessed(9, 6);
+  CoreMask expected;
+  expected.set(3);
+  expected.set(70);
+  EXPECT_EQ(pt.tlb_holders(5), expected);
+  const ShootdownSet set = pt.unmap_all(5);
+  EXPECT_EQ(set.targets, CoreMask::first_n(100));
+  EXPECT_EQ(set.holders, expected);
+  EXPECT_TRUE(pt.tlb_holders(5).none());
+  pt.map(0, 5);
+  EXPECT_TRUE(pt.tlb_holders(5).none());
+  // The neighbouring unit's fill is untouched.
+  CoreMask nine;
+  nine.set(9);
+  EXPECT_EQ(pt.tlb_holders(6), nine);
+}
+
+TEST(RegularPageTableDeath, MarkAccessedFromAnotherSpacesCoreAborts) {
+  RegularPageTable pt(4, 4);
+  pt.map(4, 1);
+  EXPECT_DEATH(pt.mark_accessed(3, 1), "");
+  EXPECT_DEATH(pt.mark_accessed(8, 1), "");
 }
 
 TEST(RegularPageTable, CoreMapCountIsPessimistic) {
@@ -149,7 +197,10 @@ TEST(Pspt, ShootdownTargetsOnlyMappingCores) {
   expected.set(0);
   expected.set(1);
   EXPECT_EQ(pt.mapping_cores(5), expected);
-  EXPECT_EQ(pt.unmap_all(5), expected);
+  EXPECT_EQ(pt.tlb_holders(5), expected);
+  const ShootdownSet set = pt.unmap_all(5);
+  EXPECT_EQ(set.targets, expected);
+  EXPECT_EQ(set.holders, expected);
 }
 
 TEST(Pspt, DoubleMapBySameCoreAborts) {
@@ -211,7 +262,7 @@ TEST(Pspt, CoreThatNeverMapsOwnsNoTable) {
   CoreMask both;
   both.set(3);
   both.set(40);
-  EXPECT_EQ(pt.unmap_all(5), both);
+  EXPECT_EQ(pt.unmap_all(5).targets, both);
 
   // Growing the space grows the two existing tables only.
   pt.reserve_units(64);

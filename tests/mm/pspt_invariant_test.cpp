@@ -32,7 +32,8 @@ struct Fixture {
                         config.pt_kind = PageTableKind::kPspt;
                         config.policy.kind = PolicyKind::kCmcp;
                         return config;
-                      }()}},
+                      }(),
+                      0, cores}},
            capacity, PartitionKind::kNone) {
     check::register_default_checkers(registry, mm, machine);
     registry.set_handler(

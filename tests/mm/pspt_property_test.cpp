@@ -45,7 +45,7 @@ TEST_P(PsptPropertyTest, AgreesWithReferenceModelUnderRandomOps) {
       case 1: {  // unmap_all (if mapped)
         auto it = ref.units.find(unit);
         if (it != ref.units.end()) {
-          const CoreMask affected = pt.unmap_all(unit);
+          const CoreMask affected = pt.unmap_all(unit).targets;
           EXPECT_EQ(affected.count(), it->second.cores.size());
           for (CoreId c : it->second.cores) EXPECT_TRUE(affected.test(c));
           ref.units.erase(it);

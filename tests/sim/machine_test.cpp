@@ -5,6 +5,7 @@
 #include <array>
 #include <cstdint>
 #include <initializer_list>
+#include <string>
 #include <utility>
 
 #include "core/simulation.h"
@@ -51,7 +52,7 @@ TEST(Machine, ShootdownChargesInitiatorAndReceivers) {
   targets.set(1);
   targets.set(2);
   const std::array<UnitIdx, 1> units = {42};
-  const Cycles initiator_cycles = m.shootdown(0, 0, targets, units);
+  const Cycles initiator_cycles = m.shootdown(0, 0, targets, targets, units);
 
   EXPECT_GT(initiator_cycles, 0u);
   EXPECT_EQ(m.counters(0).shootdowns_initiated, 1u);
@@ -73,7 +74,7 @@ TEST(Machine, ShootdownChargesInitiatorAndReceivers) {
 TEST(Machine, ShootdownWithEmptyMaskIsFree) {
   Machine m(small_config(4));
   const std::array<UnitIdx, 1> units = {1};
-  EXPECT_EQ(m.shootdown(0, 0, CoreMask{}, units), 0u);
+  EXPECT_EQ(m.shootdown(0, 0, CoreMask{}, CoreMask{}, units), 0u);
   EXPECT_EQ(m.counters(0).shootdowns_initiated, 0u);
 }
 
@@ -82,7 +83,7 @@ TEST(MachineDeath, InitiatorInTargetMaskAborts) {
   CoreMask targets;
   targets.set(0);
   const std::array<UnitIdx, 1> units = {1};
-  EXPECT_DEATH(m.shootdown(0, 0, targets, units), "");
+  EXPECT_DEATH(m.shootdown(0, 0, targets, targets, units), "");
 }
 
 TEST(Machine, BatchShootdownChargesPerMappedUnit) {
@@ -97,7 +98,7 @@ TEST(Machine, BatchShootdownChargesPerMappedUnit) {
   both.set(1);
   both.set(2);
   const std::array<Machine::BatchItem, 2> items = {
-      Machine::BatchItem{10, only1}, Machine::BatchItem{11, both}};
+      Machine::BatchItem{10, only1, only1}, Machine::BatchItem{11, both, both}};
   const Cycles cycles = m.shootdown_batch(0, 0, items);
   EXPECT_GT(cycles, 0u);
 
@@ -116,7 +117,7 @@ TEST(Machine, BatchShootdownSkipsInitiator) {
   CoreMask self_only;
   self_only.set(0);
   const std::array<Machine::BatchItem, 1> items = {
-      Machine::BatchItem{5, self_only}};
+      Machine::BatchItem{5, self_only, self_only}};
   EXPECT_EQ(m.shootdown_batch(0, 0, items), 0u);
   EXPECT_EQ(m.counters(0).ipis_received, 0u);
 }
@@ -133,7 +134,7 @@ TEST(Machine, WideMachineShootdownChargesEachTargetOnce) {
   CoreMask targets = CoreMask::first_n(m.total_cores());
   targets.clear(0);
   const std::array<UnitIdx, 1> units = {7};
-  EXPECT_GT(m.shootdown(0, 0, targets, units), 0u);
+  EXPECT_GT(m.shootdown(0, 0, targets, targets, units), 0u);
   std::uint64_t ipis = 0;
   for (CoreId c = 0; c < m.total_cores(); ++c) {
     const std::uint64_t want = c == 0 ? 0u : 1u;
@@ -161,9 +162,10 @@ TEST(Machine, WideMachineBatchStraddlingWordsChargesEachTargetOnce) {
     return out;
   };
   const std::array<Machine::BatchItem, 3> items = {
-      Machine::BatchItem{10, mask({63, 64, 1023})},
-      Machine::BatchItem{11, mask({127, 128, 1023, 1024})},
-      Machine::BatchItem{12, mask({0, 511, 512})}};
+      Machine::BatchItem{10, mask({63, 64, 1023}), mask({63, 64, 1023})},
+      Machine::BatchItem{11, mask({127, 128, 1023, 1024}),
+                         mask({127, 128, 1023, 1024})},
+      Machine::BatchItem{12, mask({0, 511, 512}), mask({0, 511, 512})}};
   EXPECT_GT(m.shootdown_batch(0, 0, items), 0u);
 
   const std::array<std::pair<CoreId, std::uint64_t>, 8> invals = {{
@@ -182,6 +184,78 @@ TEST(Machine, WideMachineBatchStraddlingWordsChargesEachTargetOnce) {
   EXPECT_FALSE(m.tlb(1023).lookup(11));
   EXPECT_FALSE(m.tlb(64).lookup(10));
 }
+
+// Holders are host-side knowledge: a shootdown whose holders are a strict
+// subset of its targets must charge exactly what the full-mask shootdown
+// charges, and only the holders' TLBs lose the entry. Every target caches
+// the unit here, so a skipped invalidation shows as a surviving entry.
+enum class ShootdownPath { kIpi, kBatch, kHardware, kHardwareBatch };
+
+class HoldersTest : public ::testing::TestWithParam<ShootdownPath> {
+ protected:
+  static constexpr UnitIdx kUnit = 42;
+
+  /// Shoot down kUnit from core 0 to cores {1, 2, 3}, caching it on all
+  /// three first. Returns the initiator's cycles.
+  static Cycles run(Machine& m, const CoreMask& holders) {
+    for (CoreId c = 1; c < 4; ++c) m.tlb(c).insert(kUnit);
+    CoreMask targets;
+    for (CoreId c = 1; c < 4; ++c) targets.set(c);
+    const ShootdownPath path = GetParam();
+    if (path == ShootdownPath::kBatch || path == ShootdownPath::kHardwareBatch) {
+      const std::array<Machine::BatchItem, 1> items = {
+          Machine::BatchItem{kUnit, targets, holders}};
+      return m.shootdown_batch(0, 0, items);
+    }
+    const std::array<UnitIdx, 1> units = {kUnit};
+    return m.shootdown(0, 0, targets, holders, units);
+  }
+
+  static MachineConfig config() {
+    MachineConfig c = small_config(4);
+    if (GetParam() == ShootdownPath::kHardware ||
+        GetParam() == ShootdownPath::kHardwareBatch)
+      c.tlb_coherence = TlbCoherence::kHardwareDirectory;
+    return c;
+  }
+};
+
+TEST_P(HoldersTest, SubsetChargesLikeFullMaskAndInvalidatesOnlyHolders) {
+  Machine full(config());
+  Machine subset(config());
+  CoreMask all;
+  for (CoreId c = 1; c < 4; ++c) all.set(c);
+  CoreMask only2;
+  only2.set(2);
+
+  EXPECT_EQ(run(full, all), run(subset, only2));
+  for (CoreId c = 0; c < subset.total_cores(); ++c) {
+    EXPECT_EQ(subset.counters(c), full.counters(c)) << "core " << c;
+    EXPECT_EQ(subset.clock(c), full.clock(c)) << "core " << c;
+  }
+  EXPECT_GT(subset.counters(1).remote_invalidations_received, 0u);
+  for (CoreId c = 1; c < 4; ++c) {
+    EXPECT_FALSE(full.tlb(c).lookup(kUnit)) << "core " << c;
+    EXPECT_EQ(subset.tlb(c).lookup(kUnit), c != 2) << "core " << c;
+  }
+}
+
+std::string path_name(const ::testing::TestParamInfo<ShootdownPath>& p) {
+  switch (p.param) {
+    case ShootdownPath::kIpi: return "Ipi";
+    case ShootdownPath::kBatch: return "Batch";
+    case ShootdownPath::kHardware: return "Hardware";
+    case ShootdownPath::kHardwareBatch: return "HardwareBatch";
+  }
+  return "Unknown";
+}
+
+INSTANTIATE_TEST_SUITE_P(AllPaths, HoldersTest,
+                         ::testing::Values(ShootdownPath::kIpi,
+                                           ShootdownPath::kBatch,
+                                           ShootdownPath::kHardware,
+                                           ShootdownPath::kHardwareBatch),
+                         path_name);
 
 TEST(Machine, AggregateExcludesScanner) {
   // A run's app_total sums the app cores' counters; the LRU scanner's

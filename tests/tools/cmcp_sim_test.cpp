@@ -5,10 +5,12 @@
 // in setup, a hang or a silent fall-back to the paper's default. So is a
 // --faults entry out of its range ("--faults: 'pcie=2': ..."). A malformed
 // --replay-trace file is one too, reported as "<file>:<line>: ...".
+// --dump-trace writes the workload's trace and exits 0 without simulating.
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <string>
@@ -113,6 +115,33 @@ TEST(CmcpSimCliDeath, MalformedReplayTraceExitsTwoWithALocatedDiagnostic) {
                 ::testing::ExitedWithCode(2), path + c.message)
         << c.name;
   }
+}
+
+TEST(CmcpSimCli, DumpTraceWritesTheTraceAndExitsWithoutSimulating) {
+  // Dumping a trace is the workload byte-identity probe; it must not pay
+  // for a whole simulation (no "runtime" line, no result exports).
+  const std::string path = ::testing::TempDir() + "cmcp_sim_dump.trace";
+  const std::string json = ::testing::TempDir() + "cmcp_sim_dump.json";
+  std::remove(path.c_str());
+  std::remove(json.c_str());
+  const std::string cmd = std::string(CMCP_SIM_BIN) +
+                          " --workload bt --cores 4 --dump-trace " + path +
+                          " --json " + json;
+  FILE* pipe = popen(cmd.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string out;
+  char buf[256];
+  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 0);
+  EXPECT_NE(out.find("written to " + path), std::string::npos) << out;
+  EXPECT_EQ(out.find("runtime"), std::string::npos) << out;
+  std::ifstream trace(path);
+  std::string header;
+  ASSERT_TRUE(std::getline(trace, header));
+  EXPECT_EQ(header, "cmcp-trace v1");
+  EXPECT_FALSE(std::ifstream(json).good());
 }
 
 }  // namespace

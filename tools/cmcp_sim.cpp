@@ -50,7 +50,8 @@ using namespace cmcp;
       "  --json FILE                 write results as schema-versioned JSON\n"
       "  --trace FILE                record a structured event trace\n"
       "  --trace-format perfetto|jsonl  trace export format (default perfetto)\n"
-      "  --dump-trace FILE           write the workload's access trace\n"
+      "  --dump-trace FILE           write the workload's access trace and\n"
+      "                              exit without simulating\n"
       "  --replay-trace FILE         run a recorded trace instead\n",
       argv0);
   std::exit(2);
@@ -213,6 +214,7 @@ int main(int argc, char** argv) {
   if (dump_trace) {
     wl::save_trace(*workload, *dump_trace);
     std::printf("trace           : written to %s\n", dump_trace->c_str());
+    return 0;
   }
   sim::trace::EventSink sink;
   if (trace_path) config.trace = &sink;
