@@ -5,6 +5,7 @@
 // measures how badly CMCP misfires and how much aging rescues it.
 #include <cstdio>
 
+#include "bench_mode.h"
 #include "cmcp.h"
 
 using namespace cmcp;

@@ -4,6 +4,7 @@
 // adversarial pattern where dead shared pages dominate.
 #include <cstdio>
 
+#include "bench_mode.h"
 #include "cmcp.h"
 
 using namespace cmcp;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstdio>
 
+#include "bench_mode.h"
 #include "cmcp.h"
 
 using namespace cmcp;

@@ -10,6 +10,7 @@
 // hardware.
 #include <cstdio>
 
+#include "bench_mode.h"
 #include "cmcp.h"
 
 using namespace cmcp;

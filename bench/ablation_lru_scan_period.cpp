@@ -4,6 +4,7 @@
 // page scanning frequency LRU simply fell back to the behavior of FIFO."
 #include <cstdio>
 
+#include "bench_mode.h"
 #include "cmcp.h"
 
 using namespace cmcp;

@@ -4,6 +4,7 @@
 // convert most majors into minor faults without moving extra data.
 #include <cstdio>
 
+#include "bench_mode.h"
 #include "cmcp.h"
 
 using namespace cmcp;

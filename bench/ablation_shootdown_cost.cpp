@@ -4,6 +4,7 @@
 // paper asks vendors for in section 2.3).
 #include <cstdio>
 
+#include "bench_mode.h"
 #include "cmcp.h"
 
 using namespace cmcp;

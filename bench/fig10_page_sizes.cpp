@@ -2,6 +2,7 @@
 // constraint tightens (FIFO, 56 cores, class C / big footprints).
 #include <cstdio>
 
+#include "bench_mode.h"
 #include "cmcp.h"
 
 using namespace cmcp;

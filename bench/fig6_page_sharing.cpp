@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <numeric>
 
+#include "bench_mode.h"
 #include "cmcp.h"
 
 using namespace cmcp;

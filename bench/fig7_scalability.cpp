@@ -14,6 +14,7 @@
 #include <cstring>
 #include <string>
 
+#include "bench_mode.h"
 #include "cmcp.h"
 
 using namespace cmcp;

@@ -3,6 +3,7 @@
 // to 30% — the turning-point analysis of section 5.3.
 #include <cstdio>
 
+#include "bench_mode.h"
 #include "cmcp.h"
 
 using namespace cmcp;

@@ -3,6 +3,7 @@
 // the optimum is workload specific: CG low, LU/SCALE high.
 #include <cstdio>
 
+#include "bench_mode.h"
 #include "cmcp.h"
 
 using namespace cmcp;

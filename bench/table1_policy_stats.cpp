@@ -11,6 +11,7 @@
 #include <cstring>
 #include <string>
 
+#include "bench_mode.h"
 #include "cmcp.h"
 
 using namespace cmcp;

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "bench_mode.h"
 #include "cmcp.h"
 #include "common/parse_number.h"
 #include "core/multi_tenant.h"

@@ -288,27 +288,25 @@ Pfn AddressSpace::allocate_frame(CoreId core, UnitIdx unit, Cycles base,
 Cycles AddressSpace::quarantine_frame(CoreId core, Cycles at, Pfn pfn,
                                       UnitIdx unit) {
   sim::FaultPlan* const plan = machine_.fault_plan();
-  const sim::FaultPlanConfig& fc = plan->config();
+  constexpr Cycles kDetect = sim::FaultPlanConfig::kEccDetectCycles;
   allocator_.quarantine(pfn);
   CMCP_CHECK_MSG(allocator_.usable_capacity() > 0,
                  "every device frame is quarantined");
   mm_.on_frames_quarantined();
   metrics::CoreCounters& ctr = machine_.counters(core);
   ++ctr.faults_injected;
-  ctr.cycles_recovery += fc.ecc_detect_cycles;
-  plan->record(sim::FaultKind::kEccPoison, asid_, 1, 0, false,
-               fc.ecc_detect_cycles);
+  ctr.cycles_recovery += kDetect;
+  plan->record(sim::FaultKind::kEccPoison, asid_, 1, 0, false, kDetect);
   plan->record_quarantine();
   if (sim::trace::EventSink* tr = machine_.trace()) {
     constexpr auto kEcc =
         static_cast<std::uint64_t>(sim::FaultKind::kEccPoison);
-    tr->emit({sim::trace::EventKind::kFaultInject, core, at,
-              fc.ecc_detect_cycles, unit, kEcc, 1, pfn, asid_});
-    tr->emit({sim::trace::EventKind::kQuarantine, core, at,
-              fc.ecc_detect_cycles, unit, pfn, allocator_.usable_capacity(),
-              0, asid_});
+    tr->emit({sim::trace::EventKind::kFaultInject, core, at, kDetect, unit,
+              kEcc, 1, pfn, asid_});
+    tr->emit({sim::trace::EventKind::kQuarantine, core, at, kDetect, unit,
+              pfn, allocator_.usable_capacity(), 0, asid_});
   }
-  return fc.ecc_detect_cycles;
+  return kDetect;
 }
 
 Cycles AddressSpace::shootdown_unit(CoreId initiator, Cycles now,
@@ -340,6 +338,7 @@ Cycles AddressSpace::evict_one(CoreId faulting_core, Cycles now) {
   metrics::CoreCounters& ctr = machine_.counters(faulting_core);
 
   Cycles cycles = cost.policy_op;
+  eviction_start_ = now;
   mm::ResidentPage* victim = policy_->pick_victim(faulting_core, cycles);
   CMCP_CHECK_MSG(victim != nullptr, "no victim with resident pages present");
 
@@ -395,9 +394,7 @@ bool AddressSpace::unit_accessed(const mm::ResidentPage& page) const {
   return page_table_->test_accessed(page.unit, nullptr);
 }
 
-Cycles AddressSpace::core_clock(CoreId core) const {
-  return machine_.clock(core);
-}
+Cycles AddressSpace::eviction_start() const { return eviction_start_; }
 
 Cycles AddressSpace::clear_accessed_and_shootdown(mm::ResidentPage& page,
                                                   CoreId initiator, Cycles now) {

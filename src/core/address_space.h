@@ -64,7 +64,7 @@ class AddressSpace final : public policy::PolicyHost {
     return page_table_->core_map_count(page.unit);
   }
   bool unit_accessed(const mm::ResidentPage& page) const override;
-  Cycles core_clock(CoreId core) const override;
+  Cycles eviction_start() const override;
   Cycles clear_accessed_and_shootdown(mm::ResidentPage& page, CoreId initiator,
                                       Cycles now) override;
 
@@ -117,6 +117,9 @@ class AddressSpace final : public policy::PolicyHost {
   std::unique_ptr<policy::ReplacementPolicy> policy_;
   std::uint64_t policy_capacity_units_;
   unsigned prefetch_degree_;
+
+  /// evict_one's `now`, recorded for pick_victim (PolicyHost::eviction_start).
+  Cycles eviction_start_ = 0;
 
   /// Address-space-wide page-table lock (regular tables only).
   Cycles pt_lock_busy_until_ = 0;

@@ -30,7 +30,7 @@ Cycles MemoryManager::access(CoreId core, Vpn vpn, bool write, Cycles now) {
   sim::FaultPlan* const plan = machine_.fault_plan();
   if (plan != nullptr) {
     // Straggler core: every access inside the afflicted window costs
-    // `straggler_mult` times as much (a thermally throttled or contended
+    // `kStragglerMult` times as much (a thermally throttled or contended
     // core). The decision is a pure hash of (seed, core, window index), so
     // it is independent of evaluation order and replays bit-identically.
     bool window_start = false;
@@ -47,8 +47,8 @@ Cycles MemoryManager::access(CoreId core, Vpn vpn, bool write, Cycles now) {
           constexpr auto kStrag =
               static_cast<std::uint64_t>(sim::FaultKind::kStraggler);
           tr->emit({sim::trace::EventKind::kFaultInject, core, now,
-                    plan->config().straggler_window, kInvalidUnit, kStrag, 1,
-                    mult, asid});
+                    sim::FaultPlanConfig::kStragglerWindow, kInvalidUnit,
+                    kStrag, 1, mult, asid});
         }
       }
       plan->record_straggler_cycles(extra);

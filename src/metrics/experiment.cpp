@@ -1,6 +1,5 @@
 #include "metrics/experiment.h"
 
-#include <cstdlib>
 #include <sstream>
 
 #include "policy/dynamic_p.h"
@@ -77,7 +76,8 @@ sim::trace::Metadata RunSpec::describe() const {
     // broken out for trace_lint's give-up rule.
     meta.emplace_back("faults", faults.to_spec());
     meta.emplace_back("fault_seed", std::to_string(faults.seed));
-    meta.emplace_back("fault_max_retries", std::to_string(faults.max_retries));
+    meta.emplace_back("fault_max_retries",
+                      std::to_string(sim::FaultPlanConfig::kMaxRetries));
   }
   return meta;
 }
@@ -127,13 +127,6 @@ double relative_performance(const core::SimulationResult& baseline,
   if (run.makespan == 0) return 0.0;
   return static_cast<double>(baseline.makespan) /
          static_cast<double>(run.makespan);
-}
-
-bool fast_mode() { return std::getenv("CMCP_BENCH_FAST") != nullptr; }
-
-std::vector<CoreId> paper_core_counts() {
-  if (fast_mode()) return {8, 24, 56};
-  return {8, 16, 24, 32, 40, 48, 56};
 }
 
 }  // namespace cmcp::metrics

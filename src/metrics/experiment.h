@@ -62,11 +62,4 @@ sim::trace::Summary result_summary(const core::SimulationResult& result);
 double relative_performance(const core::SimulationResult& baseline,
                             const core::SimulationResult& run);
 
-/// True when the CMCP_BENCH_FAST environment variable is set: benches shrink
-/// their sweeps for quick smoke runs.
-bool fast_mode();
-
-/// Core-count sweep used by Fig. 6/7 and Table 1 (the paper's x-axis).
-std::vector<CoreId> paper_core_counts();
-
 }  // namespace cmcp::metrics

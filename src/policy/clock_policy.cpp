@@ -12,10 +12,12 @@ mm::ResidentPage* ClockPolicy::pick_victim(CoreId faulting_core,
   // referenced and an unbounded sweep would shoot down the whole resident
   // set on every eviction.
   const std::size_t limit = std::min<std::size_t>(ring_.size(), kMaxSweep) + 1;
-  // The probe timestamp advances with each cleared page: every shootdown in
-  // the sweep happens after the previous one finished (issuing them all at
-  // a stale timestamp would compound slot waits into runaway virtual time).
-  Cycles now = host_.core_clock(faulting_core) + extra_cycles;
+  // The probe timestamp starts at the eviction's start, not the core's clock
+  // from before the fault, and advances with each cleared page: every
+  // shootdown in the sweep happens after the previous one finished (a stale
+  // timestamp counts each slot wait twice, compounding into runaway virtual
+  // time).
+  Cycles now = host_.eviction_start() + extra_cycles;
   for (std::size_t i = 0; i < limit; ++i) {
     mm::ResidentPage* hand = ring_.front();
     if (hand == nullptr) return nullptr;

@@ -41,8 +41,10 @@ class PolicyHost {
   /// clearing it. Cheap: no shootdown.
   virtual bool unit_accessed(const mm::ResidentPage& page) const = 0;
 
-  /// Current virtual time of a core (for timestamping inline shootdowns).
-  virtual Cycles core_clock(CoreId core) const = 0;
+  /// Virtual time at which the eviction now asking pick_victim started:
+  /// the faulting core's time after its fault cycles and any earlier slot
+  /// waits (for timestamping inline shootdowns).
+  virtual Cycles eviction_start() const = 0;
 
   /// Clear the accessed bit(s) and shoot down the translation on every
   /// mapping core — the unavoidable price of usage sampling on x86.

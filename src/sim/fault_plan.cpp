@@ -72,13 +72,13 @@ std::string_view to_string(FaultKind kind) {
   return "?";
 }
 
-Cycles FaultPlanConfig::backoff(unsigned attempt) const {
+Cycles FaultPlanConfig::backoff(unsigned attempt) {
   CMCP_CHECK(attempt >= 1);
   const unsigned shift = std::min(attempt - 1, 62u);
-  Cycles value = backoff_base;
+  Cycles value = kBackoffBase;
   // Saturating shift: doubling past the cap cannot wrap.
-  for (unsigned i = 0; i < shift && value < backoff_cap; ++i) value <<= 1;
-  return std::min(value, backoff_cap);
+  for (unsigned i = 0; i < shift && value < kBackoffCap; ++i) value <<= 1;
+  return std::min(value, kBackoffCap);
 }
 
 std::string FaultPlanConfig::to_spec() const {
@@ -88,21 +88,6 @@ std::string FaultPlanConfig::to_spec() const {
   spec += ",ack=" + fmt_double(shootdown_ack_rate);
   spec += ",poison=" + std::to_string(poison_frames);
   spec += ",straggler=" + fmt_double(straggler_rate);
-  const FaultPlanConfig defaults;
-  if (max_retries != defaults.max_retries)
-    spec += ",retries=" + std::to_string(max_retries);
-  if (backoff_base != defaults.backoff_base)
-    spec += ",backoff=" + std::to_string(backoff_base);
-  if (backoff_cap != defaults.backoff_cap)
-    spec += ",cap=" + std::to_string(backoff_cap);
-  if (link_reset_cycles != defaults.link_reset_cycles)
-    spec += ",reset=" + std::to_string(link_reset_cycles);
-  if (ecc_detect_cycles != defaults.ecc_detect_cycles)
-    spec += ",ecc=" + std::to_string(ecc_detect_cycles);
-  if (straggler_mult != defaults.straggler_mult)
-    spec += ",mult=" + std::to_string(straggler_mult);
-  if (straggler_window != defaults.straggler_window)
-    spec += ",window=" + std::to_string(straggler_window);
   return spec;
 }
 
@@ -134,23 +119,8 @@ std::string FaultPlanConfig::parse(std::string_view spec,
       error = parse_field(key, value, &out->poison_frames);
     } else if (key == "straggler") {
       error = parse_field(key, value, &out->straggler_rate, 0.0, 1.0);
-    } else if (key == "retries") {
-      error = parse_field(key, value, &out->max_retries, 1u);
-    } else if (key == "backoff") {
-      error = parse_field(key, value, &out->backoff_base);
-    } else if (key == "cap") {
-      error = parse_field(key, value, &out->backoff_cap);
-    } else if (key == "reset") {
-      error = parse_field(key, value, &out->link_reset_cycles);
-    } else if (key == "ecc") {
-      error = parse_field(key, value, &out->ecc_detect_cycles);
-    } else if (key == "mult") {
-      error = parse_field(key, value, &out->straggler_mult, 1u);
-    } else if (key == "window") {
-      error = parse_field(key, value, &out->straggler_window, Cycles{1});
     } else {
-      error = "unknown key (seed, pcie, sticky, ack, poison, straggler, "
-              "retries, backoff, cap, reset, ecc, mult, window)";
+      error = "unknown key (seed, pcie, sticky, ack, poison, straggler)";
     }
     if (!error.empty())
       return std::string("'").append(token).append("': ").append(error);
@@ -171,7 +141,7 @@ FaultPlan::PcieDecision FaultPlan::next_pcie() {
   const double r = pcie_rng_.next_double();
   PcieDecision d;
   if (r < config_.pcie_sticky_rate) {
-    d.failures = config_.max_retries;
+    d.failures = FaultPlanConfig::kMaxRetries;
     d.sticky = true;
   } else if (r < config_.pcie_sticky_rate + config_.pcie_transient_rate) {
     d.failures = 1;
@@ -229,7 +199,7 @@ unsigned FaultPlan::straggler_mult_at(CoreId core, Cycles now,
                                       bool* window_start) {
   *window_start = false;
   if (config_.straggler_rate <= 0.0) return 1;
-  const std::uint64_t window = now / config_.straggler_window;
+  const std::uint64_t window = now / FaultPlanConfig::kStragglerWindow;
   const std::uint64_t h =
       mix64(config_.seed ^ mix64(0x73747261ULL + core) ^ mix64(window));
   if (unit_double(h) >= config_.straggler_rate) return 1;
@@ -239,7 +209,7 @@ unsigned FaultPlan::straggler_mult_at(CoreId core, Cycles now,
     straggler_emitted_[core] = window;
     *window_start = true;
   }
-  return config_.straggler_mult;
+  return FaultPlanConfig::kStragglerMult;
 }
 
 void FaultPlan::record(FaultKind kind, Asid asid, std::uint64_t injected,

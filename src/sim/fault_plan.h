@@ -68,13 +68,13 @@ struct FaultPlanConfig {
   double straggler_rate = 0.0;
 
   // Recovery protocol constants (virtual cycles; never wallclock).
-  unsigned max_retries = 6;          ///< bounded retry budget per operation
-  Cycles backoff_base = 2'000;       ///< first backoff; doubles per attempt
-  Cycles backoff_cap = 1'000'000;    ///< exponential backoff saturates here
-  Cycles link_reset_cycles = 200'000;  ///< sticky-PCIe give-up fallback cost
-  Cycles ecc_detect_cycles = 5'000;  ///< detect + retire one poisoned frame
-  unsigned straggler_mult = 4;       ///< access-cost multiplier in a window
-  Cycles straggler_window = 2'000'000;  ///< straggler window length
+  static constexpr unsigned kMaxRetries = 6;  ///< retry budget per operation
+  static constexpr Cycles kBackoffBase = 2'000;  ///< first backoff; doubles
+  static constexpr Cycles kBackoffCap = 1'000'000;  ///< backoff saturates here
+  static constexpr Cycles kLinkResetCycles = 200'000;  ///< sticky-PCIe give-up
+  static constexpr Cycles kEccDetectCycles = 5'000;  ///< retire a poisoned frame
+  static constexpr unsigned kStragglerMult = 4;  ///< access-cost multiplier
+  static constexpr Cycles kStragglerWindow = 2'000'000;  ///< window length
 
   /// A plan with nothing to inject. Disabled plans are never constructed, so
   /// the simulation takes the exact pre-fault code paths (byte-identical
@@ -86,12 +86,11 @@ struct FaultPlanConfig {
   }
 
   /// Exponential backoff before retry `attempt` (1-based):
-  /// min(backoff_base << (attempt - 1), backoff_cap).
-  Cycles backoff(unsigned attempt) const;
+  /// min(kBackoffBase << (attempt - 1), kBackoffCap).
+  static Cycles backoff(unsigned attempt);
 
   /// Canonical spec string, e.g. "seed=7,pcie=0.01,sticky=0,ack=0,poison=2,
-  /// straggler=0". Extended knobs are appended only when non-default, so
-  /// specs stay short and parse(to_spec()) is the identity.
+  /// straggler=0"; parse(to_spec()) is the identity.
   std::string to_spec() const;
 
   /// Parse a spec string (comma-separated key=value) into `out`, which is

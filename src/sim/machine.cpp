@@ -77,7 +77,6 @@ Cycles Machine::shootdown(CoreId initiator, Cycles now, const CoreMask& targets,
 Cycles Machine::inject_ack_faults(CoreId initiator, Cycles ack_time,
                                   const CoreMask& targets, UnitIdx unit,
                                   Asid asid) {
-  const FaultPlanConfig& fc = faults_->config();
   constexpr auto kAck = static_cast<std::uint64_t>(FaultKind::kShootdownAck);
   metrics::CoreCounters& init_ctr = counters_[initiator];
   Cycles extra = 0;
@@ -89,12 +88,12 @@ Cycles Machine::inject_ack_faults(CoreId initiator, Cycles ack_time,
     if (trace_ != nullptr)
       trace_->emit({trace::EventKind::kFaultInject, initiator, t, 0, unit,
                     kAck, attempt, 0, asid});
-    if (attempt >= fc.max_retries) {
+    if (attempt >= FaultPlanConfig::kMaxRetries) {
       // Budget exhausted: stop re-sending and poll remote TLB state
       // directly. The invalidations were delivered with the first IPI round
       // (re-sends are idempotent), so the poll observes them complete and
       // TLB coherence holds.
-      const Cycles poll = fc.backoff(attempt);
+      const Cycles poll = FaultPlanConfig::backoff(attempt);
       if (trace_ != nullptr)
         trace_->emit({trace::EventKind::kFaultGiveUp, initiator, t, poll,
                       unit, kAck, attempt, 0, asid});
@@ -105,7 +104,7 @@ Cycles Machine::inject_ack_faults(CoreId initiator, Cycles ack_time,
     // Timeout (exponential backoff), then a re-sent IPI round. Receivers
     // recognize the duplicate and ack without repeating PTE work, but still
     // pay the interrupt.
-    const Cycles wait = fc.backoff(attempt);
+    const Cycles wait = FaultPlanConfig::backoff(attempt);
     if (trace_ != nullptr)
       trace_->emit({trace::EventKind::kFaultRetry, initiator, t,
                     wait + config_.cost.ipi_initiate, unit, kAck, attempt,
@@ -228,7 +227,6 @@ PcieTransferOutcome Machine::pcie_transfer(CoreId core, PcieDir dir,
                                            UnitIdx unit, Asid asid) {
   const PcieTransferOutcome out = pcie_.transfer(dir, ready_at, bytes, faults_);
   if (out.failures > 0) {
-    const FaultPlanConfig& fc = faults_->config();
     const FaultKind kind =
         out.gave_up ? FaultKind::kPcieSticky : FaultKind::kPcieTransient;
     const auto kind_ord = static_cast<std::uint64_t>(kind);
@@ -246,11 +244,11 @@ PcieTransferOutcome Machine::pcie_transfer(CoreId core, PcieDir dir,
         t += out.attempt_cost;
         if (out.gave_up && attempt == out.failures) {
           trace_->emit({trace::EventKind::kFaultGiveUp, core, t,
-                        fc.link_reset_cycles, unit, kind_ord, attempt, 0,
-                        asid});
-          t += fc.link_reset_cycles;
+                        FaultPlanConfig::kLinkResetCycles, unit, kind_ord,
+                        attempt, 0, asid});
+          t += FaultPlanConfig::kLinkResetCycles;
         } else {
-          const Cycles wait = fc.backoff(attempt);
+          const Cycles wait = FaultPlanConfig::backoff(attempt);
           trace_->emit({trace::EventKind::kFaultRetry, core, t, wait, unit,
                         kind_ord, attempt, wait, asid});
           t += wait;

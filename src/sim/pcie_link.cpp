@@ -17,7 +17,6 @@ PcieTransferOutcome PcieLink::transfer(PcieDir dir, Cycles ready_at,
   Cycles t = out.start;
   if (plan != nullptr) {
     const FaultPlan::PcieDecision decision = plan->next_pcie();
-    const FaultPlanConfig& fc = plan->config();
     out.failures = decision.failures;
     out.gave_up = decision.sticky;
     for (unsigned attempt = 1; attempt <= out.failures; ++attempt) {
@@ -25,8 +24,9 @@ PcieTransferOutcome PcieLink::transfer(PcieDir dir, Cycles ready_at,
       // After the final sticky failure the initiator gives up on retrying
       // and resets the link; otherwise it backs off exponentially and
       // replays.
-      t += (out.gave_up && attempt == out.failures) ? fc.link_reset_cycles
-                                                    : fc.backoff(attempt);
+      t += (out.gave_up && attempt == out.failures)
+               ? FaultPlanConfig::kLinkResetCycles
+               : FaultPlanConfig::backoff(attempt);
       bytes_[d] += bytes;  // junk bytes of the failed attempt
     }
   }

@@ -422,7 +422,7 @@ std::string traced_fault_run(const std::string& spec) {
   sim::trace::export_jsonl(
       sink,
       {{"faults", config.faults.to_spec()},
-       {"fault_max_retries", std::to_string(config.faults.max_retries)}},
+       {"fault_max_retries", std::to_string(sim::FaultPlanConfig::kMaxRetries)}},
       {{"evictions", result.app_total.evictions}}, os);
   return os.str();
 }

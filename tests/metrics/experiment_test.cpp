@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 #include <string_view>
 
@@ -130,16 +129,6 @@ TEST(RelativePerformance, RatioAndZeroGuard) {
   EXPECT_DOUBLE_EQ(relative_performance(base, run), 0.5);
   run.makespan = 0;
   EXPECT_DOUBLE_EQ(relative_performance(base, run), 0.0);
-}
-
-TEST(FastMode, FollowsEnvironment) {
-  unsetenv("CMCP_BENCH_FAST");
-  EXPECT_FALSE(fast_mode());
-  EXPECT_EQ(paper_core_counts().size(), 7u);
-  setenv("CMCP_BENCH_FAST", "1", 1);
-  EXPECT_TRUE(fast_mode());
-  EXPECT_LT(paper_core_counts().size(), 7u);
-  unsetenv("CMCP_BENCH_FAST");
 }
 
 TEST(RunSpecEndToEnd, SmokeRun) {

@@ -1,6 +1,7 @@
 // Property tests for CMCP under randomized traces.
 #include <gtest/gtest.h>
 
+#include <ostream>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -19,6 +20,12 @@ struct TraceParams {
   double p;
   std::uint64_t seed;
 };
+
+// gtest would print the struct as raw bytes, and CTest names each case from
+// that printout; printing the fields names the cases p0.5-seed3.
+void PrintTo(const TraceParams& params, std::ostream* os) {
+  *os << 'p' << params.p << "-seed" << params.seed;
+}
 
 class CmcpTraceTest : public ::testing::TestWithParam<TraceParams> {};
 

@@ -3,6 +3,7 @@
 
 #include <unordered_set>
 
+#include "metrics/experiment.h"
 #include "policy/clock_policy.h"
 #include "policy/dynamic_p.h"
 #include "policy/lfu.h"
@@ -58,6 +59,27 @@ TEST(Clock, AllReferencedStillYieldsVictim) {
   ASSERT_NE(victim, nullptr);
   // Every page's bit was cleared once before the second lap chose a victim.
   EXPECT_EQ(host.shootdowns(), 4u);
+}
+
+// CLOCK stamps each second chance's shootdown at the eviction's start plus
+// the cycles the decision already spent. Stamped at the faulting core's
+// clock from before the fault, every slot wait was counted again by the next
+// shootdown: under regular tables' broadcasts the cost doubled with each
+// eviction and virtual time passed 2^53 cycles within milliseconds.
+TEST(Clock, RegularTablesUnderPressureFinish) {
+  metrics::RunSpec spec;
+  spec.workload = wl::PaperWorkload::kCg;
+  spec.cores = 56;
+  spec.pt_kind = PageTableKind::kRegular;
+  spec.policy.kind = PolicyKind::kClock;
+  spec.memory_fraction = 0.5;
+  const core::SimulationResult result = metrics::run_spec(spec);
+  EXPECT_GT(result.app_total.evictions, 0u);
+  std::uint64_t second_chances = 0;
+  for (const auto& [name, value] : result.policy_stats)
+    if (name == "second_chances") second_chances = value;
+  EXPECT_GT(second_chances, 0u);
+  EXPECT_LT(result.makespan, Cycles{4'000'000'000});  // 2.56e9 at seed 1234
 }
 
 TEST(Lfu, EvictsLeastFrequentlyScannedFirst) {

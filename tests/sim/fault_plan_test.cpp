@@ -38,9 +38,6 @@ TEST(FaultPlanConfig, SpecRoundTripsThroughParse) {
   config.shootdown_ack_rate = 0.05;
   config.poison_frames = 3;
   config.straggler_rate = 0.1;
-  config.max_retries = 4;
-  config.backoff_base = 1000;
-  config.straggler_window = 500'000;
   const std::string spec = config.to_spec();
   FaultPlanConfig parsed;
   ASSERT_EQ(FaultPlanConfig::parse(spec, &parsed), "");
@@ -51,9 +48,6 @@ TEST(FaultPlanConfig, SpecRoundTripsThroughParse) {
   EXPECT_EQ(parsed.shootdown_ack_rate, 0.05);
   EXPECT_EQ(parsed.poison_frames, 3u);
   EXPECT_EQ(parsed.straggler_rate, 0.1);
-  EXPECT_EQ(parsed.max_retries, 4u);
-  EXPECT_EQ(parsed.backoff_base, 1000u);
-  EXPECT_EQ(parsed.straggler_window, 500'000u);
 
   // Every spec parse accepts re-parses from its own to_spec() to the same
   // spec, so a trace header always reproduces the schedule it came from.
@@ -64,10 +58,7 @@ TEST(FaultPlanConfig, SpecRoundTripsThroughParse) {
       "seed=202,pcie=0,sticky=0,ack=0,poison=3,straggler=0.25",
       "seed=7,pcie=0.01,poison=2,ack=0.02",
       "seed=18446744073709551615,poison=18446744073709551615",
-      "retries=4294967295,mult=4294967295,window=1,backoff=0,cap=0",
       "pcie=1,ack=0,straggler=1e-3",
-      "retries=4294967296",
-      "mult=4294967296",
       "seed=18446744073709551617",
   };
   for (const char* text : kSpecs) {
@@ -90,32 +81,35 @@ TEST(FaultPlanConfig, DefaultKnobsAreOmittedFromSpec) {
 TEST(FaultPlanConfig, ParseRejectsGarbage) {
   // Each rejection names the offending entry and, for a known key, its
   // allowed range.
+  const std::string unknown =
+      "unknown key (seed, pcie, sticky, ack, poison, straggler)";
   const struct {
     const char* spec;
-    const char* error;
+    std::string error;
   } kCases[] = {
-      {"bogus=1",
-       "'bogus=1': unknown key (seed, pcie, sticky, ack, poison, straggler, "
-       "retries, backoff, cap, reset, ecc, mult, window)"},
+      {"bogus=1", "'bogus=1': " + unknown},
+      // The recovery protocol's constants are not spec keys.
+      {"retries=4", "'retries=4': " + unknown},
+      {"backoff=1000", "'backoff=1000': " + unknown},
+      {"cap=0", "'cap=0': " + unknown},
+      {"reset=1", "'reset=1': " + unknown},
+      {"ecc=1", "'ecc=1': " + unknown},
+      {"mult=4294967296", "'mult=4294967296': " + unknown},
+      {"window=0", "'window=0': " + unknown},
+      {"seed=7,pcie=0.01,retries=0", "'retries=0': " + unknown},
       {"pcie=notanumber", "'pcie=notanumber': pcie must be in [0, 1]"},
       {"pcie=1.5", "'pcie=1.5': pcie must be in [0, 1]"},  // rate > 1
       {"seed=", "'seed=': seed must be in [0, 18446744073709551615]"},
-      {"retries=0", "'retries=0': retries must be in [1, 4294967295]"},
       {",,", "'': expected key=value"},
       {"seed=1,pcie", "'pcie': expected key=value"},
-      // Out-of-range integers must not wrap (mult=0 and retries=0 are
-      // invalid; a wrapped seed or poison count silently changes the
-      // schedule).
-      {"mult=4294967296", "'mult=4294967296': mult must be in [1, 4294967295]"},
-      {"retries=4294967296",
-       "'retries=4294967296': retries must be in [1, 4294967295]"},
+      // Out-of-range integers must not wrap (a wrapped seed or poison count
+      // silently changes the schedule).
       {"seed=18446744073709551617",
        "'seed=18446744073709551617': seed must be in [0, "
        "18446744073709551615]"},
       {"poison=18446744073709551616",
        "'poison=18446744073709551616': poison must be in [0, "
        "18446744073709551615]"},
-      {"window=0", "'window=0': window must be in [1, 18446744073709551615]"},
       // Rates are finite numbers with nothing around them.
       {"pcie=nan", "'pcie=nan': pcie must be in [0, 1]"},
       {"ack= 0.5", "'ack= 0.5': ack must be in [0, 1]"},
@@ -132,13 +126,13 @@ TEST(FaultPlanConfig, ParseRejectsGarbage) {
 }
 
 TEST(FaultPlanConfig, BackoffDoublesThenSaturates) {
-  FaultPlanConfig config;  // base 2000, cap 1'000'000
-  EXPECT_EQ(config.backoff(1), 2'000u);
-  EXPECT_EQ(config.backoff(2), 4'000u);
-  EXPECT_EQ(config.backoff(3), 8'000u);
-  EXPECT_EQ(config.backoff(10), 1'000'000u);  // 2000 << 9 would exceed cap
-  EXPECT_EQ(config.backoff(63), 1'000'000u);  // far past cap: no overflow
-  EXPECT_EQ(config.backoff(200), 1'000'000u);
+  using C = FaultPlanConfig;  // base 2000, cap 1'000'000
+  EXPECT_EQ(C::backoff(1), 2'000u);
+  EXPECT_EQ(C::backoff(2), 4'000u);
+  EXPECT_EQ(C::backoff(3), 8'000u);
+  EXPECT_EQ(C::backoff(10), 1'000'000u);  // 2000 << 9 would exceed cap
+  EXPECT_EQ(C::backoff(63), 1'000'000u);  // far past cap: no overflow
+  EXPECT_EQ(C::backoff(200), 1'000'000u);
 }
 
 TEST(FaultPlan, DecisionStreamsAreSeedDeterministic) {
@@ -164,7 +158,7 @@ TEST(FaultPlan, StickyDecisionExhaustsTheBudget) {
   FaultPlan plan(config);
   const FaultPlan::PcieDecision d = plan.next_pcie();
   EXPECT_TRUE(d.sticky);
-  EXPECT_EQ(d.failures, config.max_retries);
+  EXPECT_EQ(d.failures, FaultPlanConfig::kMaxRetries);
 }
 
 TEST(FaultPlan, SelectPoisonDrawsDistinctAlignedFrames) {
@@ -221,7 +215,7 @@ TEST(FaultPlan, StragglerDecisionIsAPureHash) {
   // multiplier must not depend on query history.
   for (CoreId core = 0; core < 4; ++core) {
     for (std::uint64_t w = 0; w < 8; ++w) {
-      const Cycles now = w * config.straggler_window + 17;
+      const Cycles now = w * FaultPlanConfig::kStragglerWindow + 17;
       bool start = false;
       const unsigned first = plan.straggler_mult_at(core, now, &start);
       bool again = false;
@@ -229,7 +223,7 @@ TEST(FaultPlan, StragglerDecisionIsAPureHash) {
       if (first > 1) {
         EXPECT_TRUE(start);           // first query of the window
         EXPECT_FALSE(again);          // emitted exactly once per window
-        EXPECT_EQ(first, config.straggler_mult);
+        EXPECT_EQ(first, FaultPlanConfig::kStragglerMult);
       }
     }
   }
@@ -294,8 +288,8 @@ TEST(FaultyPcieTest, TransientFailurePaysOneAttemptAndBackoff) {
   EXPECT_EQ(out.failures, 1u);
   EXPECT_FALSE(out.gave_up);
   EXPECT_EQ(out.attempt_cost, attempt);
-  EXPECT_EQ(out.done, 2 * attempt + config.backoff(1));
-  EXPECT_EQ(out.recovery, attempt + config.backoff(1));
+  EXPECT_EQ(out.done, 2 * attempt + FaultPlanConfig::backoff(1));
+  EXPECT_EQ(out.recovery, attempt + FaultPlanConfig::backoff(1));
   // The failed attempt's junk bytes occupied the wire.
   EXPECT_EQ(link.bytes_moved(PcieDir::kHostToDevice), 2 * 4096u);
   EXPECT_EQ(link.transfers(PcieDir::kHostToDevice), 1u);
@@ -304,19 +298,19 @@ TEST(FaultyPcieTest, TransientFailurePaysOneAttemptAndBackoff) {
 TEST(FaultyPcieTest, StickyFailureResetsLinkAndStillDelivers) {
   FaultPlanConfig config;
   config.pcie_sticky_rate = 1.0;
-  config.max_retries = 3;
   FaultPlan plan(config);
   PcieLink link;
   const PcieTransferOutcome out =
       link.transfer(PcieDir::kDeviceToHost, 0, 4096, &plan);
   const Cycles attempt =
       CostModel::pcie_setup + CostModel::pcie_transfer_cycles(4096);
-  EXPECT_EQ(out.failures, 3u);
+  constexpr unsigned kRetries = FaultPlanConfig::kMaxRetries;
+  EXPECT_EQ(out.failures, kRetries);
   EXPECT_TRUE(out.gave_up);
-  // 3 failed attempts: backoff after the first two, link reset after the
-  // final one; then the post-reset replay lands.
-  const Cycles expected = 4 * attempt + config.backoff(1) + config.backoff(2) +
-                          config.link_reset_cycles;
+  // kMaxRetries failed attempts: backoff after all but the last, link reset
+  // after the final one; then the post-reset replay lands.
+  Cycles expected = (kRetries + 1) * attempt + FaultPlanConfig::kLinkResetCycles;
+  for (unsigned i = 1; i < kRetries; ++i) expected += FaultPlanConfig::backoff(i);
   EXPECT_EQ(out.done, expected);
   EXPECT_EQ(out.recovery, expected - attempt);
 }

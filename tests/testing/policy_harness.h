@@ -27,7 +27,7 @@ class FakePolicyHost final : public policy::PolicyHost {
     return page.unit < accessed_.size() && accessed_[page.unit];
   }
 
-  Cycles core_clock(CoreId /*core*/) const override { return 0; }
+  Cycles eviction_start() const override { return 0; }
 
   Cycles clear_accessed_and_shootdown(mm::ResidentPage& page,
                                       CoreId /*initiator*/,

@@ -19,7 +19,9 @@ Steps:
          that trace checked by trace_lint.
   3. Reads every .gcno file of both builds through `gcov --json-format`. It
      walks .gcno rather than .gcda files, so an object that no run linked
-     (src/lint/*, say) is reported as unreached instead of vanishing.
+     (one that no binary pulls out of libcmcp.a, say) is reported as
+     unreached instead of vanishing. Only src/ (libcmcp) counts; the tools'
+     own libraries under tools/ are out of scope.
      A function counts as reached when any build's copy of it ran.
   4. Exits 1 if an unreached src/ function is missing from
      tools/coverage_allowlist.json, where every entry carries its reason
