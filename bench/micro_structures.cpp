@@ -45,7 +45,7 @@ BENCHMARK(BM_TlbMissInsertEvict);
 
 void BM_PsptMapUnmap(benchmark::State& state) {
   const CoreId cores = static_cast<CoreId>(state.range(0));
-  mm::Pspt pt(cores);
+  mm::Pspt pt(cores, kUnitSpace);
   UnitIdx u = 0;
   for (auto _ : state) {
     for (CoreId c = 0; c < cores; ++c) pt.map(c, u);
@@ -57,7 +57,7 @@ void BM_PsptMapUnmap(benchmark::State& state) {
 BENCHMARK(BM_PsptMapUnmap)->Arg(1)->Arg(4)->Arg(16)->Arg(56);
 
 void BM_RegularMapUnmap(benchmark::State& state) {
-  mm::RegularPageTable pt(56);
+  mm::RegularPageTable pt(56, 0, kUnitSpace);
   UnitIdx u = 0;
   for (auto _ : state) {
     pt.map(0, u);

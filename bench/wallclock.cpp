@@ -215,7 +215,7 @@ PhaseResult micro_tlb_hit(std::uint64_t iters) {
 PhaseResult micro_pte_walk(std::uint64_t iters) {
   constexpr CoreId kCores = 56;
   constexpr UnitIdx kUnits = 1 << 15;
-  mm::Pspt pt(kCores);
+  mm::Pspt pt(kCores, kUnits);
   for (UnitIdx u = 0; u < kUnits; ++u) pt.map(u % kCores, u);
   PhaseResult r;
   const auto t0 = Clock::now();
@@ -264,7 +264,7 @@ PhaseResult micro_fault_evict(std::uint64_t iters) {
 PhaseResult micro_scan_sweep(std::uint64_t sweeps) {
   constexpr CoreId kCores = 56;
   constexpr UnitIdx kUnits = 1 << 14;
-  mm::Pspt pt(kCores);
+  mm::Pspt pt(kCores, kUnits);
   mm::PageRegistry reg;
   for (UnitIdx u = 0; u < kUnits; ++u) {
     pt.map(u % kCores, u);

@@ -1,7 +1,6 @@
 #include "core/address_space.h"
 
 #include <algorithm>
-#include <array>
 #include <vector>
 
 #include "common/assert.h"
@@ -20,13 +19,11 @@ namespace {
 /// by machine core id and name exactly the mapping cores anyway.
 std::unique_ptr<mm::PageTable> make_page_table(const AddressSpaceSpec& spec,
                                                CoreId machine_cores) {
-  std::unique_ptr<mm::PageTable> pt;
+  const UnitIdx units = spec.area.num_units();
   if (spec.config.pt_kind == PageTableKind::kRegular)
-    pt = std::make_unique<mm::RegularPageTable>(spec.num_cores, spec.first_core);
-  else
-    pt = std::make_unique<mm::Pspt>(machine_cores);
-  pt->reserve_units(spec.area.num_units());
-  return pt;
+    return std::make_unique<mm::RegularPageTable>(spec.num_cores,
+                                                  spec.first_core, units);
+  return std::make_unique<mm::Pspt>(machine_cores, units);
 }
 
 }  // namespace
@@ -63,11 +60,11 @@ AddressSpace::AddressSpace(MemoryManager& mm, Asid asid,
                  "a space's core block must be a non-empty range of app cores");
   policy_ = config.custom_policy ? config.custom_policy(*this)
                                  : policy::make_policy(*this, config.policy);
-  // Dense unit-indexed storage (docs/performance.md) is sized once here so
-  // the per-access path never grows a vector. Each app core only ever
-  // caches its own space's units, so its TLB index is sized to this space.
-  // The scanner pseudo-cores never cache a translation; their TLBs stay
-  // unsized.
+  // Dense unit-indexed storage (docs/performance.md) is sized once, here and
+  // in make_page_table, so the per-access path never grows a vector. Each
+  // app core only ever caches its own space's units, so its TLB index is
+  // sized to this space. The scanner pseudo-cores never cache a
+  // translation; their TLBs stay unsized.
   registry_.reserve_units(area_.num_units());
   for (CoreId c = spec.first_core; c < spec.first_core + spec.num_cores; ++c) {
     machine_.set_core_space(c, asid_);
@@ -312,7 +309,6 @@ Cycles AddressSpace::quarantine_frame(CoreId core, Cycles at, Pfn pfn,
 Cycles AddressSpace::shootdown_unit(CoreId initiator, Cycles now,
                                     const mm::ShootdownSet& set, UnitIdx unit) {
   const sim::CostModel& cost = machine_.cost();
-  const std::array<UnitIdx, 1> units = {unit};
   const bool self = set.targets.test(initiator);
   // Cross-tenant interference accounting: every remote invalidation lands
   // on THIS space's cores (only they can map this space's units); the cause
@@ -322,7 +318,7 @@ Cycles AddressSpace::shootdown_unit(CoreId initiator, Cycles now,
     mm_.record_interference(machine_.space_of_core(initiator), asid_,
                             set.targets.count() - (self ? 1u : 0u));
   if (!self)
-    return machine_.shootdown(initiator, now, set.targets, set.holders, units);
+    return machine_.shootdown(initiator, now, set.targets, set.holders, unit);
   // The initiator invalidates its own TLB directly (INVLPG, no IPI; its
   // TLB can hold the unit only if it is a holder); only this path pays
   // for a mask copy to drop the initiator bit.
@@ -330,7 +326,7 @@ Cycles AddressSpace::shootdown_unit(CoreId initiator, Cycles now,
   CoreMask remote = set.targets;
   remote.clear(initiator);
   return cost.invlpg +
-         machine_.shootdown(initiator, now, remote, set.holders, units);
+         machine_.shootdown(initiator, now, remote, set.holders, unit);
 }
 
 Cycles AddressSpace::evict_one(CoreId faulting_core, Cycles now) {

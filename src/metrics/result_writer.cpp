@@ -8,40 +8,11 @@
 #include <sstream>
 
 #include "common/assert.h"
+#include "common/json_escape.h"
 
 namespace cmcp::metrics {
 
 namespace {
-
-void append_json_escaped(std::string& out, std::string_view text) {
-  for (const char ch : text) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          constexpr char hex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(ch >> 4) & 0xf];
-          out += hex[ch & 0xf];
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
-
-std::string json_quoted(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out += '"';
-  append_json_escaped(out, text);
-  out += '"';
-  return out;
-}
 
 std::string fmt_double_shortest(double v) {
   // Shortest representation that round-trips — deterministic and exact.

@@ -10,7 +10,10 @@
 //    available as auxiliary knowledge — the input to CMCP.
 //
 // Translations are tracked per mapping unit (4 kB / 64 kB / 2 MB); accessed
-// and dirty bits carry the semantics the access-bit scanner depends on.
+// and dirty bits carry the semantics the access-bit scanner depends on. Both
+// keep one flag byte and one core mask per unit (mm::UnitStore), sized once
+// at construction from the area's unit count: map() of a unit outside the
+// table aborts, and every reader answers "absent" for one.
 #pragma once
 
 #include "common/core_mask.h"
@@ -87,13 +90,6 @@ class PageTable {
 
   /// Resident units currently mapped (for scanner iteration).
   virtual std::uint64_t mapped_units() const = 0;
-
-  /// Size the table for units [0, n). Both implementations store per-unit
-  /// state in dense direct-indexed arrays (docs/performance.md); the memory
-  /// manager calls this once with the computation area's num_units() so the
-  /// per-access path never grows storage. Optional: tables also grow lazily
-  /// on map(), which keeps ad-hoc construction in tests cheap.
-  virtual void reserve_units(UnitIdx n) = 0;
 };
 
 }  // namespace cmcp::mm

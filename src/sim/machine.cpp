@@ -1,6 +1,6 @@
 #include "sim/machine.h"
 
-#include <array>
+#include <algorithm>
 
 #include "common/assert.h"
 #include "sim/fault_plan.h"
@@ -27,17 +27,15 @@ Machine::Machine(const MachineConfig& config, unsigned num_address_spaces)
 }
 
 Cycles Machine::shootdown(CoreId initiator, Cycles now, const CoreMask& targets,
-                          const CoreMask& holders,
-                          std::span<const UnitIdx> units) {
+                          const CoreMask& holders, UnitIdx unit) {
   CMCP_CHECK(!targets.test(initiator));
   const unsigned num_targets = targets.count();
-  if (num_targets == 0 || units.empty()) return 0;
+  if (num_targets == 0) return 0;
 
   if (config_.tlb_coherence == TlbCoherence::kHardwareDirectory)
-    return hw_invalidate(initiator, now, targets, holders, units);
+    return hw_invalidate(initiator, now, targets, holders, unit);
 
-  const ShootdownTiming t = interconnect_.shootdown(
-      now, num_targets, static_cast<unsigned>(units.size()));
+  const ShootdownTiming t = interconnect_.shootdown(now, num_targets, 1);
 
   metrics::CoreCounters& init_ctr = counters_[initiator];
   ++init_ctr.shootdowns_initiated;
@@ -46,29 +44,27 @@ Cycles Machine::shootdown(CoreId initiator, Cycles now, const CoreMask& targets,
 
   if (trace_ != nullptr) {
     trace_->emit({trace::EventKind::kShootdown, initiator, now,
-                  t.initiator_total(), units[0], num_targets, units.size(),
-                  t.lock_wait, space_of_targets(targets)});
+                  t.initiator_total(), unit, num_targets, 1, t.lock_wait,
+                  space_of_targets(targets)});
     const Cycles acquired = now + t.lock_wait;
     trace_->emit({trace::EventKind::kSlotHold, initiator, acquired,
-                  interconnect_.slot_busy_until() - acquired, units[0],
+                  interconnect_.slot_busy_until() - acquired, unit,
                   num_targets, 0, 0, core_space_[initiator]});
   }
 
   targets.for_each([&](CoreId target) {
     metrics::CoreCounters& ctr = counters_[target];
     ++ctr.ipis_received;
-    ctr.remote_invalidations_received += units.size();
+    ++ctr.remote_invalidations_received;
     ctr.cycles_interrupt += t.receiver_cost;
     advance(target, t.receiver_cost);
-    if (!holders.test(target)) return;
-    Tlb& target_tlb = tlbs_[target];
-    for (const UnitIdx unit : units) target_tlb.invalidate(unit);
+    if (holders.test(target)) tlbs_[target].invalidate(unit);
   });
 
   Cycles extra = 0;
   if (faults_ != nullptr) {
     extra = inject_ack_faults(initiator, now + t.initiator_total(), targets,
-                              units[0], core_space_[initiator]);
+                              unit, core_space_[initiator]);
     init_ctr.cycles_shootdown += extra;
   }
   return t.initiator_total() + extra;
@@ -132,26 +128,22 @@ Cycles Machine::inject_ack_faults(CoreId initiator, Cycles ack_time,
 
 Cycles Machine::hw_invalidate(CoreId initiator, Cycles now,
                               const CoreMask& targets, const CoreMask& holders,
-                              std::span<const UnitIdx> units) {
+                              UnitIdx unit) {
   // Directory hardware: the initiator issues one directed invalidation per
-  // (unit, target); receivers lose the entry without being interrupted.
+  // target; receivers lose the entry without being interrupted.
   metrics::CoreCounters& init_ctr = counters_[initiator];
   ++init_ctr.shootdowns_initiated;
   const unsigned num_targets = targets.count();
-  const Cycles cycles =
-      units.size() * (CostModel::hw_inval_lookup +
-                      CostModel::hw_inval_per_target * num_targets);
+  const Cycles cycles = CostModel::hw_inval_lookup +
+                        CostModel::hw_inval_per_target * num_targets;
   targets.for_each([&](CoreId target) {
-    counters_[target].remote_invalidations_received += units.size();
-    if (!holders.test(target)) return;
-    Tlb& target_tlb = tlbs_[target];
-    for (const UnitIdx unit : units) target_tlb.invalidate(unit);
+    ++counters_[target].remote_invalidations_received;
+    if (holders.test(target)) tlbs_[target].invalidate(unit);
   });
   init_ctr.cycles_shootdown += cycles;
   if (trace_ != nullptr)
-    trace_->emit({trace::EventKind::kShootdown, initiator, now, cycles,
-                  units[0], num_targets, units.size(), 0,
-                  space_of_targets(targets)});
+    trace_->emit({trace::EventKind::kShootdown, initiator, now, cycles, unit,
+                  num_targets, 1, 0, space_of_targets(targets)});
   return cycles;
 }
 
@@ -169,8 +161,7 @@ Cycles Machine::shootdown_batch(CoreId initiator, Cycles now,
     for (const BatchItem& item : items) {
       CoreMask targets = item.targets;
       targets.clear(initiator);
-      const std::array<UnitIdx, 1> unit = {item.unit};
-      cycles += hw_invalidate(initiator, now, targets, item.holders, unit);
+      cycles += hw_invalidate(initiator, now, targets, item.holders, item.unit);
     }
     return cycles;
   }

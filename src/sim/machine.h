@@ -100,17 +100,17 @@ class Machine {
                                     std::uint64_t bytes, UnitIdx unit,
                                     Asid asid);
 
-  /// Perform a remote TLB shootdown of `units` on all cores in `targets`
+  /// Perform a remote TLB shootdown of `unit` on all cores in `targets`
   /// (the initiator must not be in the mask). Charges every target the
   /// interrupt and INVLPG cost and its counters, and returns the cycles
   /// consumed at the initiator, which the caller adds to its clock. Also
   /// fills the initiator's shootdown/lock-wait counters. `holders` are the
-  /// cores whose TLB may cache the units (mm::PageTable::tlb_holders): only
+  /// cores whose TLB may cache the unit (mm::PageTable::tlb_holders): only
   /// targets among them have their TLB entries dropped, since on any other
   /// target Tlb::invalidate would find nothing. The simulated cost does not
   /// depend on `holders`.
   Cycles shootdown(CoreId initiator, Cycles now, const CoreMask& targets,
-                   const CoreMask& holders, std::span<const UnitIdx> units);
+                   const CoreMask& holders, UnitIdx unit);
 
   /// Batched shootdown: one slot acquisition and one IPI round for several
   /// units — how the access-bit scanner flushes a run of cleared PTEs.
@@ -142,8 +142,7 @@ class Machine {
 
   /// Directed invalidation via the hypothetical TLB directory hardware.
   Cycles hw_invalidate(CoreId initiator, Cycles now, const CoreMask& targets,
-                       const CoreMask& holders,
-                       std::span<const UnitIdx> units);
+                       const CoreMask& holders, UnitIdx unit);
 
   /// Lost-acknowledgement injection for one completed IPI round. Each lost
   /// ack costs the initiator an exponential-backoff timeout plus a re-sent

@@ -5,41 +5,11 @@
 #include <ostream>
 
 #include "common/assert.h"
+#include "common/json_escape.h"
 
 namespace cmcp::sim::trace {
 
 namespace {
-
-/// JSON string escaping (quotes, backslash, control characters).
-void append_escaped(std::string& out, std::string_view text) {
-  for (const char ch : text) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          constexpr char hex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += hex[(ch >> 4) & 0xf];
-          out += hex[ch & 0xf];
-        } else {
-          out += ch;
-        }
-    }
-  }
-}
-
-std::string json_quote(std::string_view text) {
-  std::string out;
-  out.reserve(text.size() + 2);
-  out += '"';
-  append_escaped(out, text);
-  out += '"';
-  return out;
-}
 
 /// Exporter track for an event: PCIe transfers and slot holds live on their
 /// dedicated tracks, everything else on the emitting core's track (the
@@ -83,7 +53,7 @@ void append_args(std::string& out, const Event& event, bool include_asid) {
     if (names[i].empty()) continue;
     if (!first) out += ',';
     first = false;
-    out += json_quote(names[i]) + ':' + std::to_string(values[i]);
+    out += json_quoted(names[i]) + ':' + std::to_string(values[i]);
   }
   // kSlotHold/kPcieTransfer render off their home core; keep it recoverable.
   if (event.kind == EventKind::kPcieTransfer || event.kind == EventKind::kSlotHold) {
@@ -186,7 +156,7 @@ void export_perfetto(const EventSink& sink, const Metadata& meta,
   for (unsigned t = 0; t < tracks; ++t) {
     buffer += "{\"ph\":\"M\",\"pid\":1,\"tid\":" + std::to_string(t) +
               ",\"name\":\"thread_name\",\"args\":{\"name\":" +
-              json_quote(track_name(sink, t)) + "}},\n";
+              json_quoted(track_name(sink, t)) + "}},\n";
     flush_if_full(buffer, os);
   }
   const auto& events = sink.events();
@@ -194,7 +164,7 @@ void export_perfetto(const EventSink& sink, const Metadata& meta,
     const Event& e = events[i];
     buffer += "{\"ph\":\"X\",\"pid\":1,\"tid\":" +
               std::to_string(track_of(sink, e)) + ",\"name\":" +
-              json_quote(to_string(e.kind)) + ",\"ts\":" +
+              json_quoted(to_string(e.kind)) + ",\"ts\":" +
               std::to_string(e.start) + ",\"dur\":" +
               std::to_string(e.duration) + ",\"args\":";
     append_args(buffer, e, multi);
@@ -207,7 +177,7 @@ void export_perfetto(const EventSink& sink, const Metadata& meta,
       "],\n\"displayTimeUnit\":\"ms\",\n\"metadata\":{\"clock_unit\":"
       "\"cycles\"";
   for (const auto& [key, value] : meta)
-    buffer += ',' + json_quote(key) + ':' + json_quote(value);
+    buffer += ',' + json_quoted(key) + ':' + json_quoted(value);
   buffer += "}}\n";
   os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
 }
@@ -228,14 +198,14 @@ void export_jsonl(const EventSink& sink, const Metadata& meta,
   for (const auto& [key, value] : meta) {
     if (!first) buffer += ',';
     first = false;
-    buffer += json_quote(key) + ':' + json_quote(value);
+    buffer += json_quoted(key) + ':' + json_quoted(value);
   }
   buffer += "}}\n";
 
   std::array<std::uint64_t, kNumEventKinds> by_kind{};
   for (const Event& e : sink.events()) {
     ++by_kind[static_cast<unsigned>(e.kind)];
-    buffer += "{\"type\":\"event\",\"kind\":" + json_quote(to_string(e.kind)) +
+    buffer += "{\"type\":\"event\",\"kind\":" + json_quoted(to_string(e.kind)) +
               ",\"core\":" + std::to_string(e.core) +
               ",\"ts\":" + std::to_string(e.start) +
               ",\"dur\":" + std::to_string(e.duration) + ",\"args\":";
@@ -251,12 +221,12 @@ void export_jsonl(const EventSink& sink, const Metadata& meta,
     if (by_kind[k] == 0) continue;
     if (!first) buffer += ',';
     first = false;
-    buffer += json_quote(to_string(static_cast<EventKind>(k))) + ':' +
+    buffer += json_quoted(to_string(static_cast<EventKind>(k))) + ':' +
               std::to_string(by_kind[k]);
   }
   buffer += '}';
   for (const auto& [key, value] : summary)
-    buffer += ',' + json_quote(key) + ':' + std::to_string(value);
+    buffer += ',' + json_quoted(key) + ':' + std::to_string(value);
   buffer += "}\n";
   os.write(buffer.data(), static_cast<std::streamsize>(buffer.size()));
 }

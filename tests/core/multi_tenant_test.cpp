@@ -255,8 +255,8 @@ TEST(MultiTenant, TenantsFinishIndependently) {
 }
 
 TEST(MultiTenant, PsptAllocatesNoTableForAnotherTenantsCores) {
-  // PSPT tables are per core and per space; a tenant's cores never touch
-  // another tenant's space, so that space holds no table for them.
+  // PSPT tables are per space; a tenant's cores never touch another
+  // tenant's space, so they map nothing in it.
   wl::MultiTenantSpec spec;
   spec.add(std::make_unique<ScriptedWorkload>(
       2, 8, std::vector<std::vector<wl::Op>>{thrash_script(8),
@@ -277,7 +277,8 @@ TEST(MultiTenant, PsptAllocatesNoTableForAnotherTenantsCores) {
       const bool own = c >= result.tenants[t].first_core &&
                        c < result.tenants[t].first_core +
                                result.tenants[t].num_cores;
-      EXPECT_EQ(pspt->has_table(c), own) << "space " << t << " core " << c;
+      EXPECT_EQ(pspt->mapped_units_of_core(c) > 0, own)
+          << "space " << t << " core " << c;
     }
   }
 }

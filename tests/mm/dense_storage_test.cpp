@@ -1,6 +1,6 @@
 // Edge cases of the dense direct-indexed unit storage (docs/performance.md):
-// the first and the last representable unit, queries past the reserved
-// range, re-mapping a unit after an eviction recycled its slot, and the
+// the first and the last representable unit, queries past the sized or
+// reserved range, re-mapping a unit after an eviction recycled its slot, and the
 // capacity-1 degenerate configurations. Hash maps got these right for free;
 // index arithmetic has to prove it.
 #include <gtest/gtest.h>
@@ -17,33 +17,33 @@ namespace cmcp::mm {
 namespace {
 
 TEST(DensePspt, UnitZeroAndLastReservedUnit) {
-  Pspt pt(4);
-  pt.reserve_units(8);
+  Pspt pt(4, 8);
   pt.map(0, 0);
   pt.map(3, 7);
   EXPECT_TRUE(pt.has_mapping(0, 0));
   EXPECT_TRUE(pt.has_mapping(3, 7));
   EXPECT_EQ(pt.core_map_count(0), 1u);
   EXPECT_EQ(pt.mapped_units(), 2u);
-  // Units inside the reserved range but never mapped are cleanly absent.
+  // Units inside the table but never mapped are cleanly absent.
   EXPECT_FALSE(pt.any_mapping(3));
   EXPECT_EQ(pt.core_map_count(3), 0u);
 }
 
 TEST(DensePspt, QueriesBeyondReservedRangeAreAbsentNotFatal) {
-  Pspt pt(2);
-  pt.reserve_units(4);
+  Pspt pt(2, 4);
   EXPECT_FALSE(pt.has_mapping(0, 1000));
   EXPECT_FALSE(pt.any_mapping(1000));
   EXPECT_EQ(pt.core_map_count(1000), 0u);
   EXPECT_EQ(pt.mapping_cores(1000).count(), 0u);
   unsigned reads = 0;
   EXPECT_FALSE(pt.test_accessed(1000, &reads));
+  EXPECT_EQ(reads, 0u);
+  EXPECT_FALSE(pt.clear_accessed(1000));
   EXPECT_FALSE(pt.test_dirty(1000));
 }
 
 TEST(DensePspt, RemapAfterUnmapTakesANewFrame) {
-  Pspt pt(2);
+  Pspt pt(2, 8);
   pt.map(0, 5);
   pt.map(1, 5);
   pt.mark_dirty(0, 5);
@@ -59,13 +59,17 @@ TEST(DensePspt, RemapAfterUnmapTakesANewFrame) {
 }
 
 TEST(DenseRegularPageTable, UnitZeroLastUnitAndRemap) {
-  RegularPageTable pt(2);
-  pt.reserve_units(8);
+  RegularPageTable pt(2, 0, 8);
   pt.map(0, 0);
   pt.map(1, 7);
   EXPECT_TRUE(pt.any_mapping(0));
   EXPECT_TRUE(pt.any_mapping(7));
-  EXPECT_FALSE(pt.any_mapping(800));  // past the reserved range
+  EXPECT_FALSE(pt.any_mapping(800));  // past the table
+  EXPECT_FALSE(pt.has_mapping(0, 800));
+  EXPECT_EQ(pt.core_map_count(800), 0u);
+  EXPECT_TRUE(pt.tlb_holders(800).none());
+  EXPECT_FALSE(pt.test_accessed(800, nullptr));
+  EXPECT_FALSE(pt.clear_accessed(800));
   pt.mark_dirty(0, 7);
   pt.unmap_all(7);
   pt.map(0, 7);
@@ -155,7 +159,8 @@ TEST(DenseFrameAllocator, CapacityOneRecycles) {
 
 TEST(DenseStorageDeath, SentinelIndicesAbortInsteadOfWrapping) {
   // Growing to `index + 1` wraps to 0 for the all-ones sentinels; every
-  // grow-on-demand structure must refuse them before indexing.
+  // grow-on-demand structure must refuse them before indexing, and the
+  // page tables, sized once, refuse any unit past their size.
   struct Row {
     const char* what;
     std::function<void()> call;
@@ -167,9 +172,13 @@ TEST(DenseStorageDeath, SentinelIndicesAbortInsteadOfWrapping) {
        "kInvalidAsid"},
       {"PageRegistry::insert",
        [] { PageRegistry().insert(kInvalidUnit, 0); }, "kInvalidUnit"},
-      {"Pspt::map", [] { Pspt(2).map(0, kInvalidUnit); }, "kInvalidUnit"},
+      {"Pspt::map", [] { Pspt(2, 8).map(0, kInvalidUnit); }, "kInvalidUnit"},
       {"RegularPageTable::map",
-       [] { RegularPageTable(2).map(0, kInvalidUnit); }, "kInvalidUnit"},
+       [] { RegularPageTable(2, 0, 8).map(0, kInvalidUnit); }, "kInvalidUnit"},
+      {"Pspt::map past the table", [] { Pspt(2, 8).map(0, 8); },
+       "outside the table"},
+      {"RegularPageTable::map past the table",
+       [] { RegularPageTable(2, 0, 8).map(0, 8); }, "outside the table"},
       {"Tlb::insert", [] { sim::Tlb(4).insert(kInvalidUnit); },
        "kInvalidUnit"},
   };

@@ -13,14 +13,15 @@ namespace cmcp::mm {
 namespace {
 
 constexpr CoreId kCores = 8;
+constexpr UnitIdx kUnits = 128;
 
 class PageTableContractTest : public ::testing::TestWithParam<PageTableKind> {
  protected:
   void SetUp() override {
     if (GetParam() == PageTableKind::kRegular)
-      pt_ = std::make_unique<RegularPageTable>(kCores);
+      pt_ = std::make_unique<RegularPageTable>(kCores, 0, kUnits);
     else
-      pt_ = std::make_unique<Pspt>(kCores);
+      pt_ = std::make_unique<Pspt>(kCores, kUnits);
   }
 
   std::unique_ptr<PageTable> pt_;
@@ -98,14 +99,14 @@ INSTANTIATE_TEST_SUITE_P(BothKinds, PageTableContractTest,
 // --- organization-specific semantics ---------------------------------------
 
 TEST(RegularPageTable, MappingVisibleToEveryCoreAtOnce) {
-  RegularPageTable pt(kCores);
+  RegularPageTable pt(kCores, 0, kUnits);
   pt.map(0, 5);
   for (CoreId c = 0; c < kCores; ++c) EXPECT_TRUE(pt.has_mapping(c, 5));
 }
 
 TEST(RegularPageTable, ShootdownMustTargetAllCores) {
   // Centralized book-keeping cannot tell whose TLB holds the translation.
-  RegularPageTable pt(kCores);
+  RegularPageTable pt(kCores, 0, kUnits);
   pt.map(3, 5);
   EXPECT_EQ(pt.mapping_cores(5), CoreMask::first_n(kCores));
   EXPECT_EQ(pt.unmap_all(5).targets, CoreMask::first_n(kCores));
@@ -114,7 +115,7 @@ TEST(RegularPageTable, ShootdownMustTargetAllCores) {
 TEST(RegularPageTable, ShootdownTargetsOnlyTheSpacesCoreBlock) {
   // A tenant on cores [4, 8) of the machine: its units are reachable only
   // from those cores, so they are the targets and the pessimistic count.
-  RegularPageTable pt(4, 4);
+  RegularPageTable pt(4, 4, kUnits);
   pt.map(5, 2);
   CoreMask block;
   for (CoreId c = 4; c < 8; ++c) block.set(c);
@@ -128,7 +129,7 @@ TEST(RegularPageTable, MarkAccessedRecordsTheFillAndUnmapClearsIt) {
   // only ones whose TLB may hold the unit; unmap_all hands them back and
   // starts the next mapping with none. Core 70 puts the bit in a
   // second mask word.
-  RegularPageTable pt(100);
+  RegularPageTable pt(100, 0, kUnits);
   pt.map(0, 5);
   EXPECT_TRUE(pt.tlb_holders(5).none());
   pt.mark_accessed(3, 5);
@@ -153,7 +154,7 @@ TEST(RegularPageTable, MarkAccessedRecordsTheFillAndUnmapClearsIt) {
 }
 
 TEST(RegularPageTableDeath, MarkAccessedFromAnotherSpacesCoreAborts) {
-  RegularPageTable pt(4, 4);
+  RegularPageTable pt(4, 4, kUnits);
   pt.map(4, 1);
   EXPECT_DEATH(pt.mark_accessed(3, 1), "");
   EXPECT_DEATH(pt.mark_accessed(8, 1), "");
@@ -162,13 +163,13 @@ TEST(RegularPageTableDeath, MarkAccessedFromAnotherSpacesCoreAborts) {
 TEST(RegularPageTable, CoreMapCountIsPessimistic) {
   // "such information cannot be obtained from regular page tables" — the
   // model reports the upper bound.
-  RegularPageTable pt(kCores);
+  RegularPageTable pt(kCores, 0, kUnits);
   pt.map(0, 5);
   EXPECT_EQ(pt.core_map_count(5), kCores);
 }
 
 TEST(Pspt, MappingPrivatePerCore) {
-  Pspt pt(kCores);
+  Pspt pt(kCores, kUnits);
   pt.map(2, 5);
   EXPECT_TRUE(pt.has_mapping(2, 5));
   for (CoreId c = 0; c < kCores; ++c) {
@@ -179,7 +180,7 @@ TEST(Pspt, MappingPrivatePerCore) {
 }
 
 TEST(Pspt, CoreMapCountIsExact) {
-  Pspt pt(kCores);
+  Pspt pt(kCores, kUnits);
   pt.map(0, 5);
   EXPECT_EQ(pt.core_map_count(5), 1u);
   pt.map(3, 5);
@@ -190,7 +191,7 @@ TEST(Pspt, CoreMapCountIsExact) {
 
 TEST(Pspt, ShootdownTargetsOnlyMappingCores) {
   // The red dashed lines of Fig. 3: invalidation hits Core0 and Core1 only.
-  Pspt pt(kCores);
+  Pspt pt(kCores, kUnits);
   pt.map(0, 5);
   pt.map(1, 5);
   CoreMask expected;
@@ -204,13 +205,13 @@ TEST(Pspt, ShootdownTargetsOnlyMappingCores) {
 }
 
 TEST(Pspt, DoubleMapBySameCoreAborts) {
-  Pspt pt(kCores);
+  Pspt pt(kCores, kUnits);
   pt.map(0, 5);
   EXPECT_DEATH(pt.map(0, 5), "already maps");
 }
 
 TEST(Pspt, AccessedBitAggregatesOverMappingCores) {
-  Pspt pt(kCores);
+  Pspt pt(kCores, kUnits);
   pt.map(0, 5);
   pt.map(1, 5);
   pt.mark_accessed(1, 5);
@@ -223,7 +224,7 @@ TEST(Pspt, AccessedBitAggregatesOverMappingCores) {
 }
 
 TEST(Pspt, PerCoreMappedUnits) {
-  Pspt pt(kCores);
+  Pspt pt(kCores, kUnits);
   pt.map(0, 1);
   pt.map(0, 2);
   pt.map(1, 2);
@@ -234,25 +235,23 @@ TEST(Pspt, PerCoreMappedUnits) {
 
 TEST(Pspt, CoreThatNeverMapsOwnsNoTable) {
   // The paper's 56-core machine with one tenant's space touched by two of
-  // its cores: the other 54 hold no private table, every query from them
-  // answers "no PTE" or does nothing, and none of it allocates one.
+  // its cores: the other 54 map nothing, and every query from them answers
+  // "no PTE" — also for a unit past the table.
   constexpr CoreId kMachineCores = 56;
-  Pspt pt(kMachineCores);
-  pt.reserve_units(16);
+  Pspt pt(kMachineCores, 64);
   pt.map(3, 5);
   pt.map(40, 5);
   pt.map(40, 9);
   pt.mark_accessed(3, 5);
   pt.mark_dirty(40, 9);
-  EXPECT_TRUE(pt.has_table(3));
-  EXPECT_TRUE(pt.has_table(40));
+  EXPECT_EQ(pt.mapped_units_of_core(3), 1u);
+  EXPECT_EQ(pt.mapped_units_of_core(40), 2u);
   for (CoreId c = 0; c < kMachineCores; ++c) {
     if (c == 3 || c == 40) continue;
     EXPECT_FALSE(pt.has_mapping(c, 5)) << "core " << c;
     EXPECT_FALSE(pt.has_mapping(c, 9)) << "core " << c;
     EXPECT_FALSE(pt.has_mapping(c, 1000)) << "core " << c;
     EXPECT_EQ(pt.mapped_units_of_core(c), 0u) << "core " << c;
-    EXPECT_FALSE(pt.has_table(c)) << "core " << c;
   }
   unsigned reads = 0;
   EXPECT_TRUE(pt.test_accessed(5, &reads));
@@ -263,25 +262,30 @@ TEST(Pspt, CoreThatNeverMapsOwnsNoTable) {
   both.set(3);
   both.set(40);
   EXPECT_EQ(pt.unmap_all(5).targets, both);
+  EXPECT_EQ(pt.mapped_units_of_core(3), 0u);
+  EXPECT_EQ(pt.mapped_units_of_core(40), 1u);
 
-  // Growing the space grows the two existing tables only.
-  pt.reserve_units(64);
-  for (CoreId c = 0; c < kMachineCores; ++c)
-    EXPECT_EQ(pt.has_table(c), c == 3 || c == 40) << "core " << c;
+  // The last unit of the table behaves like any other.
   pt.map(3, 63);
   pt.map(40, 63);
   EXPECT_EQ(pt.core_map_count(63), 2u);
   EXPECT_FALSE(pt.has_mapping(4, 63));
-  EXPECT_FALSE(pt.has_table(4));
-
-  // A first map past the reserved range allocates the core's table at the
-  // directory's new size.
-  pt.map(7, 100);
-  EXPECT_TRUE(pt.has_table(7));
-  EXPECT_TRUE(pt.has_mapping(7, 100));
-  EXPECT_FALSE(pt.has_mapping(7, 63));
+  EXPECT_EQ(pt.mapped_units_of_core(4), 0u);
   pt.map(7, 63);
   EXPECT_EQ(pt.core_map_count(63), 3u);
+  EXPECT_TRUE(pt.has_mapping(7, 63));
+}
+
+TEST(PsptDeath, MarkFromACoreThatDoesNotMapAborts) {
+  // Each core's walk reads only its own private PTE, so a core that does
+  // not map the unit cannot set its bits (as RegularPageTableDeath's
+  // MarkAccessedFromAnotherSpacesCoreAborts holds for a foreign core).
+  Pspt pt(kCores, kUnits);
+  pt.map(2, 5);
+  EXPECT_DEATH(pt.mark_accessed(3, 5), "");
+  EXPECT_DEATH(pt.mark_dirty(3, 5), "");
+  EXPECT_DEATH(pt.mark_accessed(2, 6), "");
+  EXPECT_DEATH(pt.mark_dirty(2, kUnits), "");
 }
 
 }  // namespace

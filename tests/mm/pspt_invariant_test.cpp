@@ -2,7 +2,7 @@
 // "checker detects the bug" coverage): the core-map count and mapping mask
 // are corrupted through Pspt's test-only hooks — the way a real accounting
 // bug would drift them — and the pspt-consistency checker must localize the
-// damage to the right unit/core.
+// damage to the right unit.
 #include "mm/pspt.h"
 
 #include <gtest/gtest.h>
@@ -113,39 +113,42 @@ TEST(PsptInvariant, CorruptedCountTripsTheCachedCountCrossCheck) {
 }
 
 TEST(PsptInvariant, MaskGainingCoreWithoutPteIsReported) {
+  // The mask is the private PTEs' valid bits; a core gained without a map
+  // leaves the cached count behind, so the directory disagrees with it.
   Fixture f;
   f.touch(0, 2);
   f.pspt().corrupt_mask_add_core_for_test(2, /*core=*/3);
   f.registry.run_now(CheckPoint::kEndOfRun);
   bool found = false;
   for (const CheckViolation& v : f.from("pspt-consistency")) {
-    if (v.invariant != "mask-without-pte") continue;
+    if (v.invariant != "core-map-count") continue;
     found = true;
     EXPECT_EQ(v.unit, 2u);
-    EXPECT_EQ(v.core, 3u);
+    EXPECT_NE(v.message.find("population 2"), std::string::npos) << v.message;
   }
   EXPECT_TRUE(found);
 }
 
 TEST(PsptInvariant, MaskNamingATableLessCoreIsReportedWithoutReadingPastIt) {
-  // Only cores that map own a private table. A corrupted mask naming a core
-  // that never mapped must read that core's PTE as absent (the asan-ubsan
-  // preset turns any read past the missing table into a failure).
+  // A corrupted mask naming a core that never mapped a unit of this space
+  // is reported, and reading the unit's state touches only the unit's own
+  // slots (the asan-ubsan preset turns any read out of bounds into a
+  // failure).
   Fixture f(/*capacity=*/16, /*cores=*/56);
   f.touch(0, 2);
-  ASSERT_FALSE(f.pspt().has_table(40));
+  ASSERT_EQ(f.pspt().mapped_units_of_core(40), 0u);
   f.pspt().corrupt_mask_add_core_for_test(2, /*core=*/40);
   f.registry.run_now(CheckPoint::kEndOfRun);
   bool found = false;
   for (const CheckViolation& v : f.from("pspt-consistency")) {
-    if (v.invariant != "mask-without-pte") continue;
+    if (v.invariant != "core-map-count") continue;
     found = true;
     EXPECT_EQ(v.unit, 2u);
-    EXPECT_EQ(v.core, 40u);
   }
   EXPECT_TRUE(found);
+  EXPECT_TRUE(f.pspt().has_mapping(40, 2));
   EXPECT_FALSE(f.pspt().test_dirty(2));
-  EXPECT_FALSE(f.pspt().has_table(40));
+  EXPECT_EQ(f.pspt().mapped_units_of_core(40), 0u);
 }
 
 TEST(PsptInvariant, CheckpointSweepFiresDuringFaults) {

@@ -51,8 +51,7 @@ TEST(Machine, ShootdownChargesInitiatorAndReceivers) {
   CoreMask targets;
   targets.set(1);
   targets.set(2);
-  const std::array<UnitIdx, 1> units = {42};
-  const Cycles initiator_cycles = m.shootdown(0, 0, targets, targets, units);
+  const Cycles initiator_cycles = m.shootdown(0, 0, targets, targets, 42);
 
   EXPECT_GT(initiator_cycles, 0u);
   EXPECT_EQ(m.counters(0).shootdowns_initiated, 1u);
@@ -73,8 +72,7 @@ TEST(Machine, ShootdownChargesInitiatorAndReceivers) {
 
 TEST(Machine, ShootdownWithEmptyMaskIsFree) {
   Machine m(small_config(4));
-  const std::array<UnitIdx, 1> units = {1};
-  EXPECT_EQ(m.shootdown(0, 0, CoreMask{}, CoreMask{}, units), 0u);
+  EXPECT_EQ(m.shootdown(0, 0, CoreMask{}, CoreMask{}, 1), 0u);
   EXPECT_EQ(m.counters(0).shootdowns_initiated, 0u);
 }
 
@@ -82,8 +80,7 @@ TEST(MachineDeath, InitiatorInTargetMaskAborts) {
   Machine m(small_config(4));
   CoreMask targets;
   targets.set(0);
-  const std::array<UnitIdx, 1> units = {1};
-  EXPECT_DEATH(m.shootdown(0, 0, targets, targets, units), "");
+  EXPECT_DEATH(m.shootdown(0, 0, targets, targets, 1), "");
 }
 
 TEST(Machine, BatchShootdownChargesPerMappedUnit) {
@@ -133,8 +130,7 @@ TEST(Machine, WideMachineShootdownChargesEachTargetOnce) {
   // Broadcast from core 0 to every other core of the machine.
   CoreMask targets = CoreMask::first_n(m.total_cores());
   targets.clear(0);
-  const std::array<UnitIdx, 1> units = {7};
-  EXPECT_GT(m.shootdown(0, 0, targets, targets, units), 0u);
+  EXPECT_GT(m.shootdown(0, 0, targets, targets, 7), 0u);
   std::uint64_t ipis = 0;
   for (CoreId c = 0; c < m.total_cores(); ++c) {
     const std::uint64_t want = c == 0 ? 0u : 1u;
@@ -207,8 +203,7 @@ class HoldersTest : public ::testing::TestWithParam<ShootdownPath> {
           Machine::BatchItem{kUnit, targets, holders}};
       return m.shootdown_batch(0, 0, items);
     }
-    const std::array<UnitIdx, 1> units = {kUnit};
-    return m.shootdown(0, 0, targets, holders, units);
+    return m.shootdown(0, 0, targets, holders, kUnit);
   }
 
   static MachineConfig config() {

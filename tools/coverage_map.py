@@ -26,9 +26,10 @@ Steps:
   4. Exits 1 if an unreached src/ function is missing from
      tools/coverage_allowlist.json, where every entry carries its reason
      (the chaos job, a `cmcp_sim --policy` value, SimCheck in dev builds...),
-     or if an allowlist entry names no compiled function (the code it
-     explained was deleted or renamed, so the entry must go or follow it).
-     Exits 2 when a build or a run fails, 0 otherwise.
+     if an allowlist entry names no compiled function (the code it
+     explained was deleted or renamed, so the entry must go or follow it),
+     or if an allowlisted function ran (its reason no longer holds, so the
+     entry must go). Exits 2 when a build or a run fails, 0 otherwise.
 
 Blind spot: gcov sees only functions that were compiled to code. An inline
 function, header-defined member or template that nothing odr-uses emits no
@@ -208,8 +209,9 @@ def main():
     unreached = sorted((rel, line, name)
                        for (rel, name), (line, n) in counts.items() if n == 0)
     missing = [u for u in unreached if f"{u[0]}: {u[2]}" not in allowed]
-    names = {f"{rel}: {name}" for rel, name in counts}
-    stale = sorted(entry for entry in allowed if entry not in names)
+    calls = {f"{rel}: {name}": n for (rel, name), (_, n) in counts.items()}
+    stale = sorted(entry for entry in allowed if entry not in calls)
+    ran = sorted(entry for entry in allowed if calls.get(entry, 0) > 0)
 
     if args.list:
         for rel, line, name in unreached:
@@ -218,12 +220,16 @@ def main():
     for entry in stale:
         print(f"coverage_map: allowlist entry names no compiled function: "
               f"{entry}", file=sys.stderr)
+    for entry in ran:
+        print(f"coverage_map: allowlisted function ran {calls[entry]} times: "
+              f"{entry}", file=sys.stderr)
     for rel, line, name in missing:
         print(f"{rel}:{line}: unreached and not allowlisted: {name}")
     print(f"coverage_map: {len(counts) - len(unreached)} of {len(counts)} src/ "
           f"functions reached; {len(unreached)} unreached, "
-          f"{len(missing)} of them not allowlisted", file=sys.stderr)
-    return 1 if missing or stale else 0
+          f"{len(missing)} of them not allowlisted; {len(ran)} of "
+          f"{len(allowed)} allowlist entries ran", file=sys.stderr)
+    return 1 if missing or stale or ran else 0
 
 
 if __name__ == "__main__":
