@@ -15,15 +15,16 @@
 namespace cmcp {
 namespace {
 
-// Unit-id space for benchmarks that stream fresh units. The page tables and
-// the registry are direct-indexed by unit, so an unbounded `++u` would grow
-// their backing arrays for the whole run; wrapping keeps them at a fixed
-// working-set size. A wrapped id returns long after it was unmapped/evicted
-// (resident sets here are <= 4096 units), so ids never collide.
+// Unit-id space for benchmarks that stream fresh units. The TLB, the page
+// tables and the registry are direct-indexed by unit and sized once to this
+// space, so streamed ids wrap around it. A wrapped id returns long after it
+// was unmapped/evicted (resident sets here are <= 4096 units), so ids never
+// collide.
 constexpr UnitIdx kUnitSpace = 1u << 16;
 
 void BM_TlbLookupHit(benchmark::State& state) {
   sim::Tlb tlb(64);
+  tlb.size_units(64);
   for (UnitIdx u = 0; u < 64; ++u) tlb.insert(u);
   UnitIdx u = 0;
   for (auto _ : state) {
@@ -35,6 +36,7 @@ BENCHMARK(BM_TlbLookupHit);
 
 void BM_TlbMissInsertEvict(benchmark::State& state) {
   sim::Tlb tlb(64);
+  tlb.size_units(kUnitSpace);
   UnitIdx u = 0;
   for (auto _ : state) {
     tlb.insert(u);
@@ -80,7 +82,7 @@ BENCHMARK(BM_CoreMaskForEach)->Arg(2)->Arg(56);
 void BM_FifoInsertEvict(benchmark::State& state) {
   policy::FifoPolicy policy;
   testing::FakePolicyHost host(1024, 56);
-  testing::PageFactory pages(host);
+  testing::PageFactory pages(host, kUnitSpace);
   std::vector<mm::ResidentPage*> resident;
   for (UnitIdx u = 0; u < 1024; ++u) {
     resident.push_back(&pages.make(u));
@@ -91,7 +93,7 @@ void BM_FifoInsertEvict(benchmark::State& state) {
     Cycles extra = 0;
     mm::ResidentPage* victim = policy.pick_victim(0, extra);
     policy.on_evict(*victim);
-    pages.registry().erase(*victim);
+    pages.erase(*victim);
     auto& pg = pages.make(next);
     next = (next + 1) % kUnitSpace;
     policy.on_insert(pg);
@@ -104,7 +106,7 @@ void BM_CmcpInsertEvict(benchmark::State& state) {
   policy::CmcpConfig config;
   config.p = 0.4;
   policy::CmcpPolicy policy(host, config);
-  testing::PageFactory pages(host);
+  testing::PageFactory pages(host, kUnitSpace);
   Rng rng(1);
   for (UnitIdx u = 0; u < 1024; ++u)
     policy.on_insert(pages.make(u, 1 + rng.next_below(8)));
@@ -113,7 +115,7 @@ void BM_CmcpInsertEvict(benchmark::State& state) {
     Cycles extra = 0;
     mm::ResidentPage* victim = policy.pick_victim(0, extra);
     policy.on_evict(*victim);
-    pages.registry().erase(*victim);
+    pages.erase(*victim);
     auto& pg = pages.make(next, 1 + rng.next_below(8));
     next = (next + 1) % kUnitSpace;
     policy.on_insert(pg);
@@ -127,7 +129,7 @@ void BM_CmcpAgingTick(benchmark::State& state) {
   config.p = 1.0;
   config.age_limit_ticks = 4;
   policy::CmcpPolicy policy(host, config);
-  testing::PageFactory pages(host);
+  testing::PageFactory pages(host, kUnitSpace);
   Rng rng(2);
   for (UnitIdx u = 0; u < 4096; ++u)
     policy.on_insert(pages.make(u, 1 + rng.next_below(8)));
@@ -139,7 +141,7 @@ BENCHMARK(BM_CmcpAgingTick);
 void BM_LruScanEvent(benchmark::State& state) {
   policy::LruApproxPolicy policy;
   testing::FakePolicyHost host(1024, 56);
-  testing::PageFactory pages(host);
+  testing::PageFactory pages(host, kUnitSpace);
   std::vector<mm::ResidentPage*> resident;
   for (UnitIdx u = 0; u < 1024; ++u) {
     resident.push_back(&pages.make(u));

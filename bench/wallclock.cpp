@@ -197,6 +197,7 @@ PhaseResult run_mt_phase(unsigned tenants, CoreId cores_per_tenant,
 
 PhaseResult micro_tlb_hit(std::uint64_t iters) {
   sim::Tlb tlb(64);
+  tlb.size_units(64);
   for (UnitIdx u = 0; u < 64; ++u) tlb.insert(u);
   PhaseResult r;
   const auto t0 = Clock::now();
@@ -238,10 +239,15 @@ PhaseResult micro_pte_walk(std::uint64_t iters) {
 PhaseResult micro_fault_evict(std::uint64_t iters) {
   constexpr std::uint64_t kResident = 1024;
   constexpr UnitIdx kSpace = 1 << 16;  // bounded so dense tables stay small
-  mm::PageRegistry reg;
+  mm::FrameAllocator frames(kResident, PageSizeClass::k4K);
+  mm::PageRegistry reg(kSpace);
   policy::FifoPolicy policy;
-  for (UnitIdx u = 0; u < kResident; ++u)
-    policy.on_insert(reg.insert(u, u));
+  const auto make_resident = [&](UnitIdx unit) {
+    mm::ResidentPage* pg = frames.allocate(0, unit);
+    reg.insert(*pg);
+    policy.on_insert(*pg);
+  };
+  for (UnitIdx u = 0; u < kResident; ++u) make_resident(u);
   PhaseResult r;
   UnitIdx next = kResident;
   const auto t0 = Clock::now();
@@ -250,8 +256,8 @@ PhaseResult micro_fault_evict(std::uint64_t iters) {
     mm::ResidentPage* victim = policy.pick_victim(0, extra);
     policy.on_evict(*victim);
     reg.erase(*victim);
-    mm::ResidentPage& pg = reg.insert(next, next);
-    policy.on_insert(pg);
+    frames.free(*victim);
+    make_resident(next);
     // FIFO recycles a unit ~kResident insertions after its eviction, long
     // after it left the registry, so wrapped ids never collide.
     next = (next + 1) % kSpace;
@@ -265,11 +271,12 @@ PhaseResult micro_scan_sweep(std::uint64_t sweeps) {
   constexpr CoreId kCores = 56;
   constexpr UnitIdx kUnits = 1 << 14;
   mm::Pspt pt(kCores, kUnits);
-  mm::PageRegistry reg;
+  mm::FrameAllocator frames(kUnits, PageSizeClass::k4K);
+  mm::PageRegistry reg(kUnits);
   for (UnitIdx u = 0; u < kUnits; ++u) {
     pt.map(u % kCores, u);
     if (u % 3 == 0) pt.map((u + 1) % kCores, u);
-    reg.insert(u, u * 16);
+    reg.insert(*frames.allocate(0, u));
     if ((u & 7) != 0) pt.mark_accessed(u % kCores, u);
   }
   PhaseResult r;

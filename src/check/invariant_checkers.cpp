@@ -118,16 +118,17 @@ class TlbConsistencyChecker final : public sim::Checker {
   const sim::Machine& machine_;
 };
 
-/// Frame table (the coremap, docs/invariants.md): every resident page's
-/// coremap entry must name {its space, its unit, resident}, and the
-/// coremap's state tallies must match the allocator's counters — free,
-/// quarantined and per-space in use — and each space's resident set. With
-/// the page -> entry match this makes resident pages and resident frames a
-/// bijection: no frame is aliased, mis-owned, leaked or quarantined while
-/// resident. The partition must also have seen the current usable capacity
-/// (the MemoryManager::on_frames_quarantined hook fired). The partition's
-/// victim choice is computed from these counters, and a frame
-/// leaking out of quarantine re-exposes the ECC poison it contains.
+/// Frame table (the coremap, docs/invariants.md): the coremap entry each
+/// registry slot points at must name {the slot's space, the slot's unit,
+/// resident}, and the coremap's state tallies must match the allocator's
+/// counters — free (entries not yet built count as free), quarantined and
+/// per-space in use — and each space's resident set. With the slot ->
+/// entry match this makes resident pages and resident frames a bijection:
+/// no frame is aliased, mis-owned, leaked or quarantined while resident.
+/// The partition must also have seen the current usable capacity (the
+/// MemoryManager::on_frames_quarantined hook fired). The partition's
+/// victim choice is computed from these counters, and a frame leaking out
+/// of quarantine re-exposes the ECC poison it contains.
 class FrameTableChecker final : public sim::Checker {
  public:
   explicit FrameTableChecker(const core::MemoryManager& mm) : mm_(mm) {}
@@ -138,9 +139,9 @@ class FrameTableChecker final : public sim::Checker {
     const mm::FrameAllocator& alloc = mm_.allocator();
     const Asid spaces = mm_.num_spaces();
     resident_by_.assign(spaces, 0);
-    std::uint64_t free = 0;
+    std::uint64_t free = alloc.capacity() - alloc.frames().size();
     std::uint64_t quarantined = 0;
-    for (const mm::Frame& f : alloc.frames()) {
+    for (const mm::ResidentPage& f : alloc.frames()) {
       if (f.state == mm::FrameState::kFree)
         ++free;
       else if (f.state == mm::FrameState::kQuarantined)
@@ -175,9 +176,9 @@ class FrameTableChecker final : public sim::Checker {
                            std::to_string(registry.size()) +
                            " resident pages",
                        kInvalidUnit, kInvalidCore});
-      registry.for_each([&](const mm::ResidentPage& pg) {
-        check_page(alloc, s, pg, out);
-      });
+      for (UnitIdx unit = 0; unit < registry.num_units(); ++unit)
+        if (const mm::ResidentPage* pg = registry.find(unit))
+          check_page(alloc, s, unit, *pg, out);
     }
     if (alloc.in_use() != resident_total)
       out.push_back({std::string(name()), "in-use-vs-resident",
@@ -196,38 +197,33 @@ class FrameTableChecker final : public sim::Checker {
   }
 
  private:
-  /// The resident page `pg` of space `s` against its coremap entry.
-  void check_page(const mm::FrameAllocator& alloc, Asid s,
-                  const mm::ResidentPage& pg,
+  /// Space `s`'s registry slot for `unit` against the coremap entry `f`
+  /// it points at.
+  void check_page(const mm::FrameAllocator& alloc, Asid s, UnitIdx unit,
+                  const mm::ResidentPage& f,
                   std::vector<CheckViolation>& out) const {
-    const mm::Frame* f = alloc.find(pg.pfn);
-    if (f != nullptr && f->state == mm::FrameState::kResident &&
-        f->owner == s && f->unit == pg.unit)
+    if (f.state == mm::FrameState::kResident && f.owner == s &&
+        f.unit == unit)
       return;
-    const std::string frame = "frame " + std::to_string(pg.pfn);
+    const std::string frame = "frame " + std::to_string(alloc.pfn_of(f));
     const auto report = [&](const char* kind, const std::string& message) {
-      out.push_back(
-          {std::string(name()), kind, message, pg.unit, kInvalidCore});
+      out.push_back({std::string(name()), kind, message, unit, kInvalidCore});
     };
-    if (f == nullptr)
-      report("invalid-pfn", "resident page holds " + frame +
-                                ", which is no device frame");
-    else if (f->state == mm::FrameState::kQuarantined)
+    if (f.state == mm::FrameState::kQuarantined)
       report("resident-on-quarantined", "space " + std::to_string(s) +
                                             " holds quarantined " + frame +
                                             " resident");
-    else if (f->state == mm::FrameState::kFree || f->owner != s)
+    else if (f.state == mm::FrameState::kFree || f.owner != s)
       report("wrong-owner",
              frame + " is resident in space " + std::to_string(s) +
                  " but the coremap records owner " +
-                 (f->state == mm::FrameState::kFree
+                 (f.state == mm::FrameState::kFree
                       ? std::string("<free>")
-                      : std::to_string(f->owner)));
+                      : std::to_string(f.owner)));
     else
-      report("frame-aliased", frame + " backs unit " +
-                                  std::to_string(pg.unit) +
+      report("frame-aliased", frame + " backs unit " + std::to_string(unit) +
                                   " but the coremap records unit " +
-                                  std::to_string(f->unit));
+                                  std::to_string(f.unit));
   }
 
   const core::MemoryManager& mm_;

@@ -31,8 +31,10 @@ class CoreMask {
   static constexpr std::size_t kWords = kMaxCores / 64;
 
   /// The empty mask. Words past live_ are never read, so they are left
-  /// unwritten here and copies carry only the live words.
-  CoreMask() {}
+  /// unwritten here and copies carry only the live words. Word 0 alone is
+  /// zeroed: set() ors only into words it has taken in, but GCC 12 under
+  /// -fsanitize=address cannot see that and warns -Wmaybe-uninitialized.
+  CoreMask() { words_[0] = 0; }
   CoreMask(const CoreMask& o) : live_(o.live_) { copy_live(o); }
   CoreMask& operator=(const CoreMask& o) {
     live_ = o.live_;

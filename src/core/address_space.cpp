@@ -51,6 +51,7 @@ AddressSpace::AddressSpace(MemoryManager& mm, Asid asid,
       asid_(asid),
       area_(spec.area),
       page_table_(make_page_table(spec, machine_.num_cores())),
+      registry_(area_.num_units()),
       policy_capacity_units_(mm.partition().target_of(asid)),
       prefetch_degree_(spec.config.prefetch_degree) {
   const MemoryManagerConfig& config = spec.config;
@@ -60,15 +61,14 @@ AddressSpace::AddressSpace(MemoryManager& mm, Asid asid,
                  "a space's core block must be a non-empty range of app cores");
   policy_ = config.custom_policy ? config.custom_policy(*this)
                                  : policy::make_policy(*this, config.policy);
-  // Dense unit-indexed storage (docs/performance.md) is sized once, here and
-  // in make_page_table, so the per-access path never grows a vector. Each
-  // app core only ever caches its own space's units, so its TLB index is
-  // sized to this space. The scanner pseudo-cores never cache a
-  // translation; their TLBs stay unsized.
-  registry_.reserve_units(area_.num_units());
+  // Dense unit-indexed storage (docs/performance.md) is sized once, here,
+  // in make_page_table and in the registry, so the per-access path never
+  // grows a vector. Each app core only ever caches its own space's units,
+  // so its TLB index is sized to this space. The scanner pseudo-cores
+  // never cache a translation; their TLBs stay unsized.
   for (CoreId c = spec.first_core; c < spec.first_core + spec.num_cores; ++c) {
     machine_.set_core_space(c, asid_);
-    machine_.tlb(c).reserve_units(area_.num_units());
+    machine_.tlb(c).size_units(area_.num_units());
   }
   scan_flush_.reserve(machine_.cost().scanner_flush_batch);
   // A zero period would spin run_periodic forever; past 2^53 cycles (the
@@ -93,9 +93,9 @@ void AddressSpace::preload_all() {
   // Residency without mappings: data was placed in device RAM up front, and
   // cores establish PTEs on first touch (minor faults, no PCIe traffic).
   for (UnitIdx unit = 0; unit < area_.num_units(); ++unit) {
-    const Pfn pfn = allocator_.allocate(asid_, unit);
-    CMCP_CHECK(pfn != kInvalidPfn);
-    registry_.insert(unit, pfn);
+    mm::ResidentPage* page = allocator_.allocate(asid_, unit);
+    CMCP_CHECK(page != nullptr);
+    registry_.insert(*page);
   }
 }
 
@@ -183,14 +183,14 @@ Cycles AddressSpace::access(CoreId core, Vpn vpn, bool write, Cycles now) {
     // frames surfacing at allocation (and latent poison swallowing the
     // frame an eviction was meant to free) re-enter the loop; each
     // quarantine consumes its poison, so it terminates.
-    Pfn pfn = allocate_frame(core, unit, now + mem_cycles + lock_wait,
-                             &fault_cycles);
-    while (pfn == kInvalidPfn) {
+    mm::ResidentPage* fresh = allocate_frame(
+        core, unit, now + mem_cycles + lock_wait, &fault_cycles);
+    while (fresh == nullptr) {
       fault_cycles +=
           mm_.evict_for(asid_, core, now + mem_cycles + fault_cycles + lock_wait);
       trace_evicted = 1;
-      pfn = allocate_frame(core, unit, now + mem_cycles + lock_wait,
-                           &fault_cycles);
+      fresh = allocate_frame(core, unit, now + mem_cycles + lock_wait,
+                             &fault_cycles);
     }
 
     // Fetch the unit's data from the host.
@@ -201,10 +201,10 @@ Cycles AddressSpace::access(CoreId core, Vpn vpn, bool write, Cycles now) {
     pcie_wait += xfer.done - ready;
     ctr.pcie_bytes_in += unit_bytes(area_.page_size());
 
-    mm::ResidentPage& fresh = registry_.insert(unit, pfn);
+    registry_.insert(*fresh);
     page_table_->map(core, unit);
     fault_cycles += cost.map_cost(area_.page_size()) + cost.policy_op;
-    policy_->on_insert(fresh);
+    policy_->on_insert(*fresh);
 
     if (prefetch_degree_ > 0)
       fault_cycles += prefetch_after(core, unit, xfer.done);
@@ -254,14 +254,14 @@ Cycles AddressSpace::prefetch_after(CoreId core, UnitIdx unit, Cycles now) {
     if (allocator_.full()) break;
     if (registry_.find(next) != nullptr) continue;
     if (page_table_->any_mapping(next)) continue;
-    const Pfn pfn = allocate_frame(core, next, now, &issue_cycles);
-    if (pfn == kInvalidPfn) break;  // quarantines may have drained the pool
+    mm::ResidentPage* pg = allocate_frame(core, next, now, &issue_cycles);
+    if (pg == nullptr) break;  // quarantines may have drained the pool
     const sim::PcieTransferOutcome xfer = machine_.pcie_transfer(
         core, sim::PcieDir::kHostToDevice, now, unit_bytes(area_.page_size()),
         next, asid_);
-    mm::ResidentPage& pg = registry_.insert(next, pfn);
-    pg.ready_at = xfer.done;
-    policy_->on_insert(pg);
+    registry_.insert(*pg);
+    pg->ready_at = xfer.done;
+    policy_->on_insert(*pg);
     ctr.pcie_bytes_in += unit_bytes(area_.page_size());
     ++ctr.prefetches;
     issue_cycles += cost.policy_op;  // request setup
@@ -269,24 +269,26 @@ Cycles AddressSpace::prefetch_after(CoreId core, UnitIdx unit, Cycles now) {
   return issue_cycles;
 }
 
-Pfn AddressSpace::allocate_frame(CoreId core, UnitIdx unit, Cycles base,
-                                 Cycles* cycles) {
+mm::ResidentPage* AddressSpace::allocate_frame(CoreId core, UnitIdx unit,
+                                               Cycles base, Cycles* cycles) {
   sim::FaultPlan* const plan = machine_.fault_plan();
   for (;;) {
-    const Pfn pfn = allocator_.allocate(asid_, unit);
-    if (pfn == kInvalidPfn) return pfn;
-    if (plan == nullptr || !plan->surfaces_at_alloc(pfn)) return pfn;
+    mm::ResidentPage* frame = allocator_.allocate(asid_, unit);
+    if (frame == nullptr || plan == nullptr ||
+        !plan->surfaces_at_alloc(allocator_.pfn_of(*frame)))
+      return frame;
     // ECC poison surfaced while the kernel scrubbed the fresh frame:
     // quarantine it and try the next free frame.
-    *cycles += quarantine_frame(core, base + *cycles, pfn, kInvalidUnit);
+    *cycles += quarantine_frame(core, base + *cycles, *frame, kInvalidUnit);
   }
 }
 
-Cycles AddressSpace::quarantine_frame(CoreId core, Cycles at, Pfn pfn,
-                                      UnitIdx unit) {
+Cycles AddressSpace::quarantine_frame(CoreId core, Cycles at,
+                                      mm::ResidentPage& frame, UnitIdx unit) {
   sim::FaultPlan* const plan = machine_.fault_plan();
   constexpr Cycles kDetect = sim::FaultPlanConfig::kEccDetectCycles;
-  allocator_.quarantine(pfn);
+  const Pfn pfn = allocator_.pfn_of(frame);
+  allocator_.quarantine(frame);
   CMCP_CHECK_MSG(allocator_.usable_capacity() > 0,
                  "every device frame is quarantined");
   mm_.on_frames_quarantined();
@@ -367,16 +369,17 @@ Cycles AddressSpace::evict_one(CoreId faulting_core, Cycles now) {
   }
 
   policy_->on_evict(*victim);
+  // Unindex first: freeing or quarantining the frame resets its entry.
+  registry_.erase(*victim);
   sim::FaultPlan* const plan = machine_.fault_plan();
-  if (plan != nullptr && plan->surfaces_at_evict(victim->pfn)) {
+  if (plan != nullptr && plan->surfaces_at_evict(allocator_.pfn_of(*victim))) {
     // Latent ECC poison surfaces as the eviction path touches the frame:
     // quarantine instead of free. The faulting tenant's allocate loop sees
     // no frame and orders another eviction.
-    cycles += quarantine_frame(faulting_core, now + cycles, victim->pfn, unit);
+    cycles += quarantine_frame(faulting_core, now + cycles, *victim, unit);
   } else {
-    allocator_.free(victim->pfn);
+    allocator_.free(*victim);
   }
-  registry_.erase(*victim);
   ++ctr.evictions;
   if (tr != nullptr)
     tr->emit({sim::trace::EventKind::kEviction, faulting_core, now, cycles,

@@ -91,14 +91,18 @@ class AddressSpace final : public policy::PolicyHost {
   /// against the fault plan's ECC poison set: poisoned frames are
   /// quarantined (cost added to `*cycles`, events stamped at
   /// `base + *cycles`) and the next free frame is tried. With no plan
-  /// attached this is exactly one FrameAllocator::allocate. Returns
-  /// kInvalidPfn when no free frame is left.
-  Pfn allocate_frame(CoreId core, UnitIdx unit, Cycles base, Cycles* cycles);
+  /// attached this is exactly one FrameAllocator::allocate. Returns the
+  /// frame's coremap entry, not yet in the registry, or nullptr when no
+  /// free frame is left.
+  mm::ResidentPage* allocate_frame(CoreId core, UnitIdx unit, Cycles base,
+                                   Cycles* cycles);
 
-  /// Retire `pfn` (ECC poison surfaced): quarantine it in the shared
+  /// Retire `frame` (ECC poison surfaced): quarantine it in the shared
   /// allocator, shrink the partition, emit trace events and account the
-  /// recovery. Returns the detection cost in cycles.
-  Cycles quarantine_frame(CoreId core, Cycles at, Pfn pfn, UnitIdx unit);
+  /// recovery. `frame` must not be in the registry. Returns the detection
+  /// cost in cycles.
+  Cycles quarantine_frame(CoreId core, Cycles at, mm::ResidentPage& frame,
+                          UnitIdx unit);
 
   /// Shoot down `unit` on `set.targets`, handling the initiator's own TLB
   /// locally. Returns initiator cycles.
@@ -113,7 +117,7 @@ class AddressSpace final : public policy::PolicyHost {
   Asid asid_;
   mm::ComputationArea area_;
   std::unique_ptr<mm::PageTable> page_table_;
-  mm::PageRegistry registry_;
+  mm::PageRegistry registry_;  ///< this space's units -> coremap entries
   std::unique_ptr<policy::ReplacementPolicy> policy_;
   std::uint64_t policy_capacity_units_;
   unsigned prefetch_degree_;

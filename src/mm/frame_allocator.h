@@ -5,18 +5,24 @@
 // cg.B's footprint — and the host side is treated as an infinite backing
 // store reached over PCIe.
 //
-// The allocator is a coremap: one entry per device frame holding the frame's
-// state, the address space charged for it and the unit it backs. It is the
-// only record of frame ownership and state; multi-tenant runs share one
-// allocator between address spaces, and partition policies read the
-// per-tenant counts kept beside it. The LIFO free list is threaded through
-// the free entries, so the allocator holds a single per-frame vector.
+// The allocator is a coremap: one ResidentPage per device frame, indexed by
+// frame, holding the frame's state, the address space charged for it, the
+// unit it backs and the replacement policy's per-page state. It is the only
+// record of a resident page: multi-tenant runs share one allocator between
+// address spaces, each space's PageRegistry indexes its own units into it,
+// and partition policies read the per-tenant counts kept beside it. The
+// LIFO free list is threaded through the free entries.
+//
+// Entries are built the first time their frame is handed out: the coremap's
+// storage is reserved once (so entries never move) but only touched as the
+// run allocates, which keeps construction cheap for large capacities.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/intrusive_list.h"
 #include "common/types.h"
 
 namespace cmcp::mm {
@@ -28,36 +34,60 @@ enum class FrameState : std::uint8_t {
   kQuarantined,
 };
 
-/// Coremap entry.
-struct Frame {
+/// Coremap entry: one device frame and, while it is resident, the page it
+/// holds. The frame number is the entry's slot (FrameAllocator::pfn_of).
+/// Fields are ordered so the entry packs into 72 bytes.
+struct ResidentPage {
   /// kResident: the unit this frame backs. kFree: the slot of the next
   /// free frame (the end of the list is kInvalidUnit).
   UnitIdx unit = kInvalidUnit;
   /// kResident: the address space the frame is charged to.
   Asid owner = kInvalidAsid;
   FrameState state = FrameState::kFree;
+
+  // --- policy-owned state (reset whenever the frame is handed out) --------
+  std::uint8_t where = 0;       ///< policy-defined location tag
+  bool referenced = false;      ///< scanner-fed reference info
+  /// For prefetched pages: when the PCIe transfer lands. A touch before
+  /// this time stalls until the data arrives. 0 for demand-fetched pages.
+  Cycles ready_at = 0;
+  ListNode main_node{};         ///< FIFO list / LRU active+inactive / CMCP bucket
+  ListNode aux_node{};          ///< CMCP aging list; unused by other policies
+  std::uint64_t age_stamp = 0;  ///< CMCP aging timestamp
+  std::uint32_t bucket = 0;     ///< CMCP priority bucket / LFU frequency
+  std::uint32_t slot = 0;       ///< RANDOM policy index
 };
+static_assert(sizeof(ResidentPage) == 72);
 
 class FrameAllocator {
  public:
   /// `capacity` frames; for 64 kB units frame numbers are multiples of 16 so
   /// the Phi alignment rule (paper section 4) holds by construction.
   FrameAllocator(std::uint64_t capacity, PageSizeClass size);
+  /// Registries and policy lists hold pointers into the coremap, so it is
+  /// neither copied nor moved.
+  FrameAllocator(const FrameAllocator&) = delete;
+  FrameAllocator& operator=(const FrameAllocator&) = delete;
 
-  /// Returns kInvalidPfn when the device memory is exhausted (the caller
-  /// must evict first). The frame is charged to `owner` and backs `unit`.
-  Pfn allocate(Asid owner, UnitIdx unit);
+  /// The frame's entry, charged to `owner`, backing `unit` and with every
+  /// other field reset; nullptr when the device memory is exhausted (the
+  /// caller must evict first). Frames are handed out in ascending order
+  /// until each has been used once, then freed frames are reused LIFO.
+  ResidentPage* allocate(Asid owner, UnitIdx unit);
 
-  void free(Pfn pfn);
+  /// Return a resident frame to the free list, resetting its entry.
+  void free(ResidentPage& page);
 
-  /// Retire an allocated frame (ECC poison): it is uncharged from its owner
-  /// but never returns to the free list, shrinking usable capacity for the
-  /// rest of the run.
-  void quarantine(Pfn pfn);
+  /// Retire a resident frame (ECC poison): it is uncharged from its owner
+  /// and its entry reset, but it never returns to the free list, shrinking
+  /// usable capacity for the rest of the run.
+  void quarantine(ResidentPage& page);
 
-  bool is_quarantined(Pfn pfn) const {
-    return frames_[slot_of(pfn)].state == FrameState::kQuarantined;
+  /// The frame number of an entry of this coremap.
+  Pfn pfn_of(const ResidentPage& page) const {
+    return slot_of(page) * frames_per_unit_;
   }
+
   std::uint64_t quarantined_count() const { return quarantined_count_; }
   /// Frames the allocator can still serve: capacity minus the quarantine
   /// list. FramePartition targets are recomputed against this after every
@@ -66,10 +96,11 @@ class FrameAllocator {
     return capacity() - quarantined_count_;
   }
 
-  std::uint64_t capacity() const { return frames_.size(); }
+  std::uint64_t capacity() const { return capacity_; }
   std::uint64_t in_use() const {
     return capacity() - free_count_ - quarantined_count_;
   }
+  /// Free frames, counting the ones never handed out.
   std::uint64_t free_count() const { return free_count_; }
   bool full() const { return free_count_ == 0; }
 
@@ -80,39 +111,23 @@ class FrameAllocator {
     return owner < in_use_by_.size() ? in_use_by_[owner] : 0;
   }
 
-  /// Owner of an allocated frame; kInvalidAsid when the frame is not
-  /// resident.
-  Asid owner_of(Pfn pfn) const {
-    const Frame& f = frames_[slot_of(pfn)];
-    return f.state == FrameState::kResident ? f.owner : kInvalidAsid;
-  }
-
-  /// The coremap entry of `pfn`, or nullptr when `pfn` names no frame of
-  /// this allocator (SimCheck reads entries for pfns it has not vetted).
-  const Frame* find(Pfn pfn) const {
-    return pfn % frames_per_unit_ == 0 && pfn / frames_per_unit_ < capacity()
-               ? &frames_[pfn / frames_per_unit_]
-               : nullptr;
-  }
-
-  /// The whole coremap, indexed by pfn / frames_per_unit().
-  std::span<const Frame> frames() const { return frames_; }
-
-  /// Overwrite an entry behind the counters' and free list's back, the way
-  /// an accounting bug would. SimCheck fault-injection tests ONLY.
-  void corrupt_frame_for_test(Pfn pfn, const Frame& entry) {
-    frames_[slot_of(pfn)] = entry;
-  }
+  /// The built coremap, indexed by pfn / frames_per_unit(). Frames past
+  /// its end have never been handed out and are free.
+  std::span<const ResidentPage> frames() const { return frames_; }
 
  private:
-  /// Coremap slot of `pfn`; aborts when `pfn` names no frame.
-  std::uint64_t slot_of(Pfn pfn) const;
+  /// Coremap slot of `page`; aborts when `page` is no entry of this
+  /// coremap.
+  std::uint64_t slot_of(const ResidentPage& page) const;
   /// Uncharge a resident frame from its owner.
-  void uncharge(const Frame& f);
+  void uncharge(const ResidentPage& page);
 
   std::uint64_t frames_per_unit_;
-  std::vector<Frame> frames_;  ///< the coremap, [pfn / frames_per_unit_]
-  UnitIdx free_head_;          ///< top of the LIFO free list, or kInvalidUnit
+  std::uint64_t capacity_;
+  /// The coremap, [pfn / frames_per_unit_]: reserved for `capacity_`
+  /// entries, built in ascending order as frames are first handed out.
+  std::vector<ResidentPage> frames_;
+  UnitIdx free_head_ = kInvalidUnit;  ///< top of the LIFO free list
   std::uint64_t free_count_;
   std::uint64_t quarantined_count_ = 0;
   /// Per-asid allocated-frame counts, grown on demand.

@@ -1,55 +1,48 @@
-// Registry of device-resident pages plus the per-page metadata replacement
-// policies hang their bookkeeping on.
+// One address space's index of its device-resident pages: unit -> the
+// coremap entry (FrameAllocator) of the frame that holds it.
 //
-// ResidentPage objects live in fixed-size contiguous chunks and are
-// pointer-stable for their residency lifetime, so policies can keep them on
-// intrusive lists without extra allocation on the fault path. The unit ->
-// page index is a dense direct-indexed vector (docs/performance.md): find()
-// is one load, and for_each — the scanner's and SimCheck's view of the
-// resident set — iterates in ascending unit order, which makes every
-// downstream tie-break independent of hash-table layout
-// (docs/invariants.md).
+// The entries themselves live in the shared coremap and are pointer-stable,
+// so policies can keep them on intrusive lists without extra allocation on
+// the fault path. The index is a dense direct-indexed vector sized once
+// from the area's unit count (docs/performance.md): find() is one load, and
+// for_each — the scanner's and SimCheck's view of the resident set —
+// iterates in ascending unit order, which makes every downstream tie-break
+// independent of allocation order (docs/invariants.md).
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
-#include "common/intrusive_list.h"
+#include "common/assert.h"
 #include "common/types.h"
+#include "mm/frame_allocator.h"
 
 namespace cmcp::mm {
 
-struct ResidentPage {
-  UnitIdx unit = kInvalidUnit;
-  /// The device frame backing the unit: its only copy (the page tables keep
-  /// none; the coremap entry names the unit back).
-  Pfn pfn = kInvalidPfn;
-  /// For prefetched pages: when the PCIe transfer lands. A touch before
-  /// this time stalls until the data arrives. 0 for demand-fetched pages.
-  Cycles ready_at = 0;
-
-  // --- policy-owned state -------------------------------------------------
-  ListNode main_node;  ///< FIFO list / LRU active+inactive / CMCP bucket
-  ListNode aux_node;   ///< CMCP aging list; unused by other policies
-  std::uint8_t where = 0;       ///< policy-defined location tag
-  std::uint32_t bucket = 0;     ///< CMCP priority bucket / LFU frequency
-  std::uint64_t age_stamp = 0;  ///< CMCP aging timestamp
-  std::uint32_t slot = 0;       ///< RANDOM policy index
-  bool referenced = false;      ///< scanner-fed reference info
-};
-
 class PageRegistry {
  public:
-  PageRegistry() = default;
+  /// An empty index over units [0, num_units).
+  explicit PageRegistry(UnitIdx num_units) : by_unit_(num_units, nullptr) {}
 
-  /// Create metadata for a unit becoming resident in frame pfn. Reuses the
-  /// most recently erased page (LIFO) before carving a new one.
-  ResidentPage& insert(UnitIdx unit, Pfn pfn);
+  /// Index a freshly allocated entry under its unit.
+  void insert(ResidentPage& page) {
+    CMCP_CHECK_MSG(page.unit < by_unit_.size(),
+                   "insert of a unit outside the index (kInvalidUnit?)");
+    CMCP_CHECK_MSG(by_unit_[page.unit] == nullptr, "unit already resident");
+    by_unit_[page.unit] = &page;
+    ++size_;
+  }
 
-  /// Remove metadata on eviction. The page must already be unlinked from
-  /// every policy list.
-  void erase(ResidentPage& page);
+  /// Drop a page on eviction, before its frame is freed or quarantined
+  /// (either resets the entry's unit). The page must already be unlinked
+  /// from every policy list.
+  void erase(ResidentPage& page) {
+    CMCP_CHECK_MSG(!page.main_node.linked() && !page.aux_node.linked(),
+                   "evicting a page still on a policy list");
+    CMCP_CHECK(page.unit < by_unit_.size() && by_unit_[page.unit] == &page);
+    by_unit_[page.unit] = nullptr;
+    --size_;
+  }
 
   ResidentPage* find(UnitIdx unit) {
     return unit < by_unit_.size() ? by_unit_[unit] : nullptr;
@@ -59,12 +52,7 @@ class PageRegistry {
   }
 
   std::size_t size() const { return size_; }
-
-  /// Size the index for units [0, n) so steady-state insert() never grows
-  /// it (the memory manager calls this with the area's num_units()).
-  void reserve_units(UnitIdx n) {
-    if (n > by_unit_.size()) by_unit_.resize(n, nullptr);
-  }
+  UnitIdx num_units() const { return by_unit_.size(); }
 
   /// Iterate all resident pages in ascending unit order (scanner); fn must
   /// not insert/erase.
@@ -82,16 +70,8 @@ class PageRegistry {
   }
 
  private:
-  static constexpr std::size_t kChunkPages = 1024;  ///< 80 KiB per chunk
-
-  std::vector<ResidentPage*> by_unit_;  ///< [unit] -> resident page or null
+  std::vector<ResidentPage*> by_unit_;  ///< [unit] -> coremap entry or null
   std::size_t size_ = 0;
-  /// Page storage: chunks never move or shrink, so a page's address is
-  /// stable for the registry's lifetime. Only the last chunk has unused
-  /// pages, from `chunk_used_` on.
-  std::vector<std::unique_ptr<ResidentPage[]>> chunks_;
-  std::size_t chunk_used_ = kChunkPages;
-  std::vector<ResidentPage*> free_;  ///< erased pages, reused LIFO
 };
 
 }  // namespace cmcp::mm

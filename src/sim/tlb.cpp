@@ -36,10 +36,8 @@ void Tlb::push_mru(std::uint32_t s) {
 }
 
 void Tlb::insert(UnitIdx unit) {
-  if (unit >= slot_of_.size()) {
-    CMCP_CHECK_MSG(unit != kInvalidUnit, "insert of kInvalidUnit");
-    reserve_units(unit + 1);
-  }
+  CMCP_CHECK_MSG(unit < slot_of_.size(),
+                 "insert of a unit outside the index (kInvalidUnit?)");
   if (const std::uint32_t s = slot_of(unit); s != kNil) {
     // Already present (e.g. re-walk after an access-bit refresh); touch it.
     if (s != mru_) {

@@ -40,6 +40,7 @@ class Tlb {
   /// with the byte value 255 kept for "not cached".
   static constexpr std::uint32_t kMaxCapacity = 0xff;
 
+  /// `capacity` entries over an empty unit index; see size_units.
   Tlb(std::uint32_t capacity);
 
   /// True if `unit` is cached; refreshes its LRU position on hit.
@@ -53,7 +54,8 @@ class Tlb {
     return true;
   }
 
-  /// Install a translation, evicting the LRU entry when full.
+  /// Install a translation, evicting the LRU entry when full. `unit` must
+  /// lie inside the sized index.
   void insert(UnitIdx unit);
 
   /// Drop one translation (INVLPG). Returns true if it was present. The
@@ -63,11 +65,10 @@ class Tlb {
   /// Machine::shootdown_batch), whether or not the entry is cached.
   bool invalidate(UnitIdx unit);
 
-  /// Size the unit index for units [0, n) so steady-state insert() never
-  /// grows it (the memory manager calls this with the area's num_units()).
-  void reserve_units(UnitIdx n) {
-    if (n > slot_of_.size()) slot_of_.resize(n, kNotCached);
-  }
+  /// Size the unit index for units [0, n). A core's TLB is sized once, by
+  /// the address space its core is bound to, with the area's num_units();
+  /// lookup() and invalidate() answer "absent" past the index.
+  void size_units(UnitIdx n) { slot_of_.assign(n, kNotCached); }
 
   std::uint32_t capacity() const { return capacity_; }
   std::size_t occupancy() const { return occupancy_; }

@@ -173,14 +173,15 @@ TEST(SimCheck, ConfigFlagDisablesRegistry) {
 }
 
 TEST(SimCheck, TlbCheckerCatchesStaleEntry) {
-  ScriptedWorkload w(1, 8, {{wl::Op::access(0, false, 8)}});
+  ScriptedWorkload w(1, 16, {{wl::Op::access(0, false, 8)}});
   core::SimulationConfig config;
   config.machine.num_cores = 1;
   core::Simulation sim(config, w);
   sim.run();
   // Inject a translation the page table never issued: core 0 caches a unit
-  // far outside the mapped range — exactly what a missed shootdown leaves.
-  sim.machine().tlb(0).insert(9999);
+  // of its area that was never touched — exactly what a missed shootdown
+  // leaves. (The TLB's index covers the area, so the unit must lie in it.)
+  sim.machine().tlb(0).insert(12);
   std::vector<CheckViolation> captured;
   sim.check_registry()->set_handler(
       [&](const CheckViolation& v) { captured.push_back(v); });
@@ -188,7 +189,7 @@ TEST(SimCheck, TlbCheckerCatchesStaleEntry) {
   ASSERT_FALSE(captured.empty());
   EXPECT_EQ(captured[0].checker, "tlb-consistency");
   EXPECT_EQ(captured[0].invariant, "stale-tlb-entry");
-  EXPECT_EQ(captured[0].unit, 9999u);
+  EXPECT_EQ(captured[0].unit, 12u);
   EXPECT_EQ(captured[0].core, 0u);
 }
 
@@ -296,42 +297,44 @@ TEST(SimCheck, QuarantineCheckerCatchesLeakedFrame) {
   const auto alloc = [](core::Simulation& sim) -> mm::FrameAllocator& {
     return sim.memory_manager().mutable_allocator_for_test();
   };
+  // Free a resident page's frame behind its registry slot and hand it out
+  // again: LIFO reuse gives the same entry back, now charged to `owner`
+  // for `unit`.
+  const auto reallocate = [&](core::Simulation& sim, mm::ResidentPage& pg,
+                              Asid owner, UnitIdx unit) {
+    alloc(sim).free(pg);
+    ASSERT_EQ(alloc(sim).allocate(owner, unit), &pg);
+  };
   const Row rows[] = {
       {"frame re-allocated to another unit",
        [&](core::Simulation& sim, mm::ResidentPage& pg) {
-         alloc(sim).free(pg.pfn);
-         ASSERT_EQ(alloc(sim).allocate(0, pg.unit + 1000), pg.pfn);
+         reallocate(sim, pg, 0, pg.unit + 1000);
        },
        {"frame-aliased"}},
       {"frame re-allocated to another space",
        [&](core::Simulation& sim, mm::ResidentPage& pg) {
-         alloc(sim).free(pg.pfn);
-         ASSERT_EQ(alloc(sim).allocate(1, pg.unit), pg.pfn);
+         reallocate(sim, pg, 1, pg.unit);
        },
        {"wrong-owner", "per-space-count"}},
       {"resident frame quarantined",
        [&](core::Simulation& sim, mm::ResidentPage& pg) {
-         alloc(sim).quarantine(pg.pfn);
+         alloc(sim).quarantine(pg);
        },
        {"resident-on-quarantined", "per-space-count", "in-use-vs-resident",
         "stale-partition-capacity"}},
       {"resident frame freed",
        [&](core::Simulation& sim, mm::ResidentPage& pg) {
-         alloc(sim).free(pg.pfn);
+         alloc(sim).free(pg);
        },
        {"wrong-owner", "per-space-count", "in-use-vs-resident"}},
-      {"page holds no frame",
-       [](core::Simulation&, mm::ResidentPage& pg) { pg.pfn = kInvalidPfn; },
-       {"invalid-pfn"}},
       {"entry turned free behind the counters",
-       [&](core::Simulation& sim, mm::ResidentPage& pg) {
-         alloc(sim).corrupt_frame_for_test(pg.pfn, mm::Frame{});
+       [](core::Simulation&, mm::ResidentPage& pg) {
+         pg.state = mm::FrameState::kFree;
        },
        {"free-crossfoot", "ownership-crossfoot", "wrong-owner"}},
       {"entry turned quarantined behind the counters",
-       [&](core::Simulation& sim, mm::ResidentPage& pg) {
-         alloc(sim).corrupt_frame_for_test(
-             pg.pfn, mm::Frame{.state = mm::FrameState::kQuarantined});
+       [](core::Simulation&, mm::ResidentPage& pg) {
+         pg.state = mm::FrameState::kQuarantined;
        },
        {"quarantine-crossfoot", "ownership-crossfoot",
         "resident-on-quarantined"}},

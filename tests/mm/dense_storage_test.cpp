@@ -1,7 +1,7 @@
 // Edge cases of the dense direct-indexed unit storage (docs/performance.md):
-// the first and the last representable unit, queries past the sized or
-// reserved range, re-mapping a unit after an eviction recycled its slot, and the
-// capacity-1 degenerate configurations. Hash maps got these right for free;
+// the first and the last representable unit, queries past the sized range,
+// re-mapping a unit after an eviction recycled its slot, and the capacity-1
+// degenerate configurations. Hash maps got these right for free;
 // index arithmetic has to prove it.
 #include <gtest/gtest.h>
 
@@ -78,14 +78,17 @@ TEST(DenseRegularPageTable, UnitZeroLastUnitAndRemap) {
 }
 
 TEST(DensePageRegistry, UnitZeroLastUnitAndReinsertAfterErase) {
-  PageRegistry registry;
-  registry.reserve_units(8);
-  ResidentPage& first = registry.insert(0, 0);
-  ResidentPage& last = registry.insert(7, 112);
+  FrameAllocator frames(4, PageSizeClass::k4K);
+  PageRegistry registry(8);
+  ResidentPage& first = *frames.allocate(0, 0);
+  ResidentPage& last = *frames.allocate(0, 7);
+  registry.insert(first);
+  registry.insert(last);
   EXPECT_EQ(registry.find(0), &first);
   EXPECT_EQ(registry.find(7), &last);
   EXPECT_EQ(registry.find(3), nullptr);
-  EXPECT_EQ(registry.find(9000), nullptr);  // past the reserved range
+  EXPECT_EQ(registry.find(8), nullptr);     // one past the index
+  EXPECT_EQ(registry.find(9000), nullptr);  // far past it
   EXPECT_EQ(registry.size(), 2u);
 
   first.ready_at = 99;
@@ -95,12 +98,15 @@ TEST(DensePageRegistry, UnitZeroLastUnitAndReinsertAfterErase) {
   first.slot = 4;
   first.referenced = true;
   registry.erase(first);
+  frames.free(first);
   EXPECT_EQ(registry.find(0), nullptr);
-  ResidentPage& again = registry.insert(0, 64);
+  ResidentPage& again = *frames.allocate(0, 0);
+  registry.insert(again);
   EXPECT_EQ(registry.find(0), &again);
-  // The recycled page comes back fully reset: only what insert names.
+  // The recycled frame comes back fully reset: only what allocate names.
+  EXPECT_EQ(&again, &first);
   EXPECT_EQ(again.unit, 0u);
-  EXPECT_EQ(again.pfn, 64u);
+  EXPECT_EQ(frames.pfn_of(again), 0u);
   EXPECT_EQ(again.ready_at, 0u);
   EXPECT_FALSE(again.main_node.linked());
   EXPECT_FALSE(again.aux_node.linked());
@@ -113,11 +119,11 @@ TEST(DensePageRegistry, UnitZeroLastUnitAndReinsertAfterErase) {
 }
 
 TEST(DensePageRegistry, ForEachVisitsAscendingUnitOrder) {
-  PageRegistry registry;
+  FrameAllocator frames(3, PageSizeClass::k4K);
+  PageRegistry registry(10);
   // Insertion order deliberately scrambled relative to unit order.
-  registry.insert(9, 1);
-  registry.insert(0, 2);
-  registry.insert(4, 3);
+  for (const UnitIdx unit : {9, 0, 4})
+    registry.insert(*frames.allocate(0, unit));
   std::vector<UnitIdx> seen;
   registry.for_each([&](const ResidentPage& page) { seen.push_back(page.unit); });
   EXPECT_EQ(seen, (std::vector<UnitIdx>{0, 4, 9}));
@@ -125,19 +131,20 @@ TEST(DensePageRegistry, ForEachVisitsAscendingUnitOrder) {
 
 TEST(DenseTlb, UnitZeroAndReservedBoundary) {
   sim::Tlb tlb(4);
-  tlb.reserve_units(8);
+  tlb.size_units(8);
   tlb.insert(0);
   tlb.insert(7);
   EXPECT_TRUE(tlb.lookup(0));
   EXPECT_TRUE(tlb.lookup(7));
-  EXPECT_FALSE(tlb.lookup(8));  // one past the reserved range
-  tlb.insert(8);                // growth path still works after reserve
-  EXPECT_TRUE(tlb.lookup(8));
-  EXPECT_EQ(tlb.occupancy(), 3u);
+  EXPECT_FALSE(tlb.lookup(8));     // one past the index
+  EXPECT_FALSE(tlb.lookup(9000));  // far past it
+  EXPECT_FALSE(tlb.invalidate(8));
+  EXPECT_EQ(tlb.occupancy(), 2u);
 }
 
 TEST(DenseTlb, ReinsertAfterEvictionReusesTheSlotCleanly) {
   sim::Tlb tlb(1);
+  tlb.size_units(8);
   tlb.insert(3);
   tlb.insert(4);  // evicts 3 (capacity-1: every insert evicts)
   EXPECT_FALSE(tlb.lookup(3));
@@ -149,18 +156,18 @@ TEST(DenseTlb, ReinsertAfterEvictionReusesTheSlotCleanly) {
 
 TEST(DenseFrameAllocator, CapacityOneRecycles) {
   FrameAllocator alloc(1, PageSizeClass::k4K);
-  const Pfn pfn = alloc.allocate(0, 0);
-  ASSERT_NE(pfn, kInvalidPfn);
+  ResidentPage* page = alloc.allocate(0, 0);
+  ASSERT_NE(page, nullptr);
   EXPECT_TRUE(alloc.full());
-  EXPECT_EQ(alloc.allocate(0, 0), kInvalidPfn);  // exhausted, not UB
-  alloc.free(pfn);
-  EXPECT_EQ(alloc.allocate(0, 0), pfn);
+  EXPECT_EQ(alloc.allocate(0, 0), nullptr);  // exhausted, not UB
+  alloc.free(*page);
+  EXPECT_EQ(alloc.allocate(0, 0), page);
 }
 
 TEST(DenseStorageDeath, SentinelIndicesAbortInsteadOfWrapping) {
-  // Growing to `index + 1` wraps to 0 for the all-ones sentinels; every
-  // grow-on-demand structure must refuse them before indexing, and the
-  // page tables, sized once, refuse any unit past their size.
+  // The all-ones sentinels must be refused before indexing: the per-asid
+  // counts grow on demand and refuse kInvalidAsid, and every unit-indexed
+  // structure, sized once, refuses any unit past its size.
   struct Row {
     const char* what;
     std::function<void()> call;
@@ -171,7 +178,17 @@ TEST(DenseStorageDeath, SentinelIndicesAbortInsteadOfWrapping) {
        [] { FrameAllocator(2, PageSizeClass::k4K).allocate(kInvalidAsid, 0); },
        "kInvalidAsid"},
       {"PageRegistry::insert",
-       [] { PageRegistry().insert(kInvalidUnit, 0); }, "kInvalidUnit"},
+       [] {
+         FrameAllocator frames(1, PageSizeClass::k4K);
+         PageRegistry(8).insert(*frames.allocate(0, kInvalidUnit));
+       },
+       "kInvalidUnit"},
+      {"PageRegistry::insert past the index",
+       [] {
+         FrameAllocator frames(1, PageSizeClass::k4K);
+         PageRegistry(8).insert(*frames.allocate(0, 8));
+       },
+       "outside the index"},
       {"Pspt::map", [] { Pspt(2, 8).map(0, kInvalidUnit); }, "kInvalidUnit"},
       {"RegularPageTable::map",
        [] { RegularPageTable(2, 0, 8).map(0, kInvalidUnit); }, "kInvalidUnit"},
@@ -179,8 +196,20 @@ TEST(DenseStorageDeath, SentinelIndicesAbortInsteadOfWrapping) {
        "outside the table"},
       {"RegularPageTable::map past the table",
        [] { RegularPageTable(2, 0, 8).map(0, 8); }, "outside the table"},
-      {"Tlb::insert", [] { sim::Tlb(4).insert(kInvalidUnit); },
+      {"Tlb::insert",
+       [] {
+         sim::Tlb tlb(4);
+         tlb.size_units(8);
+         tlb.insert(kInvalidUnit);
+       },
        "kInvalidUnit"},
+      {"Tlb::insert past the index",
+       [] {
+         sim::Tlb tlb(4);
+         tlb.size_units(8);
+         tlb.insert(8);
+       },
+       "outside the index"},
   };
   for (const Row& row : rows) EXPECT_DEATH(row.call(), row.message) << row.what;
 }

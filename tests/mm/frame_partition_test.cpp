@@ -17,14 +17,15 @@ FrameAllocator make_alloc(std::uint64_t capacity) {
   return FrameAllocator(capacity, PageSizeClass::k4K);
 }
 
-std::vector<Pfn> take(FrameAllocator& alloc, Asid owner, std::uint64_t n) {
-  std::vector<Pfn> pfns;
+std::vector<ResidentPage*> take(FrameAllocator& alloc, Asid owner,
+                                std::uint64_t n) {
+  std::vector<ResidentPage*> frames;
   for (std::uint64_t i = 0; i < n; ++i) {
-    const Pfn pfn = alloc.allocate(owner, i);
-    EXPECT_NE(pfn, kInvalidPfn);
-    pfns.push_back(pfn);
+    ResidentPage* frame = alloc.allocate(owner, i);
+    EXPECT_NE(frame, nullptr);
+    frames.push_back(frame);
   }
-  return pfns;
+  return frames;
 }
 
 // --- FrameAllocator ownership ----------------------------------------------
@@ -37,12 +38,13 @@ TEST(FrameAllocatorOwnership, TracksPerTenantCountsAndOwners) {
   EXPECT_EQ(alloc.in_use_by(1), 2u);
   EXPECT_EQ(alloc.in_use(), 5u);
   EXPECT_EQ(alloc.free_count(), 3u);
-  for (Pfn pfn : a) EXPECT_EQ(alloc.owner_of(pfn), 0u);
-  for (Pfn pfn : b) EXPECT_EQ(alloc.owner_of(pfn), 1u);
+  for (const ResidentPage* f : a) EXPECT_EQ(f->owner, 0u);
+  for (const ResidentPage* f : b) EXPECT_EQ(f->owner, 1u);
 
-  alloc.free(a[1]);
+  alloc.free(*a[1]);
   EXPECT_EQ(alloc.in_use_by(0), 2u);
-  EXPECT_EQ(alloc.owner_of(a[1]), kInvalidAsid);
+  EXPECT_EQ(alloc.frames()[1].state, FrameState::kFree);
+  EXPECT_EQ(alloc.frames()[1].owner, kInvalidAsid);
 }
 
 // --- proportional share -----------------------------------------------------

@@ -9,114 +9,152 @@
 namespace cmcp::mm {
 namespace {
 
-TEST(PageRegistry, InsertAndFind) {
+/// One space's resident set the way an AddressSpace keeps it: entries from
+/// a coremap, indexed by unit in a registry.
+struct Resident {
+  explicit Resident(std::uint64_t frames, UnitIdx units = 8192)
+      : alloc(frames, PageSizeClass::k4K), reg(units) {}
+
+  ResidentPage& insert(UnitIdx unit) {
+    ResidentPage* page = alloc.allocate(0, unit);
+    EXPECT_NE(page, nullptr);
+    reg.insert(*page);
+    return *page;
+  }
+
+  void evict(ResidentPage& page) {
+    reg.erase(page);
+    alloc.free(page);
+  }
+
+  FrameAllocator alloc;
   PageRegistry reg;
-  ResidentPage& pg = reg.insert(7, 100);
+};
+
+TEST(PageRegistry, InsertAndFind) {
+  Resident r(4);
+  ResidentPage& pg = r.insert(7);
   EXPECT_EQ(pg.unit, 7u);
-  EXPECT_EQ(pg.pfn, 100u);
-  EXPECT_EQ(reg.find(7), &pg);
-  EXPECT_EQ(reg.find(8), nullptr);
-  EXPECT_EQ(reg.size(), 1u);
+  EXPECT_EQ(r.alloc.pfn_of(pg), 0u);
+  EXPECT_EQ(r.reg.find(7), &pg);
+  EXPECT_EQ(r.reg.find(8), nullptr);
+  EXPECT_EQ(r.reg.size(), 1u);
 }
 
 TEST(PageRegistry, EraseRemoves) {
-  PageRegistry reg;
-  ResidentPage& pg = reg.insert(7, 100);
-  reg.erase(pg);
-  EXPECT_EQ(reg.find(7), nullptr);
-  EXPECT_EQ(reg.size(), 0u);
+  Resident r(4);
+  ResidentPage& pg = r.insert(7);
+  r.reg.erase(pg);
+  EXPECT_EQ(r.reg.find(7), nullptr);
+  EXPECT_EQ(r.reg.size(), 0u);
 }
 
 TEST(PageRegistry, ReinsertAfterEraseResetsPolicyState) {
-  PageRegistry reg;
-  ResidentPage& pg = reg.insert(7, 100);
+  // Re-allocating a freed frame hands its entry back with only the new
+  // unit and owner set.
+  Resident r(1);
+  ResidentPage& pg = r.insert(7);
   pg.where = 3;
   pg.bucket = 9;
   pg.referenced = true;
   pg.ready_at = 5;
-  reg.erase(pg);
-  ResidentPage& fresh = reg.insert(7, 200);
+  pg.age_stamp = 11;
+  pg.slot = 4;
+  r.evict(pg);
+  ResidentPage& fresh = r.insert(8);
+  ASSERT_EQ(&fresh, &pg);
+  EXPECT_EQ(fresh.unit, 8u);
+  EXPECT_EQ(fresh.owner, 0u);
+  EXPECT_EQ(fresh.state, FrameState::kResident);
   EXPECT_EQ(fresh.where, 0);
   EXPECT_EQ(fresh.bucket, 0u);
   EXPECT_FALSE(fresh.referenced);
   EXPECT_EQ(fresh.ready_at, 0u);
-  EXPECT_EQ(fresh.pfn, 200u);
+  EXPECT_EQ(fresh.age_stamp, 0u);
+  EXPECT_EQ(fresh.slot, 0u);
+  EXPECT_FALSE(fresh.main_node.linked());
+  EXPECT_FALSE(fresh.aux_node.linked());
 }
 
 TEST(PageRegistry, PointerStabilityAcrossGrowth) {
-  PageRegistry reg;
-  ResidentPage* first = &reg.insert(0, 0);
-  for (UnitIdx u = 1; u < 5000; ++u) reg.insert(u, u);
-  EXPECT_EQ(reg.find(0), first);
+  // The coremap builds its entries as frames are first handed out; built
+  // entries never move while later ones are built.
+  Resident r(5000);
+  ResidentPage* first = &r.insert(0);
+  for (UnitIdx u = 1; u < 5000; ++u) r.insert(u);
+  EXPECT_EQ(r.reg.find(0), first);
   EXPECT_EQ(first->unit, 0u);
+  EXPECT_EQ(r.alloc.frames().data(), first);
 }
 
 TEST(PageRegistry, ErasedPagesAreReusedLastInFirstOut) {
-  PageRegistry reg;
-  ResidentPage& a = reg.insert(1, 0);
-  ResidentPage& b = reg.insert(2, 1);
-  reg.erase(a);
-  reg.erase(b);
-  EXPECT_EQ(&reg.insert(3, 2), &b);
-  EXPECT_EQ(&reg.insert(4, 3), &a);
+  Resident r(4);
+  ResidentPage& a = r.insert(1);
+  ResidentPage& b = r.insert(2);
+  r.evict(a);
+  r.evict(b);
+  EXPECT_EQ(&r.insert(3), &b);
+  EXPECT_EQ(&r.insert(4), &a);
 }
 
 TEST(PageRegistry, ChunkedPoolSurvivesChurnAcrossChunks) {
-  // Well past two chunks' worth of pages, with every third page erased and
-  // re-inserted elsewhere on the way: earlier references must not move,
-  // recycled pages must come back reset, and for_each must stay in
-  // ascending unit order whatever the pool order.
+  // Thousands of pages, with every third page evicted and its frame
+  // re-allocated to another unit on the way: earlier references must not
+  // move, recycled entries must come back reset, and for_each must stay in
+  // ascending unit order whatever the coremap order.
   constexpr UnitIdx kUnits = 3000;
-  PageRegistry reg;
+  Resident r(kUnits, 2 * kUnits);
   std::vector<ResidentPage*> held(2 * kUnits, nullptr);
   for (UnitIdx u = 0; u < kUnits; ++u) {
-    ResidentPage& pg = reg.insert(u, u);
+    ResidentPage& pg = r.insert(u);
     pg.bucket = 7;
     pg.referenced = true;
     held[u] = &pg;
     if (u % 3 == 2) {
       const UnitIdx moved = u - 2;
-      reg.erase(*held[moved]);
+      ResidentPage* const freed = held[moved];
+      r.evict(*freed);
       held[moved] = nullptr;
-      ResidentPage& recycled = reg.insert(kUnits + moved, moved);
+      ResidentPage& recycled = r.insert(kUnits + moved);
+      EXPECT_EQ(&recycled, freed);
       EXPECT_EQ(recycled.bucket, 0u);
       EXPECT_FALSE(recycled.referenced);
       held[kUnits + moved] = &recycled;
     }
   }
-  EXPECT_EQ(reg.size(), kUnits);
+  EXPECT_EQ(r.reg.size(), kUnits);
   for (UnitIdx u = 0; u < held.size(); ++u) {
     if (held[u] == nullptr) continue;
-    EXPECT_EQ(reg.find(u), held[u]);
+    EXPECT_EQ(r.reg.find(u), held[u]);
     EXPECT_EQ(held[u]->unit, u);
   }
   std::vector<UnitIdx> seen;
-  reg.for_each([&](const ResidentPage& pg) { seen.push_back(pg.unit); });
+  r.reg.for_each([&](const ResidentPage& pg) { seen.push_back(pg.unit); });
   ASSERT_EQ(seen.size(), kUnits);
   EXPECT_TRUE(std::is_sorted(seen.begin(), seen.end()));
 }
 
 TEST(PageRegistry, ForEachVisitsAll) {
-  PageRegistry reg;
-  for (UnitIdx u = 0; u < 10; ++u) reg.insert(u, u);
+  Resident r(10);
+  for (UnitIdx u = 0; u < 10; ++u) r.insert(u);
   std::set<UnitIdx> seen;
-  reg.for_each([&](ResidentPage& pg) { seen.insert(pg.unit); });
+  r.reg.for_each([&](ResidentPage& pg) { seen.insert(pg.unit); });
   EXPECT_EQ(seen.size(), 10u);
 }
 
 TEST(PageRegistryDeath, DoubleInsertAborts) {
-  PageRegistry reg;
-  reg.insert(7, 0);
-  EXPECT_DEATH(reg.insert(7, 1), "already resident");
+  Resident r(2);
+  r.insert(7);
+  EXPECT_DEATH(r.insert(7), "already resident");
 }
 
 TEST(PageRegistryDeath, EraseWhileOnPolicyListAborts) {
-  PageRegistry reg;
-  ResidentPage& pg = reg.insert(7, 0);
+  Resident r(2);
+  ResidentPage& pg = r.insert(7);
   ListNode anchor;  // simulate list membership
   pg.main_node.prev = &anchor;
   pg.main_node.next = &anchor;
-  EXPECT_DEATH(reg.erase(pg), "policy list");
+  EXPECT_DEATH(r.reg.erase(pg), "policy list");
 }
 
 }  // namespace

@@ -40,7 +40,7 @@ TEST(Arc, EvictedT1PageGoesToGhostB1) {
   auto& a = pages.make(1);
   policy.on_insert(a);
   policy.on_evict(a);
-  pages.registry().erase(a);
+  pages.erase(a);
   EXPECT_EQ(policy.b1_size(), 1u);
   EXPECT_EQ(policy.t1_size(), 0u);
 }
@@ -52,7 +52,7 @@ TEST(Arc, RefaultFromB1EntersT2AndGrowsTarget) {
   auto& a = pages.make(1);
   policy.on_insert(a);
   policy.on_evict(a);
-  pages.registry().erase(a);
+  pages.erase(a);
   ASSERT_EQ(policy.target(), 0.0);
 
   auto& again = pages.make(1);
@@ -74,14 +74,14 @@ TEST(Arc, RefaultFromB2ShrinksTarget) {
   policy.on_core_map_grow(a);  // T1 -> T2
   ASSERT_EQ(policy.t2_size(), 1u);
   policy.on_evict(a);
-  pages.registry().erase(a);
+  pages.erase(a);
   ASSERT_EQ(policy.b2_size(), 1u);
 
   // Raise the target first so the shrink is observable.
   auto& b = pages.make(2);
   policy.on_insert(b);
   policy.on_evict(b);
-  pages.registry().erase(b);
+  pages.erase(b);
   auto& b2 = pages.make(2);
   policy.on_insert(b2);  // B1 hit: target > 0
   const double before = policy.target();
@@ -114,7 +114,7 @@ TEST(Arc, GhostListsBounded) {
     auto& pg = pages.make(u);
     policy.on_insert(pg);
     policy.on_evict(pg);
-    pages.registry().erase(pg);
+    pages.erase(pg);
   }
   EXPECT_LE(policy.b1_size(), 4u);
 }
@@ -142,7 +142,7 @@ TEST(Arc, PromotedPagesSurviveColdStreaming) {
       ASSERT_NE(victim, nullptr);
       for (auto* h : hot) ASSERT_NE(victim, h) << "hot page evicted at " << u;
       policy.on_evict(*victim);
-      pages.registry().erase(*victim);
+      pages.erase(*victim);
       --resident;
     }
     policy.on_insert(pages.make(u));

@@ -55,7 +55,7 @@ TEST_P(CmcpTraceTest, StructuralInvariantsUnderRandomTrace) {
         ASSERT_NE(victim, nullptr);
         policy.on_evict(*victim);
         resident.erase(victim->unit);
-        pages.registry().erase(*victim);
+        pages.erase(*victim);
       }
       auto& pg = pages.make(next_unit++, 1 + rng.next_below(16));
       policy.on_insert(pg);
@@ -78,7 +78,7 @@ TEST_P(CmcpTraceTest, StructuralInvariantsUnderRandomTrace) {
         ASSERT_TRUE(resident.contains(victim->unit));
         policy.on_evict(*victim);
         resident.erase(victim->unit);
-        pages.registry().erase(*victim);
+        pages.erase(*victim);
       }
     } else {  // aging tick
       policy.on_tick(ticks++);
@@ -121,8 +121,8 @@ TEST(CmcpEquivalence, PZeroMatchesFifoVictimForVictim) {
       cmcp.on_evict(*cv);
       fifo.on_evict(*fv);
       resident.erase(cv->unit);
-      cmcp_pages.registry().erase(*cv);
-      fifo_pages.registry().erase(*fv);
+      cmcp_pages.erase(*cv);
+      fifo_pages.erase(*fv);
     } else {
       const unsigned count = 1 + rng.next_below(8);
       auto& a = cmcp_pages.make(next_unit, count);
@@ -193,7 +193,7 @@ TEST(CmcpBehaviour, BeatsFifoOnRecurringSharedPages) {
         mm::ResidentPage* victim = policy.pick_victim(0, extra);
         policy.on_evict(*victim);
         resident.erase(victim->unit);
-        pages.registry().erase(*victim);
+        pages.erase(*victim);
       }
       auto& pg = pages.make(unit, unit < 1000 ? 4 : 1);
       policy.on_insert(pg);

@@ -229,7 +229,7 @@ TEST(Cmcp, NoScannerRequired) {
     mm::ResidentPage* victim = policy.pick_victim(0, extra);
     ASSERT_NE(victim, nullptr);
     policy.on_evict(*victim);
-    pages.registry().erase(*victim);
+    pages.erase(*victim);
   }
   EXPECT_EQ(extra, 0u);
   EXPECT_EQ(host.shootdowns(), 0u);

@@ -168,7 +168,7 @@ TEST(LruApprox, ProtectsHotSetOnMixedTrace) {
       for (auto* h : hot) EXPECT_NE(victim, h);
       policy.on_evict(*victim);
       std::erase(resident, victim);
-      pages.registry().erase(*victim);
+      pages.erase(*victim);
     }
   }
 }

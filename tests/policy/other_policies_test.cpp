@@ -177,7 +177,7 @@ TEST(DynamicP, AdjustsPOverWindows) {
       Cycles extra = 0;
       mm::ResidentPage* victim = policy.pick_victim(0, extra);
       policy.on_evict(*victim);
-      pages.registry().erase(*victim);
+      pages.erase(*victim);
     }
     for (std::uint32_t t = 0; t < DynamicPCmcpPolicy::kWindowTicks; ++t)
       policy.on_tick(now++);
@@ -202,7 +202,7 @@ TEST(DynamicP, StaysWithinBounds) {
     Cycles extra = 0;
     mm::ResidentPage* victim = policy.pick_victim(0, extra);
     policy.on_evict(*victim);
-    pages.registry().erase(*victim);
+    pages.erase(*victim);
     policy.on_tick(w);
     EXPECT_GE(policy.current_p(), DynamicPCmcpPolicy::kMinP);
     EXPECT_LE(policy.current_p(), DynamicPCmcpPolicy::kMaxP);

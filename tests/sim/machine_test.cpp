@@ -20,6 +20,12 @@ MachineConfig small_config(CoreId cores = 4) {
   return config;
 }
 
+/// Index units [0, 64) in every TLB of `m`, as each core's address space
+/// sizes its cores' TLBs to its area.
+void size_tlbs(Machine& m) {
+  for (CoreId c = 0; c < m.total_cores(); ++c) m.tlb(c).size_units(64);
+}
+
 TEST(Machine, ClocksStartAtZero) {
   Machine m(small_config());
   for (CoreId c = 0; c < 4; ++c) EXPECT_EQ(m.clock(c), 0u);
@@ -38,6 +44,7 @@ TEST(Machine, AdvanceAndSetClock) {
 
 TEST(Machine, ScannerCoreHasOwnTlbAndCounters) {
   Machine m(small_config(2));
+  size_tlbs(m);
   m.tlb(m.scanner_core()).insert(7);
   EXPECT_TRUE(m.tlb(m.scanner_core()).lookup(7));
   EXPECT_FALSE(m.tlb(0).lookup(7));
@@ -45,6 +52,7 @@ TEST(Machine, ScannerCoreHasOwnTlbAndCounters) {
 
 TEST(Machine, ShootdownChargesInitiatorAndReceivers) {
   Machine m(small_config(4));
+  size_tlbs(m);
   m.tlb(1).insert(42);
   m.tlb(2).insert(42);
 
@@ -85,6 +93,7 @@ TEST(MachineDeath, InitiatorInTargetMaskAborts) {
 
 TEST(Machine, BatchShootdownChargesPerMappedUnit) {
   Machine m(small_config(4));
+  size_tlbs(m);
   m.tlb(1).insert(10);
   m.tlb(1).insert(11);
   m.tlb(2).insert(11);
@@ -124,6 +133,7 @@ TEST(Machine, BatchShootdownSkipsInitiator) {
 TEST(Machine, WideMachineShootdownChargesEachTargetOnce) {
   Machine m(small_config(1024));
   ASSERT_EQ(m.total_cores(), 1025u);
+  size_tlbs(m);
   m.tlb(1023).insert(7);
   m.tlb(1024).insert(7);
 
@@ -146,6 +156,7 @@ TEST(Machine, WideMachineShootdownChargesEachTargetOnce) {
 
 TEST(Machine, WideMachineBatchStraddlingWordsChargesEachTargetOnce) {
   Machine m(small_config(1024));
+  size_tlbs(m);
   m.tlb(1023).insert(10);
   m.tlb(1023).insert(11);
   m.tlb(64).insert(10);
@@ -194,6 +205,7 @@ class HoldersTest : public ::testing::TestWithParam<ShootdownPath> {
   /// Shoot down kUnit from core 0 to cores {1, 2, 3}, caching it on all
   /// three first. Returns the initiator's cycles.
   static Cycles run(Machine& m, const CoreMask& holders) {
+    size_tlbs(m);
     for (CoreId c = 1; c < 4; ++c) m.tlb(c).insert(kUnit);
     CoreMask targets;
     for (CoreId c = 1; c < 4; ++c) targets.set(c);

@@ -13,6 +13,7 @@ namespace {
 
 TEST(Tlb, MissThenHit) {
   Tlb tlb(4);
+  tlb.size_units(16);
   EXPECT_FALSE(tlb.lookup(10));
   tlb.insert(10);
   EXPECT_TRUE(tlb.lookup(10));
@@ -20,6 +21,7 @@ TEST(Tlb, MissThenHit) {
 
 TEST(Tlb, EvictsLruWhenFull) {
   Tlb tlb(2);
+  tlb.size_units(16);
   tlb.insert(1);
   tlb.insert(2);
   tlb.insert(3);  // evicts 1
@@ -30,6 +32,7 @@ TEST(Tlb, EvictsLruWhenFull) {
 
 TEST(Tlb, LookupRefreshesRecency) {
   Tlb tlb(2);
+  tlb.size_units(16);
   tlb.insert(1);
   tlb.insert(2);
   EXPECT_TRUE(tlb.lookup(1));  // 2 is now LRU
@@ -41,6 +44,7 @@ TEST(Tlb, LookupRefreshesRecency) {
 
 TEST(Tlb, ReinsertRefreshesWithoutDuplicating) {
   Tlb tlb(2);
+  tlb.size_units(16);
   tlb.insert(1);
   tlb.insert(2);
   tlb.insert(1);  // already present: refresh, no eviction
@@ -52,6 +56,7 @@ TEST(Tlb, ReinsertRefreshesWithoutDuplicating) {
 
 TEST(Tlb, InvalidateRemovesEntry) {
   Tlb tlb(4);
+  tlb.size_units(16);
   tlb.insert(5);
   EXPECT_TRUE(tlb.invalidate(5));
   EXPECT_FALSE(tlb.lookup(5));
@@ -61,6 +66,7 @@ TEST(Tlb, InvalidateRemovesEntry) {
 
 TEST(Tlb, InvalidateFreesSlotForReuse) {
   Tlb tlb(2);
+  tlb.size_units(16);
   tlb.insert(1);
   tlb.insert(2);
   tlb.invalidate(1);
@@ -71,6 +77,7 @@ TEST(Tlb, InvalidateFreesSlotForReuse) {
 
 TEST(Tlb, CapacityOneDegenerate) {
   Tlb tlb(1);
+  tlb.size_units(16);
   tlb.insert(1);
   EXPECT_TRUE(tlb.lookup(1));
   tlb.insert(2);
@@ -83,6 +90,7 @@ TEST(Tlb, CapacityOneDegenerate) {
 TEST(TlbProperty, StressAgainstReferenceModel) {
   const std::uint32_t kCapacity = 8;
   Tlb tlb(kCapacity);
+  tlb.size_units(32);
   std::uint64_t state = 12345;
   const auto next = [&state] {
     state = state * 6364136223846793005ULL + 1442695040888963407ULL;
@@ -115,6 +123,7 @@ class TlbLruOrderTest : public ::testing::TestWithParam<std::uint32_t> {};
 TEST_P(TlbLruOrderTest, MatchesListModel) {
   const std::uint32_t capacity = GetParam();
   Tlb tlb(capacity);
+  tlb.size_units(3 * capacity);
   std::list<UnitIdx> model;
   std::uint64_t state = 4321;
   const auto next = [&state] {

@@ -18,7 +18,7 @@ std::uint64_t run_trace(policy::ReplacementPolicy& policy, PageFactory& pages,
       CMCP_CHECK(victim != nullptr);
       resident.erase(victim->unit);
       policy.on_evict(*victim);
-      pages.registry().erase(*victim);
+      pages.erase(*victim);
     }
     policy.on_insert(pages.make(unit));
     resident.insert(unit);

@@ -62,23 +62,36 @@ class FakePolicyHost final : public policy::PolicyHost {
   std::uint64_t shootdowns_ = 0;
 };
 
-/// Owns ResidentPage objects for policy tests (pointer-stable) and records
-/// each page's core-map count on the host the policy reads it from.
+/// Makes resident pages for policy tests the way an address space does: a
+/// coremap entry from its own FrameAllocator, indexed in a registry over
+/// units [0, units) with a frame for every unit. Records each page's
+/// core-map count on the host the policy reads it from.
 class PageFactory {
  public:
-  explicit PageFactory(FakePolicyHost& host) : host_(host) {}
+  static constexpr UnitIdx kDefaultUnits = 1 << 14;
+
+  explicit PageFactory(FakePolicyHost& host, UnitIdx units = kDefaultUnits)
+      : host_(host), frames_(units, PageSizeClass::k4K), registry_(units) {}
 
   mm::ResidentPage& make(UnitIdx unit, unsigned core_map_count = 1) {
     host_.set_core_map_count(unit, core_map_count);
-    return registry_.insert(unit, next_pfn_++);
+    mm::ResidentPage* page = frames_.allocate(0, unit);
+    CMCP_CHECK(page != nullptr);
+    registry_.insert(*page);
+    return *page;
   }
 
-  mm::PageRegistry& registry() { return registry_; }
+  /// Evict a page the policy has already dropped: unindex it, free its
+  /// frame.
+  void erase(mm::ResidentPage& page) {
+    registry_.erase(page);
+    frames_.free(page);
+  }
 
  private:
   FakePolicyHost& host_;
+  mm::FrameAllocator frames_;
   mm::PageRegistry registry_;
-  Pfn next_pfn_ = 0;
 };
 
 /// Run a policy through an access trace with the given capacity, evicting
