@@ -4,8 +4,7 @@
 #include <benchmark/benchmark.h>
 
 #include "common/rng.h"
-#include "mm/pspt.h"
-#include "mm/regular_page_table.h"
+#include "mm/page_table.h"
 #include "policy/cmcp.h"
 #include "policy/fifo.h"
 #include "policy/lru_approx.h"
@@ -47,7 +46,7 @@ BENCHMARK(BM_TlbMissInsertEvict);
 
 void BM_PsptMapUnmap(benchmark::State& state) {
   const CoreId cores = static_cast<CoreId>(state.range(0));
-  mm::Pspt pt(cores, kUnitSpace);
+  mm::PageTable pt(PageTableKind::kPspt, 0, cores, kUnitSpace);
   UnitIdx u = 0;
   for (auto _ : state) {
     for (CoreId c = 0; c < cores; ++c) pt.map(c, u);
@@ -59,7 +58,7 @@ void BM_PsptMapUnmap(benchmark::State& state) {
 BENCHMARK(BM_PsptMapUnmap)->Arg(1)->Arg(4)->Arg(16)->Arg(56);
 
 void BM_RegularMapUnmap(benchmark::State& state) {
-  mm::RegularPageTable pt(56, 0, kUnitSpace);
+  mm::PageTable pt(PageTableKind::kRegular, 0, 56, kUnitSpace);
   UnitIdx u = 0;
   for (auto _ : state) {
     pt.map(0, u);

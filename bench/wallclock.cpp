@@ -38,7 +38,7 @@
 #include "metrics/result_writer.h"
 #include "mm/frame_partition.h"
 #include "mm/page_registry.h"
-#include "mm/pspt.h"
+#include "mm/page_table.h"
 #include "policy/fifo.h"
 #include "sim/fault_plan.h"
 #include "sim/pcie_link.h"
@@ -216,7 +216,7 @@ PhaseResult micro_tlb_hit(std::uint64_t iters) {
 PhaseResult micro_pte_walk(std::uint64_t iters) {
   constexpr CoreId kCores = 56;
   constexpr UnitIdx kUnits = 1 << 15;
-  mm::Pspt pt(kCores, kUnits);
+  mm::PageTable pt(PageTableKind::kPspt, 0, kCores, kUnits);
   for (UnitIdx u = 0; u < kUnits; ++u) pt.map(u % kCores, u);
   PhaseResult r;
   const auto t0 = Clock::now();
@@ -239,7 +239,7 @@ PhaseResult micro_pte_walk(std::uint64_t iters) {
 PhaseResult micro_fault_evict(std::uint64_t iters) {
   constexpr std::uint64_t kResident = 1024;
   constexpr UnitIdx kSpace = 1 << 16;  // bounded so dense tables stay small
-  mm::FrameAllocator frames(kResident, PageSizeClass::k4K);
+  mm::FrameAllocator frames(kResident, PageSizeClass::k4K, 1);
   mm::PageRegistry reg(kSpace);
   policy::FifoPolicy policy;
   const auto make_resident = [&](UnitIdx unit) {
@@ -270,8 +270,8 @@ PhaseResult micro_fault_evict(std::uint64_t iters) {
 PhaseResult micro_scan_sweep(std::uint64_t sweeps) {
   constexpr CoreId kCores = 56;
   constexpr UnitIdx kUnits = 1 << 14;
-  mm::Pspt pt(kCores, kUnits);
-  mm::FrameAllocator frames(kUnits, PageSizeClass::k4K);
+  mm::PageTable pt(PageTableKind::kPspt, 0, kCores, kUnits);
+  mm::FrameAllocator frames(kUnits, PageSizeClass::k4K, 1);
   mm::PageRegistry reg(kUnits);
   for (UnitIdx u = 0; u < kUnits; ++u) {
     pt.map(u % kCores, u);

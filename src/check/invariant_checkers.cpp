@@ -5,7 +5,7 @@
 #include <vector>
 
 #include "core/address_space.h"
-#include "mm/pspt.h"
+#include "mm/page_table.h"
 
 namespace cmcp::check {
 
@@ -58,10 +58,10 @@ class PsptConsistencyChecker final : public sim::Checker {
                      kInvalidUnit, kInvalidCore});
     // PSPT cross-foot: the directory's counts must sum to the per-core
     // table populations (catches count drift that preserves the mask).
-    if (const auto* pspt = dynamic_cast<const mm::Pspt*>(&pt)) {
+    if (pt.kind() == PageTableKind::kPspt) {
       std::uint64_t per_core_sum = 0;
       for (CoreId c = 0; c < space_.num_cores(); ++c)
-        per_core_sum += pspt->mapped_units_of_core(c);
+        per_core_sum += pt.mapped_units_of_core(c);
       if (per_core_sum != count_sum)
         out.push_back({std::string(name()), "count-crossfoot",
                        "sum of directory counts " + std::to_string(count_sum) +
@@ -264,6 +264,13 @@ class PolicyAccountingChecker final : public sim::Checker {
 /// table locks) — the determinism guarantee would still "pass" while
 /// modelling a different machine. Covers every scanner pseudo-core (one per
 /// address space).
+///
+/// At the end of a run it also cross-foots each app core's cycle buckets
+/// against its clock: every cycle a core spent must be charged to exactly
+/// one bucket, or the per-layer breakdown misattributes the makespan. Only
+/// then: mid-run, a fault has charged its buckets before the engine
+/// advances the clock. Scanner pseudo-cores are exempt, since their clocks
+/// also jump idle to each scan tick.
 class ClockMonotonicityChecker final : public sim::Checker {
  public:
   explicit ClockMonotonicityChecker(const sim::Machine& machine)
@@ -272,7 +279,7 @@ class ClockMonotonicityChecker final : public sim::Checker {
 
   std::string_view name() const override { return "clock-monotonic"; }
 
-  void check(CheckPoint /*point*/, std::vector<CheckViolation>& out) override {
+  void check(CheckPoint point, std::vector<CheckViolation>& out) override {
     for (CoreId core = 0; core < machine_.total_cores(); ++core) {
       const Cycles now = machine_.clock(core);
       if (now < last_[core])
@@ -281,6 +288,16 @@ class ClockMonotonicityChecker final : public sim::Checker {
                            " back to " + std::to_string(now),
                        kInvalidUnit, core});
       last_[core] = now;
+    }
+    if (point != CheckPoint::kEndOfRun) return;
+    for (CoreId core = 0; core < machine_.num_cores(); ++core) {
+      const Cycles buckets = machine_.counters(core).cycles_total();
+      if (buckets != machine_.clock(core))
+        out.push_back({std::string(name()), "cycle-crossfoot",
+                       "cycle buckets sum to " + std::to_string(buckets) +
+                           " but the clock reads " +
+                           std::to_string(machine_.clock(core)),
+                       kInvalidUnit, core});
     }
   }
 

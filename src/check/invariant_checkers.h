@@ -10,7 +10,9 @@
 //                      counters and the registries; the partition saw the
 //                      current usable capacity
 //   policy-accounting  policy list sizes == resident-set size
-//   clock-monotonic    per-core virtual clocks never run backwards
+//   clock-monotonic    per-core virtual clocks never run backwards; at the
+//                      end of a run each app core's cycle buckets sum to
+//                      its clock (cycle-crossfoot)
 //
 // Per-space checkers (pspt-consistency, policy-accounting) are registered
 // once per address space; with more than one space their names gain an

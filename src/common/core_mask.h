@@ -91,9 +91,9 @@ class CoreMask {
     }
   }
 
-  /// Raw word access, for dense per-unit mask storage (mm::Pspt and
-  /// mm::RegularPageTable keep only ceil(num_cores/64) words per unit and
-  /// widen to a CoreMask at the API boundary).
+  /// Raw word access, for dense per-unit mask storage (mm::PageTable keeps
+  /// only the words its core block reaches per unit and widens to a
+  /// CoreMask at the API boundary).
   std::uint64_t word(std::size_t i) const { return i < live_ ? words_[i] : 0; }
   void set_word(std::size_t i, std::uint64_t w) {
     if (i >= live_) {

@@ -5,28 +5,10 @@
 
 #include "common/assert.h"
 #include "core/memory_manager.h"
-#include "mm/pspt.h"
-#include "mm/regular_page_table.h"
 #include "policy/policy_factory.h"
 #include "sim/fault_plan.h"
 
 namespace cmcp::core {
-
-namespace {
-
-/// A regular table spans the space's own core block: only those cores can
-/// cache its units, so only they are shootdown targets. PSPT tables index
-/// by machine core id and name exactly the mapping cores anyway.
-std::unique_ptr<mm::PageTable> make_page_table(const AddressSpaceSpec& spec,
-                                               CoreId machine_cores) {
-  const UnitIdx units = spec.area.num_units();
-  if (spec.config.pt_kind == PageTableKind::kRegular)
-    return std::make_unique<mm::RegularPageTable>(spec.num_cores,
-                                                  spec.first_core, units);
-  return std::make_unique<mm::Pspt>(machine_cores, units);
-}
-
-}  // namespace
 
 // SimCheck checkpoints compile out entirely in Release (CMCP_SIMCHECK=OFF):
 // the fault path then carries no extra branch at all, which the
@@ -50,7 +32,8 @@ AddressSpace::AddressSpace(MemoryManager& mm, Asid asid,
       allocator_(mm.allocator_),
       asid_(asid),
       area_(spec.area),
-      page_table_(make_page_table(spec, machine_.num_cores())),
+      page_table_(spec.config.pt_kind, spec.first_core, spec.num_cores,
+                  area_.num_units()),
       registry_(area_.num_units()),
       policy_capacity_units_(mm.partition().target_of(asid)),
       prefetch_degree_(spec.config.prefetch_degree) {
@@ -62,7 +45,7 @@ AddressSpace::AddressSpace(MemoryManager& mm, Asid asid,
   policy_ = config.custom_policy ? config.custom_policy(*this)
                                  : policy::make_policy(*this, config.policy);
   // Dense unit-indexed storage (docs/performance.md) is sized once, here,
-  // in make_page_table and in the registry, so the per-access path never
+  // in the page table and in the registry, so the per-access path never
   // grows a vector. Each app core only ever caches its own space's units,
   // so its TLB index is sized to this space. The scanner pseudo-cores
   // never cache a translation; their TLBs stay unsized.
@@ -110,7 +93,7 @@ Cycles AddressSpace::access(CoreId core, Vpn vpn, bool write, Cycles now) {
   // Fast path: translation cached.
   if (tlb.lookup(unit)) {
     const Cycles c = cost.tlb_hit + cost.memory_access;
-    if (write) page_table_->mark_dirty(core, unit);
+    if (write) page_table_.mark_dirty(core, unit);
     ctr.cycles_mem += c;
     return c;
   }
@@ -118,24 +101,30 @@ Cycles AddressSpace::access(CoreId core, Vpn vpn, bool write, Cycles now) {
   // dTLB miss: hardware page walk.
   ++ctr.dtlb_misses;
 
-  if (page_table_->has_mapping(core, unit)) {
+  if (page_table_.has_mapping(core, unit)) {
     // Walk hit a valid PTE: refill the TLB, set attribute bits.
-    page_table_->mark_accessed(core, unit);
-    if (write) page_table_->mark_dirty(core, unit);
+    page_table_.mark_accessed(core, unit);
+    if (write) page_table_.mark_dirty(core, unit);
     tlb.insert(unit);
     const Cycles c = cost.walk_cost(area_.page_size()) + cost.memory_access;
     ctr.cycles_mem += c;
     return c;
   }
 
-  // Walk found no valid PTE: page fault.
+  // Walk found no valid PTE: page fault. Each cycle lands in exactly one
+  // bucket: fault_cycles is the handler's own work (cycles_fault), while
+  // evictions, quarantines and readahead charge their buckets themselves and
+  // accrue apart, in nested. pcie_wait includes any transfer retries, which
+  // are recovery.
   const Cycles mem_cycles = cost.walk_cost(area_.page_size());
   ctr.cycles_mem += mem_cycles;
   Cycles fault_cycles = cost.fault_entry;
+  Cycles nested = 0;
   Cycles lock_wait = 0;
   Cycles pcie_wait = 0;
+  Cycles recovery = 0;
 
-  if (page_table_->kind() == PageTableKind::kRegular) {
+  if (page_table_.kind() == PageTableKind::kRegular) {
     // Address-space-wide lock: every fault in the process serializes here.
     const Cycles at = now + mem_cycles + fault_cycles;
     const Cycles acquired = std::max(at, pt_lock_busy_until_);
@@ -167,7 +156,7 @@ Cycles AddressSpace::access(CoreId core, Vpn vpn, bool write, Cycles now) {
       ++ctr.prefetch_hits;
       trace_prefetch_hit = 1;
     }
-    page_table_->map(core, unit);
+    page_table_.map(core, unit);
     trace_map_count = core_map_count(*page);
     if (!pinned_) policy_->on_core_map_grow(*page);
   } else {
@@ -183,51 +172,51 @@ Cycles AddressSpace::access(CoreId core, Vpn vpn, bool write, Cycles now) {
     // frames surfacing at allocation (and latent poison swallowing the
     // frame an eviction was meant to free) re-enter the loop; each
     // quarantine consumes its poison, so it terminates.
-    mm::ResidentPage* fresh = allocate_frame(
-        core, unit, now + mem_cycles + lock_wait, &fault_cycles);
+    const Cycles handler_at = now + mem_cycles + fault_cycles + lock_wait;
+    mm::ResidentPage* fresh = allocate_frame(core, unit, handler_at, &nested);
     while (fresh == nullptr) {
-      fault_cycles +=
-          mm_.evict_for(asid_, core, now + mem_cycles + fault_cycles + lock_wait);
+      nested += mm_.evict_for(asid_, core, handler_at + nested);
       trace_evicted = 1;
-      fresh = allocate_frame(core, unit, now + mem_cycles + lock_wait,
-                             &fault_cycles);
+      fresh = allocate_frame(core, unit, handler_at, &nested);
     }
 
     // Fetch the unit's data from the host.
-    const Cycles ready = now + mem_cycles + fault_cycles + lock_wait;
+    const Cycles ready = handler_at + nested;
     const sim::PcieTransferOutcome xfer = machine_.pcie_transfer(
         core, sim::PcieDir::kHostToDevice, ready, unit_bytes(area_.page_size()),
         unit, asid_);
     pcie_wait += xfer.done - ready;
+    recovery += xfer.recovery;
     ctr.pcie_bytes_in += unit_bytes(area_.page_size());
 
     registry_.insert(*fresh);
-    page_table_->map(core, unit);
+    page_table_.map(core, unit);
     fault_cycles += cost.map_cost(area_.page_size()) + cost.policy_op;
     policy_->on_insert(*fresh);
 
-    if (prefetch_degree_ > 0)
-      fault_cycles += prefetch_after(core, unit, xfer.done);
+    if (prefetch_degree_ > 0) nested += prefetch_after(core, unit, xfer.done);
   }
 
-  if (page_table_->kind() == PageTableKind::kRegular) {
+  if (page_table_.kind() == PageTableKind::kRegular) {
     // Lock is held across the table update (and any shootdown inside
     // evict_one), but not across the PCIe transfer.
-    pt_lock_busy_until_ =
-        now + mem_cycles + fault_cycles + lock_wait + cost.regular_pt_lock_hold;
+    pt_lock_busy_until_ = now + mem_cycles + fault_cycles + nested +
+                          lock_wait + cost.regular_pt_lock_hold;
     fault_cycles += cost.regular_pt_lock_hold;
   }
 
-  page_table_->mark_accessed(core, unit);
-  if (write) page_table_->mark_dirty(core, unit);
+  page_table_.mark_accessed(core, unit);
+  if (write) page_table_.mark_dirty(core, unit);
   tlb.insert(unit);
 
   ctr.cycles_fault += fault_cycles;
   ctr.cycles_lock_wait += lock_wait;
-  ctr.cycles_pcie_wait += pcie_wait;
+  ctr.cycles_pcie_wait += pcie_wait - recovery;
+  ctr.cycles_recovery += recovery;
   const Cycles mem_tail = cost.memory_access;
   ctr.cycles_mem += mem_tail;
-  const Cycles total = mem_cycles + fault_cycles + lock_wait + pcie_wait + mem_tail;
+  const Cycles total =
+      mem_cycles + fault_cycles + nested + lock_wait + pcie_wait + mem_tail;
   if (tr != nullptr) {
     if (was_major)
       tr->emit({sim::trace::EventKind::kMajorFault, core, now, total, unit,
@@ -253,7 +242,7 @@ Cycles AddressSpace::prefetch_after(CoreId core, UnitIdx unit, Cycles now) {
     if (next >= area_.num_units()) break;
     if (allocator_.full()) break;
     if (registry_.find(next) != nullptr) continue;
-    if (page_table_->any_mapping(next)) continue;
+    if (page_table_.any_mapping(next)) continue;
     mm::ResidentPage* pg = allocate_frame(core, next, now, &issue_cycles);
     if (pg == nullptr) break;  // quarantines may have drained the pool
     const sim::PcieTransferOutcome xfer = machine_.pcie_transfer(
@@ -265,6 +254,7 @@ Cycles AddressSpace::prefetch_after(CoreId core, UnitIdx unit, Cycles now) {
     ctr.pcie_bytes_in += unit_bytes(area_.page_size());
     ++ctr.prefetches;
     issue_cycles += cost.policy_op;  // request setup
+    ctr.cycles_fault += cost.policy_op;
   }
   return issue_cycles;
 }
@@ -325,6 +315,7 @@ Cycles AddressSpace::shootdown_unit(CoreId initiator, Cycles now,
   // TLB can hold the unit only if it is a holder); only this path pays
   // for a mask copy to drop the initiator bit.
   if (set.holders.test(initiator)) machine_.tlb(initiator).invalidate(unit);
+  machine_.counters(initiator).cycles_fault += cost.invlpg;
   CoreMask remote = set.targets;
   remote.clear(initiator);
   return cost.invlpg +
@@ -336,6 +327,7 @@ Cycles AddressSpace::evict_one(CoreId faulting_core, Cycles now) {
   metrics::CoreCounters& ctr = machine_.counters(faulting_core);
 
   Cycles cycles = cost.policy_op;
+  ctr.cycles_fault += cost.policy_op;
   eviction_start_ = now;
   mm::ResidentPage* victim = policy_->pick_victim(faulting_core, cycles);
   CMCP_CHECK_MSG(victim != nullptr, "no victim with resident pages present");
@@ -346,10 +338,10 @@ Cycles AddressSpace::evict_one(CoreId faulting_core, Cycles now) {
               victim->unit, core_map_count(*victim), 0, 0, asid_});
 
   const UnitIdx unit = victim->unit;
-  const bool dirty = page_table_->test_dirty(unit);
+  const bool dirty = page_table_.test_dirty(unit);
   std::uint64_t trace_targets = 0;
-  if (page_table_->any_mapping(unit)) {
-    const mm::ShootdownSet affected = page_table_->unmap_all(unit);
+  if (page_table_.any_mapping(unit)) {
+    const mm::ShootdownSet affected = page_table_.unmap_all(unit);
     if (tr != nullptr) trace_targets = affected.targets.count();
     cycles += shootdown_unit(faulting_core, now + cycles, affected, unit);
   }
@@ -364,7 +356,8 @@ Cycles AddressSpace::evict_one(CoreId faulting_core, Cycles now) {
         unit_bytes(area_.page_size()), unit, asid_);
     ctr.pcie_bytes_out += unit_bytes(area_.page_size());
     ++ctr.writebacks;
-    ctr.cycles_pcie_wait += xfer.done - ready;
+    ctr.cycles_pcie_wait += xfer.done - ready - xfer.recovery;
+    ctr.cycles_recovery += xfer.recovery;
     cycles += xfer.done - ready;
   }
 
@@ -390,20 +383,20 @@ Cycles AddressSpace::evict_one(CoreId faulting_core, Cycles now) {
 }
 
 bool AddressSpace::unit_accessed(const mm::ResidentPage& page) const {
-  return page_table_->test_accessed(page.unit, nullptr);
+  return page_table_.test_accessed(page.unit, nullptr);
 }
 
 Cycles AddressSpace::eviction_start() const { return eviction_start_; }
 
 Cycles AddressSpace::clear_accessed_and_shootdown(mm::ResidentPage& page,
                                                   CoreId initiator, Cycles now) {
-  const bool was_set = page_table_->clear_accessed(page.unit);
+  const bool was_set = page_table_.clear_accessed(page.unit);
   if (!was_set) return 0;
   // Cached TLB copies are now stale; x86 requires invalidating them on
   // every core that may hold one.
   return shootdown_unit(initiator, now,
-                        {page_table_->mapping_cores(page.unit),
-                         page_table_->tlb_holders(page.unit)},
+                        {page_table_.mapping_cores(page.unit),
+                         page_table_.tlb_holders(page.unit)},
                         page.unit);
 }
 
@@ -453,13 +446,13 @@ void AddressSpace::run_periodic(Cycles watermark) {
       registry_.for_each([&](mm::ResidentPage& pg) {
         ++scanned;
         unsigned pte_reads = 0;
-        const bool referenced = page_table_->test_accessed(pg.unit, &pte_reads);
+        const bool referenced = page_table_.test_accessed(pg.unit, &pte_reads);
         read_cycles += cost.scan_pte_read * std::max(1u, pte_reads) * sub_entries;
         if (referenced) {
           ++cleared;
-          flush.push_back({pg.unit, page_table_->mapping_cores(pg.unit),
-                           page_table_->tlb_holders(pg.unit)});
-          page_table_->clear_accessed(pg.unit);
+          flush.push_back({pg.unit, page_table_.mapping_cores(pg.unit),
+                           page_table_.tlb_holders(pg.unit)});
+          page_table_.clear_accessed(pg.unit);
           if (flush.size() >= cost.scanner_flush_batch) flush_batch();
         }
         policy_->on_scan(pg, referenced);
@@ -492,7 +485,7 @@ std::vector<std::uint64_t> AddressSpace::sharing_histogram() const {
   // core_map_count is one indexed load per unit (dense directory), so this
   // whole histogram is a single linear sweep.
   for (UnitIdx unit = 0; unit < area_.num_units(); ++unit) {
-    const unsigned c = page_table_->core_map_count(unit);
+    const unsigned c = page_table_.core_map_count(unit);
     if (c > 0) ++hist[std::min<std::size_t>(c, hist.size() - 1)];
   }
   return hist;

@@ -51,7 +51,8 @@ class AddressSpace final : public policy::PolicyHost {
 
   /// Evict one unit chosen by this space's policy; returns cycles consumed
   /// at `faulting_core` (which may belong to ANOTHER space under QoS
-  /// priority eviction) and frees a frame in the shared allocator — unless
+  /// priority eviction), each already charged to one of its buckets, and
+  /// frees a frame in the shared allocator — unless
   /// latent ECC poison surfaces on the victim's frame, in which case the
   /// frame is quarantined instead and the caller's allocate loop must evict
   /// again.
@@ -61,7 +62,7 @@ class AddressSpace final : public policy::PolicyHost {
   std::uint64_t capacity_units() const override { return policy_capacity_units_; }
   unsigned num_cores() const override;
   unsigned core_map_count(const mm::ResidentPage& page) const override {
-    return page_table_->core_map_count(page.unit);
+    return page_table_.core_map_count(page.unit);
   }
   bool unit_accessed(const mm::ResidentPage& page) const override;
   Cycles eviction_start() const override;
@@ -69,7 +70,7 @@ class AddressSpace final : public policy::PolicyHost {
                                       Cycles now) override;
 
   // --- introspection -------------------------------------------------------
-  const mm::PageTable& page_table() const { return *page_table_; }
+  const mm::PageTable& page_table() const { return page_table_; }
   const mm::PageRegistry& registry() const { return registry_; }
   const mm::ComputationArea& area() const { return area_; }
   policy::ReplacementPolicy& policy() { return *policy_; }
@@ -79,21 +80,23 @@ class AddressSpace final : public policy::PolicyHost {
   bool pinned() const { return pinned_; }
 
   /// Mutable page-table access for SimCheck fault-injection tests ONLY.
-  mm::PageTable& mutable_page_table_for_test() { return *page_table_; }
+  mm::PageTable& mutable_page_table_for_test() { return page_table_; }
 
   /// Histogram of resident units by number of mapping cores (Fig. 6 data).
   std::vector<std::uint64_t> sharing_histogram() const;
 
  private:
+  /// Issue readahead after `unit`'s fault; returns the issuing cycles,
+  /// already charged to `core`'s buckets.
   Cycles prefetch_after(CoreId core, UnitIdx unit, Cycles now);
 
   /// Allocate a frame for this space's `unit`, screening each candidate
   /// against the fault plan's ECC poison set: poisoned frames are
-  /// quarantined (cost added to `*cycles`, events stamped at
-  /// `base + *cycles`) and the next free frame is tried. With no plan
-  /// attached this is exactly one FrameAllocator::allocate. Returns the
-  /// frame's coremap entry, not yet in the registry, or nullptr when no
-  /// free frame is left.
+  /// quarantined (cost added to `*cycles` and charged to cycles_recovery,
+  /// events stamped at `base + *cycles`) and the next free frame is tried.
+  /// With no plan attached this is exactly one FrameAllocator::allocate.
+  /// Returns the frame's coremap entry, not yet in the registry, or nullptr
+  /// when no free frame is left.
   mm::ResidentPage* allocate_frame(CoreId core, UnitIdx unit, Cycles base,
                                    Cycles* cycles);
 
@@ -105,7 +108,8 @@ class AddressSpace final : public policy::PolicyHost {
                           UnitIdx unit);
 
   /// Shoot down `unit` on `set.targets`, handling the initiator's own TLB
-  /// locally. Returns initiator cycles.
+  /// locally. Returns initiator cycles, each charged to one of its buckets
+  /// (the local INVLPG to cycles_fault).
   Cycles shootdown_unit(CoreId initiator, Cycles now,
                         const mm::ShootdownSet& set, UnitIdx unit);
 
@@ -116,7 +120,7 @@ class AddressSpace final : public policy::PolicyHost {
   mm::FrameAllocator& allocator_;  ///< shared across spaces, owned by mm_
   Asid asid_;
   mm::ComputationArea area_;
-  std::unique_ptr<mm::PageTable> page_table_;
+  mm::PageTable page_table_;
   mm::PageRegistry registry_;  ///< this space's units -> coremap entries
   std::unique_ptr<policy::ReplacementPolicy> policy_;
   std::uint64_t policy_capacity_units_;

@@ -10,7 +10,8 @@ MemoryManager::MemoryManager(sim::Machine& machine,
                              std::uint64_t shared_capacity_units,
                              mm::PartitionKind partition)
     : machine_(machine),
-      allocator_(shared_capacity_units, specs.at(0).area.page_size()),
+      allocator_(shared_capacity_units, specs.at(0).area.page_size(),
+                 static_cast<Asid>(specs.size())),
       partition_(partition, shared_capacity_units,
                  static_cast<Asid>(specs.size())),
       interference_(specs.size() * specs.size(), 0) {

@@ -97,9 +97,9 @@ class MemoryManager final {
 
   /// Pick the victim space for a denied allocation by `requester` and make
   /// it evict one unit (initiated by `core`, the faulting core). Returns
-  /// cycles consumed at `core`. Exactly one frame becomes free — unless
-  /// latent ECC poison surfaces on the victim frame (it is quarantined and
-  /// the caller must evict again).
+  /// cycles consumed at `core`, already charged to its buckets. Exactly one
+  /// frame becomes free — unless latent ECC poison surfaces on the victim
+  /// frame (it is quarantined and the caller must evict again).
   Cycles evict_for(Asid requester, CoreId core, Cycles now);
 
   /// Called by a space right after it quarantines a frame: recompute the

@@ -36,8 +36,13 @@ struct CoreCounters {
   // Cycle breakdown.
   Cycles cycles_compute = 0;     ///< workload compute ops
   Cycles cycles_mem = 0;         ///< TLB hits/walks + data references
-  Cycles cycles_fault = 0;       ///< kernel fault handling excl. waits below
-  Cycles cycles_pcie_wait = 0;   ///< waiting on the shared PCIe link
+  /// The fault handler's own work (entry, PTE copy, map, lock hold, policy
+  /// bookkeeping, local INVLPG). The waits, shootdowns and recovery inside
+  /// a fault are charged to their own buckets below, never here too.
+  Cycles cycles_fault = 0;
+  /// Waiting on the shared PCIe link: queueing plus the transfer that
+  /// lands. Failed attempts and their backoff are cycles_recovery.
+  Cycles cycles_pcie_wait = 0;
   Cycles cycles_shootdown = 0;   ///< initiating shootdowns
   Cycles cycles_interrupt = 0;   ///< servicing remote invalidation IPIs
   Cycles cycles_lock_wait = 0;   ///< page-table and invalidation-slot locks
@@ -48,6 +53,16 @@ struct CoreCounters {
   Cycles cycles_syscall = 0;
   Cycles cycles_recovery = 0;    ///< retry/backoff/quarantine recovery cost
   Cycles cycles_straggler = 0;   ///< extra cycles from straggler inflation
+
+  /// Sum of the cycle buckets. Each cycle a core's clock advances lands in
+  /// exactly one bucket, so for an app core this equals its clock at the
+  /// end of a run (SimCheck's cycle-crossfoot). A scanner pseudo-core's
+  /// clock also jumps idle to each scan tick, which no bucket records.
+  Cycles cycles_total() const {
+    return cycles_compute + cycles_mem + cycles_fault + cycles_pcie_wait +
+           cycles_shootdown + cycles_interrupt + cycles_lock_wait +
+           cycles_barrier + cycles_syscall + cycles_recovery + cycles_straggler;
+  }
 
   CoreCounters& operator+=(const CoreCounters& o) {
     accesses += o.accesses;

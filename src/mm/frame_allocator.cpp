@@ -6,11 +6,14 @@
 
 namespace cmcp::mm {
 
-FrameAllocator::FrameAllocator(std::uint64_t capacity, PageSizeClass size)
+FrameAllocator::FrameAllocator(std::uint64_t capacity, PageSizeClass size,
+                               Asid owners)
     : frames_per_unit_(base_pages_per_unit(size)),
       capacity_(capacity),
-      free_count_(capacity) {
+      free_count_(capacity),
+      in_use_by_(owners, 0) {
   CMCP_CHECK(capacity > 0);
+  CMCP_CHECK(owners > 0);
   frames_.reserve(capacity);
 }
 
@@ -24,6 +27,8 @@ std::uint64_t FrameAllocator::slot_of(const ResidentPage& page) const {
 }
 
 ResidentPage* FrameAllocator::allocate(Asid owner, UnitIdx unit) {
+  CMCP_CHECK_MSG(owner < in_use_by_.size(),
+                 "frame charged to an unknown owner (kInvalidAsid?)");
   ResidentPage* page;
   if (free_head_ != kInvalidUnit) {
     page = &frames_[free_head_];
@@ -38,10 +43,6 @@ ResidentPage* FrameAllocator::allocate(Asid owner, UnitIdx unit) {
   --free_count_;
   *page = ResidentPage{
       .unit = unit, .owner = owner, .state = FrameState::kResident};
-  if (owner >= in_use_by_.size()) {
-    CMCP_CHECK_MSG(owner != kInvalidAsid, "frame charged to kInvalidAsid");
-    in_use_by_.resize(owner + 1, 0);
-  }
   ++in_use_by_[owner];
   return page;
 }

@@ -61,9 +61,10 @@ static_assert(sizeof(ResidentPage) == 72);
 
 class FrameAllocator {
  public:
-  /// `capacity` frames; for 64 kB units frame numbers are multiples of 16 so
-  /// the Phi alignment rule (paper section 4) holds by construction.
-  FrameAllocator(std::uint64_t capacity, PageSizeClass size);
+  /// `capacity` frames charged to owners [0, owners); for 64 kB units frame
+  /// numbers are multiples of 16 so the Phi alignment rule (paper section 4)
+  /// holds by construction.
+  FrameAllocator(std::uint64_t capacity, PageSizeClass size, Asid owners);
   /// Registries and policy lists hold pointers into the coremap, so it is
   /// neither copied nor moved.
   FrameAllocator(const FrameAllocator&) = delete;
@@ -130,7 +131,7 @@ class FrameAllocator {
   UnitIdx free_head_ = kInvalidUnit;  ///< top of the LIFO free list
   std::uint64_t free_count_;
   std::uint64_t quarantined_count_ = 0;
-  /// Per-asid allocated-frame counts, grown on demand.
+  /// [owner] allocated-frame counts, sized once to the owner count.
   std::vector<std::uint64_t> in_use_by_;
 };
 

@@ -61,12 +61,13 @@ Cycles Machine::shootdown(CoreId initiator, Cycles now, const CoreMask& targets,
     if (holders.test(target)) tlbs_[target].invalidate(unit);
   });
 
-  Cycles extra = 0;
-  if (faults_ != nullptr) {
-    extra = inject_ack_faults(initiator, now + t.initiator_total(), targets,
+  // Lost acks cost the initiator recovery time (inject_ack_faults charges
+  // it to cycles_recovery).
+  const Cycles extra =
+      faults_ == nullptr
+          ? 0
+          : inject_ack_faults(initiator, now + t.initiator_total(), targets,
                               unit, core_space_[initiator]);
-    init_ctr.cycles_shootdown += extra;
-  }
   return t.initiator_total() + extra;
 }
 
@@ -204,12 +205,11 @@ Cycles Machine::shootdown_batch(CoreId initiator, Cycles now,
     trace_->emit({trace::EventKind::kShootdown, initiator, now, initiator_cost,
                   kInvalidUnit, num_targets, items.size(), t.lock_wait,
                   space_of_targets(union_targets)});
-  Cycles extra = 0;
-  if (faults_ != nullptr) {
-    extra = inject_ack_faults(initiator, now + initiator_cost, union_targets,
+  const Cycles extra =
+      faults_ == nullptr
+          ? 0
+          : inject_ack_faults(initiator, now + initiator_cost, union_targets,
                               kInvalidUnit, core_space_[initiator]);
-    init_ctr.cycles_shootdown += extra;
-  }
   return initiator_cost + extra;
 }
 
@@ -226,7 +226,6 @@ PcieTransferOutcome Machine::pcie_transfer(CoreId core, PcieDir dir,
     ctr.faults_injected += out.failures;
     ctr.fault_retries += retries;
     if (out.gave_up) ++ctr.fault_give_ups;
-    ctr.cycles_recovery += out.recovery;
     if (trace_ != nullptr) {
       Cycles t = out.start;
       for (unsigned attempt = 1; attempt <= out.failures; ++attempt) {

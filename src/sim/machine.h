@@ -95,7 +95,9 @@ class Machine {
 
   /// One PCIe transfer routed through the fault plan (when attached),
   /// emitting the kPcieTransfer trace event plus any fault/retry/give-up
-  /// events and charging `core` the fault counters.
+  /// events and charging `core` the fault counters. It charges no cycle
+  /// bucket: a core that waits for the transfer charges the wait itself,
+  /// with `recovery` as cycles_recovery, and a readahead waits for nothing.
   PcieTransferOutcome pcie_transfer(CoreId core, PcieDir dir, Cycles ready_at,
                                     std::uint64_t bytes, UnitIdx unit,
                                     Asid asid);
@@ -103,8 +105,10 @@ class Machine {
   /// Perform a remote TLB shootdown of `unit` on all cores in `targets`
   /// (the initiator must not be in the mask). Charges every target the
   /// interrupt and INVLPG cost and its counters, and returns the cycles
-  /// consumed at the initiator, which the caller adds to its clock. Also
-  /// fills the initiator's shootdown/lock-wait counters. `holders` are the
+  /// consumed at the initiator, which the caller adds to its clock. Each of
+  /// those cycles is already charged to one of the initiator's buckets:
+  /// slot wait to cycles_lock_wait, the IPI round to cycles_shootdown and
+  /// lost-ack recovery to cycles_recovery. `holders` are the
   /// cores whose TLB may cache the unit (mm::PageTable::tlb_holders): only
   /// targets among them have their TLB entries dropped, since on any other
   /// target Tlb::invalidate would find nothing. The simulated cost does not
@@ -148,7 +152,8 @@ class Machine {
   /// ack costs the initiator an exponential-backoff timeout plus a re-sent
   /// (idempotent) IPI round that interrupts every receiver again; at the
   /// retry budget the initiator gives up on acks and polls remote state
-  /// directly. Returns the extra initiator cycles. Runs with the slot held
+  /// directly. Returns the extra initiator cycles, charged to its
+  /// cycles_recovery (and nowhere else). Runs with the slot held
   /// (it models the initiator still occupying the invalidation request).
   Cycles inject_ack_faults(CoreId initiator, Cycles ack_time,
                            const CoreMask& targets, UnitIdx unit, Asid asid);

@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "core/simulation.h"
-#include "mm/regular_page_table.h"
+#include "mm/page_table.h"
 #include "sim/checker.h"
 
 namespace cmcp::check {
@@ -213,10 +213,10 @@ TEST(SimCheck, TlbCheckerCatchesEntryOutsideHolders) {
   UnitIdx cached = kInvalidUnit;
   sim.machine().tlb(0).for_each_entry([&](UnitIdx u) { cached = u; });
   ASSERT_NE(cached, kInvalidUnit);
-  auto* regular = dynamic_cast<mm::RegularPageTable*>(
-      &sim.memory_manager().space(0).mutable_page_table_for_test());
-  ASSERT_NE(regular, nullptr);
-  regular->corrupt_fill_clear_core_for_test(cached, 0);
+  mm::PageTable& regular =
+      sim.memory_manager().space(0).mutable_page_table_for_test();
+  ASSERT_EQ(regular.kind(), PageTableKind::kRegular);
+  regular.corrupt_mask_remove_core_for_test(cached, 0);
   sim.check_registry()->run_now(CheckPoint::kEndOfRun);
   ASSERT_EQ(captured.size(), 1u);
   EXPECT_EQ(captured[0].checker, "tlb-consistency");
@@ -298,24 +298,23 @@ TEST(SimCheck, QuarantineCheckerCatchesLeakedFrame) {
     return sim.memory_manager().mutable_allocator_for_test();
   };
   // Free a resident page's frame behind its registry slot and hand it out
-  // again: LIFO reuse gives the same entry back, now charged to `owner`
-  // for `unit`.
+  // again: LIFO reuse gives the same entry back, now backing `unit`.
   const auto reallocate = [&](core::Simulation& sim, mm::ResidentPage& pg,
-                              Asid owner, UnitIdx unit) {
+                              UnitIdx unit) {
     alloc(sim).free(pg);
-    ASSERT_EQ(alloc(sim).allocate(owner, unit), &pg);
+    ASSERT_EQ(alloc(sim).allocate(0, unit), &pg);
   };
   const Row rows[] = {
       {"frame re-allocated to another unit",
        [&](core::Simulation& sim, mm::ResidentPage& pg) {
-         reallocate(sim, pg, 0, pg.unit + 1000);
+         reallocate(sim, pg, pg.unit + 1000);
        },
        {"frame-aliased"}},
-      {"frame re-allocated to another space",
-       [&](core::Simulation& sim, mm::ResidentPage& pg) {
-         reallocate(sim, pg, 1, pg.unit);
-       },
-       {"wrong-owner", "per-space-count"}},
+      {"entry re-owned behind the counters",
+       // The allocator refuses an owner past its owner count, so only an
+       // accounting bug can name space 1 in this one-space run.
+       [](core::Simulation&, mm::ResidentPage& pg) { pg.owner = 1; },
+       {"wrong-owner", "ownership-crossfoot"}},
       {"resident frame quarantined",
        [&](core::Simulation& sim, mm::ResidentPage& pg) {
          alloc(sim).quarantine(pg);

@@ -16,7 +16,7 @@
 #include <vector>
 
 #include "core/simulation.h"
-#include "mm/pspt.h"
+#include "mm/page_table.h"
 #include "sim/trace.h"
 #include "workloads/access_stream.h"
 #include "workloads/workload_factory.h"
@@ -270,14 +270,13 @@ TEST(MultiTenant, PsptAllocatesNoTableForAnotherTenantsCores) {
   const MultiTenantResult result = sim.run_tenants();
   ASSERT_EQ(result.tenants.size(), 2u);
   for (Asid t = 0; t < 2; ++t) {
-    const auto* pspt = dynamic_cast<const mm::Pspt*>(
-        &sim.memory_manager().space(t).page_table());
-    ASSERT_NE(pspt, nullptr);
+    const mm::PageTable& pspt = sim.memory_manager().space(t).page_table();
+    ASSERT_EQ(pspt.kind(), PageTableKind::kPspt);
     for (CoreId c = 0; c < 5; ++c) {
       const bool own = c >= result.tenants[t].first_core &&
                        c < result.tenants[t].first_core +
                                result.tenants[t].num_cores;
-      EXPECT_EQ(pspt->mapped_units_of_core(c) > 0, own)
+      EXPECT_EQ(pspt.mapped_units_of_core(c) > 0, own)
           << "space " << t << " core " << c;
     }
   }

@@ -3,6 +3,7 @@
 // consistent accounting — across page sizes, policies and coherence modes.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 #include <sstream>
 
@@ -103,7 +104,8 @@ TEST_P(EngineFuzzTest, TerminatesWithConsistentAccounting) {
   config.policy.kind = p.policy;
   config.memory_fraction = p.fraction;
 
-  const auto result = run_simulation(config, workload);
+  Simulation sim(config, workload);
+  const auto result = sim.run();
 
   // Completion and basic consistency.
   for (const auto& ctr : result.per_core) {
@@ -113,17 +115,15 @@ TEST_P(EngineFuzzTest, TerminatesWithConsistentAccounting) {
     EXPECT_LE(ctr.prefetch_hits, result.app_total.prefetches);
   }
   EXPECT_GE(result.app_total.major_faults, result.app_total.evictions);
-  // Makespan covers every core's cycle budget categories.
-  Cycles max_sum = 0;
-  for (const auto& ctr : result.per_core) {
-    const Cycles sum = ctr.cycles_compute + ctr.cycles_mem + ctr.cycles_fault +
-                       ctr.cycles_pcie_wait + ctr.cycles_shootdown +
-                       ctr.cycles_lock_wait + ctr.cycles_barrier;
-    max_sum = std::max(max_sum, sum);
+  // Every cycle a core spent is charged to exactly one bucket: the buckets
+  // sum to the core's clock, and the longest clock is the makespan.
+  Cycles longest = 0;
+  for (CoreId c = 0; c < cores; ++c) {
+    EXPECT_EQ(result.per_core[c].cycles_total(), sim.machine().clock(c))
+        << "core " << c;
+    longest = std::max(longest, sim.machine().clock(c));
   }
-  // The breakdown may undercount (interrupt service overlaps categories)
-  // but can never exceed the critical path by more than interrupts.
-  EXPECT_LE(result.makespan, max_sum + result.app_total.cycles_interrupt + 1);
+  EXPECT_EQ(result.makespan, longest);
 }
 
 INSTANTIATE_TEST_SUITE_P(

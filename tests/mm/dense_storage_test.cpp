@@ -9,15 +9,14 @@
 
 #include "mm/frame_allocator.h"
 #include "mm/page_registry.h"
-#include "mm/pspt.h"
-#include "mm/regular_page_table.h"
+#include "mm/page_table.h"
 #include "sim/tlb.h"
 
 namespace cmcp::mm {
 namespace {
 
 TEST(DensePspt, UnitZeroAndLastReservedUnit) {
-  Pspt pt(4, 8);
+  PageTable pt(PageTableKind::kPspt, 0, 4, 8);
   pt.map(0, 0);
   pt.map(3, 7);
   EXPECT_TRUE(pt.has_mapping(0, 0));
@@ -30,7 +29,7 @@ TEST(DensePspt, UnitZeroAndLastReservedUnit) {
 }
 
 TEST(DensePspt, QueriesBeyondReservedRangeAreAbsentNotFatal) {
-  Pspt pt(2, 4);
+  PageTable pt(PageTableKind::kPspt, 0, 2, 4);
   EXPECT_FALSE(pt.has_mapping(0, 1000));
   EXPECT_FALSE(pt.any_mapping(1000));
   EXPECT_EQ(pt.core_map_count(1000), 0u);
@@ -43,7 +42,7 @@ TEST(DensePspt, QueriesBeyondReservedRangeAreAbsentNotFatal) {
 }
 
 TEST(DensePspt, RemapAfterUnmapTakesANewFrame) {
-  Pspt pt(2, 8);
+  PageTable pt(PageTableKind::kPspt, 0, 2, 8);
   pt.map(0, 5);
   pt.map(1, 5);
   pt.mark_dirty(0, 5);
@@ -59,7 +58,7 @@ TEST(DensePspt, RemapAfterUnmapTakesANewFrame) {
 }
 
 TEST(DenseRegularPageTable, UnitZeroLastUnitAndRemap) {
-  RegularPageTable pt(2, 0, 8);
+  PageTable pt(PageTableKind::kRegular, 0, 2, 8);
   pt.map(0, 0);
   pt.map(1, 7);
   EXPECT_TRUE(pt.any_mapping(0));
@@ -78,7 +77,7 @@ TEST(DenseRegularPageTable, UnitZeroLastUnitAndRemap) {
 }
 
 TEST(DensePageRegistry, UnitZeroLastUnitAndReinsertAfterErase) {
-  FrameAllocator frames(4, PageSizeClass::k4K);
+  FrameAllocator frames(4, PageSizeClass::k4K, 1);
   PageRegistry registry(8);
   ResidentPage& first = *frames.allocate(0, 0);
   ResidentPage& last = *frames.allocate(0, 7);
@@ -119,7 +118,7 @@ TEST(DensePageRegistry, UnitZeroLastUnitAndReinsertAfterErase) {
 }
 
 TEST(DensePageRegistry, ForEachVisitsAscendingUnitOrder) {
-  FrameAllocator frames(3, PageSizeClass::k4K);
+  FrameAllocator frames(3, PageSizeClass::k4K, 1);
   PageRegistry registry(10);
   // Insertion order deliberately scrambled relative to unit order.
   for (const UnitIdx unit : {9, 0, 4})
@@ -155,7 +154,7 @@ TEST(DenseTlb, ReinsertAfterEvictionReusesTheSlotCleanly) {
 }
 
 TEST(DenseFrameAllocator, CapacityOneRecycles) {
-  FrameAllocator alloc(1, PageSizeClass::k4K);
+  FrameAllocator alloc(1, PageSizeClass::k4K, 1);
   ResidentPage* page = alloc.allocate(0, 0);
   ASSERT_NE(page, nullptr);
   EXPECT_TRUE(alloc.full());
@@ -166,8 +165,9 @@ TEST(DenseFrameAllocator, CapacityOneRecycles) {
 
 TEST(DenseStorageDeath, SentinelIndicesAbortInsteadOfWrapping) {
   // The all-ones sentinels must be refused before indexing: the per-asid
-  // counts grow on demand and refuse kInvalidAsid, and every unit-indexed
-  // structure, sized once, refuses any unit past its size.
+  // counts, sized once to the owner count, refuse kInvalidAsid and any
+  // owner past it, and every unit-indexed structure, sized once, refuses
+  // any unit past its size.
   struct Row {
     const char* what;
     std::function<void()> call;
@@ -175,27 +175,35 @@ TEST(DenseStorageDeath, SentinelIndicesAbortInsteadOfWrapping) {
   };
   const Row rows[] = {
       {"FrameAllocator::allocate",
-       [] { FrameAllocator(2, PageSizeClass::k4K).allocate(kInvalidAsid, 0); },
+       [] { FrameAllocator(2, PageSizeClass::k4K, 1).allocate(kInvalidAsid, 0); },
        "kInvalidAsid"},
+      {"FrameAllocator::allocate past the owners",
+       [] { FrameAllocator(2, PageSizeClass::k4K, 1).allocate(1, 0); },
+       "unknown owner"},
       {"PageRegistry::insert",
        [] {
-         FrameAllocator frames(1, PageSizeClass::k4K);
+         FrameAllocator frames(1, PageSizeClass::k4K, 1);
          PageRegistry(8).insert(*frames.allocate(0, kInvalidUnit));
        },
        "kInvalidUnit"},
       {"PageRegistry::insert past the index",
        [] {
-         FrameAllocator frames(1, PageSizeClass::k4K);
+         FrameAllocator frames(1, PageSizeClass::k4K, 1);
          PageRegistry(8).insert(*frames.allocate(0, 8));
        },
        "outside the index"},
-      {"Pspt::map", [] { Pspt(2, 8).map(0, kInvalidUnit); }, "kInvalidUnit"},
-      {"RegularPageTable::map",
-       [] { RegularPageTable(2, 0, 8).map(0, kInvalidUnit); }, "kInvalidUnit"},
-      {"Pspt::map past the table", [] { Pspt(2, 8).map(0, 8); },
+      {"PageTable::map (PSPT)",
+       [] { PageTable(PageTableKind::kPspt, 0, 2, 8).map(0, kInvalidUnit); },
+       "kInvalidUnit"},
+      {"PageTable::map (regular)",
+       [] { PageTable(PageTableKind::kRegular, 0, 2, 8).map(0, kInvalidUnit); },
+       "kInvalidUnit"},
+      {"PageTable::map past the table (PSPT)",
+       [] { PageTable(PageTableKind::kPspt, 0, 2, 8).map(0, 8); },
        "outside the table"},
-      {"RegularPageTable::map past the table",
-       [] { RegularPageTable(2, 0, 8).map(0, 8); }, "outside the table"},
+      {"PageTable::map past the table (regular)",
+       [] { PageTable(PageTableKind::kRegular, 0, 2, 8).map(0, 8); },
+       "outside the table"},
       {"Tlb::insert",
        [] {
          sim::Tlb tlb(4);

@@ -8,7 +8,7 @@ namespace cmcp::mm {
 namespace {
 
 TEST(FrameAllocator, AllocatesUpToCapacity) {
-  FrameAllocator alloc(3, PageSizeClass::k4K);
+  FrameAllocator alloc(3, PageSizeClass::k4K, 1);
   std::set<Pfn> frames;
   for (int i = 0; i < 3; ++i) {
     const ResidentPage* page = alloc.allocate(0, i);
@@ -21,7 +21,7 @@ TEST(FrameAllocator, AllocatesUpToCapacity) {
 }
 
 TEST(FrameAllocator, FreeMakesFrameReusable) {
-  FrameAllocator alloc(1, PageSizeClass::k4K);
+  FrameAllocator alloc(1, PageSizeClass::k4K, 1);
   ResidentPage* page = alloc.allocate(0, 0);
   EXPECT_EQ(alloc.allocate(0, 1), nullptr);
   alloc.free(*page);
@@ -32,7 +32,7 @@ TEST(FrameAllocator, FreeMakesFrameReusable) {
 TEST(FrameAllocator, FramesAlignedFor64k) {
   // The Phi 64 kB format requires the first sub-entry to map a 64 kB
   // aligned physical frame (paper section 4).
-  FrameAllocator alloc(8, PageSizeClass::k64K);
+  FrameAllocator alloc(8, PageSizeClass::k64K, 1);
   for (int i = 0; i < 8; ++i) {
     const ResidentPage* page = alloc.allocate(0, i);
     ASSERT_NE(page, nullptr);
@@ -41,13 +41,13 @@ TEST(FrameAllocator, FramesAlignedFor64k) {
 }
 
 TEST(FrameAllocator, FramesAlignedFor2M) {
-  FrameAllocator alloc(4, PageSizeClass::k2M);
+  FrameAllocator alloc(4, PageSizeClass::k2M, 1);
   for (int i = 0; i < 4; ++i)
     EXPECT_EQ(alloc.pfn_of(*alloc.allocate(0, i)) % 512, 0u);
 }
 
 TEST(FrameAllocator, ChurnNeverLosesFrames) {
-  FrameAllocator alloc(16, PageSizeClass::k4K);
+  FrameAllocator alloc(16, PageSizeClass::k4K, 1);
   std::vector<ResidentPage*> held;
   std::uint64_t state = 99;
   for (int step = 0; step < 5000; ++step) {
@@ -64,7 +64,7 @@ TEST(FrameAllocator, ChurnNeverLosesFrames) {
 }
 
 TEST(FrameAllocator, QuarantineRetiresFrameForTheRun) {
-  FrameAllocator alloc(2, PageSizeClass::k4K);
+  FrameAllocator alloc(2, PageSizeClass::k4K, 1);
   ResidentPage* a = alloc.allocate(0, 0);
   ResidentPage* b = alloc.allocate(0, 1);
   alloc.quarantine(*a);
@@ -87,7 +87,7 @@ TEST(FrameAllocator, HandsOutAscendingThenLifo) {
   // A bump cursor over the never-used frames, then the free list threaded
   // through the coremap's free entries: frames must come in the order every
   // golden result was recorded with.
-  FrameAllocator alloc(4, PageSizeClass::k64K);
+  FrameAllocator alloc(4, PageSizeClass::k64K, 1);
   const auto take = [&](UnitIdx unit) {
     const ResidentPage* page = alloc.allocate(0, unit);
     return page == nullptr ? kInvalidPfn : alloc.pfn_of(*page);
@@ -106,7 +106,7 @@ TEST(FrameAllocator, HandsOutAscendingThenLifo) {
 }
 
 TEST(FrameAllocator, CoremapEntryNamesOwnerAndUnit) {
-  FrameAllocator alloc(3, PageSizeClass::k4K);
+  FrameAllocator alloc(3, PageSizeClass::k4K, 3);
   const ResidentPage* a = alloc.allocate(2, 40);
   ResidentPage* b = alloc.allocate(0, 7);
   alloc.quarantine(*b);
@@ -123,7 +123,7 @@ TEST(FrameAllocator, CoremapEntryNamesOwnerAndUnit) {
 }
 
 TEST(FrameAllocatorDeath, DoubleFreeAborts) {
-  FrameAllocator alloc(2, PageSizeClass::k4K);
+  FrameAllocator alloc(2, PageSizeClass::k4K, 1);
   ResidentPage* page = alloc.allocate(0, 0);
   alloc.free(*page);
   EXPECT_DEATH(alloc.free(*page), "double free");
@@ -132,22 +132,22 @@ TEST(FrameAllocatorDeath, DoubleFreeAborts) {
 TEST(FrameAllocatorDeath, MisalignedFreeAborts) {
   // An entry that is no slot of this coremap names no frame: a stray
   // copy, or an entry of another allocator's coremap.
-  FrameAllocator alloc(2, PageSizeClass::k64K);
-  FrameAllocator other(2, PageSizeClass::k64K);
+  FrameAllocator alloc(2, PageSizeClass::k64K, 1);
+  FrameAllocator other(2, PageSizeClass::k64K, 1);
   ResidentPage stray = *alloc.allocate(0, 0);
   EXPECT_DEATH(alloc.free(stray), "not in this coremap");
   EXPECT_DEATH(alloc.free(*other.allocate(0, 0)), "not in this coremap");
 }
 
 TEST(FrameAllocatorDeath, QuarantineOfFreeFrameAborts) {
-  FrameAllocator alloc(2, PageSizeClass::k4K);
+  FrameAllocator alloc(2, PageSizeClass::k4K, 1);
   ResidentPage* page = alloc.allocate(0, 0);
   alloc.free(*page);
   EXPECT_DEATH(alloc.quarantine(*page), "not allocated");
 }
 
 TEST(FrameAllocatorDeath, FreeOfQuarantinedFrameAborts) {
-  FrameAllocator alloc(2, PageSizeClass::k4K);
+  FrameAllocator alloc(2, PageSizeClass::k4K, 1);
   ResidentPage* page = alloc.allocate(0, 0);
   alloc.quarantine(*page);
   EXPECT_DEATH(alloc.free(*page), "double free");

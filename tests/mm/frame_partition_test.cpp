@@ -14,7 +14,7 @@ namespace {
 
 /// Allocator of `capacity` 4K units (1 frame per unit).
 FrameAllocator make_alloc(std::uint64_t capacity) {
-  return FrameAllocator(capacity, PageSizeClass::k4K);
+  return FrameAllocator(capacity, PageSizeClass::k4K, 2);
 }
 
 std::vector<ResidentPage*> take(FrameAllocator& alloc, Asid owner,

@@ -13,7 +13,7 @@ namespace {
 /// a coremap, indexed by unit in a registry.
 struct Resident {
   explicit Resident(std::uint64_t frames, UnitIdx units = 8192)
-      : alloc(frames, PageSizeClass::k4K), reg(units) {}
+      : alloc(frames, PageSizeClass::k4K, 1), reg(units) {}
 
   ResidentPage& insert(UnitIdx unit) {
     ResidentPage* page = alloc.allocate(0, unit);

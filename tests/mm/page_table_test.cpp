@@ -1,13 +1,9 @@
 // Behavioural contract tests for both page table organizations, run as a
-// typed suite where the semantics agree, plus the organization-specific
-// differences the paper's whole argument is built on.
-#include <gtest/gtest.h>
-
-#include <memory>
-
+// parameterised suite where the semantics agree, plus the
+// organization-specific differences the paper's whole argument is built on.
 #include "mm/page_table.h"
-#include "mm/pspt.h"
-#include "mm/regular_page_table.h"
+
+#include <gtest/gtest.h>
 
 namespace cmcp::mm {
 namespace {
@@ -15,78 +11,74 @@ namespace {
 constexpr CoreId kCores = 8;
 constexpr UnitIdx kUnits = 128;
 
+constexpr PageTableKind kRegular = PageTableKind::kRegular;
+constexpr PageTableKind kPspt = PageTableKind::kPspt;
+
 class PageTableContractTest : public ::testing::TestWithParam<PageTableKind> {
  protected:
-  void SetUp() override {
-    if (GetParam() == PageTableKind::kRegular)
-      pt_ = std::make_unique<RegularPageTable>(kCores, 0, kUnits);
-    else
-      pt_ = std::make_unique<Pspt>(kCores, kUnits);
-  }
-
-  std::unique_ptr<PageTable> pt_;
+  PageTable pt_{GetParam(), 0, kCores, kUnits};
 };
 
 TEST_P(PageTableContractTest, UnmappedUnitHasNothing) {
-  EXPECT_FALSE(pt_->any_mapping(7));
-  EXPECT_FALSE(pt_->has_mapping(0, 7));
-  EXPECT_EQ(pt_->core_map_count(7), 0u);
-  EXPECT_TRUE(pt_->mapping_cores(7).none());
-  EXPECT_EQ(pt_->mapped_units(), 0u);
+  EXPECT_FALSE(pt_.any_mapping(7));
+  EXPECT_FALSE(pt_.has_mapping(0, 7));
+  EXPECT_EQ(pt_.core_map_count(7), 0u);
+  EXPECT_TRUE(pt_.mapping_cores(7).none());
+  EXPECT_EQ(pt_.mapped_units(), 0u);
 }
 
 TEST_P(PageTableContractTest, MapMakesUnitVisible) {
-  pt_->map(2, 7);
-  EXPECT_TRUE(pt_->any_mapping(7));
-  EXPECT_TRUE(pt_->has_mapping(2, 7));
-  EXPECT_EQ(pt_->mapped_units(), 1u);
+  pt_.map(2, 7);
+  EXPECT_TRUE(pt_.any_mapping(7));
+  EXPECT_TRUE(pt_.has_mapping(2, 7));
+  EXPECT_EQ(pt_.mapped_units(), 1u);
 }
 
 TEST_P(PageTableContractTest, UnmapAllRemovesEverything) {
-  pt_->map(1, 3);
-  const CoreMask affected = pt_->unmap_all(3).targets;
+  pt_.map(1, 3);
+  const CoreMask affected = pt_.unmap_all(3).targets;
   EXPECT_TRUE(affected.any());
-  EXPECT_FALSE(pt_->any_mapping(3));
-  EXPECT_FALSE(pt_->has_mapping(1, 3));
+  EXPECT_FALSE(pt_.any_mapping(3));
+  EXPECT_FALSE(pt_.has_mapping(1, 3));
 }
 
 TEST_P(PageTableContractTest, AccessedBitLifecycle) {
-  pt_->map(0, 9);
+  pt_.map(0, 9);
   unsigned reads = 0;
-  EXPECT_FALSE(pt_->test_accessed(9, &reads));
-  pt_->mark_accessed(0, 9);
-  EXPECT_TRUE(pt_->test_accessed(9, nullptr));
-  EXPECT_TRUE(pt_->clear_accessed(9));
-  EXPECT_FALSE(pt_->test_accessed(9, nullptr));
-  EXPECT_FALSE(pt_->clear_accessed(9));  // second clear finds nothing
+  EXPECT_FALSE(pt_.test_accessed(9, &reads));
+  pt_.mark_accessed(0, 9);
+  EXPECT_TRUE(pt_.test_accessed(9, nullptr));
+  EXPECT_TRUE(pt_.clear_accessed(9));
+  EXPECT_FALSE(pt_.test_accessed(9, nullptr));
+  EXPECT_FALSE(pt_.clear_accessed(9));  // second clear finds nothing
 }
 
 TEST_P(PageTableContractTest, DirtyBitLifecycle) {
   // A unit starts clean, a write makes it dirty, and only eviction
   // (unmap_all) cleans it: a remapped unit starts clean again.
-  pt_->map(0, 4);
-  EXPECT_FALSE(pt_->test_dirty(4));
-  pt_->mark_dirty(0, 4);
-  EXPECT_TRUE(pt_->test_dirty(4));
-  pt_->unmap_all(4);
-  EXPECT_FALSE(pt_->test_dirty(4));
-  pt_->map(0, 4);
-  EXPECT_FALSE(pt_->test_dirty(4));
+  pt_.map(0, 4);
+  EXPECT_FALSE(pt_.test_dirty(4));
+  pt_.mark_dirty(0, 4);
+  EXPECT_TRUE(pt_.test_dirty(4));
+  pt_.unmap_all(4);
+  EXPECT_FALSE(pt_.test_dirty(4));
+  pt_.map(0, 4);
+  EXPECT_FALSE(pt_.test_dirty(4));
 }
 
 TEST_P(PageTableContractTest, ManyUnitsIndependent) {
-  for (UnitIdx u = 0; u < 100; ++u) pt_->map(u % kCores, u);
-  EXPECT_EQ(pt_->mapped_units(), 100u);
+  for (UnitIdx u = 0; u < 100; ++u) pt_.map(u % kCores, u);
+  EXPECT_EQ(pt_.mapped_units(), 100u);
   for (UnitIdx u = 0; u < 100; ++u)
-    EXPECT_TRUE(pt_->has_mapping(u % kCores, u));
-  pt_->unmap_all(50);
-  EXPECT_EQ(pt_->mapped_units(), 99u);
-  EXPECT_TRUE(pt_->any_mapping(49));
-  EXPECT_TRUE(pt_->any_mapping(51));
+    EXPECT_TRUE(pt_.has_mapping(u % kCores, u));
+  pt_.unmap_all(50);
+  EXPECT_EQ(pt_.mapped_units(), 99u);
+  EXPECT_TRUE(pt_.any_mapping(49));
+  EXPECT_TRUE(pt_.any_mapping(51));
 }
 
 TEST_P(PageTableContractTest, UnmapOfUnmappedAborts) {
-  EXPECT_DEATH(pt_->unmap_all(123), "unmap");
+  EXPECT_DEATH(pt_.unmap_all(123), "unmap");
 }
 
 INSTANTIATE_TEST_SUITE_P(BothKinds, PageTableContractTest,
@@ -99,14 +91,14 @@ INSTANTIATE_TEST_SUITE_P(BothKinds, PageTableContractTest,
 // --- organization-specific semantics ---------------------------------------
 
 TEST(RegularPageTable, MappingVisibleToEveryCoreAtOnce) {
-  RegularPageTable pt(kCores, 0, kUnits);
+  PageTable pt(kRegular, 0, kCores, kUnits);
   pt.map(0, 5);
   for (CoreId c = 0; c < kCores; ++c) EXPECT_TRUE(pt.has_mapping(c, 5));
 }
 
 TEST(RegularPageTable, ShootdownMustTargetAllCores) {
   // Centralized book-keeping cannot tell whose TLB holds the translation.
-  RegularPageTable pt(kCores, 0, kUnits);
+  PageTable pt(kRegular, 0, kCores, kUnits);
   pt.map(3, 5);
   EXPECT_EQ(pt.mapping_cores(5), CoreMask::first_n(kCores));
   EXPECT_EQ(pt.unmap_all(5).targets, CoreMask::first_n(kCores));
@@ -115,7 +107,7 @@ TEST(RegularPageTable, ShootdownMustTargetAllCores) {
 TEST(RegularPageTable, ShootdownTargetsOnlyTheSpacesCoreBlock) {
   // A tenant on cores [4, 8) of the machine: its units are reachable only
   // from those cores, so they are the targets and the pessimistic count.
-  RegularPageTable pt(4, 4, kUnits);
+  PageTable pt(kRegular, 4, 4, kUnits);
   pt.map(5, 2);
   CoreMask block;
   for (CoreId c = 4; c < 8; ++c) block.set(c);
@@ -129,7 +121,7 @@ TEST(RegularPageTable, MarkAccessedRecordsTheFillAndUnmapClearsIt) {
   // only ones whose TLB may hold the unit; unmap_all hands them back and
   // starts the next mapping with none. Core 70 puts the bit in a
   // second mask word.
-  RegularPageTable pt(100, 0, kUnits);
+  PageTable pt(kRegular, 0, 100, kUnits);
   pt.map(0, 5);
   EXPECT_TRUE(pt.tlb_holders(5).none());
   pt.mark_accessed(3, 5);
@@ -154,7 +146,7 @@ TEST(RegularPageTable, MarkAccessedRecordsTheFillAndUnmapClearsIt) {
 }
 
 TEST(RegularPageTableDeath, MarkAccessedFromAnotherSpacesCoreAborts) {
-  RegularPageTable pt(4, 4, kUnits);
+  PageTable pt(kRegular, 4, 4, kUnits);
   pt.map(4, 1);
   EXPECT_DEATH(pt.mark_accessed(3, 1), "");
   EXPECT_DEATH(pt.mark_accessed(8, 1), "");
@@ -163,13 +155,13 @@ TEST(RegularPageTableDeath, MarkAccessedFromAnotherSpacesCoreAborts) {
 TEST(RegularPageTable, CoreMapCountIsPessimistic) {
   // "such information cannot be obtained from regular page tables" — the
   // model reports the upper bound.
-  RegularPageTable pt(kCores, 0, kUnits);
+  PageTable pt(kRegular, 0, kCores, kUnits);
   pt.map(0, 5);
   EXPECT_EQ(pt.core_map_count(5), kCores);
 }
 
 TEST(Pspt, MappingPrivatePerCore) {
-  Pspt pt(kCores, kUnits);
+  PageTable pt(kPspt, 0, kCores, kUnits);
   pt.map(2, 5);
   EXPECT_TRUE(pt.has_mapping(2, 5));
   for (CoreId c = 0; c < kCores; ++c) {
@@ -180,7 +172,7 @@ TEST(Pspt, MappingPrivatePerCore) {
 }
 
 TEST(Pspt, CoreMapCountIsExact) {
-  Pspt pt(kCores, kUnits);
+  PageTable pt(kPspt, 0, kCores, kUnits);
   pt.map(0, 5);
   EXPECT_EQ(pt.core_map_count(5), 1u);
   pt.map(3, 5);
@@ -191,7 +183,7 @@ TEST(Pspt, CoreMapCountIsExact) {
 
 TEST(Pspt, ShootdownTargetsOnlyMappingCores) {
   // The red dashed lines of Fig. 3: invalidation hits Core0 and Core1 only.
-  Pspt pt(kCores, kUnits);
+  PageTable pt(kPspt, 0, kCores, kUnits);
   pt.map(0, 5);
   pt.map(1, 5);
   CoreMask expected;
@@ -205,13 +197,13 @@ TEST(Pspt, ShootdownTargetsOnlyMappingCores) {
 }
 
 TEST(Pspt, DoubleMapBySameCoreAborts) {
-  Pspt pt(kCores, kUnits);
+  PageTable pt(kPspt, 0, kCores, kUnits);
   pt.map(0, 5);
   EXPECT_DEATH(pt.map(0, 5), "already maps");
 }
 
 TEST(Pspt, AccessedBitAggregatesOverMappingCores) {
-  Pspt pt(kCores, kUnits);
+  PageTable pt(kPspt, 0, kCores, kUnits);
   pt.map(0, 5);
   pt.map(1, 5);
   pt.mark_accessed(1, 5);
@@ -224,7 +216,7 @@ TEST(Pspt, AccessedBitAggregatesOverMappingCores) {
 }
 
 TEST(Pspt, PerCoreMappedUnits) {
-  Pspt pt(kCores, kUnits);
+  PageTable pt(kPspt, 0, kCores, kUnits);
   pt.map(0, 1);
   pt.map(0, 2);
   pt.map(1, 2);
@@ -238,7 +230,7 @@ TEST(Pspt, CoreThatNeverMapsOwnsNoTable) {
   // its cores: the other 54 map nothing, and every query from them answers
   // "no PTE" — also for a unit past the table.
   constexpr CoreId kMachineCores = 56;
-  Pspt pt(kMachineCores, 64);
+  PageTable pt(kPspt, 0, kMachineCores, 64);
   pt.map(3, 5);
   pt.map(40, 5);
   pt.map(40, 9);
@@ -280,7 +272,7 @@ TEST(PsptDeath, MarkFromACoreThatDoesNotMapAborts) {
   // Each core's walk reads only its own private PTE, so a core that does
   // not map the unit cannot set its bits (as RegularPageTableDeath's
   // MarkAccessedFromAnotherSpacesCoreAborts holds for a foreign core).
-  Pspt pt(kCores, kUnits);
+  PageTable pt(kPspt, 0, kCores, kUnits);
   pt.map(2, 5);
   EXPECT_DEATH(pt.mark_accessed(3, 5), "");
   EXPECT_DEATH(pt.mark_dirty(3, 5), "");

@@ -1,9 +1,9 @@
 // SimCheck catches deliberately injected PSPT corruption (the satellite
 // "checker detects the bug" coverage): the core-map count and mapping mask
-// are corrupted through Pspt's test-only hooks — the way a real accounting
-// bug would drift them — and the pspt-consistency checker must localize the
-// damage to the right unit.
-#include "mm/pspt.h"
+// are corrupted through PageTable's test-only hooks — the way a real
+// accounting bug would drift them — and the pspt-consistency checker must
+// localize the damage to the right unit.
+#include "mm/page_table.h"
 
 #include <gtest/gtest.h>
 
@@ -45,10 +45,10 @@ struct Fixture {
     machine.advance(core, mm.access(core, vpn, false, machine.clock(core)));
   }
 
-  Pspt& pspt() {
-    auto* table = dynamic_cast<Pspt*>(&mm.space(0).mutable_page_table_for_test());
-    CMCP_CHECK(table != nullptr);
-    return *table;
+  PageTable& pspt() {
+    PageTable& table = mm.space(0).mutable_page_table_for_test();
+    CMCP_CHECK(table.kind() == PageTableKind::kPspt);
+    return table;
   }
 
   /// Violations from `checker` only (tests assert on the primary finding).

@@ -71,7 +71,7 @@ class PageFactory {
   static constexpr UnitIdx kDefaultUnits = 1 << 14;
 
   explicit PageFactory(FakePolicyHost& host, UnitIdx units = kDefaultUnits)
-      : host_(host), frames_(units, PageSizeClass::k4K), registry_(units) {}
+      : host_(host), frames_(units, PageSizeClass::k4K, 1), registry_(units) {}
 
   mm::ResidentPage& make(UnitIdx unit, unsigned core_map_count = 1) {
     host_.set_core_map_count(unit, core_map_count);

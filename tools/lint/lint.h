@@ -70,8 +70,8 @@ struct RuleInfo {
 const std::vector<RuleInfo>& rule_catalog();
 
 /// Lint one file's contents. `path` must be repo-relative with forward
-/// slashes (e.g. "src/mm/pspt.h"); it selects which rules apply and which
-/// exemptions hold. Findings are ordered by line.
+/// slashes (e.g. "src/mm/page_table.h"); it selects which rules apply and
+/// which exemptions hold. Findings are ordered by line.
 std::vector<Finding> lint_source(std::string_view path,
                                  std::string_view content);
 
