@@ -91,6 +91,19 @@ class CoreMask {
     }
   }
 
+  /// Lowest set bit at or above `from`, or kMaxCores when there is none.
+  /// Touches only the live words from `from` on.
+  CoreId first_set(CoreId from = 0) const {
+    unsigned wi = from >> 6;
+    if (wi >= live_) return kMaxCores;
+    std::uint64_t w = words_[wi] & (~std::uint64_t{0} << (from & 63));
+    while (w == 0) {
+      if (++wi >= live_) return kMaxCores;
+      w = words_[wi];
+    }
+    return static_cast<CoreId>(wi * 64 + std::countr_zero(w));
+  }
+
   /// Raw word access, for dense per-unit mask storage (mm::PageTable keeps
   /// only the words its core block reaches per unit and widens to a
   /// CoreMask at the API boundary).

@@ -1,6 +1,7 @@
 #include "core/engine.h"
 
 #include <algorithm>
+#include <cstdint>
 
 #include "common/assert.h"
 #include "core/event_tree.h"
@@ -79,16 +80,16 @@ class Engine {
     Cycles tmax = 0;
     for (CoreId c = g.first_core; c < end; ++c) {
       if (cores_[c].state == CoreState::kAtBarrier)
-        tmax = std::max(tmax, machine_.clock(c));
+        tmax = std::max(tmax, machine_.offset_free_clock(c));
     }
     for (CoreId c = g.first_core; c < end; ++c) {
       if (cores_[c].state != CoreState::kAtBarrier) continue;
-      machine_.counters(c).cycles_barrier += tmax - machine_.clock(c);
+      const Cycles wait = tmax - machine_.offset_free_clock(c);
+      machine_.counters(c).cycles_barrier += wait;
       if (sim::trace::EventSink* tr = machine_.trace())
         tr->emit({sim::trace::EventKind::kBarrierWait, c, machine_.clock(c),
-                  tmax - machine_.clock(c), kInvalidUnit, 0, 0, 0,
-                  cores_[c].tenant});
-      machine_.set_clock(c, tmax);
+                  wait, kInvalidUnit, 0, 0, 0, cores_[c].tenant});
+      machine_.advance(c, wait);
       cores_[c].state = CoreState::kRunning;
       events_.set(c, pack(tmax, c));
     }
@@ -164,30 +165,52 @@ void Engine::run() {
   for (CoreId c = 0; c < machine_.num_cores(); ++c) events_.set(c, pack(0, c));
   next_due_ = mm_.next_periodic_due();
 
+  // Keys hold offset-free clocks (Machine::offset_free_clock). A
+  // machine-wide broadcast raises every app core's clock but the
+  // initiator's through one shared offset, which changes no key; the
+  // initiator re-keys itself after its event. Effective time
+  // (Machine::clock) is read only where time leaves the engine: the `now`
+  // of an access and the periodic watermark.
+  //
   // A core keeps running exactly while its key stays the root, so run
   // batching needs no code of its own. Other cores' keys can only be stale
-  // LOW (shootdown interrupts advance their clocks), so a non-stale root is
-  // the true earliest event.
+  // LOW (interrupts of a shootdown aimed at some of the cores advance their
+  // clocks), so a non-stale root is the true earliest event. The keys are
+  // unsigned, so the running core's offset-free clock must not fall. It
+  // cannot: a broadcast takes its receivers' interrupt cost off the
+  // initiator's offset-free clock, and the initiator waits as long for the
+  // acks in the same event (ack_wait == receiver_cost). The check guards
+  // that construction.
   while (!events_.empty()) {
     const std::uint64_t rootkey = events_.root();
     const CoreId core = static_cast<CoreId>(rootkey & kCoreIdMask);
-    const Cycles actual = machine_.clock(core);
+    const Cycles actual = machine_.offset_free_clock(core);
     if (actual != rootkey >> kCoreBits) {
       events_.set(core, pack(actual, core));
       continue;
     }
     // Periodic work due at or before this event fires first. The event
     // still runs even if run_periodic advanced this core's clock.
-    if (actual >= next_due_) {
-      mm_.run_periodic(actual);
+    const Cycles now = machine_.clock(core);
+    if (now >= next_due_) {
+      mm_.run_periodic(now);
       next_due_ = mm_.next_periodic_due();
     }
-    if (execute_event(core)) events_.set(core, pack(machine_.clock(core), core));
+    const bool runnable = execute_event(core);
+    // A fall past zero wraps the unsigned clock, but as a signed difference
+    // of two clocks below 2^53 it still reads negative.
+    const Cycles after = machine_.offset_free_clock(core);
+    CMCP_CHECK_MSG(static_cast<std::int64_t>(after - actual) >= 0,
+                   "an app core's offset-free clock fell during one engine "
+                   "event: a broadcast took back more than its initiator "
+                   "waited");
+    if (runnable) events_.set(core, pack(after, core));
   }
 
   for (const GroupState& g : groups_)
     CMCP_CHECK_MSG(g.active == 0 && g.at_barrier == 0,
                    "engine deadlock: cores stuck at a barrier");
+  machine_.fold_broadcasts();
 }
 
 }  // namespace

@@ -52,13 +52,9 @@ Cycles Machine::shootdown(CoreId initiator, Cycles now, const CoreMask& targets,
                   num_targets, 0, 0, core_space_[initiator]});
   }
 
-  targets.for_each([&](CoreId target) {
-    metrics::CoreCounters& ctr = counters_[target];
-    ++ctr.ipis_received;
-    ++ctr.remote_invalidations_received;
-    ctr.cycles_interrupt += t.receiver_cost;
-    advance(target, t.receiver_cost);
-    if (holders.test(target)) tlbs_[target].invalidate(unit);
+  charge_receivers(initiator, targets, num_targets, t.receiver_cost, 1, 1);
+  (holders & targets).for_each([&](CoreId target) {
+    tlbs_[target].invalidate(unit);
   });
 
   // Lost acks cost the initiator recovery time (inject_ack_faults charges
@@ -69,6 +65,45 @@ Cycles Machine::shootdown(CoreId initiator, Cycles now, const CoreMask& targets,
           : inject_ack_faults(initiator, now + t.initiator_total(), targets,
                               unit, core_space_[initiator]);
   return t.initiator_total() + extra;
+}
+
+void Machine::charge_receivers(CoreId initiator, const CoreMask& targets,
+                               unsigned num_targets, Cycles cost,
+                               std::uint64_t ipis, std::uint64_t invals) {
+  if (!machine_wide(initiator, targets, num_targets)) {
+    targets.for_each([&](CoreId target) {
+      metrics::CoreCounters& ctr = counters_[target];
+      ctr.ipis_received += ipis;
+      ctr.remote_invalidations_received += invals;
+      ctr.cycles_interrupt += cost;
+      advance(target, cost);
+    });
+    return;
+  }
+  interrupt_offset_ += cost;
+  broadcast_ipis_ += ipis;
+  broadcast_invals_ += invals;
+  if (initiator >= config_.num_cores) return;
+  // An app core initiator receives nothing: take back what the offset and
+  // the fold would give it. Its clock stays where it was.
+  metrics::CoreCounters& ctr = counters_[initiator];
+  ctr.ipis_received -= ipis;
+  ctr.remote_invalidations_received -= invals;
+  ctr.cycles_interrupt -= cost;
+  clocks_[initiator] -= cost;
+}
+
+void Machine::fold_broadcasts() {
+  for (CoreId c = 0; c < config_.num_cores; ++c) {
+    metrics::CoreCounters& ctr = counters_[c];
+    ctr.ipis_received += broadcast_ipis_;
+    ctr.remote_invalidations_received += broadcast_invals_;
+    ctr.cycles_interrupt += interrupt_offset_;
+    clocks_[c] += interrupt_offset_;
+  }
+  interrupt_offset_ = 0;
+  broadcast_ipis_ = 0;
+  broadcast_invals_ = 0;
 }
 
 Cycles Machine::inject_ack_faults(CoreId initiator, Cycles ack_time,
@@ -137,9 +172,9 @@ Cycles Machine::hw_invalidate(CoreId initiator, Cycles now,
   const unsigned num_targets = targets.count();
   const Cycles cycles = CostModel::hw_inval_lookup +
                         CostModel::hw_inval_per_target * num_targets;
-  targets.for_each([&](CoreId target) {
-    ++counters_[target].remote_invalidations_received;
-    if (holders.test(target)) tlbs_[target].invalidate(unit);
+  charge_receivers(initiator, targets, num_targets, 0, 0, 1);
+  (holders & targets).for_each([&](CoreId target) {
+    tlbs_[target].invalidate(unit);
   });
   init_ctr.cycles_shootdown += cycles;
   if (trace_ != nullptr)

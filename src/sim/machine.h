@@ -70,9 +70,28 @@ class Machine {
   Asid space_of_core(CoreId core) const { return core_space_[core]; }
   void set_core_space(CoreId core, Asid asid) { core_space_[core] = asid; }
 
-  Cycles clock(CoreId core) const { return clocks_[core]; }
+  /// A core's virtual clock. An app core's clock is its offset-free clock
+  /// plus the machine-wide interrupt offset; a scanner pseudo-core has no
+  /// offset.
+  Cycles clock(CoreId core) const { return clocks_[core] + offset_of(core); }
   void advance(CoreId core, Cycles amount) { clocks_[core] += amount; }
-  void set_clock(CoreId core, Cycles value) { clocks_[core] = value; }
+  void set_clock(CoreId core, Cycles value) {
+    clocks_[core] = value - offset_of(core);
+  }
+
+  /// An app core's clock without the interrupt offset. A machine-wide
+  /// broadcast shifts every app core's clock alike by raising the offset,
+  /// so these clocks order the app cores as clock() does, and only the
+  /// initiator's changes. The engine orders cores by them.
+  Cycles offset_free_clock(CoreId core) const { return clocks_[core]; }
+
+  /// Fold the machine-wide broadcasts into each app core: its clock and its
+  /// ipis_received, remote_invalidations_received and cycles_interrupt.
+  /// The offset is then zero. Until the fold, those three counters of an
+  /// app core read short by the broadcasts (and an initiator's may wrap),
+  /// so the engine folds once when the run ends, before anything reads
+  /// them.
+  void fold_broadcasts();
 
   Tlb& tlb(CoreId core) { return tlbs_[core]; }
   const Tlb& tlb(CoreId core) const { return tlbs_[core]; }
@@ -104,15 +123,16 @@ class Machine {
 
   /// Perform a remote TLB shootdown of `unit` on all cores in `targets`
   /// (the initiator must not be in the mask). Charges every target the
-  /// interrupt and INVLPG cost and its counters, and returns the cycles
-  /// consumed at the initiator, which the caller adds to its clock. Each of
-  /// those cycles is already charged to one of the initiator's buckets:
-  /// slot wait to cycles_lock_wait, the IPI round to cycles_shootdown and
-  /// lost-ack recovery to cycles_recovery. `holders` are the
-  /// cores whose TLB may cache the unit (mm::PageTable::tlb_holders): only
-  /// targets among them have their TLB entries dropped, since on any other
-  /// target Tlb::invalidate would find nothing. The simulated cost does not
-  /// depend on `holders`.
+  /// interrupt and INVLPG cost and its counters (in O(1) when the targets
+  /// are every app core but the initiator; see charge_receivers), and
+  /// returns the cycles consumed at the initiator, which the caller adds
+  /// to its clock. Each of those cycles is already charged to one of the
+  /// initiator's buckets: slot wait to cycles_lock_wait, the IPI round to
+  /// cycles_shootdown and lost-ack recovery to cycles_recovery. `holders`
+  /// are the cores whose TLB may cache the unit
+  /// (mm::PageTable::tlb_holders): only targets among them have their TLB
+  /// entries dropped, since on any other target Tlb::invalidate would find
+  /// nothing. The simulated cost does not depend on `holders`.
   Cycles shootdown(CoreId initiator, Cycles now, const CoreMask& targets,
                    const CoreMask& holders, UnitIdx unit);
 
@@ -133,16 +153,38 @@ class Machine {
   /// Space owning the cores in `targets` (the shot-down unit's space: only
   /// its own cores can map it). Falls back to 0 for an empty mask.
   Asid space_of_targets(const CoreMask& targets) const {
-    Asid out = 0;
-    bool found = false;
-    targets.for_each([&](CoreId t) {
-      if (!found) {
-        out = core_space_[t];
-        found = true;
-      }
-    });
-    return out;
+    const CoreId first = targets.first_set();
+    return first == CoreMask::kMaxCores ? 0 : core_space_[first];
   }
+
+  Cycles offset_of(CoreId core) const {
+    return core < config_.num_cores ? interrupt_offset_ : 0;
+  }
+
+  /// True when `targets` (which never holds the initiator, and counts
+  /// `num_targets` cores) is every app core except the initiator: the
+  /// broadcast of a regular table whose space spans the machine.
+  bool machine_wide(CoreId initiator, const CoreMask& targets,
+                    unsigned num_targets) const {
+    const unsigned others =
+        config_.num_cores - (initiator < config_.num_cores ? 1u : 0u);
+    return num_targets == others &&
+           targets.first_set(config_.num_cores) == CoreMask::kMaxCores;
+  }
+
+  /// Charge each core in `targets` (`num_targets` of them) `ipis` IPIs,
+  /// `invals` remote invalidations and `cost` interrupt cycles on its
+  /// clock. A machine_wide() set is charged in O(1): the interrupt offset,
+  /// and the pending counts fold_broadcasts() adds, grow by the same
+  /// amounts, and an app core initiator has them taken back from its own
+  /// clock and counters. The callers are shootdown()'s first IPI round,
+  /// whose initiator then waits `ack_wait == receiver_cost`
+  /// (Interconnect::shootdown), and hw_invalidate() at zero cost, so the
+  /// cycles taken back never exceed what the same call adds to the
+  /// initiator's clock.
+  void charge_receivers(CoreId initiator, const CoreMask& targets,
+                        unsigned num_targets, Cycles cost, std::uint64_t ipis,
+                        std::uint64_t invals);
 
   /// Directed invalidation via the hypothetical TLB directory hardware.
   Cycles hw_invalidate(CoreId initiator, Cycles now, const CoreMask& targets,
@@ -152,7 +194,9 @@ class Machine {
   /// ack costs the initiator an exponential-backoff timeout plus a re-sent
   /// (idempotent) IPI round that interrupts every receiver again; at the
   /// retry budget the initiator gives up on acks and polls remote state
-  /// directly. Returns the extra initiator cycles, charged to its
+  /// directly. Re-sent rounds charge each receiver on its own, never
+  /// through the interrupt offset, so they take nothing back from the
+  /// initiator's clock. Returns the extra initiator cycles, charged to its
   /// cycles_recovery (and nowhere else). Runs with the slot held
   /// (it models the initiator still occupying the invalidation request).
   Cycles inject_ack_faults(CoreId initiator, Cycles ack_time,
@@ -164,7 +208,12 @@ class Machine {
   // Shootdowns are the one path that mutates *other* cores' state; their
   // serialization on the kernel's invalidation-request slot (paper section
   // 5.5) is modelled in virtual time by `interconnect_`.
-  std::vector<Cycles> clocks_;
+  std::vector<Cycles> clocks_;  ///< app cores: offset-free
+  /// Machine-wide broadcasts not yet folded into the app cores: interrupt
+  /// cycles (also the clock offset), IPIs and remote invalidations.
+  Cycles interrupt_offset_ = 0;
+  std::uint64_t broadcast_ipis_ = 0;
+  std::uint64_t broadcast_invals_ = 0;
   std::vector<Tlb> tlbs_;
   std::vector<metrics::CoreCounters> counters_;
   /// Core -> owning address space, for tagging machine-level trace events.

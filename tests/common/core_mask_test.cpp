@@ -150,6 +150,19 @@ TEST(CoreMask, ForEachAscendingAcrossAllWordBoundaries) {
   EXPECT_EQ(seen, cores);  // strictly ascending, exactly the set bits
 }
 
+TEST(CoreMask, FirstSet) {
+  CoreMask m;
+  EXPECT_EQ(m.first_set(), CoreMask::kMaxCores);
+  m.set(70);
+  m.set(1030);
+  EXPECT_EQ(m.first_set(), 70u);
+  EXPECT_EQ(m.first_set(70), 70u);
+  EXPECT_EQ(m.first_set(71), 1030u);
+  EXPECT_EQ(m.first_set(1031), CoreMask::kMaxCores);
+  m.clear(70);  // the live bound stays; the word reads clear
+  EXPECT_EQ(m.first_set(), 1030u);
+}
+
 TEST(CoreMask, ClearOnEmptyMaskIsHarmless) {
   CoreMask m;
   m.clear(42);
@@ -207,6 +220,12 @@ void expect_matches(const CoreMask& m, const Reference& ref, int step) {
   for (CoreId c = 0; c < CoreMask::kMaxCores; ++c)
     tests_match = tests_match && m.test(c) == ref[c];
   EXPECT_TRUE(tests_match);
+  for (const CoreId from : {0u, 1u, 63u, 64u, 65u, 127u, 512u, 1023u, 1024u,
+                            1087u, CoreMask::kMaxCores}) {
+    CoreId want = from;
+    while (want < CoreMask::kMaxCores && !ref[want]) ++want;
+    EXPECT_EQ(m.first_set(from), want) << "from " << from;
+  }
 }
 
 TEST(CoreMask, MatchesBitsetUnderRandomOperations) {

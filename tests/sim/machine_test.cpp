@@ -7,8 +7,11 @@
 #include <initializer_list>
 #include <string>
 #include <utility>
+#include <vector>
 
+#include "common/rng.h"
 #include "core/simulation.h"
+#include "sim/fault_plan.h"
 #include "workloads/workload_factory.h"
 
 namespace cmcp::sim {
@@ -203,19 +206,23 @@ class HoldersTest : public ::testing::TestWithParam<ShootdownPath> {
   static constexpr UnitIdx kUnit = 42;
 
   /// Shoot down kUnit from core 0 to cores {1, 2, 3}, caching it on all
-  /// three first. Returns the initiator's cycles.
+  /// three first, and end the run. Returns the initiator's cycles. The
+  /// targets are every core but the initiator, so shootdown() takes the
+  /// machine-wide path that fold_broadcasts() completes.
   static Cycles run(Machine& m, const CoreMask& holders) {
     size_tlbs(m);
     for (CoreId c = 1; c < 4; ++c) m.tlb(c).insert(kUnit);
     CoreMask targets;
     for (CoreId c = 1; c < 4; ++c) targets.set(c);
     const ShootdownPath path = GetParam();
-    if (path == ShootdownPath::kBatch || path == ShootdownPath::kHardwareBatch) {
-      const std::array<Machine::BatchItem, 1> items = {
-          Machine::BatchItem{kUnit, targets, holders}};
-      return m.shootdown_batch(0, 0, items);
-    }
-    return m.shootdown(0, 0, targets, holders, kUnit);
+    const std::array<Machine::BatchItem, 1> items = {
+        Machine::BatchItem{kUnit, targets, holders}};
+    const Cycles cycles =
+        path == ShootdownPath::kBatch || path == ShootdownPath::kHardwareBatch
+            ? m.shootdown_batch(0, 0, items)
+            : m.shootdown(0, 0, targets, holders, kUnit);
+    m.fold_broadcasts();
+    return cycles;
   }
 
   static MachineConfig config() {
@@ -263,6 +270,171 @@ INSTANTIATE_TEST_SUITE_P(AllPaths, HoldersTest,
                                            ShootdownPath::kHardware,
                                            ShootdownPath::kHardwareBatch),
                          path_name);
+
+// A shootdown aimed at every app core but the initiator is charged in O(1):
+// the machine-wide interrupt offset moves every app core's clock, the
+// initiator's own clock takes it back, and the receivers' counters are
+// folded in when the run ends. The eager reference is the same machine with
+// one spare app core that no operation reaches: there no target set is
+// every app core but the initiator, so every receiver is charged one by one.
+// Tenant 0 holds cores 0-4 and tenant 1 the one core 5, and initiators are
+// app cores, that one core and both scanners.
+class MachineWideTest : public ::testing::TestWithParam<TlbCoherence> {
+ protected:
+  static constexpr CoreId kApp = 6;
+  static constexpr UnitIdx kUnits = 8;
+
+  static MachineConfig config(CoreId cores) {
+    MachineConfig c = small_config(cores);
+    c.tlb_coherence = GetParam();
+    return c;
+  }
+
+  /// The reference machine's id for core `c` of the offset machine: the
+  /// spare app core shifts the scanner pseudo-cores up by one.
+  static CoreId ref(CoreId c) { return c < kApp ? c : c + 1; }
+};
+
+TEST_P(MachineWideTest, OffsetChargingMatchesEagerReference) {
+  Machine fast(config(kApp), 2);
+  Machine eager(config(kApp + 1), 2);
+  for (Machine* m : {&fast, &eager}) {
+    size_tlbs(*m);
+    for (CoreId c = kApp - 1; c < m->num_cores(); ++c) m->set_core_space(c, 1);
+  }
+  FaultPlanConfig fc;
+  fc.seed = 5;
+  fc.shootdown_ack_rate = 0.3;
+  FaultPlan fast_faults(fc);
+  FaultPlan eager_faults(fc);
+  fast.set_fault_plan(&fast_faults);
+  eager.set_fault_plan(&eager_faults);
+
+  Rng rng(20140623);
+  const CoreMask app = CoreMask::first_n(kApp);
+  const auto pick_initiator = [&]() -> CoreId {
+    switch (rng.next_below(4)) {
+      case 0: return fast.scanner_core(static_cast<Asid>(rng.next_below(2)));
+      case 1: return kApp - 1;  // the one core of tenant 1
+      default: return static_cast<CoreId>(rng.next_below(kApp - 1));
+    }
+  };
+  // Every app core but the initiator half the time, else a random subset.
+  const auto pick_targets = [&](CoreId initiator) {
+    CoreMask out;
+    if (rng.next_below(2) == 0) {
+      out = app;
+    } else {
+      for (CoreId c = 0; c < kApp; ++c)
+        if (rng.next_below(2) == 0) out.set(c);
+    }
+    out.clear(initiator);
+    return out;
+  };
+  const auto random_subset = [&] {
+    CoreMask out;
+    for (CoreId c = 0; c < kApp; ++c)
+      if (rng.next_below(3) != 0) out.set(c);
+    return out;
+  };
+
+  // The engine keys cores by offset-free clocks, so a shootdown must never
+  // take back more than it returns for the initiator to wait.
+  const auto expect_no_fall = [&](CoreId initiator, Cycles before,
+                                  Cycles cycles, int op) {
+    EXPECT_GE(fast.offset_free_clock(initiator) + cycles, before)
+        << "op " << op;
+  };
+  bool took_offset = false;
+  for (int op = 0; op < 600; ++op) {
+    const CoreId initiator = pick_initiator();
+    const Cycles now = fast.clock(initiator);
+    const Cycles before = fast.offset_free_clock(initiator);
+    ASSERT_EQ(now, eager.clock(ref(initiator))) << "op " << op;
+    switch (rng.next_below(5)) {
+      case 0:
+      case 1: {
+        const CoreMask targets = pick_targets(initiator);
+        const CoreMask holders = random_subset();
+        const auto unit = static_cast<UnitIdx>(rng.next_below(kUnits));
+        const Cycles cycles =
+            fast.shootdown(initiator, now, targets, holders, unit);
+        ASSERT_EQ(cycles,
+                  eager.shootdown(ref(initiator), now, targets, holders, unit))
+            << "op " << op;
+        expect_no_fall(initiator, before, cycles, op);
+        break;
+      }
+      case 2: {
+        std::vector<Machine::BatchItem> items;
+        const auto n = 1 + rng.next_below(4);
+        // All items machine-wide (the regular-table scanner's batch), or
+        // each drawn on its own.
+        const bool wide = rng.next_below(2) == 0;
+        for (std::uint64_t i = 0; i < n; ++i)
+          items.push_back({static_cast<UnitIdx>(rng.next_below(kUnits)),
+                           wide ? app : pick_targets(initiator),
+                           random_subset()});
+        const Cycles cycles = fast.shootdown_batch(initiator, now, items);
+        ASSERT_EQ(cycles, eager.shootdown_batch(ref(initiator), now, items))
+            << "op " << op;
+        expect_no_fall(initiator, before, cycles, op);
+        break;
+      }
+      case 3: {
+        // set_clock and advance move the effective clock, whatever the
+        // offset.
+        const Cycles later = now + rng.next_below(50'000);
+        fast.set_clock(initiator, later);
+        eager.set_clock(ref(initiator), later);
+        const Cycles step = rng.next_below(5'000);
+        fast.advance(initiator, step);
+        eager.advance(ref(initiator), step);
+        break;
+      }
+      case 4: {
+        const auto unit = static_cast<UnitIdx>(rng.next_below(kUnits));
+        for (CoreId c = 0; c < kApp; ++c) {
+          fast.tlb(c).insert(unit);
+          eager.tlb(c).insert(unit);
+        }
+        break;
+      }
+    }
+    took_offset = took_offset || fast.clock(0) != fast.offset_free_clock(0);
+    for (CoreId c = 0; c < fast.total_cores(); ++c)
+      ASSERT_EQ(fast.clock(c), eager.clock(ref(c))) << "op " << op << " core " << c;
+  }
+  EXPECT_EQ(took_offset, GetParam() == TlbCoherence::kIpiShootdown);
+  for (CoreId c = 0; c < eager.num_cores(); ++c)
+    EXPECT_EQ(eager.offset_free_clock(c), eager.clock(c)) << "core " << c;
+
+  fast.fold_broadcasts();
+  eager.fold_broadcasts();
+  for (CoreId c = 0; c < fast.total_cores(); ++c) {
+    EXPECT_EQ(fast.clock(c), eager.clock(ref(c))) << "core " << c;
+    EXPECT_EQ(fast.counters(c), eager.counters(ref(c))) << "core " << c;
+    for (UnitIdx u = 0; u < kUnits; ++u)
+      EXPECT_EQ(fast.tlb(c).lookup(u), eager.tlb(ref(c)).lookup(u))
+          << "core " << c << " unit " << u;
+  }
+  for (CoreId c = 0; c < kApp; ++c)
+    EXPECT_EQ(fast.offset_free_clock(c), fast.clock(c)) << "core " << c;
+  EXPECT_EQ(eager.counters(kApp), metrics::CoreCounters{});
+  // Directory hardware takes no acks, so only IPI rounds lose them.
+  EXPECT_EQ(fast_faults.stats(), eager_faults.stats());
+  EXPECT_EQ(fast_faults.stats().total_injected() > 0,
+            GetParam() == TlbCoherence::kIpiShootdown);
+}
+
+INSTANTIATE_TEST_SUITE_P(BothCoherences, MachineWideTest,
+                         ::testing::Values(TlbCoherence::kIpiShootdown,
+                                           TlbCoherence::kHardwareDirectory),
+                         [](const ::testing::TestParamInfo<TlbCoherence>& p) {
+                           return p.param == TlbCoherence::kIpiShootdown
+                                      ? std::string("Ipi")
+                                      : std::string("Hardware");
+                         });
 
 TEST(Machine, AggregateExcludesScanner) {
   // A run's app_total sums the app cores' counters; the LRU scanner's
